@@ -19,7 +19,7 @@ from .losses import (
     centroids_loss,
     instance_loss,
 )
-from .numcore import normalize_rows, substream
+from .numcore import finite_diff_grad, normalize_rows, substream
 
 LOSS_NAMES = ("instance", "augmentation", "centroids", "camera_centroids")
 
@@ -102,11 +102,7 @@ def max_relative_errors(
             analytic = _flatten(enc.EncoderParams(d_w, d_b))
             if corrupt:
                 analytic = analytic + 1e-3
-            fd = np.zeros_like(flat0)
-            for k in range(flat0.size):
-                step = np.zeros_like(flat0)
-                step[k] = h
-                fd[k] = (scalar(flat0 + step) - scalar(flat0 - step)) / (2 * h)
+            fd = finite_diff_grad(scalar, flat0, h)
             scale = max(float(np.max(np.abs(fd))), 1e-12)
             err = float(np.max(np.abs(analytic - fd))) / scale
             worst[name] = max(worst[name], err)

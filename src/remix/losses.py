@@ -4,16 +4,32 @@ Each loss returns (scalar, dL/df) where f holds the encoder embeddings of
 the augmented batch inputs. Momentum embeddings and centroids are treated
 as gradient constants; no gradient ever flows through them.
 
+All four terms are one computation (`_contrastive`): each anchor i scores
+every positive proxy j by -log softmax of f_i . p_j / tau_i over a pool,
+averages that over its positives, and the loss averages over the anchors
+that have at least one positive. Per term (anchor label y, camera c):
+
+- L_ins: momentum embeddings; positives share (source, y), self included;
+  negatives differ in label, same source unless cross_source_negatives;
+  pool {j} + negatives.
+- L_aug: momentum embeddings; the one positive is the anchor's own
+  original; negatives are every other-label sample; pool {j} + negatives.
+- L_cen: centroids of the batch's labels; the positive is y's centroid;
+  negatives are the other centroids; pool {j} + negatives.
+- L_cc: multi anchors only, camera centroids of the batch's multi labels;
+  positives are y's centroids from cameras other than c; negatives are the
+  other labels' centroids; pool is every positive and negative.
+
 Labels are keyed (source, label) so multi-camera identities and
 single-camera pseudo labels live in disjoint namespaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import MULTI, SINGLE
+from .datamodel import MULTI
 from .errors import (
     DimensionMismatchError,
     EmptyLabelError,
@@ -45,23 +61,17 @@ class BatchView:
     def size(self) -> int:
         return self.f.shape[0]
 
-    @property
-    def n_multi(self) -> int:
-        return sum(1 for src, _ in self.keys if src == MULTI)
-
 
 @dataclass
 class CentroidBank:
     label_centroids: dict[LabelKey, np.ndarray]
     camera_centroids: dict[tuple[int, int], np.ndarray]  # (multi label, camera)
-    epoch: int = 0
 
 
 def build_centroids(
     embeddings: np.ndarray,
     keys: list[LabelKey],
     cameras: np.ndarray | None = None,
-    epoch: int = 0,
 ) -> CentroidBank:
     """Normalized per-label means; per-(label, camera) means for multi data."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -83,18 +93,54 @@ def build_centroids(
         camera_centroids = {
             k: normalize(embeddings[idx].mean(axis=0)) for k, idx in by_cam.items()
         }
-    return CentroidBank(label_centroids, camera_centroids, epoch)
+    return CentroidBank(label_centroids, camera_centroids)
 
 
-def _term_and_coeffs(z_target: float, z_rest: np.ndarray):
-    """log-softmax term plus d(term)/dz for target and rest entries."""
-    pool = np.concatenate(([z_target], z_rest))
-    mx = pool.max()
-    e = np.exp(pool - mx)
-    s = e.sum()
-    term = float(z_target - (mx + np.log(s)))
-    p = e / s
-    return term, 1.0 - p[0], -p[1:]
+def _contrastive(
+    f: np.ndarray,
+    proxies: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    tau: np.ndarray,
+    shared_pool: bool,
+) -> tuple[float, np.ndarray]:
+    """Masked multi-positive log-softmax of each anchor against `proxies`.
+
+    `pos` and `neg` are (B, P) masks and `tau` is the (B,) temperature. Row
+    i scores positive j against {j} plus the negatives, or against every
+    positive and negative when `shared_pool` is set; its loss is the mean
+    of -log softmax over its positives. The result is averaged over the
+    rows with at least one positive, and is exactly zero when there are
+    none or when no pool holds more than its own positive.
+    """
+    z = (f @ proxies.T) / tau[:, None]
+    rest = pos | neg if shared_pool else neg
+    z_rest = np.where(rest, z, -np.inf)
+    top = z_rest.max(axis=1, initial=-np.inf)
+    shift = np.where(np.isfinite(top), top, 0.0)  # no -inf - -inf on empty rows
+    e = np.exp(z_rest - shift[:, None])
+    s = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        lse_rest = (shift + np.log(s))[:, None]  # -inf where rest is empty
+    lse = np.where(rest, lse_rest, np.logaddexp(z, lse_rest))  # per (i, j) pool
+    n_pos = pos.sum(axis=1)
+    w = pos / np.maximum(n_pos, 1)[:, None]
+    n_anchors = max(int(np.count_nonzero(n_pos)), 1)
+    loss = float(np.sum(w * (lse - z))) / n_anchors
+    # dL/dz: -w on the positives, plus each pool's softmax weighted by w
+    c = np.sum(w * np.exp(lse_rest - lse), axis=1, keepdims=True)
+    d_z = (e / np.where(s > 0.0, s, 1.0)[:, None] * c
+           + np.where(rest, 0.0, w * np.exp(z - lse)) - w)
+    return loss, (d_z / tau[:, None]) @ proxies / n_anchors
+
+
+def _label_codes(view: BatchView) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample label code, numbered in first-appearance order, and the
+    multi-source flag."""
+    index = {k: c for c, k in enumerate(dict.fromkeys(view.keys))}
+    codes = np.array([index[k] for k in view.keys], dtype=np.int64)
+    multi = np.array([src == MULTI for src, _ in view.keys], dtype=bool)
+    return codes, multi
 
 
 def instance_loss(
@@ -109,49 +155,23 @@ def instance_loss(
     self-pair included. Negatives default to same-source batch members
     with a different label.
     """
-    b = view.size
-    sims = view.f @ view.m.T
-    grads = np.zeros_like(view.f)
-    total = 0.0
-    for i in range(b):
-        src, _ = view.keys[i]
-        tau = tau_m if src == MULTI else tau_s
-        pos = [j for j in range(b) if view.keys[j] == view.keys[i]]
-        neg = [
-            j for j in range(b)
-            if view.keys[j] != view.keys[i]
-            and (cross_source_negatives or view.keys[j][0] == src)
-        ]
-        z_neg = sims[i, neg] / tau
-        anchor_loss = 0.0
-        inv = 1.0 / len(pos)
-        for j in pos:
-            term, c_t, c_n = _term_and_coeffs(sims[i, j] / tau, z_neg)
-            anchor_loss -= term * inv
-            scale = -inv / tau
-            grads[i] += scale * c_t * view.m[j]
-            if neg:
-                grads[i] += scale * (c_n @ view.m[neg])
-        total += anchor_loss
-    return total / b, grads / b
+    codes, multi = _label_codes(view)
+    pos = codes[:, None] == codes[None, :]
+    neg = ~pos
+    if not cross_source_negatives:
+        neg &= multi[:, None] == multi[None, :]
+    tau = np.where(multi, tau_m, tau_s)
+    return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
 
 
 def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarray]:
     """Pulls each augmented embedding to its own momentum original; negatives
     are all different-label batch members from either source."""
-    b = view.size
-    sims = view.f @ view.m.T
-    grads = np.zeros_like(view.f)
-    total = 0.0
-    for i in range(b):
-        neg = [j for j in range(b) if view.keys[j] != view.keys[i]]
-        term, c_t, c_n = _term_and_coeffs(sims[i, i] / tau_aug, sims[i, neg] / tau_aug)
-        total -= term
-        scale = -1.0 / tau_aug
-        grads[i] += scale * c_t * view.m[i]
-        if neg:
-            grads[i] += scale * (c_n @ view.m[neg])
-    return total / b, grads / b
+    codes, _ = _label_codes(view)
+    pos = np.eye(view.size, dtype=bool)
+    neg = codes[:, None] != codes[None, :]
+    tau = np.full(view.size, tau_aug)
+    return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
 
 
 def centroids_loss(
@@ -164,22 +184,10 @@ def centroids_loss(
     if missing:
         raise UnresolvedLabelError(f"no centroid for {missing[0]}")
     cents = np.stack([bank.label_centroids[k] for k in batch_labels])
-    pos_index = {k: idx for idx, k in enumerate(batch_labels)}
-    sims = view.f @ cents.T
-    grads = np.zeros_like(view.f)
-    total = 0.0
-    for i in range(view.size):
-        src, _ = view.keys[i]
-        tau = tau_m if src == MULTI else tau_s
-        t = pos_index[view.keys[i]]
-        rest = [j for j in range(len(batch_labels)) if j != t]
-        term, c_t, c_n = _term_and_coeffs(sims[i, t] / tau, sims[i, rest] / tau)
-        total -= term
-        scale = -1.0 / tau
-        grads[i] += scale * c_t * cents[t]
-        if rest:
-            grads[i] += scale * (c_n @ cents[rest])
-    return total / view.size, grads / view.size
+    codes, multi = _label_codes(view)
+    pos = codes[:, None] == np.arange(len(batch_labels))[None, :]
+    tau = np.where(multi, tau_m, tau_s)
+    return _contrastive(view.f, cents, pos, ~pos, tau, shared_pool=False)
 
 
 def camera_centroids_loss(
@@ -187,40 +195,21 @@ def camera_centroids_loss(
 ) -> tuple[float, np.ndarray]:
     """Pulls multi-camera anchors toward same-label centroids from *other*
     cameras; negatives are camera centroids of the other multi labels in the
-    batch. Anchors with no cross-camera proxy contribute zero."""
-    multi_labels = list(dict.fromkeys(
-        y for (src, y) in view.keys if src == MULTI))
-    grads = np.zeros_like(view.f)
-    total = 0.0
-    contributing = 0
-    for i in range(view.size):
-        src, y = view.keys[i]
-        if src != MULTI:
-            continue
-        cam = int(view.cameras[i])
-        pos_keys = [k for k in bank.camera_centroids
-                    if k[0] == y and k[1] != cam]
-        if not pos_keys:
-            continue
-        neg_keys = [k for k in bank.camera_centroids
-                    if k[0] != y and k[0] in multi_labels]
-        proxies = np.stack([bank.camera_centroids[k]
-                            for k in pos_keys + neg_keys])
-        z = (view.f[i] @ proxies.T) / tau_cc
-        n_pos = len(pos_keys)
-        inv = 1.0 / n_pos
-        for t in range(n_pos):
-            rest = [j for j in range(len(z)) if j != t]
-            term, c_t, c_n = _term_and_coeffs(z[t], z[rest])
-            total -= term * inv
-            scale = -inv / tau_cc
-            grads[i] += scale * c_t * proxies[t]
-            if rest:
-                grads[i] += scale * (c_n @ proxies[rest])
-        contributing += 1
-    if contributing == 0:
-        return 0.0, grads
-    return total / contributing, grads / contributing
+    batch. Each positive is scored against all of them, the other positives
+    included. Anchors with no cross-camera proxy contribute zero."""
+    _, multi = _label_codes(view)
+    labels = np.array([y for _, y in view.keys], dtype=np.int64)
+    batch_multi = set(labels[multi].tolist())
+    proxy_keys = [k for k in bank.camera_centroids if k[0] in batch_multi]
+    proxies = np.array([bank.camera_centroids[k] for k in proxy_keys],
+                       dtype=np.float64).reshape(-1, view.f.shape[1])
+    proxy_labels = np.array([y for y, _ in proxy_keys], dtype=np.int64)
+    proxy_cams = np.array([c for _, c in proxy_keys], dtype=np.int64)
+    same = multi[:, None] & (labels[:, None] == proxy_labels[None, :])
+    pos = same & (view.cameras[:, None] != proxy_cams[None, :])
+    neg = multi[:, None] & ~same
+    tau = np.full(view.size, tau_cc)
+    return _contrastive(view.f, proxies, pos, neg, tau, shared_pool=True)
 
 
 def total_loss(

@@ -1,8 +1,7 @@
 """Minimal dense-vector numerics shared by the losses, encoder, and tests.
 
 Everything here is a pure function over numpy arrays. Similarities are
-cosine over unit-normalized vectors, and every softmax goes through the
-max-subtracted log-sum-exp kernel so no raw exponentials are ever summed.
+cosine over unit-normalized vectors.
 """
 from __future__ import annotations
 
@@ -11,12 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyPoolError,
-    NonFiniteEvaluationError,
-    ZeroVectorError,
-)
+from .errors import NonFiniteEvaluationError, ZeroVectorError
 
 NORM_FLOOR = 1e-12
 
@@ -48,27 +42,6 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     if np.any(norms <= NORM_FLOOR):
         raise ZeroVectorError("row with (near-)zero norm")
     return x / norms[..., None]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{a.shape} vs {b.shape}")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
-def log_softmax_term(target: float, pool: np.ndarray) -> float:
-    """target - logsumexp(pool), stable under large magnitudes.
-
-    `target` must be one of the pool's values so the result is <= 0.
-    """
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.size == 0:
-        raise EmptyPoolError("softmax pool is empty")
-    m = float(np.max(pool))
-    return float(target - (m + np.log(np.sum(np.exp(pool - m)))))
 
 
 def finite_diff_grad(

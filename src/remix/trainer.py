@@ -26,9 +26,9 @@ from .datamodel import (
     augment,
     compose_batch,
 )
-from .losses import BatchView, CentroidBank, build_centroids, total_loss
+from .losses import BatchView, build_centroids, total_loss
 from .numcore import substream
-from .pseudolabel import PseudoLabeledPool, default_budget, pseudo_label_epoch
+from .pseudolabel import default_budget, pseudo_label_epoch
 
 log = logging.getLogger(__name__)
 
@@ -39,8 +39,6 @@ class TrainState:
     momentum: enc.EncoderParams
     opt: enc.OptimizerState
     epoch: int = 0
-    bank: CentroidBank | None = None
-    pool: PseudoLabeledPool | None = None
     metrics: list[dict] = field(default_factory=list)
 
 
@@ -86,7 +84,7 @@ def run_epoch(
         state.momentum, np.stack([s.features for s in multi.samples]))
     keys = [(MULTI, s.identity) for s in multi.samples]
     cams = np.array([s.camera for s in multi.samples])
-    bank = build_centroids(m_embs, keys, cams, epoch=state.epoch)
+    bank = build_centroids(m_embs, keys, cams)
     labels_with_two_cams = {y for (y, _) in bank.camera_centroids
                             if sum(1 for (yy, _) in bank.camera_centroids
                                    if yy == y) >= 2}
@@ -102,8 +100,6 @@ def run_epoch(
                                   t.dbscan_min_pts, budget, video_rng)
         for pl, c in pool.centroids.items():
             bank.label_centroids[(SINGLE, pl)] = c
-    state.bank = bank
-    state.pool = pool
 
     sizes = (t.n_p_multi, t.n_k_multi,
              t.n_p_single if use_single else 0, t.n_k_single)

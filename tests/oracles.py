@@ -4,6 +4,8 @@ Everything here is deliberately written the slow, obvious way.
 """
 import numpy as np
 
+from remix.datamodel import MULTI
+
 NOISE = -1
 
 
@@ -58,3 +60,120 @@ def oracle_ap(sims, rel):
             hits += 1
             precisions.append(hits / rank)
     return float(np.mean(precisions))
+
+
+# --- the four ReMix losses as per-anchor loops ------------------------------
+
+
+def _term_and_coeffs(z_target, z_rest):
+    """log-softmax term plus d(term)/dz for target and rest entries."""
+    pool = np.concatenate(([z_target], z_rest))
+    mx = pool.max()
+    e = np.exp(pool - mx)
+    s = e.sum()
+    term = float(z_target - (mx + np.log(s)))
+    p = e / s
+    return term, 1.0 - p[0], -p[1:]
+
+
+def reference_instance_loss(view, tau_m, tau_s, cross_source_negatives=False):
+    b = view.size
+    sims = view.f @ view.m.T
+    grads = np.zeros_like(view.f)
+    total = 0.0
+    for i in range(b):
+        src, _ = view.keys[i]
+        tau = tau_m if src == MULTI else tau_s
+        pos = [j for j in range(b) if view.keys[j] == view.keys[i]]
+        neg = [
+            j for j in range(b)
+            if view.keys[j] != view.keys[i]
+            and (cross_source_negatives or view.keys[j][0] == src)
+        ]
+        z_neg = sims[i, neg] / tau
+        anchor_loss = 0.0
+        inv = 1.0 / len(pos)
+        for j in pos:
+            term, c_t, c_n = _term_and_coeffs(sims[i, j] / tau, z_neg)
+            anchor_loss -= term * inv
+            scale = -inv / tau
+            grads[i] += scale * c_t * view.m[j]
+            if neg:
+                grads[i] += scale * (c_n @ view.m[neg])
+        total += anchor_loss
+    return total / b, grads / b
+
+
+def reference_augmentation_loss(view, tau_aug):
+    b = view.size
+    sims = view.f @ view.m.T
+    grads = np.zeros_like(view.f)
+    total = 0.0
+    for i in range(b):
+        neg = [j for j in range(b) if view.keys[j] != view.keys[i]]
+        term, c_t, c_n = _term_and_coeffs(sims[i, i] / tau_aug,
+                                          sims[i, neg] / tau_aug)
+        total -= term
+        scale = -1.0 / tau_aug
+        grads[i] += scale * c_t * view.m[i]
+        if neg:
+            grads[i] += scale * (c_n @ view.m[neg])
+    return total / b, grads / b
+
+
+def reference_centroids_loss(view, bank, tau_m, tau_s):
+    batch_labels = list(dict.fromkeys(view.keys))
+    cents = np.stack([bank.label_centroids[k] for k in batch_labels])
+    pos_index = {k: idx for idx, k in enumerate(batch_labels)}
+    sims = view.f @ cents.T
+    grads = np.zeros_like(view.f)
+    total = 0.0
+    for i in range(view.size):
+        src, _ = view.keys[i]
+        tau = tau_m if src == MULTI else tau_s
+        t = pos_index[view.keys[i]]
+        rest = [j for j in range(len(batch_labels)) if j != t]
+        term, c_t, c_n = _term_and_coeffs(sims[i, t] / tau, sims[i, rest] / tau)
+        total -= term
+        scale = -1.0 / tau
+        grads[i] += scale * c_t * cents[t]
+        if rest:
+            grads[i] += scale * (c_n @ cents[rest])
+    return total / view.size, grads / view.size
+
+
+def reference_camera_centroids_loss(view, bank, tau_cc):
+    """Each positive's pool is every proxy, the other positives included."""
+    multi_labels = list(dict.fromkeys(
+        y for (src, y) in view.keys if src == MULTI))
+    grads = np.zeros_like(view.f)
+    total = 0.0
+    contributing = 0
+    for i in range(view.size):
+        src, y = view.keys[i]
+        if src != MULTI:
+            continue
+        cam = int(view.cameras[i])
+        pos_keys = [k for k in bank.camera_centroids
+                    if k[0] == y and k[1] != cam]
+        if not pos_keys:
+            continue
+        neg_keys = [k for k in bank.camera_centroids
+                    if k[0] != y and k[0] in multi_labels]
+        proxies = np.stack([bank.camera_centroids[k]
+                            for k in pos_keys + neg_keys])
+        z = (view.f[i] @ proxies.T) / tau_cc
+        n_pos = len(pos_keys)
+        inv = 1.0 / n_pos
+        for t in range(n_pos):
+            rest = [j for j in range(len(z)) if j != t]
+            term, c_t, c_n = _term_and_coeffs(z[t], z[rest])
+            total -= term * inv
+            scale = -inv / tau_cc
+            grads[i] += scale * c_t * proxies[t]
+            if rest:
+                grads[i] += scale * (c_n @ proxies[rest])
+        contributing += 1
+    if contributing == 0:
+        return 0.0, grads
+    return total / contributing, grads / contributing

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    reference_augmentation_loss,
+    reference_camera_centroids_loss,
+    reference_centroids_loss,
+    reference_instance_loss,
+)
 from remix.datamodel import MULTI, SINGLE
 from remix.errors import (
     DimensionMismatchError,
@@ -52,7 +58,7 @@ class TestBatchView:
 
     def test_counts(self):
         v = random_view(n_multi=4, n_single=2)
-        assert v.size == 6 and v.n_multi == 4
+        assert v.size == 6
 
 
 class TestBuildCentroids:
@@ -75,6 +81,80 @@ class TestBuildCentroids:
     def test_empty_embeddings_rejected(self):
         with pytest.raises(EmptyLabelError):
             build_centroids(np.zeros((0, 3)), [], None)
+
+
+def oracle_pairs(view, bank, tau_scale=1.0):
+    """(kernel, loop) results for every loss variant at scaled taus."""
+    t = {k: v * tau_scale for k, v in TAUS.items() if k != "gamma"}
+    return [
+        (instance_loss(view, t["tau_ins_m"], t["tau_ins_s"]),
+         reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
+        (instance_loss(view, t["tau_ins_m"], t["tau_ins_s"], True),
+         reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"], True)),
+        (augmentation_loss(view, t["tau_aug"]),
+         reference_augmentation_loss(view, t["tau_aug"])),
+        (centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"]),
+         reference_centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"])),
+        (camera_centroids_loss(view, bank, t["tau_cc"]),
+         reference_camera_centroids_loss(view, bank, t["tau_cc"])),
+    ]
+
+
+def bank_with_absent_label(view, seed=10):
+    """Bank over the batch's labels plus a multi label the batch lacks."""
+    rng = substream(seed, "gradcheck")
+    keys = view.keys + [(MULTI, 99)] * 3
+    cams = np.concatenate([view.cameras, [0, 1, 2]])
+    m = normalize_rows(rng.standard_normal((len(keys), view.m.shape[1])))
+    return build_centroids(m, keys, cams)
+
+
+class TestKernelAgainstLoops:
+    """The vectorised losses against the per-anchor loops in oracles.py."""
+
+    @pytest.mark.parametrize("shape", [
+        dict(),
+        dict(n_multi=8, n_single=0),
+        dict(n_multi=0, n_single=8),
+        dict(n_labels=6),  # K=1: every label once per source
+        dict(n_cams=1),
+        dict(n_labels=1),  # same-source rows without negatives
+    ], ids=["mixed", "multi_only", "single_only", "k1", "one_camera",
+            "one_label"])
+    def test_loss_and_gradient(self, shape):
+        for seed in range(10):
+            view = random_view(seed, **shape)
+            bank = bank_with_absent_label(view, seed + 100)
+            with np.errstate(invalid="raise", over="raise"):
+                pairs = oracle_pairs(view, bank)
+            for (loss, grads), (want, want_grads) in pairs:
+                assert abs(loss - want) <= 1e-12
+                assert np.max(np.abs(grads - want_grads)) <= 1e-12
+
+    def test_large_magnitudes(self):
+        # tau = 1e-4 puts logits near 1e4: the max shift keeps every loss
+        # and gradient finite and equal to the loops
+        view = random_view(13)
+        bank = bank_for(view)
+        with np.errstate(invalid="raise", over="raise"):
+            pairs = oracle_pairs(view, bank, tau_scale=1e-4 / TAUS["tau_cc"])
+        for (loss, grads), (want, want_grads) in pairs:
+            assert np.isfinite(loss) and np.all(np.isfinite(grads))
+            assert loss == pytest.approx(want, rel=1e-12)
+            assert np.allclose(grads, want_grads, rtol=1e-12, atol=0.0)
+
+    def test_pool_rules(self):
+        # one anchor label, two positives of equal similarity, no negatives:
+        # instance scores each positive against itself alone (loss 0), the
+        # camera term against both positives (loss ln 2)
+        f = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        keys = [(MULTI, 0), (MULTI, 0)]
+        view = BatchView(f, m, keys, np.array([0, 0]))
+        bank = build_centroids(m, keys, np.array([1, 2]))
+        assert instance_loss(view, 0.1, 0.2)[0] == 0.0
+        assert camera_centroids_loss(view, bank, 0.07)[0] == \
+            pytest.approx(np.log(2.0), abs=1e-15)
 
 
 class TestInstanceLossOracle:

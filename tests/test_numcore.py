@@ -4,20 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from remix.errors import (
-    DimensionMismatchError,
-    EmptyPoolError,
-    NonFiniteEvaluationError,
-    ZeroVectorError,
-)
-from remix.numcore import (
-    cosine,
-    finite_diff_grad,
-    log_softmax_term,
-    normalize,
-    normalize_rows,
-    substream,
-)
+from remix.errors import NonFiniteEvaluationError, ZeroVectorError
+from remix.numcore import finite_diff_grad, normalize, normalize_rows, substream
 
 vectors = hnp.arrays(
     np.float64, st.integers(2, 16),
@@ -73,41 +61,6 @@ def test_normalize_rows_degenerate_row():
     x[1] = 0.0
     with pytest.raises(ZeroVectorError):
         normalize_rows(x)
-
-
-@given(vectors, st.data())
-def test_cosine_bounded(a, data):
-    b = data.draw(hnp.arrays(np.float64, a.shape,
-                             elements=st.floats(-10, 10, allow_nan=False)))
-    c = cosine(normalize(a), a)
-    assert -1.0 <= c <= 1.0
-    if np.linalg.norm(b) > 1e-6:
-        assert -1.0 <= cosine(normalize(a), normalize(b)) <= 1.0
-
-
-def test_cosine_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        cosine(np.ones(3), np.ones(4))
-
-
-def test_log_softmax_term_fixture():
-    # pool [2, 0], target 2: term = 2 - log(e^2 + e^0)
-    expected = 2.0 - np.log(np.exp(2.0) + 1.0)
-    assert log_softmax_term(2.0, np.array([2.0, 0.0])) == pytest.approx(expected)
-
-
-def test_log_softmax_term_large_magnitudes():
-    # max subtraction keeps huge logits finite; shifting everything by a
-    # constant leaves the term unchanged
-    base = log_softmax_term(1.0, np.array([1.0, 0.0]))
-    shifted = log_softmax_term(1.0 + 5000.0, np.array([1.0, 0.0]) + 5000.0)
-    assert np.isfinite(shifted)
-    assert shifted == pytest.approx(base)
-
-
-def test_log_softmax_term_empty_pool():
-    with pytest.raises(EmptyPoolError):
-        log_softmax_term(0.0, np.array([]))
 
 
 @settings(deadline=None)

@@ -118,13 +118,30 @@ def test_partial_checkpoint_on_failure(tmp_path):
     assert not ckpt.exists()
 
 
-def test_single_camera_centroids_enter_bank():
+def test_single_camera_centroids_enter_bank(monkeypatch):
     cfg = tiny_cfg(epochs=1)
     multi, corpus, _ = data_for(cfg)
-    state = trainer.train(multi, corpus, cfg)
-    singles = [k for k in state.bank.label_centroids if k[0] == "single"]
-    multis = [k for k in state.bank.label_centroids if k[0] == "multi"]
-    assert len(singles) == len(state.pool.entries)
+    # the bank and pool are epoch locals; spy on the calls that see them
+    real_pool, real_loss = trainer.pseudo_label_epoch, trainer.total_loss
+    pools, banks = [], []
+
+    def pool_spy(*args):
+        pools.append(real_pool(*args))
+        return pools[-1]
+
+    def loss_spy(view, bank, *args):
+        banks.append(bank)
+        return real_loss(view, bank, *args)
+
+    monkeypatch.setattr(trainer, "pseudo_label_epoch", pool_spy)
+    monkeypatch.setattr(trainer, "total_loss", loss_spy)
+    trainer.train(multi, corpus, cfg)
+    assert len(pools) == 1 and len(banks) == cfg.train.iters_per_epoch
+    bank = banks[0]
+    assert all(b is bank for b in banks)
+    singles = [k for k in bank.label_centroids if k[0] == "single"]
+    multis = [k for k in bank.label_centroids if k[0] == "multi"]
+    assert len(singles) == len(pools[0].entries)
     assert len(multis) == 10
 
 
