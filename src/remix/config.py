@@ -72,10 +72,18 @@ class TrainConfig:
             raise InvalidConfigError("bad DBSCAN parameters")
         if min(self.n_p_multi, self.n_k_multi, self.n_p_single, self.n_k_single) < 0:
             raise InvalidConfigError("batch sizes must be >= 0")
+        n_p_single = self.n_p_single if self.use_single_cam else 0
+        if self.n_p_multi == 0 and n_p_single == 0:
+            raise InvalidConfigError("a batch needs at least one sampled label")
+        if (self.n_p_multi > 0 and self.n_k_multi == 0) \
+                or (n_p_single > 0 and self.n_k_single == 0):
+            raise InvalidConfigError("a sampled source needs n_k >= 1")
         if not 0.0 <= self.p_drop <= 1.0 or self.sigma_aug < 0:
             raise InvalidConfigError("bad augmentation parameters")
         if self.pseudo_label_budget is not None and self.pseudo_label_budget <= 0:
             raise InvalidConfigError("pseudo_label_budget must be positive")
+        if self.checkpoint_every < 0:
+            raise InvalidConfigError("checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -90,11 +98,6 @@ class IoConfig:
     target_path: str = "target.jsonl"
     checkpoint_path: str = "checkpoint.json"
     metrics_path: str = "metrics.jsonl"
-    workers: int = 1  # reserved; runs are sequential and deterministic
-
-    def validate(self):
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -110,7 +113,6 @@ class RunConfig:
         self.generator.validate()
         self.model.validate()
         self.train.validate()
-        self.io.validate()
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
         return self

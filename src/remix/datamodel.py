@@ -10,7 +10,8 @@ evaluation is strictly cross-domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,7 +67,9 @@ class MultiCamDataset:
             raise InvalidConfigError("identity and camera ids must be dense from 0")
         return cls(list(samples), set(ids), cams)
 
+    @cached_property
     def by_identity(self) -> dict[int, list[PersonSample]]:
+        """Samples grouped by identity, built once per dataset."""
         out: dict[int, list[PersonSample]] = {}
         for s in self.samples:
             out.setdefault(s.identity, []).append(s)
@@ -302,7 +305,7 @@ def compose_batch(
     single_part: list[tuple[PersonSample, int]] = []
 
     if np_m > 0:
-        by_id = multi.by_identity()
+        by_id = multi.by_identity
         labels = sorted(by_id)
         if len(labels) < np_m:
             raise InsufficientLabelsError(

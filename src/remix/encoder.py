@@ -3,7 +3,7 @@ optimizer with linear warm-up, and the EMA momentum copy.
 
 Hidden layers use tanh (smooth, so finite-difference gradient checks are
 clean everywhere); the final layer is linear followed by unit
-normalization, whose Jacobian is handled exactly in backward().
+normalization, whose Jacobian is handled exactly in backward_batch().
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def init_params(dim_in: int, hidden: list[int], dim_out: int,
 
 @dataclass
 class ForwardCache:
-    params: EncoderParams  # identity-checked in backward()
+    params: EncoderParams  # identity-checked in backward_batch()
     activations: list[np.ndarray]  # layer inputs, activations[0] = X
     v: np.ndarray  # pre-normalization output
     norms: np.ndarray
@@ -92,11 +92,6 @@ def forward_batch(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, For
     return u, ForwardCache(params, acts, v, norms, u)
 
 
-def forward(params: EncoderParams, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    u, cache = forward_batch(params, np.asarray(features)[None, :])
-    return u[0], cache
-
-
 def backward_batch(params: EncoderParams, cache: ForwardCache,
                    d_u: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact parameter gradients; d_u is dL/dEmbedding, shape (B, E)."""
@@ -117,10 +112,6 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         if l > 0:
             g = (g @ params.weights[l].T) * (1.0 - cache.activations[l] ** 2)
     return d_weights, d_biases
-
-
-def backward(params: EncoderParams, cache: ForwardCache, d_embedding: np.ndarray):
-    return backward_batch(params, cache, np.asarray(d_embedding)[None, :])
 
 
 @dataclass

@@ -42,7 +42,7 @@ class ShapeMismatchError(RemixError):
 
 
 class StaleCacheError(RemixError):
-    """backward() was called with a cache from a different forward pass."""
+    """backward_batch() got a cache from a different forward pass."""
 
 
 class BudgetUnreachableError(RemixError):

@@ -66,8 +66,9 @@ class PseudoLabeledPool:
 
 
 def default_budget(b_s: int, iterations: int) -> int:
-    """Images to pseudo-label per epoch: the single-camera slots times the
-    iteration count."""
+    """Cap on the images pseudo-labelled per epoch: the single-camera slots
+    times the iteration count. A corpus smaller than the cap is labelled
+    whole, once."""
     return b_s * iterations
 
 
@@ -79,45 +80,26 @@ def pseudo_label_epoch(
     budget: int,
     rng: np.random.Generator,
 ) -> PseudoLabeledPool:
-    """Draw videos without replacement (reshuffling on exhaustion), cluster
-    each with DBSCAN over momentum embeddings, and collect clusters under
-    fresh pseudo labels until `budget` non-noise images are assigned."""
+    """Walk one random permutation of the videos, cluster each with DBSCAN
+    over momentum embeddings, and collect its clusters under fresh pseudo
+    labels. Each video is clustered at most once, so no frame carries two
+    labels; the walk stops once `budget` non-noise images are labelled."""
     if budget <= 0:
         raise ValueError("pseudo-label budget must be positive")
     pool = PseudoLabeledPool()
-    next_label = 0
-    assigned = 0
-    while assigned < budget:
-        order = rng.permutation(len(corpus.videos))
-        pass_gain = 0
-        for vi in order:
-            _, frames = corpus.videos[int(vi)]
-            embs, _ = forward_batch(momentum, np.stack([s.features for s in frames]))
-            labels = dbscan(embs, eps, min_pts)
-            for c in range(int(labels.max()) + 1 if labels.size else 0):
-                idx = np.nonzero(labels == c)[0]
-                members = [(frames[int(j)], embs[int(j)]) for j in idx]
-                pool.entries[next_label] = members
-                pool.centroids[next_label] = normalize(embs[idx].mean(axis=0))
-                next_label += 1
-                assigned += len(members)
-                pass_gain += len(members)
-            pool.noise_count += int(np.sum(labels == NOISE))
-            if assigned >= budget:
-                break
-        if pass_gain == 0:
-            raise BudgetUnreachableError(
-                "a full pass over the corpus produced zero non-noise images")
+    for vi in rng.permutation(len(corpus.videos)):
+        _, frames = corpus.videos[int(vi)]
+        embs, _ = forward_batch(momentum, np.stack([s.features for s in frames]))
+        labels = dbscan(embs, eps, min_pts)
+        for c in range(int(labels.max()) + 1):
+            idx = np.nonzero(labels == c)[0]
+            pl = len(pool.entries)
+            pool.entries[pl] = [(frames[j], embs[j]) for j in idx]
+            pool.centroids[pl] = normalize(embs[idx].mean(axis=0))
+        pool.noise_count += int(np.sum(labels == NOISE))
+        if pool.n_labeled >= budget:
+            break
+    if not pool.entries:
+        raise BudgetUnreachableError(
+            "a full pass over the corpus produced zero non-noise images")
     return pool
-
-
-def dump_pool(path, pool: PseudoLabeledPool) -> None:
-    """Inspection dump, one (sample_id, pseudo_label, video_id) per line."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for pl, members in pool.entries.items():
-            for s, _ in members:
-                fh.write(json.dumps({"sample_id": s.sample_id,
-                                     "pseudo_label": pl,
-                                     "video_id": s.video_id}) + "\n")

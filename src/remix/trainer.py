@@ -60,7 +60,7 @@ def _batch_view(state: TrainState, batch: MiniBatch, t, aug_rng) -> BatchView:
     cameras = np.array([c for _, _, c in batch.multi] +
                        [-1] * len(batch.single), dtype=np.int64)
     raw = np.stack([s.features for s in samples])
-    augmented = np.stack([augment(x, aug_rng, t.sigma_aug, t.p_drop) for x in raw])
+    augmented = augment(raw, aug_rng, t.sigma_aug, t.p_drop)
     f, cache = enc.forward_batch(state.params, augmented)
     m, _ = enc.forward_batch(state.momentum, raw)
     return BatchView(f, m, keys, cameras), cache
@@ -85,12 +85,6 @@ def run_epoch(
     keys = [(MULTI, s.identity) for s in multi.samples]
     cams = np.array([s.camera for s in multi.samples])
     bank = build_centroids(m_embs, keys, cams)
-    labels_with_two_cams = {y for (y, _) in bank.camera_centroids
-                            if sum(1 for (yy, _) in bank.camera_centroids
-                                   if yy == y) >= 2}
-    if not labels_with_two_cams:
-        log.warning("epoch %d: no identity spans two cameras, camera "
-                    "centroid loss is inert", state.epoch)
 
     pool = None
     if use_single:
@@ -152,6 +146,10 @@ def train(
 ) -> TrainState:
     """Run cfg.train.epochs epochs; write metrics lines and checkpoints."""
     t = cfg.train
+    if all(len({s.camera for s in group}) < 2
+           for group in multi.by_identity.values()):
+        log.warning("no identity spans two cameras, camera centroid loss "
+                    "is inert")
     state = init_state(cfg, multi.samples[0].features.shape[0])
     sampler_rng = substream(cfg.seed, "sampler")
     aug_rng = substream(cfg.seed, "augment")

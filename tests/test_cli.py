@@ -81,6 +81,8 @@ def test_single_camera_ablation_from_one_config(workdir):
 def test_exit_codes():
     assert run([]) == 1  # missing subcommand
     assert run(["train", "--set", "train.nope=1"]) == 1  # bad config key
+    assert run(["train", "--set", "train.n_p_multi=0",
+                "--set", "train.n_p_single=0"]) == 1  # empty batch
     assert run(["train", "--config", "/does/not/exist.json"]) == 2
 
 

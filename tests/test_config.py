@@ -48,12 +48,23 @@ def test_seed_type():
     ("train", "pseudo_label_budget", 0),
     ("generator", "n_videos", 0),
     ("generator", "sigma_cam", -0.5),
+    ("train", "checkpoint_every", -3),
+    ("train", "n_k_multi", 0),
+    ("train", "n_k_single", 0),
+    ("train", "n_k_multi+n_k_single", 0),
+    ("train", "n_p_multi+n_p_single", 0),
     ("model", "embed_dim", 0),
-    ("io", "workers", 0),
 ])
 def test_invalid_values(section, key, value):
+    # "a+b" sets several keys of the section to the same value
     with pytest.raises(InvalidConfigError):
-        config_from_dict({section: {key: value}})
+        config_from_dict({section: dict.fromkeys(key.split("+"), value)})
+
+
+def test_unsampled_source_may_have_zero_k():
+    cfg = config_from_dict({"train": {"use_single_cam": False,
+                                      "n_k_single": 0}})
+    assert cfg.train.n_k_single == 0
 
 
 def test_load_config(tmp_path):

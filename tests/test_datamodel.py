@@ -71,7 +71,8 @@ class TestMultiCamDataset:
     def test_by_identity(self):
         ds = MultiCamDataset.from_samples(
             [_ms(0, 0, 0), _ms(1, 0, 1), _ms(2, 1, 0), _ms(3, 1, 1)])
-        groups = ds.by_identity()
+        groups = ds.by_identity
+        assert groups is ds.by_identity  # grouped once per dataset
         assert sorted(groups) == [0, 1]
         assert all(len(v) == 2 for v in groups.values())
 
@@ -122,23 +123,31 @@ class TestSynthGenerate:
             synth_generate(small_cfg(n_single_identities=2), 0)
 
 
+# one feature vector, and a (B, D) batch as the trainer augments it
+SHAPES = st.sampled_from([(50,), (4, 50)])
+
+
 class TestAugment:
-    def test_identity_when_disabled(self):
-        x = substream(0, "augment").standard_normal(10)
+    @settings(deadline=None)
+    @given(SHAPES)
+    def test_identity_when_disabled(self, shape):
+        x = substream(0, "augment").standard_normal(shape)
         out = augment(x, substream(1, "augment"), sigma_aug=0.0, p_drop=0.0)
         assert np.array_equal(out, x)
 
-    def test_full_dropout_zeroes(self):
-        x = np.ones(10)
+    @settings(deadline=None)
+    @given(SHAPES)
+    def test_full_dropout_zeroes(self, shape):
+        x = np.ones(shape)
         out = augment(x, substream(1, "augment"), sigma_aug=0.0, p_drop=1.0)
-        assert np.array_equal(out, np.zeros(10))
+        assert np.array_equal(out, np.zeros(shape))
 
     @settings(deadline=None)
-    @given(st.integers(0, 100))
-    def test_noise_scale(self, seed):
-        x = np.zeros(50)
+    @given(st.integers(0, 100), SHAPES)
+    def test_noise_scale(self, seed, shape):
+        x = np.zeros(shape)
         out = augment(x, substream(seed, "augment"), sigma_aug=0.1, p_drop=0.0)
-        assert np.abs(out).max() < 1.0
+        assert out.shape == x.shape and np.abs(out).max() < 1.0
 
 
 def _toy_multi(n_ids=10, n_cams=4, per=2):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remix import encoder as enc
+from remix import pseudolabel
 from remix.datamodel import SINGLE, PersonSample, SingleCamCorpus
 from remix.errors import BudgetUnreachableError
 from remix.numcore import normalize_rows, substream
@@ -11,7 +12,6 @@ from remix.pseudolabel import (
     NOISE,
     dbscan,
     default_budget,
-    dump_pool,
     pseudo_label_epoch,
 )
 
@@ -89,6 +89,19 @@ def _params(dim=6, seed=0):
     return enc.init_params(dim, [8], 4, substream(seed, "init"))
 
 
+@pytest.fixture
+def dbscan_calls(monkeypatch):
+    """Records the point count of every dbscan call pseudo_label_epoch makes."""
+    calls = []
+
+    def spy(points, eps, min_pts):
+        calls.append(len(points))
+        return dbscan(points, eps, min_pts)
+
+    monkeypatch.setattr(pseudolabel, "dbscan", spy)
+    return calls
+
+
 class TestPseudoLabelEpoch:
     def test_budget_and_fresh_labels(self):
         corpus = _corpus()
@@ -106,12 +119,28 @@ class TestPseudoLabelEpoch:
         for c in pool.centroids.values():
             assert np.linalg.norm(c) == pytest.approx(1.0)
 
-    def test_reshuffle_until_budget(self):
-        # budget larger than one pass: videos get re-clustered
-        corpus = _corpus(n_videos=2, n_groups=1, frames_per_group=4)
-        pool = pseudo_label_epoch(corpus, _params(), 0.3, 3, 30,
+    def test_budget_beyond_corpus_labels_each_frame_once(self, dbscan_calls):
+        # budget larger than the corpus: one pass, each video clustered
+        # once, no frame under two pseudo labels
+        corpus = _corpus(n_videos=3, n_groups=2, frames_per_group=4)
+        pool = pseudo_label_epoch(corpus, _params(), 0.3, 3, 1000,
                                   substream(2, "videos"))
-        assert pool.n_labeled >= 30
+        ids = [s.sample_id for members in pool.entries.values()
+               for s, _ in members]
+        assert len(ids) == len(set(ids))
+        assert sorted(ids) == [s.sample_id for _, frames in corpus.videos
+                               for s in frames]
+        assert len(dbscan_calls) == len(corpus.videos)
+
+    def test_budget_is_a_cap(self, dbscan_calls):
+        # a budget below one video's yield stops after that video
+        corpus = _corpus(n_videos=3, n_groups=2, frames_per_group=4)
+        pool = pseudo_label_epoch(corpus, _params(), 0.3, 3, 3,
+                                  substream(2, "videos"))
+        assert len(dbscan_calls) == 1
+        assert len({s.video_id for members in pool.entries.values()
+                    for s, _ in members}) == 1
+        assert pool.n_labeled == 8
 
     def test_unreachable_budget(self):
         corpus = _corpus(n_videos=2, n_groups=1, frames_per_group=2)
@@ -126,13 +155,3 @@ class TestPseudoLabelEpoch:
 
     def test_default_budget(self):
         assert default_budget(32, 50) == 1600
-
-    def test_dump_pool(self, tmp_path):
-        import json
-        pool = pseudo_label_epoch(_corpus(), _params(), 0.3, 3, 20,
-                                  substream(5, "videos"))
-        path = tmp_path / "pool.jsonl"
-        dump_pool(path, pool)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == pool.n_labeled
-        assert {"sample_id", "pseudo_label", "video_id"} == set(lines[0])
