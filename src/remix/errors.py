@@ -14,11 +14,13 @@ class DimensionMismatchError(RemixError):
 
 
 class EmptyPoolError(RemixError):
-    """A softmax pool, cluster pool, or sample pool was empty."""
+    """A softmax pool, cluster pool, sample pool or query set was empty."""
 
 
 class NonFiniteEvaluationError(RemixError):
-    """A probed function returned NaN or Inf during finite differencing."""
+    """A value came out NaN or Inf where it must be finite: a probed
+    function during finite differencing, or a query or gallery embedding
+    about to be ranked."""
 
 
 class InvalidConfigError(RemixError):

@@ -7,12 +7,18 @@ out; ties in similarity break by ascending gallery index.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
 from .datamodel import MultiCamDataset, PersonSample
 from .encoder import EncoderParams, forward_batch
-from .errors import EmptyPoolError, NoValidPositiveError
+from .errors import (
+    EmptyPoolError,
+    NoValidPositiveError,
+    NonFiniteEvaluationError,
+)
 from .pseudolabel import PseudoLabeledPool
 
 
@@ -24,39 +30,76 @@ def extract(params: EncoderParams, samples: list[PersonSample]) -> np.ndarray:
     return embs
 
 
-def _rankings(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
-    """Yield (ranked relevance vector) per query over the valid gallery."""
+# Queries per block, and positives per comparison chunk. Both bound the
+# temporaries at a few (32 x gallery) arrays, below the query-by-gallery
+# similarity matrix, however many positives a query has.
+_BLOCK = 32
+
+
+def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
+    """Per query over the valid gallery: (1-based rank of the first correct
+    match, average precision).
+
+    A positive's rank is counted, not sorted for: one plus the valid gallery
+    items that score higher, or score the same at a lower gallery index.
+    """
+    q_embs = np.asarray(q_embs)
+    g_embs = np.asarray(g_embs)
     q_ids = np.asarray(q_ids)
     q_cams = np.asarray(q_cams)
     g_ids = np.asarray(g_ids)
     g_cams = np.asarray(g_cams)
-    sims = np.asarray(q_embs) @ np.asarray(g_embs).T
-    for qi in range(len(q_ids)):
-        valid = ~((g_ids == q_ids[qi]) & (g_cams == q_cams[qi]))
-        v_idx = np.nonzero(valid)[0]
-        rel = g_ids[v_idx] == q_ids[qi]
-        if not rel.any():
-            raise NoValidPositiveError(f"query {qi} has no valid positive")
-        order = np.argsort(-sims[qi, v_idx], kind="stable")
-        yield rel[order]
+    if len(q_ids) == 0:
+        raise EmptyPoolError("no queries to rank")
+    # a NaN similarity would compare false both ways and take some
+    # arbitrary rank
+    for side, embs in (("query", q_embs), ("gallery", g_embs)):
+        bad = np.nonzero(~np.isfinite(embs).all(axis=1))[0]
+        if len(bad):
+            raise NonFiniteEvaluationError(
+                f"{side} embedding {bad[0]} is not finite")
+    cols = np.arange(len(g_ids))
+    first = np.empty(len(q_ids), dtype=np.int64)
+    ap = np.empty(len(q_ids))
+    for start in range(0, len(q_ids), _BLOCK):
+        b = slice(start, start + _BLOCK)
+        same_id = q_ids[b, None] == g_ids
+        valid = ~(same_id & (q_cams[b, None] == g_cams))
+        key = np.where(valid, -(q_embs[b] @ g_embs.T), np.inf)
+        rows, pos = np.nonzero(same_id & valid)
+        n_pos = np.bincount(rows, minlength=len(key))
+        if not n_pos.all():
+            stranded = start + int(np.argmin(n_pos))
+            raise NoValidPositiveError(f"query {stranded} has no valid positive")
+        rank = np.empty(len(rows), dtype=np.int64)
+        for c in range(0, len(rows), _BLOCK):
+            r, p = rows[c:c + _BLOCK], pos[c:c + _BLOCK]
+            k_row, k_pos = key[r], key[r, p][:, None]
+            ahead = (k_row < k_pos) | ((k_row == k_pos) & (cols < p[:, None]))
+            rank[c:c + _BLOCK] = 1 + np.count_nonzero(ahead, axis=1)
+        # positives by query, then by rank: the j-th of a query has
+        # precision j / rank
+        order = np.lexsort((rank, rows))
+        rows, rank = rows[order], rank[order]
+        starts = np.cumsum(n_pos) - n_pos
+        j = np.arange(len(rank)) - starts[rows] + 1
+        first[b] = rank[starts]
+        ap[b] = np.bincount(rows, weights=j / rank, minlength=len(key)) / n_pos
+    return first, ap
 
 
 def cmc_rank_k(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams, k: int) -> float:
     """Fraction of queries with a correct match in the top-k valid ranking."""
-    hits = [bool(rel[:k].any())
-            for rel in _rankings(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams)]
-    return float(np.mean(hits))
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    first, _ = _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams)
+    return float(np.mean(first <= k))
 
 
 def mean_ap(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams) -> float:
     """Mean over queries of average precision of the masked ranking."""
-    aps = []
-    for rel in _rankings(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
-        rel = rel.astype(np.float64)
-        cum = np.cumsum(rel)
-        prec = cum / np.arange(1, len(rel) + 1)
-        aps.append(float((prec * rel).sum() / rel.sum()))
-    return float(np.mean(aps))
+    _, ap = _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams)
+    return float(np.mean(ap))
 
 
 def cluster_purity(pool: PseudoLabeledPool) -> float:
@@ -93,13 +136,13 @@ def evaluate(params: EncoderParams, target: MultiCamDataset) -> dict:
     embs = extract(params, target.samples)
     ids = np.array([s.identity for s in target.samples])
     cams = np.array([s.camera for s in target.samples])
-    args = (embs[q_idx], ids[q_idx], cams[q_idx],
-            embs[g_idx], ids[g_idx], cams[g_idx])
+    first, ap = _rank_queries(embs[q_idx], ids[q_idx], cams[q_idx],
+                              embs[g_idx], ids[g_idx], cams[g_idx])
     return {
-        "rank1": cmc_rank_k(*args, k=1),
-        "rank5": cmc_rank_k(*args, k=5),
-        "rank10": cmc_rank_k(*args, k=10),
-        "mAP": mean_ap(*args),
+        "rank1": float(np.mean(first <= 1)),
+        "rank5": float(np.mean(first <= 5)),
+        "rank10": float(np.mean(first <= 10)),
+        "mAP": float(np.mean(ap)),
         "n_query": len(q_idx),
         "n_gallery": len(g_idx),
         "protocol": "cross-domain",
@@ -137,6 +180,16 @@ def shuffled_label_baseline(
 
 
 def write_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh)
-        fh.write("\n")
+    """Write the report as one JSON line. The file is written beside the
+    target and renamed onto it, so a failed dump leaves any previous
+    report intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -5,6 +5,7 @@ Everything here is deliberately written the slow, obvious way.
 import numpy as np
 
 from remix.datamodel import MULTI
+from remix.errors import NoValidPositiveError
 
 NOISE = -1
 
@@ -61,6 +62,28 @@ def oracle_ap(sims, rel):
             precisions.append(hits / rank)
     return float(np.mean(precisions))
 
+
+
+def reference_rankings(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
+    """Per query: (1-based rank of the first correct match, average
+    precision), from a stable descending sort of the query's gallery row
+    with every item sharing the query's identity and camera taken out, so
+    that ties keep ascending gallery index."""
+    q_ids, q_cams = np.asarray(q_ids), np.asarray(q_cams)
+    g_ids, g_cams = np.asarray(g_ids), np.asarray(g_cams)
+    sims = np.asarray(q_embs) @ np.asarray(g_embs).T
+    first, aps = [], []
+    for qi in range(len(q_ids)):
+        valid = ~((g_ids == q_ids[qi]) & (g_cams == q_cams[qi]))
+        v_idx = np.nonzero(valid)[0]
+        rel = g_ids[v_idx] == q_ids[qi]
+        if not rel.any():
+            raise NoValidPositiveError(f"query {qi} has no valid positive")
+        ranked = rel[np.argsort(-sims[qi, v_idx], kind="stable")]
+        first.append(int(np.argmax(ranked)) + 1)
+        prec = np.cumsum(ranked) / np.arange(1, len(ranked) + 1)
+        aps.append(float(prec[ranked].sum() / ranked.sum()))
+    return np.array(first), np.array(aps)
 
 # --- the four ReMix losses as per-anchor loops ------------------------------
 

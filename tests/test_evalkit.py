@@ -1,12 +1,18 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from remix import encoder as enc
 from remix.datamodel import GeneratorConfig, synth_generate
-from remix.errors import EmptyPoolError, NoValidPositiveError
+from remix.errors import (
+    EmptyPoolError,
+    NonFiniteEvaluationError,
+    NoValidPositiveError,
+)
 from remix.evalkit import (
+    _BLOCK,
     cluster_purity,
     cmc_rank_k,
     evaluate,
@@ -20,7 +26,7 @@ from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import PseudoLabeledPool
 
 
-from oracles import oracle_ap
+from oracles import reference_rankings
 
 
 def angles(*degs):
@@ -75,36 +81,87 @@ class TestFixtures:
         g = angles(10)
         with pytest.raises(NoValidPositiveError):
             mean_ap(q, [0], [0], g, [1], [1])
+        # the first stranded query is named by its index among all queries,
+        # here one in the second ranking block
+        nq = 2 * _BLOCK
+        q_ids = np.zeros(nq, dtype=int)
+        q_ids[[_BLOCK + 3, _BLOCK + 5]] = 1
+        with pytest.raises(NoValidPositiveError,
+                           match=f"^query {_BLOCK + 3} has no valid positive$"):
+            cmc_rank_k(angles(*range(nq)), q_ids, [0] * nq, g, [0], [1], k=1)
+
+    def test_no_queries(self):
+        args = (np.zeros((0, 2)), [], [], angles(10), [0], [1])
+        with pytest.raises(EmptyPoolError):
+            mean_ap(*args)
+        with pytest.raises(EmptyPoolError):
+            cmc_rank_k(*args, k=1)
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            cmc_rank_k(angles(0), [0], [0], angles(10), [0], [1], k=0)
+
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embedding(self, side, value):
+        q = angles(0, 10)
+        g = angles(5, 20, 60)
+        (q if side == "query" else g)[1, 0] = value
+        with pytest.raises(NonFiniteEvaluationError,
+                           match=f"^{side} embedding 1 is not finite$"):
+            mean_ap(q, [0, 1], [0, 0], g, [0, 1, 0], [1, 1, 1])
 
 
 class TestAgainstOracle:
     def test_fifty_random_instances(self):
+        # up to three ranking blocks and one query more; half the instances
+        # draw the gallery from a few integer directions, so that many
+        # similarities are exactly equal and the tie rule decides the ranks
         rng = substream(0, "gradcheck")
+        checked = 0
         for _ in range(50):
-            nq = int(rng.integers(1, 5))
-            ng = int(rng.integers(4, 20))
+            nq = int(rng.integers(1, 3 * _BLOCK + 2))
+            ng = int(rng.integers(4, 60))
             n_ids = int(rng.integers(2, 5))
-            q = normalize_rows(rng.standard_normal((nq, 3)))
-            g = normalize_rows(rng.standard_normal((ng, 3)))
+            if rng.random() < 0.5:
+                dirs = rng.integers(-2, 3, size=(int(rng.integers(2, 5)), 3))
+                q = rng.integers(-2, 3, size=(nq, 3)).astype(np.float64)
+                g = dirs[rng.integers(len(dirs), size=ng)].astype(np.float64)
+            else:
+                q = normalize_rows(rng.standard_normal((nq, 3)))
+                g = normalize_rows(rng.standard_normal((ng, 3)))
             q_ids = rng.integers(n_ids, size=nq)
             g_ids = rng.integers(n_ids, size=ng)
             q_cams = rng.integers(2, size=nq)
             g_cams = rng.integers(2, size=ng)
-            sims = q @ g.T
-            aps, hits1 = [], []
+            args = (q, q_ids, q_cams, g, g_ids, g_cams)
             try:
-                got_ap = mean_ap(q, q_ids, q_cams, g, g_ids, g_cams)
-                got_r1 = cmc_rank_k(q, q_ids, q_cams, g, g_ids, g_cams, k=1)
-            except NoValidPositiveError:
+                first, ap = reference_rankings(*args)
+            except NoValidPositiveError as exc:
+                with pytest.raises(NoValidPositiveError, match=f"^{exc}$"):
+                    mean_ap(*args)
                 continue
-            for qi in range(nq):
-                valid = ~((g_ids == q_ids[qi]) & (g_cams == q_cams[qi]))
-                rel = (g_ids[valid] == q_ids[qi])
-                aps.append(oracle_ap(sims[qi][valid], rel))
-                order = np.argsort(-sims[qi][valid], kind="stable")
-                hits1.append(bool(rel[order][:1].any()))
-            assert got_ap == pytest.approx(np.mean(aps))
-            assert got_r1 == pytest.approx(np.mean(hits1))
+            for k in (1, 5, 10):
+                assert cmc_rank_k(*args, k=k) == np.mean(first <= k)
+            assert abs(mean_ap(*args) - np.mean(ap)) <= 1e-12
+            checked += 1
+        assert checked >= 40
+
+    def test_refresh_sized_target(self):
+        cfg = GeneratorConfig(n_target_identities=400)
+        target = synth_generate(cfg, 0)[2]
+        params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
+        report = evaluate(params, target)
+        q_idx, g_idx = split_query_gallery(target)
+        embs = extract(params, target.samples)
+        ids = np.array([s.identity for s in target.samples])
+        cams = np.array([s.camera for s in target.samples])
+        first, ap = reference_rankings(embs[q_idx], ids[q_idx], cams[q_idx],
+                                       embs[g_idx], ids[g_idx], cams[g_idx])
+        assert (report["n_query"], report["n_gallery"]) == (1600, 3200)
+        for k in (1, 5, 10):
+            assert report[f"rank{k}"] == np.mean(first <= k)
+        assert abs(report["mAP"] - np.mean(ap)) <= 1e-12
 
 
 class TestClusterPurity:
@@ -188,3 +245,9 @@ class TestProtocol:
         write_report(path, {"mAP": 0.5, "protocol": "cross-domain"})
         doc = json.loads(path.read_text())
         assert doc["mAP"] == 0.5
+        # a dump that fails part-way leaves the previous report as it was
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_report(path, {"mAP": 0.7, "extra": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.json"]
