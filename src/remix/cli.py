@@ -86,8 +86,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ok, errors = run_gradcheck(seed=args.seed, corrupt=args.corrupt,
-                               n_batches=args.batches)
+    ok, errors = run_gradcheck(seed=args.seed, n_batches=args.batches)
     for name, err in errors.items():
         status = "PASS" if err <= 1e-4 else "FAIL"
         print(f"{status} {name}: max relative error {err:.3e}")
@@ -143,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batches", type=int, default=20,
                    help="number of random batches to probe")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -45,9 +45,6 @@ class TrainConfig:
     warmup_epochs: int = 10
     lr: float = 0.002  # scaled up for short runs; 0.00035 at full scale
     weight_decay: float = 0.0005
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     sigma_aug: float = 0.05
     p_drop: float = 0.1
     use_single_cam: bool = True

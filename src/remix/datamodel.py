@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientLabelsError, InvalidConfigError, VersionMismatchError
-from .numcore import normalize, substream
+from .numcore import atomic_write, normalize, substream
 
 MULTI = "multi"
 SINGLE = "single"
@@ -51,8 +51,6 @@ class PersonSample:
 @dataclass
 class MultiCamDataset:
     samples: list[PersonSample]
-    identities: set[int]
-    cameras: set[int]
 
     @classmethod
     def from_samples(cls, samples: Sequence[PersonSample]) -> "MultiCamDataset":
@@ -65,7 +63,7 @@ class MultiCamDataset:
             raise InvalidConfigError("every identity must appear in >= 2 samples")
         if set(ids) != set(range(len(ids))) or cams != set(range(len(cams))):
             raise InvalidConfigError("identity and camera ids must be dense from 0")
-        return cls(list(samples), set(ids), cams)
+        return cls(list(samples))
 
     @cached_property
     def by_identity(self) -> dict[int, list[PersonSample]]:
@@ -349,8 +347,9 @@ def _sample_record(s: PersonSample) -> dict:
 
 
 def save_dataset(path, samples: Iterable[PersonSample], dim: int) -> int:
+    """Write a header line and one line per sample, atomically."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps({"format": DATASET_FORMAT, "version": DATASET_VERSION,
                              "dim": dim}) + "\n")
         for s in samples:

@@ -8,7 +8,7 @@ normalization, whose Jacobian is handled exactly in backward_batch().
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,15 @@ from .errors import (
     VersionMismatchError,
     ZeroVectorError,
 )
-from .numcore import NORM_FLOOR
+from .numcore import NORM_FLOOR, atomic_write
 
 CHECKPOINT_FORMAT = "remix-ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Adam moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -30,15 +35,17 @@ class EncoderParams:
     weights: list[np.ndarray]  # weights[l] has shape (d_in, d_out)
     biases: list[np.ndarray]
 
+    @classmethod
+    def from_arrays(cls, arrays: list[np.ndarray]) -> "EncoderParams":
+        """Inverse of arrays()."""
+        return cls(list(arrays[0::2]), list(arrays[1::2]))
+
     def copy(self) -> "EncoderParams":
-        return EncoderParams([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
+        return EncoderParams.from_arrays([a.copy() for a in self.arrays()])
 
     def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Parameters in layer order: w0, b0, w1, b1, ..."""
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
     @property
     def dim_in(self) -> int:
@@ -65,7 +72,6 @@ def init_params(dim_in: int, hidden: list[int], dim_out: int,
 class ForwardCache:
     params: EncoderParams  # identity-checked in backward_batch()
     activations: list[np.ndarray]  # layer inputs, activations[0] = X
-    v: np.ndarray  # pre-normalization output
     norms: np.ndarray
     u: np.ndarray  # normalized output
 
@@ -84,12 +90,11 @@ def forward_batch(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, For
         a = np.tanh(z) if l < n_layers - 1 else z
         if l < n_layers - 1:
             acts.append(a)
-    v = a
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.linalg.norm(a, axis=1)
     if np.any(norms <= NORM_FLOOR):
         raise ZeroVectorError("encoder produced a (near-)zero pre-normalization output")
-    u = v / norms[:, None]
-    return u, ForwardCache(params, acts, v, norms, u)
+    u = a / norms[:, None]
+    return u, ForwardCache(params, acts, norms, u)
 
 
 def backward_batch(params: EncoderParams, cache: ForwardCache,
@@ -116,76 +121,53 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
 
 @dataclass
 class OptimizerState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """Adam moments aligned with EncoderParams.arrays(), and the step count.
+    The hyperparameters live in TrainConfig."""
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
-    lr: float = 0.00035
-    weight_decay: float = 0.0005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    warmup_epochs: int = 10
 
     @classmethod
-    def for_params(cls, params: EncoderParams, lr: float = 0.00035,
-                   weight_decay: float = 0.0005, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8,
-                   warmup_epochs: int = 10) -> "OptimizerState":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            [np.zeros_like(b) for b in params.biases],
-            0, lr, weight_decay, beta1, beta2, eps, warmup_epochs,
-        )
+    def for_params(cls, params: EncoderParams) -> "OptimizerState":
+        return cls([np.zeros_like(a) for a in params.arrays()],
+                   [np.zeros_like(a) for a in params.arrays()])
 
 
-def effective_lr(opt: OptimizerState, epoch: int) -> float:
-    if opt.warmup_epochs <= 0:
-        return opt.lr
-    return opt.lr * min(1.0, (epoch + 1) / opt.warmup_epochs)
+def effective_lr(lr: float, warmup_epochs: int, epoch: int) -> float:
+    """Linear warm-up to lr over the first warmup_epochs epochs."""
+    if warmup_epochs <= 0:
+        return lr
+    return lr * min(1.0, (epoch + 1) / warmup_epochs)
 
 
 def adam_step(
     opt: OptimizerState,
     params: EncoderParams,
     grads: tuple[list[np.ndarray], list[np.ndarray]],
-    epoch: int,
+    lr: float,
+    weight_decay: float,
 ) -> tuple[EncoderParams, OptimizerState]:
-    """Bias-corrected Adam with decoupled weight decay and linear warm-up."""
-    d_w, d_b = grads
-    if len(d_w) != len(params.weights) or any(
-        g.shape != w.shape for g, w in zip(d_w, params.weights)
-    ) or any(g.shape != b.shape for g, b in zip(d_b, params.biases)):
+    """Bias-corrected Adam with decoupled weight decay; grads is
+    backward_batch's (d_w, d_b)."""
+    arrays = params.arrays()
+    g_arrays = EncoderParams(*grads).arrays()
+    if len(g_arrays) != len(arrays) or any(
+            g.shape != p.shape for g, p in zip(g_arrays, arrays)):
         raise ShapeMismatchError("gradient shapes do not match parameters")
-    lr = effective_lr(opt, epoch)
     t = opt.step + 1
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
-
-    def update(p, g, m, v):
-        m_new = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v_new = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-        m_hat = m_new / bc1
-        v_hat = v_new / bc2
-        p_new = p - lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * p)
-        return p_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(params.weights, d_w, opt.m_w, opt.v_w):
-        pn, mn, vn = update(p, g, m, v)
-        new_w.append(pn); new_mw.append(mn); new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(params.biases, d_b, opt.m_b, opt.v_b):
-        pn, mn, vn = update(p, g, m, v)
-        new_b.append(pn); new_mb.append(mn); new_vb.append(vn)
-
-    new_opt = OptimizerState(new_mw, new_vw, new_mb, new_vb, t, opt.lr,
-                             opt.weight_decay, opt.beta1, opt.beta2, opt.eps,
-                             opt.warmup_epochs)
-    return EncoderParams(new_w, new_b), new_opt
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(arrays, g_arrays, opt.m, opt.v):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
+        new_p.append(p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                               + weight_decay * p))
+        new_m.append(m)
+        new_v.append(v)
+    return EncoderParams.from_arrays(new_p), OptimizerState(new_m, new_v, t)
 
 
 def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
@@ -193,31 +175,16 @@ def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
     """theta_m <- lam * theta_m + (1 - lam) * theta_e, elementwise."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("momentum coefficient must be in [0, 1]")
-    if [w.shape for w in theta_m.weights] != [w.shape for w in theta_e.weights]:
+    a_m, a_e = theta_m.arrays(), theta_e.arrays()
+    if [a.shape for a in a_m] != [a.shape for a in a_e]:
         raise ShapeMismatchError("encoder shapes differ")
-    return EncoderParams(
-        [lam * wm + (1.0 - lam) * we
-         for wm, we in zip(theta_m.weights, theta_e.weights)],
-        [lam * bm + (1.0 - lam) * be
-         for bm, be in zip(theta_m.biases, theta_e.biases)],
-    )
+    return EncoderParams.from_arrays(
+        [lam * m + (1.0 - lam) * e for m, e in zip(a_m, a_e)])
 
 
 # --- checkpoint file --------------------------------------------------------
-
-
-def _params_record(params: EncoderParams) -> list[dict]:
-    return [
-        {"shape": list(w.shape), "w": [float(x) for x in w.reshape(-1)],
-         "b": [float(x) for x in b]}
-        for w, b in zip(params.weights, params.biases)
-    ]
-
-
-def _params_from_record(rec: list[dict]) -> EncoderParams:
-    weights = [np.array(l["w"], dtype=np.float64).reshape(l["shape"]) for l in rec]
-    biases = [np.array(l["b"], dtype=np.float64) for l in rec]
-    return EncoderParams(weights, biases)
+# The encoder, momentum, m and v entries each hold their arrays in
+# EncoderParams.arrays() order, as nested lists.
 
 
 def save_checkpoint(path, config: dict, epoch: int, enc: EncoderParams,
@@ -227,36 +194,64 @@ def save_checkpoint(path, config: dict, epoch: int, enc: EncoderParams,
         "version": CHECKPOINT_VERSION,
         "config": config,
         "epoch": epoch,
-        "encoder": _params_record(enc),
-        "momentum": _params_record(mom),
-        "optimizer": {
-            "step": opt.step, "lr": opt.lr, "weight_decay": opt.weight_decay,
-            "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
-            "warmup_epochs": opt.warmup_epochs,
-            "m_w": [[float(x) for x in a.reshape(-1)] for a in opt.m_w],
-            "v_w": [[float(x) for x in a.reshape(-1)] for a in opt.v_w],
-            "m_b": [[float(x) for x in a] for a in opt.m_b],
-            "v_b": [[float(x) for x in a] for a in opt.v_b],
-        },
+        "step": opt.step,
+        "encoder": [a.tolist() for a in enc.arrays()],
+        "momentum": [a.tolist() for a in mom.arrays()],
+        "m": [a.tolist() for a in opt.m],
+        "v": [a.tolist() for a in opt.v],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 
+def _arrays(doc: dict, key: str, shapes=None) -> list[np.ndarray]:
+    """doc[key] as float arrays, all finite and, if given, of these shapes."""
+    arrays = [np.array(a, dtype=np.float64) for a in doc[key]]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{key!r} holds a non-finite value")
+    if shapes is not None and [a.shape for a in arrays] != shapes:
+        raise ValueError(f"{key!r} shapes differ from the encoder's")
+    return arrays
+
+
+def _layers(arrays: list[np.ndarray]) -> EncoderParams:
+    """The encoder the arrays describe, if they chain as layers."""
+    if not arrays or len(arrays) % 2:
+        raise ValueError("'encoder' needs a weight and a bias per layer")
+    params = EncoderParams.from_arrays(arrays)
+    d_in = arrays[0].shape[:1]
+    for w, b in zip(params.weights, params.biases):
+        if w.ndim != 2 or w.shape[:1] != d_in or b.shape != w.shape[1:]:
+            raise ValueError(f"'encoder' layer shapes {w.shape} and "
+                             f"{b.shape} do not chain")
+        d_in = w.shape[1:]
+    return params
+
+
+def _count(doc: dict, key: str) -> int:
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{key!r} is not a count: {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[dict, int, EncoderParams, EncoderParams, OptimizerState]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"bad checkpoint header in {path}")
-    enc = _params_from_record(doc["encoder"])
-    mom = _params_from_record(doc["momentum"])
-    o = doc["optimizer"]
-    opt = OptimizerState(
-        [np.array(a).reshape(w.shape) for a, w in zip(o["m_w"], enc.weights)],
-        [np.array(a).reshape(w.shape) for a, w in zip(o["v_w"], enc.weights)],
-        [np.array(a) for a in o["m_b"]],
-        [np.array(a) for a in o["v_b"]],
-        int(o["step"]), o["lr"], o["weight_decay"], o["beta1"], o["beta2"],
-        o["eps"], int(o["warmup_epochs"]),
-    )
-    return doc["config"], int(doc["epoch"]), enc, mom, opt
+    """Read a checkpoint; a file that is not a complete, consistent
+    checkpoint of this version raises VersionMismatchError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT \
+                or doc.get("version") != CHECKPOINT_VERSION:
+            raise VersionMismatchError(f"bad checkpoint header in {path}")
+        if not isinstance(doc["config"], dict):
+            raise ValueError("'config' is not an object")
+        enc = _layers(_arrays(doc, "encoder"))
+        shapes = [a.shape for a in enc.arrays()]
+        mom, m, v = (_arrays(doc, k, shapes) for k in ("momentum", "m", "v"))
+        opt = OptimizerState(m, v, _count(doc, "step"))
+        return (doc["config"], _count(doc, "epoch"), enc,
+                EncoderParams.from_arrays(mom), opt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VersionMismatchError(
+            f"malformed checkpoint {path}: {exc!r}") from exc

@@ -56,4 +56,5 @@ class NoValidPositiveError(RemixError):
 
 
 class VersionMismatchError(RemixError):
-    """A file carries an unknown format tag or version."""
+    """A file carries an unknown format tag or version, or its content is
+    truncated or malformed."""

@@ -7,8 +7,6 @@ out; ties in similarity break by ascending gallery index.
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +17,7 @@ from .errors import (
     NoValidPositiveError,
     NonFiniteEvaluationError,
 )
+from .numcore import atomic_write
 from .pseudolabel import PseudoLabeledPool
 
 
@@ -180,16 +179,7 @@ def shuffled_label_baseline(
 
 
 def write_report(path, report: dict) -> None:
-    """Write the report as one JSON line. The file is written beside the
-    target and renamed onto it, so a failed dump leaves any previous
-    report intact."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the report as one JSON line, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(report, fh)
+        fh.write("\n")

@@ -1,18 +1,38 @@
-"""Minimal dense-vector numerics shared by the losses, encoder, and tests.
+"""Minimal dense-vector numerics shared by the losses, encoder, and tests,
+plus the atomic file write every artifact goes through.
 
-Everything here is a pure function over numpy arrays. Similarities are
-cosine over unit-normalized vectors.
+Everything else here is a pure function over numpy arrays. Similarities
+are cosine over unit-normalized vectors.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import zlib
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import NonFiniteEvaluationError, ZeroVectorError
 
 NORM_FLOOR = 1e-12
+
+
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """Text handle on `<name>.tmp` beside path, renamed onto path when the
+    block ends. On any failure the temp file is removed, so path holds
+    either its previous content or the complete new one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

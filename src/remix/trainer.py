@@ -43,14 +43,10 @@ class TrainState:
 
 
 def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
-    t = cfg.train
     params = enc.init_params(feature_dim, list(cfg.model.hidden),
                              cfg.model.embed_dim, substream(cfg.seed, "init"))
-    momentum = params.copy()
-    opt = enc.OptimizerState.for_params(
-        params, lr=t.lr, weight_decay=t.weight_decay, beta1=t.adam_beta1,
-        beta2=t.adam_beta2, eps=t.adam_eps, warmup_epochs=t.warmup_epochs)
-    return TrainState(params, momentum, opt)
+    return TrainState(params, params.copy(),
+                      enc.OptimizerState.for_params(params))
 
 
 def _batch_view(state: TrainState, batch: MiniBatch, t, aug_rng) -> BatchView:
@@ -95,6 +91,7 @@ def run_epoch(
         for pl, c in pool.centroids.items():
             bank.label_centroids[(SINGLE, pl)] = c
 
+    lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi,
              t.n_p_single if use_single else 0, t.n_k_single)
     pool_samples = pool.samples_by_label() if pool is not None else {}
@@ -108,7 +105,7 @@ def run_epoch(
             t.cross_source_negatives)
         grads = enc.backward_batch(state.params, cache, d_f)
         state.params, state.opt = enc.adam_step(state.opt, state.params,
-                                                grads, state.epoch)
+                                                grads, lr, t.weight_decay)
         state.momentum = enc.ema_update(state.momentum, state.params,
                                         t.ema_momentum)
         sums["total"] += loss
@@ -127,7 +124,7 @@ def run_epoch(
         "pseudo_clusters": len(pool.entries) if pool is not None else 0,
         "pseudo_noise": pool.noise_count if pool is not None else 0,
         "purity": purity,
-        "lr": enc.effective_lr(state.opt, state.epoch),
+        "lr": lr,
     })
     state.epoch += 1
     return state
@@ -157,6 +154,10 @@ def train(
     cfg_echo = cfg.to_dict()
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
 
+    def save(path: Path) -> None:
+        enc.save_checkpoint(path, cfg_echo, state.epoch, state.params,
+                            state.momentum, state.opt)
+
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for _ in range(t.epochs):
@@ -167,19 +168,14 @@ def train(
             if ckpt is not None and t.checkpoint_every > 0 \
                     and state.epoch % t.checkpoint_every == 0 \
                     and state.epoch < t.epochs:
-                enc.save_checkpoint(_checkpoint_path(ckpt, state.epoch),
-                                    cfg_echo, state.epoch, state.params,
-                                    state.momentum, state.opt)
+                save(_checkpoint_path(ckpt, state.epoch))
     except Exception:
         if ckpt is not None:
-            enc.save_checkpoint(ckpt.with_suffix(ckpt.suffix + ".partial"),
-                                cfg_echo, state.epoch, state.params,
-                                state.momentum, state.opt)
+            save(ckpt.with_suffix(ckpt.suffix + ".partial"))
         raise
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
     if ckpt is not None:
-        enc.save_checkpoint(ckpt, cfg_echo, state.epoch, state.params,
-                            state.momentum, state.opt)
+        save(ckpt)
     return state

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from remix import encoder
 from remix.cli import main
 
 TINY = {
@@ -113,7 +114,13 @@ def test_gradcheck_passes(capsys):
     assert printed.count("PASS") == 4 and "FAIL" not in printed
 
 
-def test_gradcheck_detects_corruption(capsys):
-    assert run(["gradcheck", "--seed", "0", "--batches", "2",
-                "--corrupt"]) == 3
+def test_gradcheck_detects_corruption(capsys, monkeypatch):
+    real = encoder.backward_batch
+
+    def skewed(*args):
+        d_w, d_b = real(*args)
+        return [g + 1e-3 for g in d_w], d_b
+
+    monkeypatch.setattr(encoder, "backward_batch", skewed)
+    assert run(["gradcheck", "--seed", "0", "--batches", "2"]) == 3
     assert "FAIL" in capsys.readouterr().out

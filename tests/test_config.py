@@ -54,6 +54,10 @@ def test_seed_type():
     ("train", "n_k_multi+n_k_single", 0),
     ("train", "n_p_multi+n_p_single", 0),
     ("model", "embed_dim", 0),
+    # Adam's betas and eps are encoder constants, not config keys
+    ("train", "adam_beta1", 0.9),
+    ("train", "adam_beta2", 0.999),
+    ("train", "adam_eps", 1e-8),
 ])
 def test_invalid_values(section, key, value):
     # "a+b" sets several keys of the section to the same value

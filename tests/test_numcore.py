@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from remix.datamodel import MULTI, PersonSample, save_dataset
+from remix.encoder import OptimizerState, init_params, save_checkpoint
 from remix.errors import NonFiniteEvaluationError, ZeroVectorError
 from remix.numcore import finite_diff_grad, normalize, normalize_rows, substream
 
@@ -82,3 +86,30 @@ def test_finite_diff_bad_step():
 def test_finite_diff_nonfinite():
     with pytest.raises(NonFiniteEvaluationError):
         finite_diff_grad(lambda v: float("nan"), np.zeros(2))
+
+
+def _write(kind, path, broken):
+    """Write one artifact; broken puts an unserialisable value in it, so
+    the dump fails part-way."""
+    value = object() if broken else 1
+    if kind == "checkpoint":
+        p = init_params(4, [3], 2, substream(0, "init"))
+        save_checkpoint(path, {"extra": value}, 0, p, p,
+                        OptimizerState.for_params(p))
+    else:
+        samples = [PersonSample(i, np.ones(3), 0, 0, MULTI, None, i)
+                   for i in range(3)]
+        samples[-1].hidden_identity = value
+        save_dataset(path, samples, 3)
+
+
+# the report case is test_evalkit's test_write_report
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+def test_failed_write_keeps_previous_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    _write(kind, path, broken=False)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write(kind, path, broken=True)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]

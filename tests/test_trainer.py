@@ -54,6 +54,13 @@ def test_metrics_one_record_per_epoch():
     assert 0.0 <= rec["purity"] <= 1.0
 
 
+def test_metrics_lr_follows_warmup():
+    cfg = tiny_cfg(lr=0.01, warmup_epochs=2)
+    multi, corpus, _ = data_for(cfg)
+    state = trainer.train(multi, corpus, cfg)
+    assert [m["lr"] for m in state.metrics] == [0.005, 0.01, 0.01]
+
+
 def test_no_corpus_disables_pseudo_labels():
     cfg = tiny_cfg(use_single_cam=False)
     multi, _, _ = data_for(cfg)
