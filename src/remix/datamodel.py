@@ -10,6 +10,7 @@ evaluation is strictly cross-domain.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -359,20 +360,42 @@ def save_dataset(path, samples: Iterable[PersonSample], dim: int) -> int:
 
 
 def load_samples(path) -> tuple[list[PersonSample], int]:
+    """Read a dataset file. A truncated line, a missing key, a repeated
+    sample_id, a wrong feature count, a non-finite feature or fields that
+    make no valid sample raise VersionMismatchError naming the file and the
+    1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != DATASET_FORMAT or header.get("version") != DATASET_VERSION:
-            raise VersionMismatchError(f"bad dataset header: {header}")
-        dim = int(header["dim"])
-        samples = []
-        for line in fh:
-            r = json.loads(line)
-            if len(r["features"]) != dim:
-                raise VersionMismatchError("record dimension disagrees with header")
-            samples.append(PersonSample(
-                r["sample_id"], np.array(r["features"], dtype=np.float64),
-                r["identity"], r["camera"], r["source"], r["video_id"],
-                r["hidden_identity"]))
+        lineno = 1
+        try:
+            header = json.loads(fh.readline())
+            if header.get("format") != DATASET_FORMAT \
+                    or header.get("version") != DATASET_VERSION:
+                raise VersionMismatchError(
+                    f"bad dataset header in {path}: {header}")
+            dim = int(header["dim"])
+            samples = []
+            seen: set[int] = set()
+            for lineno, line in enumerate(fh, start=2):
+                r = json.loads(line)
+                sid, values = r["sample_id"], r["features"]
+                features = np.array(values, dtype=np.float64)
+                if features.shape != (dim,):
+                    raise ValueError("record dimension disagrees with header")
+                # a sum is finite only if every term is; an overflowing sum
+                # of finite terms gets the exact check
+                if not math.isfinite(sum(values)) \
+                        and not np.isfinite(features).all():
+                    raise ValueError("non-finite feature")
+                if sid in seen:
+                    raise ValueError(f"repeated sample_id {sid}")
+                seen.add(sid)
+                samples.append(PersonSample(
+                    sid, features, r["identity"], r["camera"], r["source"],
+                    r["video_id"], r["hidden_identity"]))
+        except (AttributeError, KeyError, TypeError, ValueError,
+                InvalidConfigError) as exc:
+            raise VersionMismatchError(
+                f"malformed dataset {path} line {lineno}: {exc!r}") from exc
     return samples, dim
 
 

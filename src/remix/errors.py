@@ -23,6 +23,11 @@ class NonFiniteEvaluationError(RemixError):
     about to be ranked."""
 
 
+class NonFiniteTrainingError(RemixError):
+    """The loss or a gradient came out NaN or Inf in a training iteration,
+    before the optimizer step it would have fed."""
+
+
 class InvalidConfigError(RemixError):
     """Configuration failed validation (unknown key, bad value)."""
 

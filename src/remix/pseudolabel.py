@@ -22,32 +22,39 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Classic DBSCAN over unit embeddings with distance 1 - cosine.
 
     Core iff >= min_pts neighbors within eps (self included, boundary
-    inclusive). Clusters are grown one at a time in ascending index order,
-    so border points join the lowest-numbered cluster that reaches them.
+    inclusive). Clusters are the connected components of core points,
+    numbered in ascending order of each cluster's first core point; a
+    border point joins the lowest-numbered cluster that reaches it.
     Returns one label per point; NOISE (-1) marks unclustered points.
     """
     x = np.asarray(points, dtype=np.float64)
     if eps <= 0 or min_pts < 1:
         raise ValueError("eps must be > 0 and min_pts >= 1")
-    n = x.shape[0]
-    dist = 1.0 - np.clip(x @ x.T, -1.0, 1.0)
+    # in place: a fresh (n, n) temporary costs more than the arithmetic
+    dist = x @ x.T
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.subtract(1.0, dist, out=dist)
     neigh = dist <= eps
     core = neigh.sum(axis=1) >= min_pts
-    labels = np.full(n, NOISE, dtype=np.int64)
-    cid = 0
-    for i in range(n):
-        if not core[i] or labels[i] != NOISE:
-            continue
-        labels[i] = cid
-        queue = [i]
-        while queue:
-            j = queue.pop(0)
-            for k in np.nonzero(neigh[j])[0]:
-                if labels[k] == NOISE:
-                    labels[k] = cid
-                    if core[k]:
-                        queue.append(int(k))
-        cid += 1
+    c = np.nonzero(core)[0]
+    adj = neigh[c][:, c]
+    # min-label propagation with pointer jumping: each core point ends
+    # holding the lowest core position in its component
+    m = len(c)
+    root = np.arange(m)
+    while True:
+        new = np.minimum(root, np.where(adj, root, m).min(axis=1, initial=m))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, root):
+            break
+        root = new
+    _, cluster = np.unique(root, return_inverse=True)
+    labels = np.full(x.shape[0], NOISE, dtype=np.int64)
+    labels[c] = cluster
+    border = np.nonzero(~core)[0]
+    owner = np.where(neigh[border][:, c], cluster, m).min(axis=1, initial=m)
+    labels[border] = np.where(owner < m, owner, NOISE)
     return labels
 
 

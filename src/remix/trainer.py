@@ -26,6 +26,7 @@ from .datamodel import (
     augment,
     compose_batch,
 )
+from .errors import NonFiniteTrainingError
 from .losses import BatchView, build_centroids, total_loss
 from .numcore import substream
 from .pseudolabel import default_budget, pseudo_label_epoch
@@ -96,7 +97,7 @@ def run_epoch(
              t.n_p_single if use_single else 0, t.n_k_single)
     pool_samples = pool.samples_by_label() if pool is not None else {}
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
-    for _ in range(t.iters_per_epoch):
+    for it in range(t.iters_per_epoch):
         batch = compose_batch(multi, pool_samples, sizes, sampler_rng)
         view, cache = _batch_view(state, batch, t, aug_rng)
         loss, d_f, parts = total_loss(
@@ -104,6 +105,11 @@ def run_epoch(
             t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma,
             t.cross_source_negatives)
         grads = enc.backward_batch(state.params, cache, d_f)
+        if not (np.isfinite(loss)
+                and all(np.isfinite(g).all() for g in grads[0] + grads[1])):
+            raise NonFiniteTrainingError(
+                f"non-finite loss or gradient at epoch {state.epoch}, "
+                f"iteration {it}")
         state.params, state.opt = enc.adam_step(state.opt, state.params,
                                                 grads, lr, t.weight_decay)
         state.momentum = enc.ema_update(state.momentum, state.params,

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import remix
 from remix import encoder
 from remix.cli import main
 
@@ -124,3 +130,23 @@ def test_gradcheck_detects_corruption(capsys, monkeypatch):
     monkeypatch.setattr(encoder, "backward_batch", skewed)
     assert run(["gradcheck", "--seed", "0", "--batches", "2"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def _run_default(out, threads):
+    """`remix generate` and `remix train` for 3 default epochs in a fresh
+    process; sha256 of every file written."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=str(Path(remix.__file__).parents[1]))
+    for cmd in ("generate", "train"):
+        subprocess.run([sys.executable, "-m", "remix.cli", cmd, "--out",
+                        str(out), "--set", "train.epochs=3"],
+                       env=env, check=True, capture_output=True)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    one = _run_default(tmp_path / "one", 1)
+    two = _run_default(tmp_path / "two", 2)
+    assert {"checkpoint.json", "metrics.jsonl"} <= set(one)
+    assert one == two

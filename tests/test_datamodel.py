@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,22 +212,20 @@ class TestDatasetFiles:
             assert np.allclose(a.features, b.features)
 
     def test_header_tag(self, tmp_path):
-        import json
         path = tmp_path / "ds.jsonl"
         save_dataset(path, [], 8)
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"format": "remix-ds", "version": 1, "dim": 8}
 
     def test_version_mismatch(self, tmp_path):
-        import json
         path = tmp_path / "ds.jsonl"
         path.write_text(json.dumps({"format": "remix-ds", "version": 2,
                                     "dim": 8}) + "\n")
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(VersionMismatchError) as info:
             load_samples(path)
+        assert str(path) in str(info.value)
 
     def test_dim_mismatch_record(self, tmp_path):
-        import json
         path = tmp_path / "ds.jsonl"
         rec = {"sample_id": 0, "features": [1.0, 2.0], "identity": 0,
                "camera": 0, "video_id": None, "source": MULTI,
@@ -245,3 +245,79 @@ class TestDatasetFiles:
         assert [v for v, _ in back.videos] == [v for v, _ in corpus.videos]
         assert [len(fr) for _, fr in back.videos] == \
                [len(fr) for _, fr in corpus.videos]
+
+
+def _set_feature(r, value):
+    r["features"][0] = value
+
+
+# each case edits record 2 of a valid three-record file, i.e. line 3
+BROKEN_RECORD = {
+    "missing-hidden-identity": lambda r: r.pop("hidden_identity"),
+    "missing-features": lambda r: r.pop("features"),
+    "duplicated-sample-id": lambda r: r.update(sample_id=0),
+    "nan-feature": lambda r: _set_feature(r, float("nan")),
+    "inf-feature": lambda r: _set_feature(r, float("-inf")),
+    "unknown-source": lambda r: r.update(source="bogus"),
+    "multi-without-camera": lambda r: r.update(camera=None),
+}
+
+
+class TestMalformedDatasetFile:
+    """A broken record raises VersionMismatchError naming the file and its
+    1-based line."""
+
+    def _write(self, tmp_path):
+        multi, _, _ = synth_generate(small_cfg(), 0)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(path, multi.samples[:3], 8)
+        return path, path.read_text().splitlines()
+
+    def _raises_at(self, path, lineno):
+        with pytest.raises(VersionMismatchError) as info:
+            load_samples(path)
+        assert str(path) in str(info.value)
+        assert f"line {lineno}:" in str(info.value)
+
+    @pytest.mark.parametrize("case", BROKEN_RECORD)
+    def test_broken_record(self, tmp_path, case):
+        path, lines = self._write(tmp_path)
+        record = json.loads(lines[2])
+        BROKEN_RECORD[case](record)
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        self._raises_at(path, 3)
+
+    def test_truncated_record(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        path.write_text("\n".join(lines[:3]) + "\n" + lines[3][:40])
+        self._raises_at(path, 4)
+
+    def test_truncated_header(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        path.write_text(lines[0][:20])
+        self._raises_at(path, 1)
+
+    def test_overflowing_feature(self, tmp_path):
+        # finite text that parses to inf
+        path, lines = self._write(tmp_path)
+        record = json.loads(lines[1])
+        record["features"][0] = 12345.5
+        lines[1] = json.dumps(record).replace("12345.5", "1e999")
+        path.write_text("\n".join(lines) + "\n")
+        self._raises_at(path, 2)
+
+    def test_large_finite_features_load(self, tmp_path):
+        # their sum overflows, but every feature is finite
+        path, lines = self._write(tmp_path)
+        record = json.loads(lines[1])
+        record["features"] = [1e308] * 8
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        samples, _ = load_samples(path)
+        assert np.all(samples[0].features == 1e308)
+
+    def test_valid_file_still_loads(self, tmp_path):
+        path, _ = self._write(tmp_path)
+        samples, dim = load_samples(path)
+        assert dim == 8 and [s.sample_id for s in samples] == [0, 1, 2]

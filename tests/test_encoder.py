@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from remix import encoder as enc
+from remix.config import RunConfig
 from remix.errors import (
     DimensionMismatchError,
     ShapeMismatchError,
@@ -263,6 +264,32 @@ class TestCheckpoint:
         assert all(np.array_equal(a, b) for a, b in
                    zip(p.arrays() + opt.m + opt.v,
                        p_straight.arrays() + opt_straight.m + opt_straight.v))
+
+    @pytest.mark.parametrize("shape", ["default", "refresh"])
+    def test_bytes_equal_one_json_dump(self, tmp_path, shape):
+        cfg = RunConfig()
+        if shape == "refresh":
+            cfg.generator.n_single_identities = 480
+            cfg.generator.frames_per_identity = 16
+            cfg.train.epochs = 10
+            cfg.train.checkpoint_every = 1
+        dims = (cfg.generator.dim, *cfg.model.hidden, cfg.model.embed_dim)
+        p, m = make_params(0, dims), make_params(1, dims)
+        opt = enc.OptimizerState.for_params(p)
+        for i in range(3):
+            p, opt = enc.adam_step(opt, p, grads_for(p, i), lr=0.002,
+                                   weight_decay=0.0005)
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(path, cfg.to_dict(), 7, p, m, opt)
+        doc = {"format": "remix-ckpt", "version": 2,
+               "config": cfg.to_dict(), "epoch": 7, "step": 3,
+               "encoder": [a.tolist() for a in p.arrays()],
+               "momentum": [a.tolist() for a in m.arrays()],
+               "m": [a.tolist() for a in opt.m],
+               "v": [a.tolist() for a in opt.v]}
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_header_fields(self, tmp_path):
         p = make_params()

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from remix import encoder as enc
 from remix import pseudolabel
-from remix.datamodel import SINGLE, PersonSample, SingleCamCorpus
+from remix.datamodel import (
+    SINGLE,
+    GeneratorConfig,
+    PersonSample,
+    SingleCamCorpus,
+    synth_generate,
+)
 from remix.errors import BudgetUnreachableError
 from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import (
@@ -23,25 +29,108 @@ def random_points(rng, n, dim=4):
     return normalize_rows(rng.standard_normal((n, dim)))
 
 
+def clumps_on_arcs(rng, n):
+    """(points, eps): n unit points in clumps of 1-6 along arcs of great
+    circles in orthogonal planes. Within a clump, points are a fifth of the
+    eps angle apart. The gap after a clump either joins it to the next one,
+    keeps them apart, or holds one point just within eps of the last point
+    of this clump and the first of the next."""
+    eps = float(rng.uniform(0.05, 0.3))
+    theta = np.arccos(1.0 - eps)
+    angles, planes = [], []
+    a, plane = 0.0, 0
+    while len(angles) < n:
+        for _ in range(int(rng.integers(1, 7))):
+            angles.append(a)
+            planes.append(plane)
+            a += theta / 5
+        a -= theta / 5
+        gap = int(rng.integers(3))
+        if gap == 2:
+            angles.append(a + 0.9 * theta)
+            planes.append(plane)
+            a += 1.8 * theta
+        else:
+            a += (0.8, 2.5)[gap] * theta
+        if a > np.pi - 2 * theta:  # keep each arc within half a circle
+            a, plane = 0.0, plane + 1
+    angles, planes = np.array(angles[:n]), np.array(planes[:n])
+    pts = np.zeros((n, 2 * planes.max() + 2))
+    pts[np.arange(n), 2 * planes] = np.cos(angles)
+    pts[np.arange(n), 2 * planes + 1] = np.sin(angles)
+    return pts[rng.permutation(n)], eps
+
+
 class TestDbscan:
     def test_matches_reference_randomized(self):
         rng = substream(0, "gradcheck")
-        for _ in range(50):
-            n = int(rng.integers(2, 40))
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
             pts = random_points(rng, n)
-            eps = float(rng.uniform(0.2, 1.2))
-            min_pts = int(rng.integers(2, 5))
+            eps = float(rng.uniform(0.05, 1.5))
+            min_pts = int(rng.integers(1, 5))
             got = dbscan(pts, eps, min_pts)
             want = reference_dbscan(pts, eps, min_pts)
             assert np.array_equal(got, want), (n, eps, min_pts)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 10_000), st.integers(2, 24),
-           st.floats(0.2, 1.2), st.integers(2, 4))
+    @given(st.integers(0, 10_000), st.integers(1, 24),
+           st.floats(0.05, 1.5), st.integers(1, 4))
     def test_matches_reference_property(self, seed, n, eps, min_pts):
         pts = random_points(substream(seed, "gradcheck"), n)
         assert np.array_equal(dbscan(pts, eps, min_pts),
                               reference_dbscan(pts, eps, min_pts))
+
+    def test_clumps_with_shared_borders(self):
+        # up to 300 points in many components, with border points that
+        # touch two clusters and must take the lower-numbered one
+        rng = substream(1, "gradcheck")
+        shared = 0
+        for _ in range(40):
+            pts, eps = clumps_on_arcs(rng, int(rng.integers(1, 301)))
+            min_pts = int(rng.integers(1, 5))
+            want = reference_dbscan(pts, eps, min_pts)
+            assert np.array_equal(dbscan(pts, eps, min_pts), want), \
+                (len(pts), eps, min_pts)
+            neigh = 1.0 - np.clip(pts @ pts.T, -1.0, 1.0) <= eps
+            core = neigh.sum(axis=1) >= min_pts
+            shared += sum(len(set(want[neigh[i] & core])) > 1
+                          for i in np.nonzero(~core)[0])
+        assert shared >= 10
+
+    def test_border_takes_lowest_cluster_number(self):
+        # two clumps of four on a circle, one point between them in reach
+        # of one end of each. In the last order the border's first core
+        # neighbour by index is in cluster 1, yet it joins cluster 0.
+        theta = np.arccos(1.0 - 0.01)
+        a = [0.0, 0.2, 0.4, 0.6]
+        b = [2.4, 2.6, 2.8, 3.0]
+        for order, want in (
+                (a + b, [0, 0, 0, 0, 1, 1, 1, 1]),
+                (b + a, [0, 0, 0, 0, 1, 1, 1, 1]),
+                (a[:1] + b + a[1:], [0, 1, 1, 1, 1, 0, 0, 0])):
+            ang = theta * np.array(order + [1.5])
+            pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            assert np.array_equal(dbscan(pts, 0.01, 4), want + [0])
+
+    def test_empty_input(self):
+        labels = dbscan(np.zeros((0, 4)), 0.5, 2)
+        assert labels.shape == (0,) and labels.dtype == np.int64
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.8])
+    def test_refresh_sized_video(self, eps):
+        # one video of 16 identities x 16 frames, embedded by a fresh
+        # encoder as at the first epoch
+        cfg = GeneratorConfig(n_single_identities=16, n_videos=1,
+                              frames_per_identity=16)
+        _, corpus, _ = synth_generate(cfg, 0)
+        (_, frames), = corpus.videos
+        params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
+        embs, _ = enc.forward_batch(params,
+                                    np.stack([s.features for s in frames]))
+        assert len(embs) == 256
+        assert np.array_equal(dbscan(embs, eps, 4),
+                              reference_dbscan(embs, eps, 4))
 
     def test_tight_cluster_single_label(self):
         pts = np.tile(np.array([1.0, 0.0, 0.0]), (6, 1))

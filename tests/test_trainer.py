@@ -7,7 +7,8 @@ import pytest
 from remix import trainer
 from remix.config import RunConfig
 from remix.datamodel import GeneratorConfig, synth_generate
-from remix.errors import BudgetUnreachableError
+from remix.encoder import load_checkpoint
+from remix.errors import BudgetUnreachableError, NonFiniteTrainingError
 
 
 def tiny_cfg(**train_kw):
@@ -123,6 +124,38 @@ def test_partial_checkpoint_on_failure(tmp_path):
         trainer.train(multi, corpus, cfg, checkpoint_path=ckpt)
     assert (tmp_path / "ckpt.json.partial").exists()
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("bad", ["loss", "gradient"])
+def test_non_finite_iteration_stops_before_the_step(monkeypatch, tmp_path,
+                                                     bad):
+    # NaN at epoch 1, iteration 2: training stops before that step, and the
+    # partial checkpoint holds the last finite state
+    cfg = tiny_cfg()
+    multi, corpus, _ = data_for(cfg)
+    real = trainer.total_loss
+    calls = []
+
+    def poisoned(*args):
+        loss, d_f, parts = real(*args)
+        calls.append(None)
+        if len(calls) == cfg.train.iters_per_epoch + 3:
+            if bad == "loss":
+                loss = float("nan")
+            else:
+                d_f = d_f.copy()
+                d_f[0, 0] = np.nan
+        return loss, d_f, parts
+
+    monkeypatch.setattr(trainer, "total_loss", poisoned)
+    ckpt = tmp_path / "ckpt.json"
+    with pytest.raises(NonFiniteTrainingError,
+                       match="epoch 1, iteration 2"):
+        trainer.train(multi, corpus, cfg, checkpoint_path=ckpt)
+    _, epoch, params, _, opt = load_checkpoint(
+        tmp_path / "ckpt.json.partial")
+    assert epoch == 1 and opt.step == cfg.train.iters_per_epoch + 2
+    assert all(np.all(np.isfinite(a)) for a in params.arrays())
 
 
 def test_single_camera_centroids_enter_bank(monkeypatch):
