@@ -115,22 +115,30 @@ def _contrastive(
     """
     z = (f @ proxies.T) / tau[:, None]
     rest = pos | neg if shared_pool else neg
-    z_rest = np.where(rest, z, -np.inf)
-    top = z_rest.max(axis=1, initial=-np.inf)
+    top = np.max(z, axis=1, where=rest, initial=-np.inf)
     shift = np.where(np.isfinite(top), top, 0.0)  # no -inf - -inf on empty rows
-    e = np.exp(z_rest - shift[:, None])
+    # z - shift <= 0 on rest; the clip keeps exp finite (and off numpy's
+    # slow path for -inf) on the entries the mask then zeroes
+    e = np.exp(np.minimum(z - shift[:, None], 0.0)) * rest
     s = e.sum(axis=1)
     with np.errstate(divide="ignore"):
-        lse_rest = (shift + np.log(s))[:, None]  # -inf where rest is empty
-    lse = np.where(rest, lse_rest, np.logaddexp(z, lse_rest))  # per (i, j) pool
+        lse_rest = shift + np.log(s)  # -inf where rest is empty
+    # only the positives carry weight: work there, and scatter into zero
+    # matrices so every reduction adds the same terms in the same order
+    i, j = np.nonzero(pos)
     n_pos = pos.sum(axis=1)
-    w = pos / np.maximum(n_pos, 1)[:, None]
+    w = 1.0 / n_pos[i]
     n_anchors = max(int(np.count_nonzero(n_pos)), 1)
-    loss = float(np.sum(w * (lse - z))) / n_anchors
+    z_p, lr, in_rest = z[i, j], lse_rest[i], rest[i, j]
+    lse = np.where(in_rest, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
+    scatter = np.zeros_like(z)
+    scatter[i, j] = w * (lse - z_p)
+    loss = float(np.sum(scatter)) / n_anchors
     # dL/dz: -w on the positives, plus each pool's softmax weighted by w
-    c = np.sum(w * np.exp(lse_rest - lse), axis=1, keepdims=True)
-    d_z = (e / np.where(s > 0.0, s, 1.0)[:, None] * c
-           + np.where(rest, 0.0, w * np.exp(z - lse)) - w)
+    scatter[i, j] = w * np.exp(lr - lse)
+    c = np.sum(scatter, axis=1, keepdims=True)
+    d_z = e / np.where(s > 0.0, s, 1.0)[:, None] * c
+    d_z[i, j] = d_z[i, j] + np.where(in_rest, 0.0, w * np.exp(z_p - lse)) - w
     return loss, (d_z / tau[:, None]) @ proxies / n_anchors
 
 
