@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,13 +65,15 @@ class MultiCamDataset:
             raise InvalidConfigError("identity and camera ids must be dense from 0")
         return cls(list(samples))
 
-    @cached_property
-    def by_identity(self) -> dict[int, list[PersonSample]]:
-        """Samples grouped by identity, built once per dataset."""
-        out: dict[int, list[PersonSample]] = {}
-        for s in self.samples:
-            out.setdefault(s.identity, []).append(s)
-        return out
+    def grouped(self) -> "LabelGroups":
+        """The samples' features and cameras as arrays, rows grouped by
+        identity. Built on each call; the dataset keeps no arrays."""
+        identity = np.array([s.identity for s in self.samples])
+        order = np.argsort(identity, kind="stable")
+        return LabelGroups(
+            np.stack([self.samples[i].features for i in order]),
+            np.concatenate(([0], np.cumsum(np.bincount(identity)))),
+            np.array([self.samples[i].camera for i in order]))
 
 
 @dataclass
@@ -85,9 +86,28 @@ class SingleCamCorpus:
 
 
 @dataclass
+class LabelGroups:
+    """Feature rows grouped by label, as the PK sampler draws them: the
+    rows of label g are features[start[g]:start[g + 1]]."""
+    features: np.ndarray  # (N, D), ordered by label
+    start: np.ndarray  # (G + 1,) first row of each label, then N
+    cameras: np.ndarray  # (N,) camera of each row, -1 for single-camera
+
+    @property
+    def n_labels(self) -> int:
+        return len(self.start) - 1
+
+    def labels(self) -> np.ndarray:
+        """(N,) label of each row."""
+        return np.repeat(np.arange(self.n_labels), np.diff(self.start))
+
+
+@dataclass
 class MiniBatch:
-    multi: list[tuple[PersonSample, int, int]]  # (sample, label, camera)
-    single: list[tuple[PersonSample, int]]  # (sample, pseudo label)
+    features: np.ndarray  # (B, D) raw features, multi-camera rows first
+    labels: np.ndarray  # (B,) identity, or number of identities + pseudo label
+    multi: np.ndarray  # (B,) True for multi-camera rows
+    cameras: np.ndarray  # (B,) camera, -1 for single-camera rows
 
 
 @dataclass
@@ -272,64 +292,62 @@ def augment(
     return out
 
 
-def _camera_diverse(samples: Sequence[PersonSample], k: int, rng: np.random.Generator):
-    """Pick k samples preferring distinct cameras; repeats only once exhausted."""
-    by_cam: dict[int, list[PersonSample]] = {}
-    for s in samples:
-        by_cam.setdefault(s.camera, []).append(s)
-    remaining = {c: list(rng.permutation(len(v))) for c, v in by_cam.items()}
-    chosen: list[PersonSample] = []
-    while len(chosen) < k:
-        cams = list(by_cam)
-        rng.shuffle(cams)
-        for c in cams:
-            if len(chosen) >= k:
-                break
-            if remaining[c]:
-                chosen.append(by_cam[c][remaining[c].pop()])
-            else:  # every sample of this camera already used: repeat
-                chosen.append(by_cam[c][int(rng.integers(len(by_cam[c])))])
-    return chosen
+def _shuffled_members(groups: LabelGroups, n_p: int, rng: np.random.Generator,
+                      what: str):
+    """Draw n_p distinct labels with one choice. Returns them, their rows
+    label by label in camera-diverse random order, and each label's first
+    position and row count in that order. The order: each row gets a random
+    rank among its label's rows on its camera; rows sort by rank, and rows
+    of equal rank (one per camera) in random order. So no camera gives its
+    k-th row before every camera has given k - 1 rows, or all it has."""
+    if groups.n_labels < n_p:
+        raise InsufficientLabelsError(
+            f"need {n_p} {what} labels, have {groups.n_labels}")
+    picked = rng.choice(groups.n_labels, size=n_p, replace=False)
+    lo = groups.start[picked]
+    size = groups.start[picked + 1] - lo
+    first = np.cumsum(size) - size
+    slot = np.repeat(np.arange(n_p), size)
+    pos = np.arange(len(slot))
+    rows = lo[slot] + pos - first[slot]
+    cams = groups.cameras[rows]
+    u, v = rng.random((2, len(rows)))
+    pair = slot * (int(cams.max(initial=0)) + 2) + cams + 1  # (label, camera)
+    by_pair = np.lexsort((u, pair))
+    rank = np.empty_like(pos)
+    rank[by_pair] = pos - np.searchsorted(pair[by_pair], pair[by_pair])
+    return picked, rows[np.lexsort((v, rank, slot))], first, size
 
 
 def compose_batch(
-    multi: MultiCamDataset,
-    pool: Mapping[int, Sequence[PersonSample]],
+    multi: LabelGroups,
+    single: LabelGroups | None,
     sizes: tuple[int, int, int, int],
     rng: np.random.Generator,
 ) -> MiniBatch:
-    """PK sampling from both sources: sizes = (N_P^m, N_K^m, N_P^s, N_K^s)."""
+    """PK sampling from both sources: sizes = (N_P^m, N_K^m, N_P^s, N_K^s).
+    An identity gives the first N_K^m rows of its camera-diverse order,
+    cycling through the order again when it has fewer rows. A pseudo label
+    gives N_K^s rows drawn without replacement when it has that many, with
+    replacement otherwise, and is labelled multi.n_labels + its label."""
     np_m, nk_m, np_s, nk_s = sizes
-    multi_part: list[tuple[PersonSample, int, int]] = []
-    single_part: list[tuple[PersonSample, int]] = []
-
+    parts = []  # (source, labels, (P, K) rows)
     if np_m > 0:
-        by_id = multi.by_identity
-        labels = sorted(by_id)
-        if len(labels) < np_m:
-            raise InsufficientLabelsError(
-                f"need {np_m} multi-camera labels, have {len(labels)}")
-        picked = rng.choice(labels, size=np_m, replace=False)
-        for y in picked:
-            for s in _camera_diverse(by_id[int(y)], nk_m, rng):
-                multi_part.append((s, int(y), s.camera))
-
+        picked, rows, first, size = _shuffled_members(multi, np_m, rng,
+                                                      "multi-camera")
+        k = np.arange(nk_m) % size[:, None]
+        parts.append((multi, picked, rows[first[:, None] + k]))
     if np_s > 0:
-        plabels = sorted(pool)
-        if len(plabels) < np_s:
-            raise InsufficientLabelsError(
-                f"need {np_s} pseudo labels, have {len(plabels)}")
-        picked = rng.choice(plabels, size=np_s, replace=False)
-        for pl in picked:
-            members = list(pool[int(pl)])
-            if len(members) >= nk_s:
-                idx = rng.choice(len(members), size=nk_s, replace=False)
-            else:
-                idx = rng.choice(len(members), size=nk_s, replace=True)
-            for i in idx:
-                single_part.append((members[int(i)], int(pl)))
-
-    return MiniBatch(multi_part, single_part)
+        picked, rows, first, size = _shuffled_members(single, np_s, rng,
+                                                      "pseudo")
+        drawn = (rng.random((np_s, nk_s)) * size[:, None]).astype(np.int64)
+        k = np.where(size[:, None] >= nk_s, np.arange(nk_s), drawn)
+        parts.append((single, multi.n_labels + picked, rows[first[:, None] + k]))
+    return MiniBatch(
+        np.concatenate([src.features[t.ravel()] for src, _, t in parts]),
+        np.concatenate([np.repeat(y, t.shape[1]) for _, y, t in parts]),
+        np.concatenate([np.full(t.size, src is multi) for src, _, t in parts]),
+        np.concatenate([src.cameras[t.ravel()] for src, _, t in parts]))
 
 
 # --- line-delimited dataset files -----------------------------------------
@@ -399,13 +417,23 @@ def load_samples(path) -> tuple[list[PersonSample], int]:
     return samples, dim
 
 
-def load_multicam(path) -> MultiCamDataset:
+def _samples_of(path, source: str) -> list[PersonSample]:
+    """load_samples, raising VersionMismatchError at the first record of
+    another source: a multi-camera file never loads as a corpus."""
     samples, _ = load_samples(path)
-    return MultiCamDataset.from_samples(samples)
+    for lineno, s in enumerate(samples, start=2):
+        if s.source != source:
+            raise VersionMismatchError(f"dataset {path} line {lineno}: "
+                                       f"{s.source} record, want {source}")
+    return samples
+
+
+def load_multicam(path) -> MultiCamDataset:
+    return MultiCamDataset.from_samples(_samples_of(path, MULTI))
 
 
 def load_corpus(path) -> SingleCamCorpus:
-    samples, _ = load_samples(path)
+    samples = _samples_of(path, SINGLE)
     vids: dict[int, list[PersonSample]] = {}
     for s in samples:
         vids.setdefault(s.video_id, []).append(s)

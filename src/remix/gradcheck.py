@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoder as enc
-from .datamodel import MULTI, SINGLE
 from .losses import (
     BatchView,
     augmentation_loss,
@@ -36,21 +35,17 @@ def _unflatten(flat: np.ndarray, like: enc.EncoderParams) -> enc.EncoderParams:
 
 
 def _random_case(rng, feat_dim, emb_dim, batch):
-    """Mixed batch: half multi (2 labels x 3, random cameras), half single."""
+    """Mixed batch: the first half multi-camera (labels 0 and 1, random
+    cameras), the rest single-camera (labels 2 and 3)."""
     half = batch // 2
-    per = half // 2
     x = rng.standard_normal((batch, feat_dim))
-    keys = [(MULTI, l) for l in range(2) for _ in range(per)]
-    keys += [(SINGLE, l) for l in range(2) for _ in range(batch - half - per)
-             ][: batch - half]
-    # pad if batch does not split evenly
-    while len(keys) < batch:
-        keys.append((SINGLE, 0))
-    cameras = np.array(
-        [int(rng.integers(3)) for _ in range(half)] + [-1] * (batch - half))
+    labels = np.concatenate([np.arange(half) * 2 // half,
+                             2 + np.arange(batch - half) * 2 // (batch - half)])
+    multi = np.arange(batch) < half
+    cameras = np.where(multi, rng.integers(3, size=batch), -1)
     m = normalize_rows(rng.standard_normal((batch, emb_dim)))
-    bank = build_centroids(m, keys, cameras)
-    return x, keys, cameras, m, bank
+    bank = build_centroids(m, labels, cameras)
+    return x, (labels, multi, cameras), m, bank
 
 
 def _loss_fn(name, view, bank, taus):
@@ -81,18 +76,18 @@ def max_relative_errors(
     worst = {name: 0.0 for name in LOSS_NAMES}
     for _ in range(n_batches):
         params = enc.init_params(feat_dim, [hidden], emb_dim, rng)
-        x, keys, cameras, m, bank = _random_case(rng, feat_dim, emb_dim, batch)
+        x, rows, m, bank = _random_case(rng, feat_dim, emb_dim, batch)
         flat0 = _flatten(params)
         for name in LOSS_NAMES:
 
             def scalar(flat):
                 p = _unflatten(flat, params)
                 f, _ = enc.forward_batch(p, x)
-                loss, _ = _loss_fn(name, BatchView(f, m, keys, cameras), bank, taus)
+                loss, _ = _loss_fn(name, BatchView(f, m, *rows), bank, taus)
                 return loss
 
             f, cache = enc.forward_batch(params, x)
-            _, d_f = _loss_fn(name, BatchView(f, m, keys, cameras), bank, taus)
+            _, d_f = _loss_fn(name, BatchView(f, m, *rows), bank, taus)
             d_w, d_b = enc.backward_batch(params, cache, d_f)
             analytic = _flatten(enc.EncoderParams(d_w, d_b))
             fd = finite_diff_grad(scalar, flat0, h)

@@ -9,7 +9,7 @@ every positive proxy j by -log softmax of f_i . p_j / tau_i over a pool,
 averages that over its positives, and the loss averages over the anchors
 that have at least one positive. Per term (anchor label y, camera c):
 
-- L_ins: momentum embeddings; positives share (source, y), self included;
+- L_ins: momentum embeddings; positives share y, self included;
   negatives differ in label, same source unless cross_source_negatives;
   pool {j} + negatives.
 - L_aug: momentum embeddings; the one positive is the anchor's own
@@ -20,42 +20,56 @@ that have at least one positive. Per term (anchor label y, camera c):
   positives are y's centroids from cameras other than c; negatives are the
   other labels' centroids; pool is every positive and negative.
 
-Labels are keyed (source, label) so multi-camera identities and
-single-camera pseudo labels live in disjoint namespaces.
+A label is an integer row of the centroid bank. Multi-camera identities
+and single-camera pseudo labels take disjoint ranges of rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import MULTI
 from .errors import (
     DimensionMismatchError,
     EmptyLabelError,
     UnresolvedLabelError,
 )
-from .numcore import normalize
-
-LabelKey = tuple[str, int]
+from .numcore import normalize_rows
 
 
 @dataclass
 class BatchView:
     f: np.ndarray  # (B, E) encoder embeddings of augmented inputs
     m: np.ndarray  # (B, E) momentum embeddings of the originals
-    keys: list[LabelKey]  # (source, label) per sample; multi first
+    labels: np.ndarray  # (B,) bank row of each sample's label
+    multi: np.ndarray  # (B,) True for multi-camera samples, which come first
     cameras: np.ndarray  # (B,) camera id, -1 for single-camera samples
+    # derived once per batch: the distinct labels in ascending order, and
+    # each sample's position among them
+    batch_labels: np.ndarray = field(init=False)
+    codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=np.float64)
         self.m = np.asarray(self.m, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.multi = np.asarray(self.multi, dtype=bool)
         self.cameras = np.asarray(self.cameras, dtype=np.int64)
-        if self.f.shape != self.m.shape or len(self.keys) != self.f.shape[0]:
-            raise DimensionMismatchError("f, m, and keys must agree in batch size")
-        sources = [src for src, _ in self.keys]
-        if sources != sorted(sources, key=lambda s: s != MULTI):
+        b = self.f.shape[0]
+        if self.f.shape != self.m.shape or any(
+                a.shape != (b,) for a in (self.labels, self.multi, self.cameras)):
+            raise DimensionMismatchError("f, m, labels, multi and cameras "
+                                         "must agree in batch size")
+        if np.any(self.multi[1:] > self.multi[:-1]):
             raise DimensionMismatchError("multi samples must precede single samples")
+        seen = np.zeros((2, int(self.labels.max(initial=-1)) + 1), dtype=bool)
+        seen[self.multi.astype(np.int64), self.labels] = True  # by source
+        if np.any(seen.all(axis=0)):
+            raise DimensionMismatchError("a label cannot be both multi-camera "
+                                         "and single-camera")
+        present = seen.any(axis=0)
+        self.batch_labels = np.flatnonzero(present)
+        self.codes = (np.cumsum(present) - 1)[self.labels]
 
     @property
     def size(self) -> int:
@@ -64,36 +78,39 @@ class BatchView:
 
 @dataclass
 class CentroidBank:
-    label_centroids: dict[LabelKey, np.ndarray]
-    camera_centroids: dict[tuple[int, int], np.ndarray]  # (multi label, camera)
+    label_centroids: np.ndarray  # (L, E) unit centroid of each label
+    camera_centroids: np.ndarray  # (I, C, E) per (multi label, camera)
+    camera_present: np.ndarray  # (I, C) which (label, camera) pairs have one
 
 
 def build_centroids(
     embeddings: np.ndarray,
-    keys: list[LabelKey],
+    labels: np.ndarray,
     cameras: np.ndarray | None = None,
 ) -> CentroidBank:
-    """Normalized per-label means; per-(label, camera) means for multi data."""
+    """Normalized per-label means over dense labels 0..L-1, and normalized
+    per-(label, camera) means over the rows with a camera (>= 0)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if len(keys) == 0:
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) == 0:
         raise EmptyLabelError("cannot build centroids from an empty batch")
-    by_label: dict[LabelKey, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_label.setdefault(key, []).append(i)
-    label_centroids = {
-        key: normalize(embeddings[idx].mean(axis=0)) for key, idx in by_label.items()
-    }
-    camera_centroids: dict[tuple[int, int], np.ndarray] = {}
-    if cameras is not None:
-        cameras = np.asarray(cameras)
-        by_cam: dict[tuple[int, int], list[int]] = {}
-        for i, (src, y) in enumerate(keys):
-            if src == MULTI:
-                by_cam.setdefault((y, int(cameras[i])), []).append(i)
-        camera_centroids = {
-            k: normalize(embeddings[idx].mean(axis=0)) for k, idx in by_cam.items()
-        }
-    return CentroidBank(label_centroids, camera_centroids)
+    counts = np.bincount(labels)
+    if not counts.all():
+        raise EmptyLabelError(f"label {int(np.argmin(counts))} has no members")
+    sums = np.zeros((len(counts), embeddings.shape[1]))
+    np.add.at(sums, labels, embeddings)
+    label_centroids = normalize_rows(sums / counts[:, None])
+    has_cam = (np.zeros(len(labels), dtype=bool) if cameras is None
+               else np.asarray(cameras) >= 0)
+    y, c = labels[has_cam], np.asarray(cameras)[has_cam]
+    shape = (int(y.max(initial=-1)) + 1, int(c.max(initial=-1)) + 1)
+    cam_sums = np.zeros(shape + (embeddings.shape[1],))
+    np.add.at(cam_sums, (y, c), embeddings[has_cam])
+    cam_counts = np.bincount(y * shape[1] + c, minlength=np.prod(shape))
+    present = cam_counts.reshape(shape) > 0
+    cam_sums[present] = normalize_rows(cam_sums[present]
+                                       / cam_counts[cam_counts > 0][:, None])
+    return CentroidBank(label_centroids, cam_sums, present)
 
 
 def _contrastive(
@@ -123,32 +140,26 @@ def _contrastive(
     s = e.sum(axis=1)
     with np.errstate(divide="ignore"):
         lse_rest = shift + np.log(s)  # -inf where rest is empty
-    # only the positives carry weight: work there, and scatter into zero
-    # matrices so every reduction adds the same terms in the same order
-    i, j = np.nonzero(pos)
-    n_pos = pos.sum(axis=1)
+    # only the positives carry weight: work there (at flat indices k, rows
+    # i), and scatter into zero matrices so every reduction adds the same
+    # terms in the same order
+    k = np.flatnonzero(pos)
+    i = k // pos.shape[1]
+    n_pos = np.bincount(i, minlength=len(pos))
     w = 1.0 / n_pos[i]
     n_anchors = max(int(np.count_nonzero(n_pos)), 1)
-    z_p, lr, in_rest = z[i, j], lse_rest[i], rest[i, j]
+    z_p, lr, in_rest = z.ravel()[k], lse_rest[i], rest.ravel()[k]
     lse = np.where(in_rest, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
     scatter = np.zeros_like(z)
-    scatter[i, j] = w * (lse - z_p)
+    np.put(scatter, k, w * (lse - z_p))
     loss = float(np.sum(scatter)) / n_anchors
     # dL/dz: -w on the positives, plus each pool's softmax weighted by w
-    scatter[i, j] = w * np.exp(lr - lse)
+    np.put(scatter, k, w * np.exp(lr - lse))
     c = np.sum(scatter, axis=1, keepdims=True)
     d_z = e / np.where(s > 0.0, s, 1.0)[:, None] * c
-    d_z[i, j] = d_z[i, j] + np.where(in_rest, 0.0, w * np.exp(z_p - lse)) - w
+    d = d_z.ravel()  # a view
+    d[k] = d[k] + np.where(in_rest, 0.0, w * np.exp(z_p - lse)) - w
     return loss, (d_z / tau[:, None]) @ proxies / n_anchors
-
-
-def _label_codes(view: BatchView) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample label code, numbered in first-appearance order, and the
-    multi-source flag."""
-    index = {k: c for c, k in enumerate(dict.fromkeys(view.keys))}
-    codes = np.array([index[k] for k in view.keys], dtype=np.int64)
-    multi = np.array([src == MULTI for src, _ in view.keys], dtype=bool)
-    return codes, multi
 
 
 def instance_loss(
@@ -159,11 +170,11 @@ def instance_loss(
 ) -> tuple[float, np.ndarray]:
     """Anchor-to-positive-instances loss, averaged over positives and anchors.
 
-    Positives of anchor i are all j with the same (source, label), the
-    self-pair included. Negatives default to same-source batch members
-    with a different label.
+    Positives of anchor i are all j with the same label, the self-pair
+    included. Negatives default to same-source batch members with a
+    different label.
     """
-    codes, multi = _label_codes(view)
+    codes, multi = view.codes, view.multi
     pos = codes[:, None] == codes[None, :]
     neg = ~pos
     if not cross_source_negatives:
@@ -175,9 +186,8 @@ def instance_loss(
 def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarray]:
     """Pulls each augmented embedding to its own momentum original; negatives
     are all different-label batch members from either source."""
-    codes, _ = _label_codes(view)
     pos = np.eye(view.size, dtype=bool)
-    neg = codes[:, None] != codes[None, :]
+    neg = view.codes[:, None] != view.codes[None, :]
     tau = np.full(view.size, tau_aug)
     return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
 
@@ -187,15 +197,13 @@ def centroids_loss(
 ) -> tuple[float, np.ndarray]:
     """Pulls each anchor to its label centroid against the centroids of all
     distinct labels present in the batch."""
-    batch_labels = list(dict.fromkeys(view.keys))  # first-appearance order
-    missing = [k for k in batch_labels if k not in bank.label_centroids]
-    if missing:
-        raise UnresolvedLabelError(f"no centroid for {missing[0]}")
-    cents = np.stack([bank.label_centroids[k] for k in batch_labels])
-    codes, multi = _label_codes(view)
-    pos = codes[:, None] == np.arange(len(batch_labels))[None, :]
-    tau = np.where(multi, tau_m, tau_s)
-    return _contrastive(view.f, cents, pos, ~pos, tau, shared_pool=False)
+    labels = view.batch_labels
+    if len(labels) and labels[-1] >= len(bank.label_centroids):
+        raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
+    pos = view.codes[:, None] == np.arange(len(labels))[None, :]
+    tau = np.where(view.multi, tau_m, tau_s)
+    return _contrastive(view.f, bank.label_centroids[labels], pos, ~pos, tau,
+                        shared_pool=False)
 
 
 def camera_centroids_loss(
@@ -205,17 +213,15 @@ def camera_centroids_loss(
     cameras; negatives are camera centroids of the other multi labels in the
     batch. Each positive is scored against all of them, the other positives
     included. Anchors with no cross-camera proxy contribute zero."""
-    _, multi = _label_codes(view)
-    labels = np.array([y for _, y in view.keys], dtype=np.int64)
-    batch_multi = set(labels[multi].tolist())
-    proxy_keys = [k for k in bank.camera_centroids if k[0] in batch_multi]
-    proxies = np.array([bank.camera_centroids[k] for k in proxy_keys],
-                       dtype=np.float64).reshape(-1, view.f.shape[1])
-    proxy_labels = np.array([y for y, _ in proxy_keys], dtype=np.int64)
-    proxy_cams = np.array([c for _, c in proxy_keys], dtype=np.int64)
-    same = multi[:, None] & (labels[:, None] == proxy_labels[None, :])
+    # single-camera labels have no camera centroids, so select no proxies
+    ids = view.batch_labels[view.batch_labels < len(bank.camera_present)]
+    which, proxy_cams = np.nonzero(bank.camera_present[ids])
+    proxy_labels = ids[which]
+    proxies = bank.camera_centroids[proxy_labels, proxy_cams]
+    multi = view.multi[:, None]
+    same = multi & (view.labels[:, None] == proxy_labels[None, :])
     pos = same & (view.cameras[:, None] != proxy_cams[None, :])
-    neg = multi[:, None] & ~same
+    neg = multi & ~same
     tau = np.full(view.size, tau_cc)
     return _contrastive(view.f, proxies, pos, neg, tau, shared_pool=True)
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import PersonSample, SingleCamCorpus
+from .datamodel import LabelGroups, PersonSample, SingleCamCorpus
 from .encoder import EncoderParams, forward_batch
 from .errors import BudgetUnreachableError
-from .numcore import normalize
 
 NOISE = -1
 
@@ -62,14 +61,10 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 class PseudoLabeledPool:
     entries: dict[int, list[tuple[PersonSample, np.ndarray]]] = field(default_factory=dict)
     noise_count: int = 0
-    centroids: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def n_labeled(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    def samples_by_label(self) -> dict[int, list[PersonSample]]:
-        return {pl: [s for s, _ in members] for pl, members in self.entries.items()}
+    # the labelled frames as arrays: raw features grouped by pseudo label,
+    # and their momentum embeddings in the same order
+    frames: LabelGroups | None = None
+    embeddings: np.ndarray | None = None  # (N, E)
 
 
 def default_budget(b_s: int, iterations: int) -> int:
@@ -94,19 +89,28 @@ def pseudo_label_epoch(
     if budget <= 0:
         raise ValueError("pseudo-label budget must be positive")
     pool = PseudoLabeledPool()
+    kept = []  # per video: (features, embeddings, cluster sizes) by label
+    n_labeled = 0
     for vi in rng.permutation(len(corpus.videos)):
         _, frames = corpus.videos[int(vi)]
-        embs, _ = forward_batch(momentum, np.stack([s.features for s in frames]))
+        x = np.stack([s.features for s in frames])
+        embs, _ = forward_batch(momentum, x)
         labels = dbscan(embs, eps, min_pts)
         for c in range(int(labels.max()) + 1):
             idx = np.nonzero(labels == c)[0]
-            pl = len(pool.entries)
-            pool.entries[pl] = [(frames[j], embs[j]) for j in idx]
-            pool.centroids[pl] = normalize(embs[idx].mean(axis=0))
-        pool.noise_count += int(np.sum(labels == NOISE))
-        if pool.n_labeled >= budget:
+            pool.entries[len(pool.entries)] = [(frames[j], embs[j]) for j in idx]
+        noise = int(np.count_nonzero(labels == NOISE))
+        rows = np.argsort(labels, kind="stable")[noise:]  # clustered, by label
+        kept.append((x[rows], embs[rows], np.bincount(labels[rows])))
+        pool.noise_count += noise
+        n_labeled += len(rows)
+        if n_labeled >= budget:
             break
     if not pool.entries:
         raise BudgetUnreachableError(
             "a full pass over the corpus produced zero non-noise images")
+    features, embeddings, sizes = (np.concatenate(a) for a in zip(*kept))
+    pool.frames = LabelGroups(features, np.concatenate(([0], np.cumsum(sizes))),
+                              np.full(len(features), -1))
+    pool.embeddings = embeddings
     return pool

@@ -18,9 +18,7 @@ from . import encoder as enc
 from . import evalkit
 from .config import RunConfig
 from .datamodel import (
-    MULTI,
-    SINGLE,
-    MiniBatch,
+    LabelGroups,
     MultiCamDataset,
     SingleCamCorpus,
     augment,
@@ -50,56 +48,46 @@ def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
                       enc.OptimizerState.for_params(params))
 
 
-def _batch_view(state: TrainState, batch: MiniBatch, t, aug_rng) -> BatchView:
-    samples = [s for s, _, _ in batch.multi] + [s for s, _ in batch.single]
-    keys = [(MULTI, y) for _, y, _ in batch.multi] + \
-           [(SINGLE, pl) for _, pl in batch.single]
-    cameras = np.array([c for _, _, c in batch.multi] +
-                       [-1] * len(batch.single), dtype=np.int64)
-    raw = np.stack([s.features for s in samples])
-    augmented = augment(raw, aug_rng, t.sigma_aug, t.p_drop)
-    f, cache = enc.forward_batch(state.params, augmented)
-    m, _ = enc.forward_batch(state.momentum, raw)
-    return BatchView(f, m, keys, cameras), cache
-
-
 def run_epoch(
     state: TrainState,
-    multi: MultiCamDataset,
+    multi: LabelGroups,
     corpus: SingleCamCorpus | None,
     cfg: RunConfig,
     sampler_rng: np.random.Generator,
     aug_rng: np.random.Generator,
     video_rng: np.random.Generator,
 ) -> TrainState:
-    """One epoch of the joint-training loop; mutates and returns state."""
+    """One epoch of the joint-training loop over the multi-camera rows
+    grouped by identity; mutates and returns state."""
     t = cfg.train
     use_single = t.use_single_cam and t.n_p_single > 0 and corpus is not None
 
-    # epoch-start: momentum-embed all multi data, rebuild centroid bank
-    m_embs, _ = enc.forward_batch(
-        state.momentum, np.stack([s.features for s in multi.samples]))
-    keys = [(MULTI, s.identity) for s in multi.samples]
-    cams = np.array([s.camera for s in multi.samples])
-    bank = build_centroids(m_embs, keys, cams)
-
-    pool = None
+    # epoch-start: pseudo-label the corpus, momentum-embed all multi data,
+    # rebuild the centroid bank over both
+    pool = single = None
+    embs, _ = enc.forward_batch(state.momentum, multi.features)
+    labels, cams = multi.labels(), multi.cameras
     if use_single:
         budget = t.pseudo_label_budget or default_budget(
             t.n_p_single * t.n_k_single, t.iters_per_epoch)
         pool = pseudo_label_epoch(corpus, state.momentum, t.dbscan_eps,
                                   t.dbscan_min_pts, budget, video_rng)
-        for pl, c in pool.centroids.items():
-            bank.label_centroids[(SINGLE, pl)] = c
+        single = pool.frames
+        embs = np.concatenate([embs, pool.embeddings])
+        labels = np.concatenate([labels, multi.n_labels + single.labels()])
+        cams = np.concatenate([cams, single.cameras])
+    bank = build_centroids(embs, labels, cams)
 
     lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi,
              t.n_p_single if use_single else 0, t.n_k_single)
-    pool_samples = pool.samples_by_label() if pool is not None else {}
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
     for it in range(t.iters_per_epoch):
-        batch = compose_batch(multi, pool_samples, sizes, sampler_rng)
-        view, cache = _batch_view(state, batch, t, aug_rng)
+        batch = compose_batch(multi, single, sizes, sampler_rng)
+        augmented = augment(batch.features, aug_rng, t.sigma_aug, t.p_drop)
+        f, cache = enc.forward_batch(state.params, augmented)
+        m, _ = enc.forward_batch(state.momentum, batch.features)
+        view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
         loss, d_f, parts = total_loss(
             view, bank, t.tau_ins_multi, t.tau_ins_single, t.tau_aug,
             t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma,
@@ -149,11 +137,13 @@ def train(
 ) -> TrainState:
     """Run cfg.train.epochs epochs; write metrics lines and checkpoints."""
     t = cfg.train
-    if all(len({s.camera for s in group}) < 2
-           for group in multi.by_identity.values()):
+    rows = multi.grouped()
+    # rows are grouped by identity: one spans two cameras iff two of its
+    # neighbouring rows differ in camera
+    if not np.any((np.diff(rows.labels()) == 0) & (np.diff(rows.cameras) != 0)):
         log.warning("no identity spans two cameras, camera centroid loss "
                     "is inert")
-    state = init_state(cfg, multi.samples[0].features.shape[0])
+    state = init_state(cfg, rows.features.shape[1])
     sampler_rng = substream(cfg.seed, "sampler")
     aug_rng = substream(cfg.seed, "augment")
     video_rng = substream(cfg.seed, "videos")
@@ -167,7 +157,7 @@ def train(
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for _ in range(t.epochs):
-            run_epoch(state, multi, corpus, cfg, sampler_rng, aug_rng, video_rng)
+            run_epoch(state, rows, corpus, cfg, sampler_rng, aug_rng, video_rng)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(state.metrics[-1]) + "\n")
                 metrics_fh.flush()

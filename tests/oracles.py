@@ -4,7 +4,6 @@ Everything here is deliberately written the slow, obvious way.
 """
 import numpy as np
 
-from remix.datamodel import MULTI
 from remix.errors import NoValidPositiveError
 
 NOISE = -1
@@ -99,19 +98,47 @@ def _term_and_coeffs(z_target, z_rest):
     return term, 1.0 - p[0], -p[1:]
 
 
+def reference_contrastive(f, proxies, pos, neg, tau, shared_pool):
+    """The kernel's contract, pair by pair: anchor i scores each positive j
+    against the pool {j} plus its rest (the negatives, or every positive and
+    negative when shared_pool is set), averages -log softmax over its
+    positives, and the loss averages over anchors with a positive."""
+    grads = np.zeros_like(f)
+    total = 0.0
+    anchors = 0
+    for i in range(len(f)):
+        positives = np.nonzero(pos[i])[0]
+        if len(positives) == 0:
+            continue
+        rest_mask = (pos[i] | neg[i]) if shared_pool else neg[i]
+        z = f[i] @ proxies.T / tau[i]
+        inv = 1.0 / len(positives)
+        for j in positives:
+            rest = [k for k in np.nonzero(rest_mask)[0] if k != j]
+            term, c_t, c_n = _term_and_coeffs(z[j], z[rest])
+            total -= term * inv
+            scale = -inv / tau[i]
+            grads[i] += scale * c_t * proxies[j]
+            if rest:
+                grads[i] += scale * (c_n @ proxies[rest])
+        anchors += 1
+    if anchors == 0:
+        return 0.0, grads
+    return total / anchors, grads / anchors
+
+
 def reference_instance_loss(view, tau_m, tau_s, cross_source_negatives=False):
     b = view.size
     sims = view.f @ view.m.T
     grads = np.zeros_like(view.f)
     total = 0.0
     for i in range(b):
-        src, _ = view.keys[i]
-        tau = tau_m if src == MULTI else tau_s
-        pos = [j for j in range(b) if view.keys[j] == view.keys[i]]
+        tau = tau_m if view.multi[i] else tau_s
+        pos = [j for j in range(b) if view.labels[j] == view.labels[i]]
         neg = [
             j for j in range(b)
-            if view.keys[j] != view.keys[i]
-            and (cross_source_negatives or view.keys[j][0] == src)
+            if view.labels[j] != view.labels[i]
+            and (cross_source_negatives or view.multi[j] == view.multi[i])
         ]
         z_neg = sims[i, neg] / tau
         anchor_loss = 0.0
@@ -133,7 +160,7 @@ def reference_augmentation_loss(view, tau_aug):
     grads = np.zeros_like(view.f)
     total = 0.0
     for i in range(b):
-        neg = [j for j in range(b) if view.keys[j] != view.keys[i]]
+        neg = [j for j in range(b) if view.labels[j] != view.labels[i]]
         term, c_t, c_n = _term_and_coeffs(sims[i, i] / tau_aug,
                                           sims[i, neg] / tau_aug)
         total -= term
@@ -145,16 +172,15 @@ def reference_augmentation_loss(view, tau_aug):
 
 
 def reference_centroids_loss(view, bank, tau_m, tau_s):
-    batch_labels = list(dict.fromkeys(view.keys))
+    batch_labels = list(dict.fromkeys(view.labels.tolist()))
     cents = np.stack([bank.label_centroids[k] for k in batch_labels])
     pos_index = {k: idx for idx, k in enumerate(batch_labels)}
     sims = view.f @ cents.T
     grads = np.zeros_like(view.f)
     total = 0.0
     for i in range(view.size):
-        src, _ = view.keys[i]
-        tau = tau_m if src == MULTI else tau_s
-        t = pos_index[view.keys[i]]
+        tau = tau_m if view.multi[i] else tau_s
+        t = pos_index[int(view.labels[i])]
         rest = [j for j in range(len(batch_labels)) if j != t]
         term, c_t, c_n = _term_and_coeffs(sims[i, t] / tau, sims[i, rest] / tau)
         total -= term
@@ -167,21 +193,21 @@ def reference_centroids_loss(view, bank, tau_m, tau_s):
 
 def reference_camera_centroids_loss(view, bank, tau_cc):
     """Each positive's pool is every proxy, the other positives included."""
-    multi_labels = list(dict.fromkeys(
-        y for (src, y) in view.keys if src == MULTI))
+    multi_labels = {int(y) for y, m in zip(view.labels, view.multi) if m}
+    bank_keys = [(y, c) for y in range(bank.camera_present.shape[0])
+                 for c in range(bank.camera_present.shape[1])
+                 if bank.camera_present[y, c]]
     grads = np.zeros_like(view.f)
     total = 0.0
     contributing = 0
     for i in range(view.size):
-        src, y = view.keys[i]
-        if src != MULTI:
+        if not view.multi[i]:
             continue
-        cam = int(view.cameras[i])
-        pos_keys = [k for k in bank.camera_centroids
-                    if k[0] == y and k[1] != cam]
+        y, cam = int(view.labels[i]), int(view.cameras[i])
+        pos_keys = [k for k in bank_keys if k[0] == y and k[1] != cam]
         if not pos_keys:
             continue
-        neg_keys = [k for k in bank.camera_centroids
+        neg_keys = [k for k in bank_keys
                     if k[0] != y and k[0] in multi_labels]
         proxies = np.stack([bank.camera_centroids[k]
                             for k in pos_keys + neg_keys])

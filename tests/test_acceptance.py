@@ -16,7 +16,7 @@ from remix import encoder as enc
 from remix import trainer
 from remix.cli import main as cli_main
 from remix.config import RunConfig
-from remix.datamodel import MULTI, SINGLE, compose_batch, synth_generate
+from remix.datamodel import MULTI, LabelGroups, compose_batch, synth_generate
 from remix.evalkit import (
     cmc_rank_k,
     evaluate,
@@ -61,16 +61,16 @@ def test_criterion_2_degenerate_zeros(capsys):
     f = normalize_rows(rng.standard_normal((3, 4)))
 
     # single label: instance loss sees no negatives
-    v_one = BatchView(f, f, [(MULTI, 0)] * 3, np.array([0, 1, 2]))
+    multi = np.ones(3, dtype=bool)
+    v_one = BatchView(f, f, [0] * 3, multi, np.array([0, 1, 2]))
     zeros = [instance_loss(v_one, 0.1, 0.2)[0],
              augmentation_loss(v_one, 0.1)[0]]
-    bank = build_centroids(f, v_one.keys, v_one.cameras)
+    bank = build_centroids(f, v_one.labels, v_one.cameras)
     zeros.append(centroids_loss(v_one, bank, 0.5, 0.6)[0])
 
     # two labels but one camera each: no cross-camera proxies
-    keys = [(MULTI, 0), (MULTI, 0), (MULTI, 1)]
-    v_cam = BatchView(f, f, keys, np.zeros(3, dtype=int))
-    bank_cam = build_centroids(f, keys, v_cam.cameras)
+    v_cam = BatchView(f, f, [0, 0, 1], multi, np.zeros(3, dtype=int))
+    bank_cam = build_centroids(f, v_cam.labels, v_cam.cameras)
     zeros.append(camera_centroids_loss(v_cam, bank_cam, 0.07)[0])
 
     p_m = enc.init_params(6, [8], 4, substream(0, "init"))
@@ -203,14 +203,17 @@ def test_criterion_7_batch_composition(capsys):
     cfg = RunConfig().validate()
     multi, corpus, _ = synth_generate(cfg.generator, 0)
     frames = [s for _, fr in corpus.videos for s in fr]
-    pool = {pl: frames[pl * 8:(pl + 1) * 8] for pl in range(30)}
+    # 30 pseudo labels of 8 frames each
+    pool = LabelGroups(np.stack([s.features for s in frames[:240]]),
+                       np.arange(0, 241, 8), np.full(240, -1))
     rng = substream(0, "sampler")
     violations = 0
+    rows = multi.grouped()
     for _ in range(10_000):
-        b = compose_batch(multi, pool, (8, 4, 8, 4), rng)
-        labels = [y for _, y, _ in b.multi]
-        plabels = [pl for _, pl in b.single]
-        if not (len(b.multi) == 32 and len(b.single) == 32
+        b = compose_batch(rows, pool, (8, 4, 8, 4), rng)
+        labels = b.labels[b.multi].tolist()
+        plabels = b.labels[~b.multi].tolist()
+        if not (len(labels) == 32 and len(plabels) == 32
                 and len(set(labels)) == 8 and len(set(plabels)) == 8
                 and all(labels.count(y) == 4 for y in set(labels))
                 and all(plabels.count(p) == 4 for p in set(plabels))):
@@ -223,12 +226,13 @@ def test_criterion_7_batch_composition(capsys):
         PersonSample(s, np.ones(4), y, c, MULTI, None, y)
         for s, (y, c) in enumerate((y, c) for y in range(8)
                                    for c in range(4) for _ in range(2))
-    ])
+    ]).grouped()
     diverse_ok = True
     for trial in range(50):
-        b = compose_batch(fixture, {}, (8, 4, 0, 0), substream(trial, "sampler"))
-        for y in {y for _, y, _ in b.multi}:
-            cams = sorted(c for _, yy, c in b.multi if yy == y)
+        b = compose_batch(fixture, None, (8, 4, 0, 0),
+                          substream(trial, "sampler"))
+        for y in set(b.labels.tolist()):
+            cams = sorted(b.cameras[b.labels == y].tolist())
             if cams != [0, 1, 2, 3]:
                 diverse_ok = False
 
@@ -274,11 +278,10 @@ def test_criterion_9_loss_weight_contract(capsys):
     rng = substream(9, "gradcheck")
     f = normalize_rows(rng.standard_normal((12, 6)))
     m = normalize_rows(rng.standard_normal((12, 6)))
-    keys = [(MULTI, i % 3) for i in range(6)] \
-        + [(SINGLE, i % 3) for i in range(6)]
+    labels = [i % 3 for i in range(6)] + [3 + i % 3 for i in range(6)]
     cams = np.array([int(rng.integers(3)) for _ in range(6)] + [-1] * 6)
-    view = BatchView(f, m, keys, cams)
-    bank = build_centroids(m, keys, cams)
+    view = BatchView(f, m, labels, np.arange(12) < 6, cams)
+    bank = build_centroids(m, labels, cams)
 
     loss, grads, parts = total_loss(view, bank, 0.1, 0.2, 0.1, 0.5, 0.6,
                                     0.07, gamma=0.5)

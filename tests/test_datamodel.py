@@ -9,6 +9,7 @@ from remix.datamodel import (
     MULTI,
     SINGLE,
     GeneratorConfig,
+    LabelGroups,
     MultiCamDataset,
     PersonSample,
     augment,
@@ -70,13 +71,15 @@ class TestMultiCamDataset:
         with pytest.raises(InvalidConfigError):
             MultiCamDataset.from_samples(samples)
 
-    def test_by_identity(self):
-        ds = MultiCamDataset.from_samples(
-            [_ms(0, 0, 0), _ms(1, 0, 1), _ms(2, 1, 0), _ms(3, 1, 1)])
-        groups = ds.by_identity
-        assert groups is ds.by_identity  # grouped once per dataset
-        assert sorted(groups) == [0, 1]
-        assert all(len(v) == 2 for v in groups.values())
+    def test_grouped(self):
+        samples = [_ms(0, 1, 0), _ms(1, 0, 1), _ms(2, 1, 1), _ms(3, 0, 0)]
+        for s in samples:
+            s.features = np.full(4, float(s.sample_id))
+        rows = MultiCamDataset.from_samples(samples).grouped()
+        assert rows.start.tolist() == [0, 2, 4]
+        assert rows.features[:, 0].tolist() == [1, 3, 0, 2]  # stable
+        assert rows.cameras.tolist() == [1, 0, 0, 1]
+        assert rows.labels().tolist() == [0, 0, 1, 1]
 
 
 class TestSynthGenerate:
@@ -160,43 +163,89 @@ def _toy_multi(n_ids=10, n_cams=4, per=2):
             for _ in range(per):
                 samples.append(_ms(sid, y, c))
                 sid += 1
-    return MultiCamDataset.from_samples(samples)
+    return MultiCamDataset.from_samples(samples).grouped()
+
+
+def _pool(sizes):
+    """Pseudo-label groups of the given sizes; a row's feature is its index."""
+    n = sum(sizes)
+    return LabelGroups(np.arange(n, dtype=float)[:, None].repeat(4, axis=1),
+                       np.concatenate(([0], np.cumsum(sizes))), np.full(n, -1))
+
+
+NO_MULTI = LabelGroups(np.zeros((0, 4)), np.zeros(1, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64))
 
 
 class TestComposeBatch:
     def test_sizes_and_order(self):
         multi = _toy_multi()
-        pool = {pl: [PersonSample(100 + pl * 10 + i, np.ones(4), None, None,
-                                  SINGLE, pl, 50 + pl) for i in range(5)]
-                for pl in range(9)}
-        batch = compose_batch(multi, pool, (8, 4, 8, 4), substream(0, "sampler"))
-        assert len(batch.multi) == 32 and len(batch.single) == 32
-        assert len({y for _, y, _ in batch.multi}) == 8
-        assert len({pl for _, pl in batch.single}) == 8
+        batch = compose_batch(multi, _pool([5] * 9), (8, 4, 8, 4),
+                              substream(0, "sampler"))
+        assert batch.features.shape == (64, 4)
+        assert batch.multi.tolist() == [True] * 32 + [False] * 32
+        assert len(set(batch.labels[:32])) == 8
+        # pseudo labels follow the 10 identities
+        assert len(set(batch.labels[32:])) == 8 and batch.labels[32:].min() >= 10
+        assert np.all(batch.cameras[32:] == -1)
 
     def test_camera_diversity(self):
         # 4 cameras available and 4 slots: all four cameras must appear
         multi = _toy_multi(n_ids=8, n_cams=4, per=3)
         rng = substream(3, "sampler")
         for _ in range(20):
-            batch = compose_batch(multi, {}, (8, 4, 0, 0), rng)
-            for y in {y for _, y, _ in batch.multi}:
-                cams = [c for _, yy, c in batch.multi if yy == y]
-                assert sorted(cams) == [0, 1, 2, 3]
+            batch = compose_batch(multi, None, (8, 4, 0, 0), rng)
+            for y in set(batch.labels.tolist()):
+                assert sorted(batch.cameras[batch.labels == y]) == [0, 1, 2, 3]
 
     def test_small_cluster_sampled_with_replacement(self):
         multi = _toy_multi(n_ids=8)
-        pool = {pl: [PersonSample(200 + pl, np.ones(4), None, None, SINGLE,
-                                  pl, 60 + pl)] for pl in range(8)}
-        batch = compose_batch(multi, pool, (8, 4, 8, 4), substream(1, "sampler"))
-        assert len(batch.single) == 32  # singleton clusters repeat
+        batch = compose_batch(multi, _pool([1] * 8), (8, 4, 8, 4),
+                              substream(1, "sampler"))
+        assert np.count_nonzero(~batch.multi) == 32  # singleton clusters repeat
 
     def test_insufficient_labels(self):
         multi = _toy_multi(n_ids=4)
         with pytest.raises(InsufficientLabelsError):
-            compose_batch(multi, {}, (8, 4, 0, 0), substream(0, "sampler"))
+            compose_batch(multi, None, (8, 4, 0, 0), substream(0, "sampler"))
         with pytest.raises(InsufficientLabelsError):
-            compose_batch(multi, {0: []}, (4, 4, 8, 4), substream(0, "sampler"))
+            compose_batch(multi, _pool([3]), (4, 4, 8, 4),
+                          substream(0, "sampler"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_camera_diverse_rule(self, per_cam, n_k, seed):
+        # one identity with 1-6 cameras of 1-4 samples each, in a random
+        # row order, and n_k up to above its sample count
+        rng = np.random.default_rng(seed)
+        n = sum(per_cam)
+        n_k = min(n_k, n + 3)
+        cams = rng.permutation(np.repeat(np.arange(len(per_cam)), per_cam))
+        rows = LabelGroups(np.arange(n, dtype=float)[:, None],
+                           np.array([0, n]), cams)
+        batch = compose_batch(rows, None, (1, n_k, 0, 0), rng)
+        picked = batch.features[:, 0].astype(int)
+        assert len(picked) == n_k
+        assert np.array_equal(batch.cameras, cams[picked])
+        assert len(set(batch.cameras.tolist())) == min(n_k, len(per_cam))
+        assert len(set(picked.tolist())) == min(n_k, n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_pseudo_label_fills_its_slots(self, sizes, n_k, seed):
+        single = _pool(sizes)
+        batch = compose_batch(NO_MULTI, single, (0, 1, len(sizes), n_k),
+                              np.random.default_rng(seed))
+        assert not batch.multi.any()
+        for pl, size in enumerate(sizes):
+            picked = batch.features[batch.labels == pl, 0].astype(int)
+            assert len(picked) == n_k
+            assert np.all((single.start[pl] <= picked)
+                          & (picked < single.start[pl + 1]))
+            if size >= n_k:  # without replacement
+                assert len(set(picked.tolist())) == n_k
 
 
 class TestDatasetFiles:
@@ -245,6 +294,37 @@ class TestDatasetFiles:
         assert [v for v, _ in back.videos] == [v for v, _ in corpus.videos]
         assert [len(fr) for _, fr in back.videos] == \
                [len(fr) for _, fr in corpus.videos]
+
+
+class TestWrongKindOfFile:
+    """A loader given the other source's file names the file and the first
+    record of the wrong source."""
+
+    def _files(self, tmp_path):
+        multi, corpus, _ = synth_generate(small_cfg(), 0)
+        frames = [s for _, fr in corpus.videos for s in fr]
+        files = {}
+        for name, samples in (("multi", multi.samples),
+                              ("corpus", frames),
+                              # sample ids stay distinct within a file
+                              ("multi-then-corpus", multi.samples[:2] + frames[2:]),
+                              ("corpus-then-multi", frames[:3] + multi.samples[3:])):
+            files[name] = tmp_path / f"{name}.jsonl"
+            save_dataset(files[name], samples, 8)
+        return files
+
+    @pytest.mark.parametrize("loader, name, lineno", [
+        (load_multicam, "corpus", 2),
+        (load_multicam, "multi-then-corpus", 4),
+        (load_corpus, "multi", 2),
+        (load_corpus, "corpus-then-multi", 5),
+    ])
+    def test_rejected(self, tmp_path, loader, name, lineno):
+        path = self._files(tmp_path)[name]
+        with pytest.raises(VersionMismatchError) as info:
+            loader(path)
+        assert str(path) in str(info.value)
+        assert f"line {lineno}:" in str(info.value)
 
 
 def _set_feature(r, value):

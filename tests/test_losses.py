@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     reference_augmentation_loss,
     reference_camera_centroids_loss,
     reference_centroids_loss,
+    reference_contrastive,
     reference_instance_loss,
 )
-from remix.datamodel import MULTI, SINGLE
 from remix.errors import (
     DimensionMismatchError,
     EmptyLabelError,
@@ -15,6 +19,7 @@ from remix.errors import (
 )
 from remix.losses import (
     BatchView,
+    _contrastive,
     augmentation_loss,
     build_centroids,
     camera_centroids_loss,
@@ -33,28 +38,47 @@ def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3):
     b = n_multi + n_single
     f = normalize_rows(rng.standard_normal((b, dim)))
     m = normalize_rows(rng.standard_normal((b, dim)))
-    keys = [(MULTI, i % n_labels) for i in range(n_multi)]
-    keys += [(SINGLE, i % n_labels) for i in range(n_single)]
+    # single-camera labels follow the multi-camera ones
+    offset = min(n_multi, n_labels)
+    labels = [i % n_labels for i in range(n_multi)]
+    labels += [offset + i % n_labels for i in range(n_single)]
     cameras = np.array([int(rng.integers(n_cams)) for _ in range(n_multi)]
                        + [-1] * n_single)
-    return BatchView(f, m, keys, cameras)
+    return BatchView(f, m, labels, np.arange(b) < n_multi, cameras)
 
 
 def bank_for(view, seed=10):
     rng = substream(seed, "gradcheck")
     m = normalize_rows(rng.standard_normal(view.m.shape))
-    return build_centroids(m, view.keys, view.cameras)
+    return build_centroids(m, view.labels, view.cameras)
+
+
+def multi_view(f, m, labels, cameras):
+    """A view of multi-camera samples only."""
+    return BatchView(f, m, labels, np.ones(len(labels), dtype=bool), cameras)
 
 
 class TestBatchView:
     def test_single_before_multi_rejected(self):
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
-            BatchView(f, f, [(SINGLE, 0), (MULTI, 0)], np.array([-1, 0]))
+            BatchView(f, f, [1, 0], [False, True], np.array([-1, 0]))
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            BatchView(np.eye(2), np.eye(3), [(MULTI, 0)] * 2, np.zeros(2))
+            multi_view(np.eye(2), np.eye(3), [0, 0], np.zeros(2))
+
+    def test_label_in_both_sources_rejected(self):
+        f = np.eye(2)
+        with pytest.raises(DimensionMismatchError):
+            BatchView(f, f, [0, 0], [True, False], np.array([0, -1]))
+
+    def test_codes_number_distinct_labels(self):
+        f = np.eye(4)
+        v = BatchView(f, f, [5, 2, 5, 9], [True, True, True, False],
+                      [0, 1, 2, -1])
+        assert v.batch_labels.tolist() == [2, 5, 9]
+        assert v.codes.tolist() == [1, 0, 1, 2]
 
     def test_counts(self):
         v = random_view(n_multi=4, n_single=2)
@@ -65,22 +89,25 @@ class TestBuildCentroids:
     def test_centroids_are_normalized_means(self):
         rng = substream(0, "init")
         m = normalize_rows(rng.standard_normal((4, 3)))
-        keys = [(MULTI, 0), (MULTI, 0), (MULTI, 1), (MULTI, 1)]
-        bank = build_centroids(m, keys, np.array([0, 1, 0, 0]))
-        mean = m[:2].mean(axis=0)
-        assert np.allclose(bank.label_centroids[(MULTI, 0)],
+        bank = build_centroids(m, [0, 1, 0, 1], np.array([0, 1, 0, 0]))
+        mean = m[[0, 2]].mean(axis=0)
+        assert np.allclose(bank.label_centroids[0],
                            mean / np.linalg.norm(mean))
+        # label 1 has one row on camera 0
+        assert np.allclose(bank.camera_centroids[1, 0], m[3])
 
     def test_camera_centroids_only_for_multi(self):
         rng = substream(1, "init")
         m = normalize_rows(rng.standard_normal((4, 3)))
-        keys = [(MULTI, 0), (MULTI, 0), (SINGLE, 0), (SINGLE, 1)]
-        bank = build_centroids(m, keys, np.array([0, 1, -1, -1]))
-        assert set(bank.camera_centroids) == {(0, 0), (0, 1)}
+        bank = build_centroids(m, [0, 0, 1, 2], np.array([0, 1, -1, -1]))
+        assert set(zip(*np.nonzero(bank.camera_present))) == {(0, 0), (0, 1)}
+        assert len(bank.label_centroids) == 3
 
     def test_empty_embeddings_rejected(self):
         with pytest.raises(EmptyLabelError):
             build_centroids(np.zeros((0, 3)), [], None)
+        with pytest.raises(EmptyLabelError):  # label 1 has no member
+            build_centroids(np.eye(3)[:2], [0, 2], None)
 
 
 def oracle_pairs(view, bank, tau_scale=1.0):
@@ -103,10 +130,11 @@ def oracle_pairs(view, bank, tau_scale=1.0):
 def bank_with_absent_label(view, seed=10):
     """Bank over the batch's labels plus a multi label the batch lacks."""
     rng = substream(seed, "gradcheck")
-    keys = view.keys + [(MULTI, 99)] * 3
+    absent = int(view.labels.max()) + 1
+    labels = np.concatenate([view.labels, [absent] * 3])
     cams = np.concatenate([view.cameras, [0, 1, 2]])
-    m = normalize_rows(rng.standard_normal((len(keys), view.m.shape[1])))
-    return build_centroids(m, keys, cams)
+    m = normalize_rows(rng.standard_normal((len(labels), view.m.shape[1])))
+    return build_centroids(m, labels, cams)
 
 
 class TestKernelAgainstLoops:
@@ -143,15 +171,42 @@ class TestKernelAgainstLoops:
             assert loss == pytest.approx(want, rel=1e-12)
             assert np.allclose(grads, want_grads, rtol=1e-12, atol=0.0)
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_random_masks(self, data):
+        # independent masks give rows with an empty rest, rows with no
+        # positive, and positives inside the rest (always so with a shared
+        # pool); temperatures reach 1e-4, i.e. logits near 1e4
+        b, p = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        pos = np.array(data.draw(st.lists(st.booleans(), min_size=b * p,
+                                          max_size=b * p))).reshape(b, p)
+        neg = np.array(data.draw(st.lists(st.booleans(), min_size=b * p,
+                                          max_size=b * p))).reshape(b, p)
+        tau = np.array(data.draw(st.lists(
+            st.sampled_from([1e-4, 1e-3, 0.07, 0.5, 1.0]),
+            min_size=b, max_size=b)))
+        shared = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        f = normalize_rows(rng.standard_normal((b, 4)))
+        proxies = normalize_rows(rng.standard_normal((p, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise"):
+                loss, grads = _contrastive(f, proxies, pos, neg, tau, shared)
+        want, want_grads = reference_contrastive(f, proxies, pos, neg, tau,
+                                                 shared)
+        assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
+        assert np.max(np.abs(grads - want_grads)) <= \
+            1e-12 * max(1.0, np.max(np.abs(want_grads)))
+
     def test_pool_rules(self):
         # one anchor label, two positives of equal similarity, no negatives:
         # instance scores each positive against itself alone (loss 0), the
         # camera term against both positives (loss ln 2)
         f = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        keys = [(MULTI, 0), (MULTI, 0)]
-        view = BatchView(f, m, keys, np.array([0, 0]))
-        bank = build_centroids(m, keys, np.array([1, 2]))
+        view = multi_view(f, m, [0, 0], np.array([0, 0]))
+        bank = build_centroids(m, [0, 0], np.array([1, 2]))
         assert instance_loss(view, 0.1, 0.2)[0] == 0.0
         assert camera_centroids_loss(view, bank, 0.07)[0] == \
             pytest.approx(np.log(2.0), abs=1e-15)
@@ -164,8 +219,7 @@ class TestInstanceLossOracle:
         m = normalize_rows(np.array([[1.0, 0.2, 0.0],
                                      [0.1, 1.0, 0.0],
                                      [0.0, 0.3, 1.0]]))
-        keys = [(MULTI, 0), (MULTI, 0), (MULTI, 1)]
-        view = BatchView(f, m, keys, np.array([0, 1, 0]))
+        view = multi_view(f, m, [0, 0, 1], np.array([0, 1, 0]))
         tau = 0.1
         sims = f @ m.T
 
@@ -196,7 +250,7 @@ class TestDegenerateZeros:
     def test_instance_single_label_no_negatives(self):
         rng = substream(3, "init")
         f = normalize_rows(rng.standard_normal((3, 4)))
-        view = BatchView(f, f, [(MULTI, 0)] * 3, np.array([0, 1, 2]))
+        view = multi_view(f, f, [0] * 3, np.array([0, 1, 2]))
         loss, grads = instance_loss(view, 0.1, 0.2)
         assert loss == 0.0
         assert np.allclose(grads, 0.0)
@@ -204,24 +258,23 @@ class TestDegenerateZeros:
     def test_augmentation_no_negatives(self):
         rng = substream(4, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = BatchView(f, f, [(MULTI, 0)] * 2, np.array([0, 1]))
+        view = multi_view(f, f, [0] * 2, np.array([0, 1]))
         loss, grads = augmentation_loss(view, 0.1)
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_centroids_single_label(self):
         rng = substream(5, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = BatchView(f, f, [(MULTI, 0)] * 2, np.array([0, 1]))
-        bank = build_centroids(f, view.keys, view.cameras)
+        view = multi_view(f, f, [0] * 2, np.array([0, 1]))
+        bank = build_centroids(f, view.labels, view.cameras)
         loss, grads = centroids_loss(view, bank, 0.5, 0.6)
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_camera_centroids_single_camera(self):
         rng = substream(6, "init")
         f = normalize_rows(rng.standard_normal((4, 4)))
-        keys = [(MULTI, 0), (MULTI, 0), (MULTI, 1), (MULTI, 1)]
-        view = BatchView(f, f, keys, np.zeros(4, dtype=int))
-        bank = build_centroids(f, keys, view.cameras)
+        view = multi_view(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
+        bank = build_centroids(f, view.labels, view.cameras)
         loss, grads = camera_centroids_loss(view, bank, 0.07)
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
@@ -235,8 +288,8 @@ class TestGradients:
         _, grads = fn(view, bank)
 
         def scalar(flat):
-            v2 = BatchView(flat.reshape(view.f.shape), view.m, view.keys,
-                           view.cameras)
+            v2 = BatchView(flat.reshape(view.f.shape), view.m, view.labels,
+                           view.multi, view.cameras)
             return fn(v2, bank)[0]
 
         fd = finite_diff_grad(scalar, view.f.reshape(-1)).reshape(view.f.shape)
@@ -262,7 +315,7 @@ class TestCentroidsLoss:
     def test_unresolved_label(self):
         view = random_view(8)
         bank = bank_for(view)
-        del bank.label_centroids[(SINGLE, 1)]
+        bank.label_centroids = bank.label_centroids[:-1]  # drop the last label
         with pytest.raises(UnresolvedLabelError):
             centroids_loss(view, bank, 0.5, 0.6)
 
@@ -271,7 +324,8 @@ class TestCentroidsLoss:
         bank = bank_for(view)
         # a centroid for a label absent from the batch must not matter
         loss_a, _ = centroids_loss(view, bank, 0.5, 0.6)
-        bank.label_centroids[(MULTI, 99)] = np.ones(5) / np.sqrt(5)
+        bank.label_centroids = np.vstack([bank.label_centroids,
+                                          np.ones(5) / np.sqrt(5)])
         loss_b, _ = centroids_loss(view, bank, 0.5, 0.6)
         assert loss_a == loss_b
 

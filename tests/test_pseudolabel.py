@@ -196,17 +196,25 @@ class TestPseudoLabelEpoch:
         corpus = _corpus()
         pool = pseudo_label_epoch(corpus, _params(), eps=0.3, min_pts=3,
                                   budget=30, rng=substream(0, "videos"))
-        assert pool.n_labeled >= 30
+        assert len(pool.embeddings) >= 30
         assert sorted(pool.entries) == list(range(len(pool.entries)))
         for pl, members in pool.entries.items():
             videos = {s.video_id for s, _ in members}
             assert len(videos) == 1  # clusters never span videos
 
-    def test_centroids_are_unit_norm(self):
+    def test_arrays_follow_entries(self):
+        # label pl's rows of the arrays are its entries' frames, in order
         pool = pseudo_label_epoch(_corpus(), _params(), 0.3, 3, 20,
                                   substream(1, "videos"))
-        for c in pool.centroids.values():
-            assert np.linalg.norm(c) == pytest.approx(1.0)
+        start = pool.frames.start
+        assert start.tolist()[-1] == len(pool.embeddings)
+        assert pool.frames.n_labels == len(pool.entries)
+        for pl, members in pool.entries.items():
+            rows = slice(start[pl], start[pl + 1])
+            assert np.array_equal(pool.frames.features[rows],
+                                  np.stack([s.features for s, _ in members]))
+            assert np.array_equal(pool.embeddings[rows],
+                                  np.stack([e for _, e in members]))
 
     def test_budget_beyond_corpus_labels_each_frame_once(self, dbscan_calls):
         # budget larger than the corpus: one pass, each video clustered
@@ -229,7 +237,7 @@ class TestPseudoLabelEpoch:
         assert len(dbscan_calls) == 1
         assert len({s.video_id for members in pool.entries.values()
                     for s, _ in members}) == 1
-        assert pool.n_labeled == 8
+        assert len(pool.embeddings) == 8
 
     def test_unreachable_budget(self):
         corpus = _corpus(n_videos=2, n_groups=1, frames_per_group=2)

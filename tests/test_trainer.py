@@ -179,10 +179,9 @@ def test_single_camera_centroids_enter_bank(monkeypatch):
     assert len(pools) == 1 and len(banks) == cfg.train.iters_per_epoch
     bank = banks[0]
     assert all(b is bank for b in banks)
-    singles = [k for k in bank.label_centroids if k[0] == "single"]
-    multis = [k for k in bank.label_centroids if k[0] == "multi"]
-    assert len(singles) == len(pools[0].entries)
-    assert len(multis) == 10
+    # rows 0-9 are the identities, the pseudo labels follow
+    assert len(bank.label_centroids) == 10 + len(pools[0].entries)
+    assert bank.camera_present.shape[0] == 10
 
 
 def test_warns_when_camera_loss_is_inert(caplog):
