@@ -230,6 +230,9 @@ class TestComposeBatch:
         assert np.array_equal(batch.cameras, cams[picked])
         assert len(set(batch.cameras.tolist())) == min(n_k, len(per_cam))
         assert len(set(picked.tolist())) == min(n_k, n)
+        # past its sample count the order repeats: no row twice more than another
+        counts = np.bincount(picked, minlength=n)
+        assert counts.max() - counts.min() <= 1
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
