@@ -292,31 +292,51 @@ def augment(
     return out
 
 
-def _shuffled_members(groups: LabelGroups, n_p: int, rng: np.random.Generator,
-                      what: str):
-    """Draw n_p distinct labels with one choice. Returns them, their rows
-    label by label in camera-diverse random order, and each label's first
-    position and row count in that order. The order: each row gets a random
-    rank among its label's rows on its camera; rows sort by rank, and rows
-    of equal rank (one per camera) in random order. So no camera gives its
-    k-th row before every camera has given k - 1 rows, or all it has."""
+def _pick_labels(groups: LabelGroups, n_p: int, rng: np.random.Generator,
+                 what: str):
+    """n_p distinct labels drawn with one choice, with each one's first row
+    and row count."""
     if groups.n_labels < n_p:
         raise InsufficientLabelsError(
             f"need {n_p} {what} labels, have {groups.n_labels}")
     picked = rng.choice(groups.n_labels, size=n_p, replace=False)
     lo = groups.start[picked]
-    size = groups.start[picked + 1] - lo
+    return picked, lo, groups.start[picked + 1] - lo
+
+
+def _camera_diverse(groups: LabelGroups, lo: np.ndarray, size: np.ndarray,
+                    n_k: int, rng: np.random.Generator) -> np.ndarray:
+    """(P, n_k) rows: the first n_k of each label's camera-diverse order,
+    which repeats from its start when the label has fewer rows. The order:
+    each row gets a random rank among its label's rows on its camera; rows
+    sort by rank, and rows of equal rank (one per camera) in random order.
+    So no camera gives its k-th row before every camera has given k - 1
+    rows, or all it has."""
     first = np.cumsum(size) - size
-    slot = np.repeat(np.arange(n_p), size)
+    slot = np.repeat(np.arange(len(lo)), size)
     pos = np.arange(len(slot))
     rows = lo[slot] + pos - first[slot]
     cams = groups.cameras[rows]
     u, v = rng.random((2, len(rows)))
-    pair = slot * (int(cams.max(initial=0)) + 2) + cams + 1  # (label, camera)
+    pair = slot * (int(cams.max()) + 1) + cams  # (label, camera)
     by_pair = np.lexsort((u, pair))
     rank = np.empty_like(pos)
     rank[by_pair] = pos - np.searchsorted(pair[by_pair], pair[by_pair])
-    return picked, rows[np.lexsort((v, rank, slot))], first, size
+    order = rows[np.lexsort((v, rank, slot))]
+    return order[first[:, None] + np.arange(n_k) % size[:, None]]
+
+
+def _distinct(size: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row i, r.shape[1] distinct positions below size[i] (at least
+    that many), from the uniform draws r by Floyd's subset algorithm, so
+    the cost does not grow with size."""
+    k = r.shape[1]
+    out = np.empty(r.shape, dtype=np.int64)
+    for j in range(k):
+        m = size - k + j  # draw from 0..m; m itself if the draw is taken
+        t = (r[:, j] * (m + 1)).astype(np.int64)
+        out[:, j] = np.where((out[:, :j] == t[:, None]).any(axis=1), m, t)
+    return out
 
 
 def compose_batch(
@@ -326,23 +346,21 @@ def compose_batch(
     rng: np.random.Generator,
 ) -> MiniBatch:
     """PK sampling from both sources: sizes = (N_P^m, N_K^m, N_P^s, N_K^s).
-    An identity gives the first N_K^m rows of its camera-diverse order,
-    cycling through the order again when it has fewer rows. A pseudo label
-    gives N_K^s rows drawn without replacement when it has that many, with
-    replacement otherwise, and is labelled multi.n_labels + its label."""
+    An identity gives N_K^m rows in camera-diverse order (`_camera_diverse`).
+    A pseudo label gives N_K^s rows drawn without replacement when it has
+    that many, with replacement otherwise, and is labelled
+    multi.n_labels + its label."""
     np_m, nk_m, np_s, nk_s = sizes
     parts = []  # (source, labels, (P, K) rows)
     if np_m > 0:
-        picked, rows, first, size = _shuffled_members(multi, np_m, rng,
-                                                      "multi-camera")
-        k = np.arange(nk_m) % size[:, None]
-        parts.append((multi, picked, rows[first[:, None] + k]))
+        picked, lo, size = _pick_labels(multi, np_m, rng, "multi-camera")
+        parts.append((multi, picked, _camera_diverse(multi, lo, size, nk_m, rng)))
     if np_s > 0:
-        picked, rows, first, size = _shuffled_members(single, np_s, rng,
-                                                      "pseudo")
-        drawn = (rng.random((np_s, nk_s)) * size[:, None]).astype(np.int64)
-        k = np.where(size[:, None] >= nk_s, np.arange(nk_s), drawn)
-        parts.append((single, multi.n_labels + picked, rows[first[:, None] + k]))
+        picked, lo, size = _pick_labels(single, np_s, rng, "pseudo")
+        r = rng.random((np_s, nk_s))
+        k = np.where(size[:, None] >= nk_s, _distinct(size, r),
+                     (r * size[:, None]).astype(np.int64))
+        parts.append((single, multi.n_labels + picked, lo[:, None] + k))
     return MiniBatch(
         np.concatenate([src.features[t.ravel()] for src, _, t in parts]),
         np.concatenate([np.repeat(y, t.shape[1]) for _, y, t in parts]),

@@ -100,9 +100,9 @@ def build_centroids(
     sums = np.zeros((len(counts), embeddings.shape[1]))
     np.add.at(sums, labels, embeddings)
     label_centroids = normalize_rows(sums / counts[:, None])
-    has_cam = (np.zeros(len(labels), dtype=bool) if cameras is None
-               else np.asarray(cameras) >= 0)
-    y, c = labels[has_cam], np.asarray(cameras)[has_cam]
+    cameras = np.full(len(labels), -1) if cameras is None else np.asarray(cameras)
+    has_cam = cameras >= 0
+    y, c = labels[has_cam], cameras[has_cam]
     shape = (int(y.max(initial=-1)) + 1, int(c.max(initial=-1)) + 1)
     cam_sums = np.zeros(shape + (embeddings.shape[1],))
     np.add.at(cam_sums, (y, c), embeddings[has_cam])

@@ -102,6 +102,7 @@ class TestBuildCentroids:
         bank = build_centroids(m, [0, 0, 1, 2], np.array([0, 1, -1, -1]))
         assert set(zip(*np.nonzero(bank.camera_present))) == {(0, 0), (0, 1)}
         assert len(bank.label_centroids) == 3
+        assert build_centroids(m, [0, 0, 1, 2]).camera_present.size == 0
 
     def test_empty_embeddings_rejected(self):
         with pytest.raises(EmptyLabelError):
