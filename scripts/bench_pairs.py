@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and summarise
+each end-to-end metric.
+
+Usage:
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --seeds A-B [--out FILE]
+
+For each seed S in A..B (one pair per seed), the benchmark command of
+BENCHMARK.json runs from the root of each checkout with
+`--workload W --seed S --seconds <run_seconds> --trace 0`. The parent runs
+first in even pairs and the change first in odd ones. Each run's
+end-to-end metrics are printed with its attempted and failed operations.
+Then, per metric: each side's [q1, median, q3] over the pairs, the pairs
+in which the change read better (ties count for neither side; "better"
+is the metric's direction in BENCHMARK.json), the relative change of the
+median, whether a gain would hold (the change better in at least 9 of 10
+pairs and the medians further apart than the parent's q3 - q1), and
+whether the change's median stays within the metric's bound. The summary
+is printed as one JSON object, the shape a BENCH_<topic>.json holds, and
+written to FILE with --out.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def quartiles(values):
+    """[q1, median, q3] with linear interpolation between order statistics
+    (numpy's default percentile)."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarise(pairs, end_to_end):
+    """Per metric, from the pairs' metric values.
+
+    pairs: list of {"parent": {name: value}, "change": {name: value}}.
+    end_to_end: BENCHMARK.json's list of {"name", "better", "bound"}.
+    """
+    out = {}
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        pq, cq = quartiles(parent), quartiles(change)
+        gap = cq[1] - pq[1] if not lower else pq[1] - cq[1]  # > 0: better
+        worse_by = -gap / abs(pq[1]) if pq[1] else 0.0
+        out[name] = {
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "change_better_in": f"{wins}/{len(pairs)}",
+            "ties": ties,
+            "median_change": (cq[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0,
+            "gain_holds": wins >= 0.9 * len(pairs) and gap > pq[2] - pq[0],
+            "within_bound": worse_by <= spec["bound"],
+        }
+    return out
+
+
+def parse_seeds(text):
+    lo, _, hi = text.partition("-")
+    lo, hi = int(lo), int(hi or lo)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty seed range {text}")
+    return list(range(lo, hi + 1))
+
+
+def run_once(root: Path, command, workload, seed, seconds):
+    """One benchmark run: (environment line, result object)."""
+    proc = subprocess.run(
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"benchmark failed in {root} (seed {seed}):\n{proc.stderr}")
+    env = next((json.loads(line[5:]) for line in lines
+                if line.startswith("env: ")), None)
+    return env, json.loads(lines[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="inclusive range A-B, one pair per seed")
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args(argv)
+    specs = [json.loads((d / "BENCHMARK.json").read_text(encoding="utf-8"))
+             for d in (args.parent, args.change)]
+    keys = ("command", "run_seconds", "end_to_end")
+    if any(specs[0][k] != specs[1][k] for k in keys):
+        sys.exit("the checkouts declare different benchmarks")
+    bench = specs[1]
+    roots = dict(zip(SIDES, (args.parent, args.change)))
+    runs, pairs, machine = [], [], None
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            env, result = run_once(roots[side], bench["command"],
+                                   args.workload, seed, bench["run_seconds"])
+            machine = machine or env
+            values = {k: m["value"] for k, m in result["metrics"].items()}
+            run[side] = {"attempted": result["attempted"],
+                         "failed": result["failed"], "metrics": values}
+            print(f"seed {seed} {side}: attempted {result['attempted']} "
+                  f"failed {result['failed']} "
+                  + " ".join(f"{k}={v:.6g}" for k, v in values.items()),
+                  flush=True)
+        runs.append(run)
+        pairs.append({side: run[side]["metrics"] for side in SIDES})
+    summary = {
+        "workload": args.workload,
+        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+        "command": " ".join(bench["command"]) + f" --workload {args.workload}"
+                   f" --seed S --seconds {bench['run_seconds']} --trace 0",
+        "machine": machine,
+        "failed_operations": {side: sum(r[side]["failed"] for r in runs)
+                              for side in SIDES},
+        "attempted_operations": {side: sum(r[side]["attempted"]
+                                           for r in runs) for side in SIDES},
+        "end_to_end": summarise(pairs, bench["end_to_end"]),
+        "runs": runs,
+    }
+    for name, s in summary["end_to_end"].items():
+        print(f"{name}: parent {s['parent_q1_median_q3']} change "
+              f"{s['change_q1_median_q3']} change better in "
+              f"{s['change_better_in']} (ties {s['ties']}) "
+              f"gain_holds={s['gain_holds']} within_bound={s['within_bound']}")
+    text = json.dumps(summary, indent=1)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

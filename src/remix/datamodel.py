@@ -84,6 +84,24 @@ class SingleCamCorpus:
         if any(len(frames) == 0 for _, frames in self.videos):
             raise InvalidConfigError("videos must be non-empty")
 
+    def grouped(self) -> "CorpusFrames":
+        """The frames as arrays in corpus order; built on each call."""
+        samples = [s for _, frames in self.videos for s in frames]
+        start = np.cumsum([0] + [len(frames) for _, frames in self.videos])
+        hidden = np.array([s.hidden_identity for s in samples])
+        return CorpusFrames(np.stack([s.features for s in samples]), start,
+                            hidden, samples)
+
+
+@dataclass
+class CorpusFrames:
+    """The corpus as arrays; samples[r] is the frame of row r, the corpus's
+    own object, not a copy."""
+    features: np.ndarray  # (N, D), video v in rows start[v]:start[v + 1]
+    start: np.ndarray  # (V + 1,) first row of each video, then N
+    hidden: np.ndarray  # (N,) hidden identity of each row, evaluation-only
+    samples: list[PersonSample]
+
 
 @dataclass
 class LabelGroups:

@@ -1,8 +1,9 @@
 """Embedding extraction and ranking metrics: CMC Rank-k, mAP, the
-cross-domain query/gallery protocol, and cluster-purity diagnostics.
+cross-domain query/gallery protocol, and cluster purity by pair counts.
 
 Protocol: gallery items sharing the query's identity AND camera are masked
-out; ties in similarity break by ascending gallery index.
+out; equal scores break by ascending gallery index, but the BLAS product
+can score identical gallery rows differently.
 """
 from __future__ import annotations
 
@@ -102,18 +103,17 @@ def mean_ap(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams) -> float:
 
 
 def cluster_purity(pool: PseudoLabeledPool) -> float:
-    """Size-weighted mean of the dominant hidden-identity fraction per cluster."""
-    if not pool.entries:
+    """Size-weighted mean of the dominant hidden-identity fraction per
+    cluster, from the count of each (pseudo label, hidden identity) pair."""
+    if pool.frames.n_labels == 0:
         raise EmptyPoolError("no clusters in pool")
-    weighted = 0.0
-    total = 0
-    for members in pool.entries.values():
-        counts: dict[int, int] = {}
-        for s, _ in members:
-            counts[s.hidden_identity] = counts.get(s.hidden_identity, 0) + 1
-        weighted += max(counts.values())
-        total += len(members)
-    return weighted / total
+    _, hidden = np.unique(pool.corpus.hidden[pool.rows], return_inverse=True)
+    span = int(hidden.max()) + 1
+    pairs, counts = np.unique(pool.frames.labels() * span + hidden,
+                              return_counts=True)
+    best = np.zeros(pool.frames.n_labels, dtype=np.int64)
+    np.maximum.at(best, pairs // span, counts)
+    return int(best.sum()) / len(hidden)
 
 
 def split_query_gallery(dataset: MultiCamDataset) -> tuple[list[int], list[int]]:

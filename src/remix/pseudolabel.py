@@ -1,16 +1,18 @@
 """Per-video density clustering and the epoch-level pseudo-labeling loop.
 
 Clustering is strictly per video (each person appears on only one video),
-using cosine distance over momentum embeddings. Pseudo label ids are fresh
-across the whole epoch, so clusters from different videos never collide.
+using cosine distance over momentum embeddings of the video's rows of the
+corpus arrays. Pseudo label ids are fresh across the whole epoch, so
+clusters from different videos never collide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .datamodel import LabelGroups, PersonSample, SingleCamCorpus
+from .datamodel import CorpusFrames, LabelGroups, PersonSample
 from .encoder import EncoderParams, forward_batch
 from .errors import BudgetUnreachableError
 
@@ -34,22 +36,25 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     np.clip(dist, -1.0, 1.0, out=dist)
     np.subtract(1.0, dist, out=dist)
     neigh = dist <= eps
-    core = neigh.sum(axis=1) >= min_pts
-    c = np.nonzero(core)[0]
-    adj = neigh[c][:, c]
-    # min-label propagation with pointer jumping: each core point ends
-    # holding the lowest core position in its component
-    m = len(c)
-    root = np.arange(m)
-    while True:
-        new = np.minimum(root, np.where(adj, root, m).min(axis=1, initial=m))
-        while not np.array_equal(new[new], new):
-            new = new[new]
-        if np.array_equal(new, root):
-            break
-        root = new
-    _, cluster = np.unique(root, return_inverse=True)
+    core = np.count_nonzero(neigh, axis=1) >= min_pts
     labels = np.full(x.shape[0], NOISE, dtype=np.int64)
+    c = np.nonzero(core)[0]
+    m = len(c)
+    if m == 0:
+        return labels
+    adj = neigh if m == len(x) else neigh[np.ix_(c, c)]
+    np.fill_diagonal(adj, True)  # so each row's argmax finds a neighbour
+    # min-label propagation with pointer jumping: each core point ends
+    # holding the lowest core position in its component. A row's argmax is
+    # its first neighbour; with columns sorted by label, its lowest label
+    root, new = None, adj.argmax(axis=1)
+    while not np.array_equal(new, root):
+        root = new
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        order = np.argsort(root, kind="stable")
+        new = root[order[adj.take(order, axis=1).argmax(axis=1)]]
+    _, cluster = np.unique(root, return_inverse=True)
     labels[c] = cluster
     border = np.nonzero(~core)[0]
     owner = np.where(neigh[border][:, c], cluster, m).min(axis=1, initial=m)
@@ -59,12 +64,22 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 @dataclass
 class PseudoLabeledPool:
-    entries: dict[int, list[tuple[PersonSample, np.ndarray]]] = field(default_factory=dict)
+    """One epoch's labelled frames: raw features grouped by pseudo label,
+    and in the same order their momentum embeddings and corpus rows."""
+    frames: LabelGroups
+    embeddings: np.ndarray  # (N, E)
+    rows: np.ndarray  # (N,) row of each frame in `corpus`
+    corpus: CorpusFrames
     noise_count: int = 0
-    # the labelled frames as arrays: raw features grouped by pseudo label,
-    # and their momentum embeddings in the same order
-    frames: LabelGroups | None = None
-    embeddings: np.ndarray | None = None  # (N, E)
+
+    @property
+    def entries(self) -> MappingProxyType[int, list[tuple[PersonSample, np.ndarray]]]:
+        """Read-only view, built on each access: pseudo label -> its
+        (frame, momentum embedding) pairs. Training never reads it."""
+        samples = [self.corpus.samples[r] for r in self.rows]
+        start = self.frames.start
+        return MappingProxyType({g: list(zip(samples[a:b], self.embeddings[a:b]))
+                                 for g, (a, b) in enumerate(zip(start, start[1:]))})
 
 
 def default_budget(b_s: int, iterations: int) -> int:
@@ -75,7 +90,7 @@ def default_budget(b_s: int, iterations: int) -> int:
 
 
 def pseudo_label_epoch(
-    corpus: SingleCamCorpus,
+    corpus: CorpusFrames,
     momentum: EncoderParams,
     eps: float,
     min_pts: int,
@@ -88,29 +103,23 @@ def pseudo_label_epoch(
     labels; the walk stops once `budget` non-noise images are labelled."""
     if budget <= 0:
         raise ValueError("pseudo-label budget must be positive")
-    pool = PseudoLabeledPool()
-    kept = []  # per video: (features, embeddings, cluster sizes) by label
-    n_labeled = 0
-    for vi in rng.permutation(len(corpus.videos)):
-        _, frames = corpus.videos[int(vi)]
-        x = np.stack([s.features for s in frames])
-        embs, _ = forward_batch(momentum, x)
+    kept = []  # per video: (corpus rows, embeddings, cluster sizes) by label
+    noise_count = n_labeled = 0
+    for v in rng.permutation(len(corpus.start) - 1):
+        lo, hi = corpus.start[v], corpus.start[v + 1]
+        embs, _ = forward_batch(momentum, corpus.features[lo:hi])
         labels = dbscan(embs, eps, min_pts)
-        for c in range(int(labels.max()) + 1):
-            idx = np.nonzero(labels == c)[0]
-            pool.entries[len(pool.entries)] = [(frames[j], embs[j]) for j in idx]
         noise = int(np.count_nonzero(labels == NOISE))
         rows = np.argsort(labels, kind="stable")[noise:]  # clustered, by label
-        kept.append((x[rows], embs[rows], np.bincount(labels[rows])))
-        pool.noise_count += noise
+        kept.append((lo + rows, embs[rows], np.bincount(labels[rows])))
+        noise_count += noise
         n_labeled += len(rows)
         if n_labeled >= budget:
             break
-    if not pool.entries:
+    if n_labeled == 0:
         raise BudgetUnreachableError(
             "a full pass over the corpus produced zero non-noise images")
-    features, embeddings, sizes = (np.concatenate(a) for a in zip(*kept))
-    pool.frames = LabelGroups(features, np.concatenate(([0], np.cumsum(sizes))),
-                              np.full(len(features), -1))
-    pool.embeddings = embeddings
-    return pool
+    rows, embeddings, sizes = (np.concatenate(a) for a in zip(*kept))
+    frames = LabelGroups(corpus.features[rows], np.cumsum(np.r_[0, sizes]),
+                         np.full(len(rows), -1))
+    return PseudoLabeledPool(frames, embeddings, rows, corpus, noise_count)

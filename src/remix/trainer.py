@@ -18,6 +18,7 @@ from . import encoder as enc
 from . import evalkit
 from .config import RunConfig
 from .datamodel import (
+    CorpusFrames,
     LabelGroups,
     MultiCamDataset,
     SingleCamCorpus,
@@ -51,14 +52,14 @@ def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
 def run_epoch(
     state: TrainState,
     multi: LabelGroups,
-    corpus: SingleCamCorpus | None,
+    corpus: CorpusFrames | None,
     cfg: RunConfig,
     sampler_rng: np.random.Generator,
     aug_rng: np.random.Generator,
     video_rng: np.random.Generator,
 ) -> TrainState:
-    """One epoch of the joint-training loop over the multi-camera rows
-    grouped by identity; mutates and returns state."""
+    """One epoch over the multi-camera rows grouped by identity and the
+    corpus rows grouped by video; mutates and returns state."""
     t = cfg.train
     use_single = t.use_single_cam and t.n_p_single > 0 and corpus is not None
 
@@ -115,7 +116,7 @@ def run_epoch(
         "loss_aug": sums["aug"] / n,
         "loss_cen": sums["cen"] / n,
         "loss_cc": sums["cc"] / n,
-        "pseudo_clusters": len(pool.entries) if pool is not None else 0,
+        "pseudo_clusters": pool.frames.n_labels if pool is not None else 0,
         "pseudo_noise": pool.noise_count if pool is not None else 0,
         "purity": purity,
         "lr": lr,
@@ -143,6 +144,7 @@ def train(
     if not np.any((np.diff(rows.labels()) == 0) & (np.diff(rows.cameras) != 0)):
         log.warning("no identity spans two cameras, camera centroid loss "
                     "is inert")
+    frames = corpus.grouped() if corpus is not None else None
     state = init_state(cfg, rows.features.shape[1])
     sampler_rng = substream(cfg.seed, "sampler")
     aug_rng = substream(cfg.seed, "augment")
@@ -157,7 +159,7 @@ def train(
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for _ in range(t.epochs):
-            run_epoch(state, rows, corpus, cfg, sampler_rng, aug_rng, video_rng)
+            run_epoch(state, rows, frames, cfg, sampler_rng, aug_rng, video_rng)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(state.metrics[-1]) + "\n")
                 metrics_fh.flush()

@@ -48,6 +48,23 @@ def reference_dbscan(points, eps, min_pts):
     return labels
 
 
+def reference_purity(labels, hidden):
+    """Cluster purity from a dict of hidden-identity counts per pseudo
+    label: each cluster's largest count, summed, over the frame count."""
+    clusters = {}
+    for pl, h in zip(labels, hidden):
+        clusters.setdefault(pl, []).append(h)
+    weighted = 0.0
+    total = 0
+    for members in clusters.values():
+        counts = {}
+        for h in members:
+            counts[h] = counts.get(h, 0) + 1
+        weighted += max(counts.values())
+        total += len(members)
+    return weighted / total
+
+
 def oracle_ap(sims, rel):
     """Average precision from the definition: precision at each relevant
     rank of the stable descending-similarity ordering."""

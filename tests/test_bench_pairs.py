@@ -1,0 +1,77 @@
+"""The pair summary of scripts/bench_pairs.py, on made-up run values: no
+benchmark is started."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = [{"name": "train_s", "better": "lower", "bound": 0.1},
+         {"name": "gain", "better": "higher", "bound": 0.2}]
+
+
+def pairs_of(parent, change):
+    return [{"parent": p, "change": c} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("values", [[3.0], [1.0, 4.0], [5.0, 1.0, 2.0, 4.0],
+                                    [0.3, 0.1, 0.9, 0.4, 0.2, 0.7]])
+def test_quartiles_interpolate_like_numpy(values):
+    assert bench_pairs.quartiles(values) == pytest.approx(
+        np.percentile(values, [25, 50, 75]))
+
+
+def test_wins_ties_and_direction():
+    parent = [{"train_s": t, "gain": 1.5} for t in
+              (0.50, 0.52, 0.55, 0.51, 0.53, 0.54, 0.56, 0.50, 0.52, 0.40)]
+    # train_s: lower is better; nine pairs faster, one tie
+    change = [{"train_s": t, "gain": g} for t, g in
+              zip((0.41, 0.42, 0.44, 0.40, 0.43, 0.41, 0.45, 0.40, 0.42,
+                   0.40),
+                  (1.5, 1.6, 1.4, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5))]
+    s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
+    t = s["train_s"]
+    assert t["change_better_in"] == "9/10" and t["ties"] == 1
+    assert t["gain_holds"] and t["within_bound"]
+    assert t["median_change"] == pytest.approx(0.415 / 0.52 - 1)
+    # gain: higher is better; one pair higher, one lower, eight ties
+    g = s["gain"]
+    assert g["change_better_in"] == "1/10" and g["ties"] == 8
+    assert not g["gain_holds"] and g["within_bound"]
+
+
+def test_gain_needs_nine_tenths_and_a_gap_beyond_the_spread():
+    parent = [{"train_s": t, "gain": 1.0} for t in (1.0, 2.0, 3.0, 4.0)]
+    # every pair faster, but by less than the parent's q3 - q1 (1.5)
+    change = [{"train_s": t - 0.5, "gain": 1.0} for t in (1.0, 2.0, 3.0, 4.0)]
+    t = bench_pairs.summarise(pairs_of(parent, change), SPECS)["train_s"]
+    assert t["change_better_in"] == "4/4" and not t["gain_holds"]
+    # 8 of 9 pairs better is below nine tenths
+    parent = [{"train_s": 1.0, "gain": 1.0}] * 9
+    change = [{"train_s": 0.5, "gain": 1.0}] * 8 \
+        + [{"train_s": 1.0, "gain": 1.0}]
+    t = bench_pairs.summarise(pairs_of(parent, change), SPECS)["train_s"]
+    assert t["change_better_in"] == "8/9" and not t["gain_holds"]
+
+
+def test_bound_follows_direction():
+    parent = [{"train_s": 1.0, "gain": 2.0}] * 3
+    # train_s 11% slower breaks its 10% bound; gain 15% lower keeps 20%
+    change = [{"train_s": 1.11, "gain": 1.7}] * 3
+    s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
+    assert not s["train_s"]["within_bound"]
+    assert s["gain"]["within_bound"]
+    # a better value is always within its bound
+    change = [{"train_s": 0.5, "gain": 3.0}] * 3
+    s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
+    assert s["train_s"]["within_bound"] and s["gain"]["within_bound"]
+
+
+def test_seed_ranges():
+    assert bench_pairs.parse_seeds("9101-9110") == list(range(9101, 9111))
+    assert bench_pairs.parse_seeds("7") == [7]

@@ -3,9 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remix import encoder as enc
-from remix.datamodel import GeneratorConfig, synth_generate
+from remix.datamodel import (
+    CorpusFrames,
+    GeneratorConfig,
+    LabelGroups,
+    synth_generate,
+)
 from remix.errors import (
     EmptyPoolError,
     NonFiniteEvaluationError,
@@ -26,7 +33,7 @@ from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import PseudoLabeledPool
 
 
-from oracles import reference_rankings
+from oracles import reference_purity, reference_rankings
 
 
 def angles(*degs):
@@ -164,30 +171,49 @@ class TestAgainstOracle:
         assert abs(report["mAP"] - np.mean(ap)) <= 1e-12
 
 
-class TestClusterPurity:
-    def _pool(self, clusters):
-        pool = PseudoLabeledPool()
-        sid = 0
-        for pl, hids in enumerate(clusters):
-            members = []
-            for h in hids:
-                from remix.datamodel import SINGLE, PersonSample
-                members.append((PersonSample(sid, np.ones(2), None, None,
-                                             SINGLE, 0, h), np.ones(2)))
-                sid += 1
-            pool.entries[pl] = members
-        return pool
+def _pool(clusters, order=None):
+    """An array pool whose pseudo label pl holds frames of the hidden
+    identities clusters[pl]; `order` permutes the frames' corpus rows."""
+    hidden = np.array([h for hids in clusters for h in hids], dtype=np.int64)
+    rows = np.arange(len(hidden)) if order is None else np.asarray(order)
+    corpus_hidden = np.empty_like(hidden)
+    corpus_hidden[rows] = hidden
+    corpus = CorpusFrames(np.ones((len(hidden), 2)), np.array([0, len(hidden)]),
+                          corpus_hidden, [])
+    sizes = [len(hids) for hids in clusters]
+    frames = LabelGroups(np.ones((len(hidden), 2)),
+                         np.concatenate(([0], np.cumsum(sizes, dtype=int))),
+                         np.full(len(hidden), -1))
+    return PseudoLabeledPool(frames, np.ones((len(hidden), 2)), rows, corpus)
 
+
+class TestClusterPurity:
     def test_hand_computed(self):
-        pool = self._pool([[0, 0, 0, 1], [2, 2]])
+        pool = _pool([[0, 0, 0, 1], [2, 2]])
         assert cluster_purity(pool) == pytest.approx((3 + 2) / 6)
 
     def test_pure_pool(self):
-        assert cluster_purity(self._pool([[0, 0], [1, 1, 1]])) == 1.0
+        assert cluster_purity(_pool([[0, 0], [1, 1, 1]])) == 1.0
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPoolError):
-            cluster_purity(PseudoLabeledPool())
+            cluster_purity(_pool([]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.lists(st.integers(-3, 2**62), min_size=1, max_size=6)
+                    .flatmap(lambda ids: st.lists(st.sampled_from(ids),
+                                                  min_size=1, max_size=12)),
+                    min_size=1, max_size=8),
+           st.randoms(use_true_random=False))
+    def test_counts_match_reference(self, clusters, random):
+        # few distinct identities per cluster, so clusters are often mixed;
+        # identities span most of int64 and the corpus rows are shuffled
+        order = list(range(sum(len(c) for c in clusters)))
+        random.shuffle(order)
+        labels = [pl for pl, hids in enumerate(clusters) for _ in hids]
+        hidden = [h for hids in clusters for h in hids]
+        assert cluster_purity(_pool(clusters, order)) \
+            == reference_purity(labels, hidden)
 
 
 def _target(seed=0):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,38 @@ def clumps_on_arcs(rng, n):
     return pts[rng.permutation(n)], eps
 
 
+def chains(rng, n_chains, length, eps):
+    """Unit points on n_chains arcs in orthogonal planes, `length` points
+    per arc 0.6 of the eps angle apart, in random order: each point reaches
+    itself and its neighbours on its arc, and nothing else."""
+    theta = 0.6 * np.arccos(1.0 - eps)
+    assert theta * (length - 1) < np.pi
+    pts = np.zeros((n_chains * length, 2 * n_chains))
+    for k in range(n_chains):
+        arc = slice(k * length, (k + 1) * length)
+        pts[arc, 2 * k] = np.cos(theta * np.arange(length))
+        pts[arc, 2 * k + 1] = np.sin(theta * np.arange(length))
+    return pts[rng.permutation(len(pts))]
+
+
+def neighbour_counts(pts, eps):
+    return np.count_nonzero(1.0 - np.clip(pts @ pts.T, -1.0, 1.0) <= eps,
+                            axis=1)
+
+
+def refresh_video_embeddings():
+    """One video of 16 identities x 16 frames, embedded by a fresh encoder
+    as at the first epoch of the refresh workload."""
+    cfg = GeneratorConfig(n_single_identities=16, n_videos=1,
+                          frames_per_identity=16)
+    _, corpus, _ = synth_generate(cfg, 0)
+    (_, frames), = corpus.videos
+    params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
+    embs, _ = enc.forward_batch(params, np.stack([s.features for s in frames]))
+    assert len(embs) == 256
+    return embs
+
+
 class TestDbscan:
     def test_matches_reference_randomized(self):
         rng = substream(0, "gradcheck")
@@ -119,18 +153,78 @@ class TestDbscan:
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.8])
     def test_refresh_sized_video(self, eps):
-        # one video of 16 identities x 16 frames, embedded by a fresh
-        # encoder as at the first epoch
-        cfg = GeneratorConfig(n_single_identities=16, n_videos=1,
-                              frames_per_identity=16)
-        _, corpus, _ = synth_generate(cfg, 0)
-        (_, frames), = corpus.videos
-        params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
-        embs, _ = enc.forward_batch(params,
-                                    np.stack([s.features for s in frames]))
-        assert len(embs) == 256
+        embs = refresh_video_embeddings()
         assert np.array_equal(dbscan(embs, eps, 4),
                               reference_dbscan(embs, eps, 4))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.8])
+    def test_core_and_border_at_refresh_size(self, eps):
+        # the refresh video jittered on the scale of eps, with min_pts the
+        # median neighbour count: about half the points are core, and many
+        # of the others are border points
+        rng = substream(1, "gradcheck")
+        embs = refresh_video_embeddings()
+        pts = normalize_rows(
+            embs + 0.25 * np.sqrt(eps) * rng.standard_normal(embs.shape))
+        counts = neighbour_counts(pts, eps)
+        min_pts = int(np.median(counts))
+        want = reference_dbscan(pts, eps, min_pts)
+        core = counts >= min_pts
+        assert core.any() and np.count_nonzero(~core & (want != NOISE)) >= 50
+        assert np.array_equal(dbscan(pts, eps, min_pts), want)
+
+    @pytest.mark.parametrize("n_chains", [1, 6])
+    def test_every_point_core(self, n_chains):
+        # shuffled chains: a label crosses one link per propagation round,
+        # so the components take several rounds to settle
+        pts = chains(substream(2, "gradcheck"), n_chains, 12, 0.1)
+        assert neighbour_counts(pts, 0.1).min() >= 2
+        labels = dbscan(pts, 0.1, 2)
+        assert labels.max() + 1 == n_chains
+        assert np.array_equal(labels, reference_dbscan(pts, 0.1, 2))
+
+    def test_every_point_core_needs_no_copy_of_the_graph(self):
+        # beside the (n, n) float distances dbscan holds at most two
+        # (n, n) boolean masks at once: the neighbour mask, which is the
+        # core graph itself when every point is core, and one column
+        # permutation of it. A core-core copy would make a third.
+        n = 512
+        pts = random_points(substream(3, "gradcheck"), n, dim=8)
+        assert neighbour_counts(pts, 0.5).min() >= 1
+        dbscan(pts, 0.5, 1)
+        tracemalloc.start()
+        try:
+            dbscan(pts, 0.5, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 + 2.5) * n * n
+
+    def test_points_off_the_unit_sphere(self):
+        # the reference is defined for any vectors: a short one can be core
+        # through its neighbours while too far from itself to count
+        rng = substream(5, "gradcheck")
+        self_less = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            pts = random_points(rng, n) * rng.uniform(0.3, 1.0, (n, 1))
+            eps = float(rng.uniform(0.3, 1.2))
+            min_pts = int(rng.integers(1, 4))
+            want = reference_dbscan(pts, eps, min_pts)
+            assert np.array_equal(dbscan(pts, eps, min_pts), want)
+            core = neighbour_counts(pts, eps) >= min_pts
+            reaches_self = 1.0 - (pts * pts).sum(axis=1) <= eps
+            self_less += np.count_nonzero(core & ~reaches_self)
+        assert self_less >= 10
+
+    def test_no_core_point(self):
+        # twenty pairs: each point reaches itself and its twin, one short
+        # of min_pts, so nothing is core and every point is noise
+        pts = chains(substream(4, "gradcheck"), 20, 2, 0.1)
+        assert neighbour_counts(pts, 0.1).tolist() == [2] * 40
+        assert np.all(dbscan(pts, 0.1, 3) == NOISE)
+        assert np.array_equal(dbscan(pts, 0.1, 3),
+                              reference_dbscan(pts, 0.1, 3))
 
     def test_tight_cluster_single_label(self):
         pts = np.tile(np.array([1.0, 0.0, 0.0]), (6, 1))
@@ -194,8 +288,9 @@ def dbscan_calls(monkeypatch):
 class TestPseudoLabelEpoch:
     def test_budget_and_fresh_labels(self):
         corpus = _corpus()
-        pool = pseudo_label_epoch(corpus, _params(), eps=0.3, min_pts=3,
-                                  budget=30, rng=substream(0, "videos"))
+        pool = pseudo_label_epoch(corpus.grouped(), _params(), eps=0.3,
+                                  min_pts=3, budget=30,
+                                  rng=substream(0, "videos"))
         assert len(pool.embeddings) >= 30
         assert sorted(pool.entries) == list(range(len(pool.entries)))
         for pl, members in pool.entries.items():
@@ -204,8 +299,8 @@ class TestPseudoLabelEpoch:
 
     def test_arrays_follow_entries(self):
         # label pl's rows of the arrays are its entries' frames, in order
-        pool = pseudo_label_epoch(_corpus(), _params(), 0.3, 3, 20,
-                                  substream(1, "videos"))
+        pool = pseudo_label_epoch(_corpus().grouped(), _params(), 0.3, 3,
+                                  20, substream(1, "videos"))
         start = pool.frames.start
         assert start.tolist()[-1] == len(pool.embeddings)
         assert pool.frames.n_labels == len(pool.entries)
@@ -215,12 +310,14 @@ class TestPseudoLabelEpoch:
                                   np.stack([s.features for s, _ in members]))
             assert np.array_equal(pool.embeddings[rows],
                                   np.stack([e for _, e in members]))
+        with pytest.raises(TypeError):
+            pool.entries[0] = []  # a read-only view
 
     def test_budget_beyond_corpus_labels_each_frame_once(self, dbscan_calls):
         # budget larger than the corpus: one pass, each video clustered
         # once, no frame under two pseudo labels
         corpus = _corpus(n_videos=3, n_groups=2, frames_per_group=4)
-        pool = pseudo_label_epoch(corpus, _params(), 0.3, 3, 1000,
+        pool = pseudo_label_epoch(corpus.grouped(), _params(), 0.3, 3, 1000,
                                   substream(2, "videos"))
         ids = [s.sample_id for members in pool.entries.values()
                for s, _ in members]
@@ -232,7 +329,7 @@ class TestPseudoLabelEpoch:
     def test_budget_is_a_cap(self, dbscan_calls):
         # a budget below one video's yield stops after that video
         corpus = _corpus(n_videos=3, n_groups=2, frames_per_group=4)
-        pool = pseudo_label_epoch(corpus, _params(), 0.3, 3, 3,
+        pool = pseudo_label_epoch(corpus.grouped(), _params(), 0.3, 3, 3,
                                   substream(2, "videos"))
         assert len(dbscan_calls) == 1
         assert len({s.video_id for members in pool.entries.values()
@@ -242,12 +339,12 @@ class TestPseudoLabelEpoch:
     def test_unreachable_budget(self):
         corpus = _corpus(n_videos=2, n_groups=1, frames_per_group=2)
         with pytest.raises(BudgetUnreachableError):
-            pseudo_label_epoch(corpus, _params(), 0.3, 10, 5,
+            pseudo_label_epoch(corpus.grouped(), _params(), 0.3, 10, 5,
                                substream(3, "videos"))
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
-            pseudo_label_epoch(_corpus(), _params(), 0.3, 3, 0,
+            pseudo_label_epoch(_corpus().grouped(), _params(), 0.3, 3, 0,
                                substream(4, "videos"))
 
     def test_default_budget(self):

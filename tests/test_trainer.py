@@ -9,6 +9,7 @@ from remix.config import RunConfig
 from remix.datamodel import GeneratorConfig, synth_generate
 from remix.encoder import load_checkpoint
 from remix.errors import BudgetUnreachableError, NonFiniteTrainingError
+from remix.pseudolabel import PseudoLabeledPool
 
 
 def tiny_cfg(**train_kw):
@@ -182,6 +183,20 @@ def test_single_camera_centroids_enter_bank(monkeypatch):
     # rows 0-9 are the identities, the pseudo labels follow
     assert len(bank.label_centroids) == 10 + len(pools[0].entries)
     assert bank.camera_present.shape[0] == 10
+
+
+def test_training_never_builds_the_entries_view(monkeypatch):
+    # the per-frame (sample, embedding) view is for inspection only; the
+    # pool's arrays carry everything an epoch needs, purity included
+    def refuse(pool):
+        raise AssertionError("PseudoLabeledPool.entries was read")
+
+    monkeypatch.setattr(PseudoLabeledPool, "entries", property(refuse))
+    cfg = tiny_cfg(epochs=2)
+    multi, corpus, _ = data_for(cfg)
+    state = trainer.train(multi, corpus, cfg)
+    assert all(r["pseudo_clusters"] > 0 and r["purity"] is not None
+               for r in state.metrics)
 
 
 def test_warns_when_camera_loss_is_inert(caplog):
