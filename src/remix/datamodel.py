@@ -89,7 +89,7 @@ class SingleCamCorpus:
         samples = [s for _, frames in self.videos for s in frames]
         start = np.cumsum([0] + [len(frames) for _, frames in self.videos])
         hidden = np.array([s.hidden_identity for s in samples])
-        return CorpusFrames(np.stack([s.features for s in samples]), start,
+        return CorpusFrames(np.array([s.features for s in samples]), start,
                             hidden, samples)
 
 

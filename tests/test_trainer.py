@@ -6,7 +6,7 @@ import pytest
 
 from remix import trainer
 from remix.config import RunConfig
-from remix.datamodel import GeneratorConfig, synth_generate
+from remix.datamodel import GeneratorConfig, SingleCamCorpus, synth_generate
 from remix.encoder import load_checkpoint
 from remix.errors import BudgetUnreachableError, NonFiniteTrainingError
 from remix.pseudolabel import PseudoLabeledPool
@@ -125,6 +125,16 @@ def test_partial_checkpoint_on_failure(tmp_path):
         trainer.train(multi, corpus, cfg, checkpoint_path=ckpt)
     assert (tmp_path / "ckpt.json.partial").exists()
     assert not ckpt.exists()
+
+
+def test_empty_corpus_is_an_unreachable_budget(tmp_path):
+    # a corpus file with no records loads as a corpus of no videos
+    cfg = tiny_cfg()
+    multi, _, _ = data_for(cfg)
+    ckpt = tmp_path / "ckpt.json"
+    with pytest.raises(BudgetUnreachableError):
+        trainer.train(multi, SingleCamCorpus([]), cfg, checkpoint_path=ckpt)
+    assert (tmp_path / "ckpt.json.partial").exists()
 
 
 @pytest.mark.parametrize("bad", ["loss", "gradient"])
