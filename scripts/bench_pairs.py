@@ -15,8 +15,8 @@ Then, per metric: each side's [q1, median, q3] over the pairs, the pairs
 in which the change read better (ties count for neither side; "better"
 is the metric's direction in BENCHMARK.json), the relative change of the
 median, whether a gain would hold (the change better in at least 9 of 10
-pairs and the medians further apart than the parent's q3 - q1), and
-whether the change's median stays within the metric's bound. The summary
+pairs and the medians further apart than the parent's q3 - q1), and a
+verdict on the metric's bound (`verdict`). The summary
 is printed as one JSON object, the shape a BENCH_<topic>.json holds, and
 written to FILE with --out.
 """
@@ -38,6 +38,22 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def verdict(parent, change, lower, bound):
+    """'unresolved' when the parent's own spread, (q3 - q1) / |median|,
+    is wider than the bound, unless every change run beats every parent
+    run; otherwise 'within_bound' or 'beyond_bound' as the change's median
+    is worse than the parent's by at most the bound or by more. Both are
+    relative to the parent's |median|, or absolute when it is 0."""
+    pq, cq = quartiles(parent), quartiles(change)
+    scale = abs(pq[1]) or 1.0
+    beats_all = (max(change) < min(parent) if lower
+                 else min(change) > max(parent))
+    if (pq[2] - pq[0]) / scale > bound and not beats_all:
+        return "unresolved"
+    worse_by = (cq[1] - pq[1] if lower else pq[1] - cq[1]) / scale
+    return "within_bound" if worse_by <= bound else "beyond_bound"
+
+
 def summarise(pairs, end_to_end):
     """Per metric, from the pairs' metric values.
 
@@ -53,7 +69,6 @@ def summarise(pairs, end_to_end):
         ties = sum(c == p for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         gap = cq[1] - pq[1] if not lower else pq[1] - cq[1]  # > 0: better
-        worse_by = -gap / abs(pq[1]) if pq[1] else 0.0
         out[name] = {
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
@@ -61,7 +76,7 @@ def summarise(pairs, end_to_end):
             "ties": ties,
             "median_change": (cq[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0,
             "gain_holds": wins >= 0.9 * len(pairs) and gap > pq[2] - pq[0],
-            "within_bound": worse_by <= spec["bound"],
+            "verdict": verdict(parent, change, lower, spec["bound"]),
         }
     return out
 
@@ -138,7 +153,7 @@ def main(argv=None):
         print(f"{name}: parent {s['parent_q1_median_q3']} change "
               f"{s['change_q1_median_q3']} change better in "
               f"{s['change_better_in']} (ties {s['ties']}) "
-              f"gain_holds={s['gain_holds']} within_bound={s['within_bound']}")
+              f"gain_holds={s['gain_holds']} verdict={s['verdict']}")
     text = json.dumps(summary, indent=1)
     print(text)
     if args.out is not None:

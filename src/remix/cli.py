@@ -13,7 +13,7 @@ from pathlib import Path
 from . import datamodel, encoder, evalkit, trainer
 from .config import RunConfig, apply_overrides, load_config
 from .errors import InvalidConfigError, RemixError
-from .gradcheck import run_gradcheck
+from .gradcheck import TOLERANCE, max_relative_errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,9 +60,8 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     out = args.out
     multi = datamodel.load_multicam(_resolve(out, cfg.io.multicam_path))
-    corpus = None
-    if cfg.train.use_single_cam and cfg.train.n_p_single > 0:
-        corpus = datamodel.load_corpus(_resolve(out, cfg.io.corpus_path))
+    corpus = (datamodel.load_corpus(_resolve(out, cfg.io.corpus_path))
+              if cfg.train.uses_corpus else None)
     state = trainer.train(multi, corpus, cfg,
                           checkpoint_path=_resolve(out, cfg.io.checkpoint_path),
                           metrics_path=_resolve(out, cfg.io.metrics_path))
@@ -86,11 +85,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    ok, errors = run_gradcheck(seed=args.seed, n_batches=args.batches)
+    errors = max_relative_errors(seed=args.seed, n_batches=args.batches)
     for name, err in errors.items():
-        status = "PASS" if err <= 1e-4 else "FAIL"
+        status = "PASS" if err <= TOLERANCE else "FAIL"
         print(f"{status} {name}: max relative error {err:.3e}")
-    return 0 if ok else 3
+    return 0 if max(errors.values()) <= TOLERANCE else 3
 
 
 def _add_common(p):
@@ -157,10 +156,7 @@ def main(argv=None) -> int:
     except InvalidConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RemixError as exc:
+    except (FileNotFoundError, RemixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,9 +48,13 @@ class TrainConfig:
     sigma_aug: float = 0.05
     p_drop: float = 0.1
     use_single_cam: bool = True
-    cross_source_negatives: bool = False
     pseudo_label_budget: int | None = None
     checkpoint_every: int = 5
+
+    @property
+    def uses_corpus(self) -> bool:
+        """Whether a run samples pseudo-labelled corpus frames."""
+        return self.use_single_cam and self.n_p_single > 0
 
     def validate(self):
         taus = (self.tau_ins_multi, self.tau_ins_single, self.tau_aug,
@@ -69,11 +73,10 @@ class TrainConfig:
             raise InvalidConfigError("bad DBSCAN parameters")
         if min(self.n_p_multi, self.n_k_multi, self.n_p_single, self.n_k_single) < 0:
             raise InvalidConfigError("batch sizes must be >= 0")
-        n_p_single = self.n_p_single if self.use_single_cam else 0
-        if self.n_p_multi == 0 and n_p_single == 0:
+        if self.n_p_multi == 0 and not self.uses_corpus:
             raise InvalidConfigError("a batch needs at least one sampled label")
         if (self.n_p_multi > 0 and self.n_k_multi == 0) \
-                or (n_p_single > 0 and self.n_k_single == 0):
+                or (self.uses_corpus and self.n_k_single == 0):
             raise InvalidConfigError("a sampled source needs n_k >= 1")
         if not 0.0 <= self.p_drop <= 1.0 or self.sigma_aug < 0:
             raise InvalidConfigError("bad augmentation parameters")
@@ -178,11 +181,9 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         key, raw = item.split("=", 1)
         parts = key.split(".")
         node = doc
-        for p in parts[:-1]:
+        for p in parts:
             if not isinstance(node, dict) or p not in node:
                 raise InvalidConfigError(f"unknown override key: {key!r}")
-            node = node[p]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise InvalidConfigError(f"unknown override key: {key!r}")
-        node[parts[-1]] = _parse_value(raw)
+            parent, node = node, node[p]
+        parent[parts[-1]] = _parse_value(raw)
     return config_from_dict(doc)

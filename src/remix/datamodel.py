@@ -221,6 +221,17 @@ def _styled(proto, a, b, rng, sigma_frame):
     return normalize(v)
 
 
+def _multicam(protos, cams, per, hidden_base, rng, sigma_frame) -> MultiCamDataset:
+    """`per` styled views of each prototype y on each camera, sample ids
+    from 0 in (identity, camera) order, hidden identity hidden_base + y."""
+    views = [(y, c, _styled(proto, a, b, rng, sigma_frame))
+             for y, proto in enumerate(protos)
+             for c, (a, b) in enumerate(cams) for _ in range(per)]
+    return MultiCamDataset.from_samples(
+        [PersonSample(sid, v, y, c, MULTI, None, hidden_base + y)
+         for sid, (y, c, v) in enumerate(views)])
+
+
 def synth_generate(
     cfg: GeneratorConfig, seed: int
 ) -> tuple[MultiCamDataset, SingleCamCorpus, MultiCamDataset]:
@@ -239,17 +250,8 @@ def synth_generate(
     pool = _style_basis(rng, d, cfg.style_pool)
     cams = [_style_map(rng, d, cfg.sigma_cam, cfg.sigma_shift, pool)
             for _ in range(cfg.n_cameras)]
-    multi_samples = []
-    sid = 0
-    for y, proto in enumerate(protos):
-        for c, (a, b) in enumerate(cams):
-            for _ in range(cfg.samples_per_id_per_cam):
-                multi_samples.append(
-                    PersonSample(sid, _styled(proto, a, b, rng, cfg.sigma_frame),
-                                 y, c, MULTI, None, hidden_identity=y)
-                )
-                sid += 1
-    multi = MultiCamDataset.from_samples(multi_samples)
+    multi = _multicam(protos, cams, cfg.samples_per_id_per_cam, 0, rng,
+                      cfg.sigma_frame)
 
     # --- single-camera corpus: each hidden identity in exactly one video,
     # one fresh style map per video
@@ -281,26 +283,17 @@ def synth_generate(
     t_cams = [_style_map(rng, d, t_sigma, cfg.sigma_shift * cfg.domain_shift,
                          pool)
               for _ in range(cfg.n_target_cameras)]
-    t_base = hidden_base + cfg.n_single_identities
-    target_samples = []
-    sid = 0
-    for y, proto in enumerate(t_protos):
-        for c, (a, b) in enumerate(t_cams):
-            for _ in range(cfg.target_samples_per_id_per_cam):
-                target_samples.append(
-                    PersonSample(sid, _styled(proto, a, b, rng, cfg.sigma_frame),
-                                 y, c, MULTI, None, hidden_identity=t_base + y)
-                )
-                sid += 1
-    target = MultiCamDataset.from_samples(target_samples)
+    target = _multicam(t_protos, t_cams, cfg.target_samples_per_id_per_cam,
+                       hidden_base + cfg.n_single_identities, rng,
+                       cfg.sigma_frame)
     return multi, corpus, target
 
 
 def augment(
     features: np.ndarray,
     rng: np.random.Generator,
-    sigma_aug: float = 0.05,
-    p_drop: float = 0.1,
+    sigma_aug: float,
+    p_drop: float,
 ) -> np.ndarray:
     """Vector-space augmentation: additive noise then coordinate dropout."""
     x = np.asarray(features, dtype=np.float64)

@@ -4,6 +4,8 @@ optimizer with linear warm-up, and the EMA momentum copy.
 Hidden layers use tanh (smooth, so finite-difference gradient checks are
 clean everywhere); the final layer is linear followed by unit
 normalization, whose Jacobian is handled exactly in backward_batch().
+Gradients are shaped like the parameters: backward_batch returns an
+EncoderParams of them, which adam_step takes as it is.
 """
 from __future__ import annotations
 
@@ -83,13 +85,9 @@ def forward_batch(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, For
         raise DimensionMismatchError(
             f"input dim {x.shape[1]} != encoder dim {params.dim_in}")
     acts = [x]
-    a = x
-    n_layers = len(params.weights)
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = np.tanh(z) if l < n_layers - 1 else z
-        if l < n_layers - 1:
-            acts.append(a)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        acts.append(np.tanh(acts[-1] @ w + b))
+    a = acts[-1] @ params.weights[-1] + params.biases[-1]
     norms = np.linalg.norm(a, axis=1)
     if np.any(norms <= NORM_FLOOR):
         raise ZeroVectorError("encoder produced a (near-)zero pre-normalization output")
@@ -98,8 +96,9 @@ def forward_batch(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, For
 
 
 def backward_batch(params: EncoderParams, cache: ForwardCache,
-                   d_u: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact parameter gradients; d_u is dL/dEmbedding, shape (B, E)."""
+                   d_u: np.ndarray) -> EncoderParams:
+    """Exact parameter gradients, shaped like params; d_u is
+    dL/dEmbedding, shape (B, E)."""
     if cache.params is not params:
         raise StaleCacheError("cache does not belong to these parameters")
     d_u = np.atleast_2d(np.asarray(d_u, dtype=np.float64))
@@ -116,7 +115,7 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         d_biases[l] = g.sum(axis=0)
         if l > 0:
             g = (g @ params.weights[l].T) * (1.0 - cache.activations[l] ** 2)
-    return d_weights, d_biases
+    return EncoderParams(d_weights, d_biases)
 
 
 @dataclass
@@ -143,14 +142,13 @@ def effective_lr(lr: float, warmup_epochs: int, epoch: int) -> float:
 def adam_step(
     opt: OptimizerState,
     params: EncoderParams,
-    grads: tuple[list[np.ndarray], list[np.ndarray]],
+    grads: EncoderParams,
     lr: float,
     weight_decay: float,
 ) -> tuple[EncoderParams, OptimizerState]:
-    """Bias-corrected Adam with decoupled weight decay; grads is
-    backward_batch's (d_w, d_b)."""
+    """Bias-corrected Adam with decoupled weight decay."""
     arrays = params.arrays()
-    g_arrays = EncoderParams(*grads).arrays()
+    g_arrays = grads.arrays()
     if len(g_arrays) != len(arrays) or any(
             g.shape != p.shape for g, p in zip(g_arrays, arrays)):
         raise ShapeMismatchError("gradient shapes do not match parameters")

@@ -129,21 +129,26 @@ def split_query_gallery(dataset: MultiCamDataset) -> tuple[list[int], list[int]]
     return q_idx, g_idx
 
 
-def evaluate(params: EncoderParams, target: MultiCamDataset) -> dict:
-    """Cross-domain evaluation report over the target dataset."""
-    q_idx, g_idx = split_query_gallery(target)
+def _query_gallery(params: EncoderParams, target: MultiCamDataset):
+    """(embeddings, identities, cameras) of the queries, then of the
+    gallery."""
     embs = extract(params, target.samples)
     ids = np.array([s.identity for s in target.samples])
     cams = np.array([s.camera for s in target.samples])
-    first, ap = _rank_queries(embs[q_idx], ids[q_idx], cams[q_idx],
-                              embs[g_idx], ids[g_idx], cams[g_idx])
+    return [(embs[i], ids[i], cams[i]) for i in split_query_gallery(target)]
+
+
+def evaluate(params: EncoderParams, target: MultiCamDataset) -> dict:
+    """Cross-domain evaluation report over the target dataset."""
+    query, gallery = _query_gallery(params, target)
+    first, ap = _rank_queries(*query, *gallery)
     return {
         "rank1": float(np.mean(first <= 1)),
         "rank5": float(np.mean(first <= 5)),
         "rank10": float(np.mean(first <= 10)),
         "mAP": float(np.mean(ap)),
-        "n_query": len(q_idx),
-        "n_gallery": len(g_idx),
+        "n_query": len(query[1]),
+        "n_gallery": len(gallery[1]),
         "protocol": "cross-domain",
     }
 
@@ -159,18 +164,14 @@ def shuffled_label_baseline(
     Averaged over a few permutations; permutations that strand a query
     without a valid positive are redrawn.
     """
-    q_idx, g_idx = split_query_gallery(target)
-    embs = extract(params, target.samples)
-    ids = np.array([s.identity for s in target.samples])
-    cams = np.array([s.camera for s in target.samples])
+    query, (g_embs, g_ids, g_cams) = _query_gallery(params, target)
     maps = []
     attempts = 0
     while len(maps) < n_shuffles and attempts < 20 * n_shuffles:
         attempts += 1
-        g_ids = rng.permutation(ids[g_idx])
         try:
-            maps.append(mean_ap(embs[q_idx], ids[q_idx], cams[q_idx],
-                                embs[g_idx], g_ids, cams[g_idx]))
+            maps.append(mean_ap(*query, g_embs, rng.permutation(g_ids),
+                                g_cams))
         except NoValidPositiveError:
             continue
     if not maps:

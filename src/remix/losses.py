@@ -10,8 +10,8 @@ averages that over its positives, and the loss averages over the anchors
 that have at least one positive. Per term (anchor label y, camera c):
 
 - L_ins: momentum embeddings; positives share y, self included;
-  negatives differ in label, same source unless cross_source_negatives;
-  pool {j} + negatives.
+  negatives differ in label and come from the anchor's own source; pool
+  {j} + negatives.
 - L_aug: momentum embeddings; the one positive is the anchor's own
   original; negatives are every other-label sample; pool {j} + negatives.
 - L_cen: centroids of the batch's labels; the positive is y's centroid;
@@ -86,7 +86,7 @@ class CentroidBank:
 def build_centroids(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    cameras: np.ndarray | None = None,
+    cameras: np.ndarray,
 ) -> CentroidBank:
     """Normalized per-label means over dense labels 0..L-1, and normalized
     per-(label, camera) means over the rows with a camera (>= 0)."""
@@ -100,7 +100,7 @@ def build_centroids(
     sums = np.zeros((len(counts), embeddings.shape[1]))
     np.add.at(sums, labels, embeddings)
     label_centroids = normalize_rows(sums / counts[:, None])
-    cameras = np.full(len(labels), -1) if cameras is None else np.asarray(cameras)
+    cameras = np.asarray(cameras)
     has_cam = cameras >= 0
     y, c = labels[has_cam], cameras[has_cam]
     shape = (int(y.max(initial=-1)) + 1, int(c.max(initial=-1)) + 1)
@@ -166,19 +166,16 @@ def instance_loss(
     view: BatchView,
     tau_m: float,
     tau_s: float,
-    cross_source_negatives: bool = False,
 ) -> tuple[float, np.ndarray]:
     """Anchor-to-positive-instances loss, averaged over positives and anchors.
 
     Positives of anchor i are all j with the same label, the self-pair
-    included. Negatives default to same-source batch members with a
-    different label.
+    included. Negatives are same-source batch members with a different
+    label.
     """
     codes, multi = view.codes, view.multi
     pos = codes[:, None] == codes[None, :]
-    neg = ~pos
-    if not cross_source_negatives:
-        neg &= multi[:, None] == multi[None, :]
+    neg = ~pos & (multi[:, None] == multi[None, :])
     tau = np.where(multi, tau_m, tau_s)
     return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
 
@@ -236,10 +233,9 @@ def total_loss(
     tau_cen_s: float,
     tau_cc: float,
     gamma: float,
-    cross_source_negatives: bool = False,
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """L = L_ins + L_aug + L_cen + gamma * L_cc, with the matching gradient."""
-    l_ins, g_ins = instance_loss(view, tau_ins_m, tau_ins_s, cross_source_negatives)
+    l_ins, g_ins = instance_loss(view, tau_ins_m, tau_ins_s)
     l_aug, g_aug = augmentation_loss(view, tau_aug)
     l_cen, g_cen = centroids_loss(view, bank, tau_cen_m, tau_cen_s)
     if gamma != 0.0:

@@ -82,13 +82,6 @@ class PseudoLabeledPool:
                                  for g, (a, b) in enumerate(zip(start, start[1:]))})
 
 
-def default_budget(b_s: int, iterations: int) -> int:
-    """Cap on the images pseudo-labelled per epoch: the single-camera slots
-    times the iteration count. A corpus smaller than the cap is labelled
-    whole, once."""
-    return b_s * iterations
-
-
 def pseudo_label_epoch(
     corpus: CorpusFrames,
     momentum: EncoderParams,

@@ -25,10 +25,10 @@ from .datamodel import (
     augment,
     compose_batch,
 )
-from .errors import NonFiniteTrainingError
+from .errors import InvalidConfigError, NonFiniteTrainingError
 from .losses import BatchView, build_centroids, total_loss
 from .numcore import substream
-from .pseudolabel import default_budget, pseudo_label_epoch
+from .pseudolabel import pseudo_label_epoch
 
 log = logging.getLogger(__name__)
 
@@ -61,16 +61,17 @@ def run_epoch(
     """One epoch over the multi-camera rows grouped by identity and the
     corpus rows grouped by video; mutates and returns state."""
     t = cfg.train
-    use_single = t.use_single_cam and t.n_p_single > 0 and corpus is not None
 
     # epoch-start: pseudo-label the corpus, momentum-embed all multi data,
     # rebuild the centroid bank over both
     pool = single = None
     embs, _ = enc.forward_batch(state.momentum, multi.features)
     labels, cams = multi.labels(), multi.cameras
-    if use_single:
-        budget = t.pseudo_label_budget or default_budget(
-            t.n_p_single * t.n_k_single, t.iters_per_epoch)
+    if t.uses_corpus:
+        # by default a cap of one epoch's single-camera slots; a smaller
+        # corpus is labelled whole, once
+        budget = t.pseudo_label_budget or (
+            t.n_p_single * t.n_k_single * t.iters_per_epoch)
         pool = pseudo_label_epoch(corpus, state.momentum, t.dbscan_eps,
                                   t.dbscan_min_pts, budget, video_rng)
         single = pool.frames
@@ -81,7 +82,7 @@ def run_epoch(
 
     lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi,
-             t.n_p_single if use_single else 0, t.n_k_single)
+             t.n_p_single if t.uses_corpus else 0, t.n_k_single)
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
     for it in range(t.iters_per_epoch):
         batch = compose_batch(multi, single, sizes, sampler_rng)
@@ -91,11 +92,10 @@ def run_epoch(
         view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
         loss, d_f, parts = total_loss(
             view, bank, t.tau_ins_multi, t.tau_ins_single, t.tau_aug,
-            t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma,
-            t.cross_source_negatives)
+            t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma)
         grads = enc.backward_batch(state.params, cache, d_f)
         if not (np.isfinite(loss)
-                and all(np.isfinite(g).all() for g in grads[0] + grads[1])):
+                and all(np.isfinite(g).all() for g in grads.arrays())):
             raise NonFiniteTrainingError(
                 f"non-finite loss or gradient at epoch {state.epoch}, "
                 f"iteration {it}")
@@ -136,15 +136,19 @@ def train(
     checkpoint_path: str | Path | None = None,
     metrics_path: str | Path | None = None,
 ) -> TrainState:
-    """Run cfg.train.epochs epochs; write metrics lines and checkpoints."""
+    """Run cfg.train.epochs epochs; write metrics lines and checkpoints.
+    A config that uses the corpus needs one: InvalidConfigError if None."""
     t = cfg.train
+    if t.uses_corpus and corpus is None:
+        raise InvalidConfigError("the config uses the single-camera corpus, "
+                                 "but no corpus was given")
     rows = multi.grouped()
     # rows are grouped by identity: one spans two cameras iff two of its
     # neighbouring rows differ in camera
     if not np.any((np.diff(rows.labels()) == 0) & (np.diff(rows.cameras) != 0)):
         log.warning("no identity spans two cameras, camera centroid loss "
                     "is inert")
-    frames = corpus.grouped() if corpus is not None else None
+    frames = corpus.grouped() if t.uses_corpus else None
     state = init_state(cfg, rows.features.shape[1])
     sampler_rng = substream(cfg.seed, "sampler")
     aug_rng = substream(cfg.seed, "augment")

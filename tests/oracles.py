@@ -144,7 +144,7 @@ def reference_contrastive(f, proxies, pos, neg, tau, shared_pool):
     return total / anchors, grads / anchors
 
 
-def reference_instance_loss(view, tau_m, tau_s, cross_source_negatives=False):
+def reference_instance_loss(view, tau_m, tau_s):
     b = view.size
     sims = view.f @ view.m.T
     grads = np.zeros_like(view.f)
@@ -155,7 +155,7 @@ def reference_instance_loss(view, tau_m, tau_s, cross_source_negatives=False):
         neg = [
             j for j in range(b)
             if view.labels[j] != view.labels[i]
-            and (cross_source_negatives or view.multi[j] == view.multi[i])
+            and view.multi[j] == view.multi[i]
         ]
         z_neg = sims[i, neg] / tau
         anchor_loss = 0.0

@@ -37,12 +37,12 @@ def test_wins_ties_and_direction():
     s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
     t = s["train_s"]
     assert t["change_better_in"] == "9/10" and t["ties"] == 1
-    assert t["gain_holds"] and t["within_bound"]
+    assert t["gain_holds"] and t["verdict"] == "within_bound"
     assert t["median_change"] == pytest.approx(0.415 / 0.52 - 1)
     # gain: higher is better; one pair higher, one lower, eight ties
     g = s["gain"]
     assert g["change_better_in"] == "1/10" and g["ties"] == 8
-    assert not g["gain_holds"] and g["within_bound"]
+    assert not g["gain_holds"] and g["verdict"] == "within_bound"
 
 
 def test_gain_needs_nine_tenths_and_a_gap_beyond_the_spread():
@@ -64,12 +64,30 @@ def test_bound_follows_direction():
     # train_s 11% slower breaks its 10% bound; gain 15% lower keeps 20%
     change = [{"train_s": 1.11, "gain": 1.7}] * 3
     s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
-    assert not s["train_s"]["within_bound"]
-    assert s["gain"]["within_bound"]
+    assert s["train_s"]["verdict"] == "beyond_bound"
+    assert s["gain"]["verdict"] == "within_bound"
     # a better value is always within its bound
     change = [{"train_s": 0.5, "gain": 3.0}] * 3
     s = bench_pairs.summarise(pairs_of(parent, change), SPECS)
-    assert s["train_s"]["within_bound"] and s["gain"]["within_bound"]
+    assert {v["verdict"] for v in s.values()} == {"within_bound"}
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # parent train_s quartiles 0.975/1.1/1.225: a spread of 23% of the median,
+    # wider than the 10% bound
+    parent = [{"train_s": t, "gain": 2.0} for t in (0.9, 1.0, 1.2, 1.3)]
+    same = [{"train_s": t, "gain": 2.0} for t in (1.3, 1.2, 1.0, 0.9)]
+    s = bench_pairs.summarise(pairs_of(parent, same), SPECS)
+    assert s["train_s"]["verdict"] == "unresolved"
+    assert s["gain"]["verdict"] == "within_bound"  # no spread
+    # a better median alone does not resolve it ...
+    faster = [{"train_s": t, "gain": 2.0} for t in (0.8, 0.85, 0.9, 1.0)]
+    s = bench_pairs.summarise(pairs_of(parent, faster), SPECS)
+    assert s["train_s"]["verdict"] == "unresolved"
+    # ... every change run beating every parent run does
+    faster = [{"train_s": t, "gain": 2.0} for t in (0.7, 0.75, 0.8, 0.85)]
+    s = bench_pairs.summarise(pairs_of(parent, faster), SPECS)
+    assert s["train_s"]["verdict"] == "within_bound"
 
 
 def test_seed_ranges():

@@ -67,6 +67,20 @@ def test_eval_explicit_checkpoint(workdir):
                 "--checkpoint", ckpt]) == 0
 
 
+def test_eval_truncated_checkpoint(workdir, capsys):
+    # a RemixError (here VersionMismatchError) is a runtime error: exit 2
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["train", "--config", cfg, "--out", str(out)])
+    ckpt = out / "checkpoint.json"
+    text = ckpt.read_text()
+    ckpt.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checkpoint" in err
+
+
 def test_set_overrides(workdir):
     out, cfg = workdir
     run(["generate", "--config", cfg, "--out", str(out)])
@@ -124,8 +138,9 @@ def test_gradcheck_detects_corruption(capsys, monkeypatch):
     real = encoder.backward_batch
 
     def skewed(*args):
-        d_w, d_b = real(*args)
-        return [g + 1e-3 for g in d_w], d_b
+        grads = real(*args)
+        return encoder.EncoderParams([g + 1e-3 for g in grads.weights],
+                                     grads.biases)
 
     monkeypatch.setattr(encoder, "backward_batch", skewed)
     assert run(["gradcheck", "--seed", "0", "--batches", "2"]) == 3

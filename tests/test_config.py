@@ -54,6 +54,15 @@ def test_seed_type():
     ("train", "n_k_multi+n_k_single", 0),
     ("train", "n_p_multi+n_p_single", 0),
     ("model", "embed_dim", 0),
+    ("train", "iters_per_epoch", 0),
+    ("train", "epochs", -1),
+    ("train", "dbscan_eps", 0.0),
+    ("train", "dbscan_min_pts", 0),
+    ("train", "n_p_single", -1),
+    ("generator", "style_pool", 0),
+    ("generator", "n_cameras+samples_per_id_per_cam", 1),
+    # instance negatives always come from the anchor's own source
+    ("train", "cross_source_negatives", True),
     # Adam's betas and eps are encoder constants, not config keys
     ("train", "adam_beta1", 0.9),
     ("train", "adam_beta2", 0.999),
@@ -63,6 +72,29 @@ def test_invalid_values(section, key, value):
     # "a+b" sets several keys of the section to the same value
     with pytest.raises(InvalidConfigError):
         config_from_dict({section: dict.fromkeys(key.split("+"), value)})
+
+
+def test_negative_seed():
+    with pytest.raises(InvalidConfigError, match="seed"):
+        config_from_dict({"seed": -1})
+
+
+@pytest.mark.parametrize("doc", [[], {"train": []}, {"model": "big"}])
+def test_document_and_sections_are_objects(doc):
+    with pytest.raises(InvalidConfigError, match="object"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("train,uses", [
+    ({}, True),
+    ({"use_single_cam": False}, False),
+    ({"n_p_single": 0}, False),
+])
+def test_uses_corpus(train, uses):
+    cfg = config_from_dict({"train": train})
+    assert cfg.train.uses_corpus is uses
+    # derived, not a key: the config echo and --help do not list it
+    assert "uses_corpus" not in cfg.to_dict()["train"]
 
 
 def test_unsampled_source_may_have_zero_k():
@@ -97,8 +129,9 @@ class TestOverrides:
         assert cfg.model.hidden == [32, 32]
 
     def test_unknown_key(self):
-        with pytest.raises(InvalidConfigError):
-            apply_overrides(RunConfig().validate(), ["train.nope=1"])
+        for key in ("train.nope", "nope.lr", "train.lr.x", "seed.x", ""):
+            with pytest.raises(InvalidConfigError, match="unknown override"):
+                apply_overrides(RunConfig().validate(), [f"{key}=1"])
 
     def test_missing_equals(self):
         with pytest.raises(InvalidConfigError):

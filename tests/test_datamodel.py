@@ -12,6 +12,7 @@ from remix.datamodel import (
     LabelGroups,
     MultiCamDataset,
     PersonSample,
+    SingleCamCorpus,
     augment,
     compose_batch,
     load_corpus,
@@ -80,6 +81,13 @@ class TestMultiCamDataset:
         assert rows.features[:, 0].tolist() == [1, 3, 0, 2]  # stable
         assert rows.cameras.tolist() == [1, 0, 0, 1]
         assert rows.labels().tolist() == [0, 0, 1, 1]
+
+
+def test_corpus_videos_must_be_non_empty():
+    frame = PersonSample(0, np.ones(4), None, None, SINGLE, 0,
+                         hidden_identity=0)
+    with pytest.raises(InvalidConfigError, match="non-empty"):
+        SingleCamCorpus([(0, [frame]), (1, [])])
 
 
 class TestSynthGenerate:

@@ -75,7 +75,8 @@ def test_backward_matches_finite_differences():
     probe = rng.standard_normal((4, 3))
 
     u, cache = enc.forward_batch(p, x)
-    d_w, d_b = enc.backward_batch(p, cache, probe)
+    grads = enc.backward_batch(p, cache, probe)
+    assert [g.shape for g in grads.arrays()] == [a.shape for a in p.arrays()]
 
     for l in range(len(p.weights)):
         def f(w, l=l):
@@ -85,7 +86,7 @@ def test_backward_matches_finite_differences():
             return float(np.sum(uu * probe))
 
         fd = finite_diff_grad(f, p.weights[l])
-        assert np.allclose(d_w[l], fd, atol=1e-6)
+        assert np.allclose(grads.weights[l], fd, atol=1e-6)
 
         def g(b, l=l):
             q = p.copy()
@@ -94,12 +95,12 @@ def test_backward_matches_finite_differences():
             return float(np.sum(uu * probe))
 
         fd_b = finite_diff_grad(g, p.biases[l])
-        assert np.allclose(d_b[l], fd_b, atol=1e-6)
+        assert np.allclose(grads.biases[l], fd_b, atol=1e-6)
 
 
 def ones_grads(p, value=1.0):
-    return ([np.full_like(w, value) for w in p.weights],
-            [np.full_like(b, value) for b in p.biases])
+    return enc.EncoderParams.from_arrays(
+        [np.full_like(a, value) for a in p.arrays()])
 
 
 class TestOptimizer:
@@ -134,11 +135,12 @@ class TestOptimizer:
     def test_gradient_shape_check(self):
         p = make_params()
         opt = enc.OptimizerState.for_params(p)
-        bad = ([np.zeros((2, 2)) for _ in p.weights],
-               [np.zeros_like(b) for b in p.biases])
+        bad = enc.EncoderParams([np.zeros((2, 2)) for _ in p.weights],
+                                [np.zeros_like(b) for b in p.biases])
         with pytest.raises(ShapeMismatchError):
             enc.adam_step(opt, p, bad, lr=0.002, weight_decay=0.0)
-        short = ([np.zeros_like(w) for w in p.weights], p.biases[:1])
+        short = enc.EncoderParams([np.zeros_like(w) for w in p.weights],
+                                  p.biases[:1])
         with pytest.raises(ShapeMismatchError):
             enc.adam_step(opt, p, short, lr=0.002, weight_decay=0.0)
 
@@ -184,8 +186,8 @@ class TestEma:
 def grads_for(p, i):
     """Fixed pseudo-random gradients for Adam step i."""
     rng = substream(i, "gradcheck")
-    return ([rng.standard_normal(w.shape) for w in p.weights],
-            [rng.standard_normal(b.shape) for b in p.biases])
+    return enc.EncoderParams([rng.standard_normal(w.shape) for w in p.weights],
+                             [rng.standard_normal(b.shape) for b in p.biases])
 
 
 def stepped(k):

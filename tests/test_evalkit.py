@@ -11,6 +11,7 @@ from remix.datamodel import (
     CorpusFrames,
     GeneratorConfig,
     LabelGroups,
+    MultiCamDataset,
     synth_generate,
 )
 from remix.errors import (
@@ -250,6 +251,12 @@ class TestProtocol:
         assert report["n_query"] == 18
         assert 0.0 <= report["mAP"] <= 1.0
         assert report["rank1"] <= report["rank5"] <= report["rank10"]
+
+    def test_empty_target(self):
+        params = enc.init_params(8, [8], 4, substream(0, "init"))
+        assert extract(params, []).shape == (0, 4)
+        with pytest.raises(EmptyPoolError):
+            evaluate(params, MultiCamDataset.from_samples([]))
 
     def test_extract_preserves_order_and_skips_augmentation(self):
         target = _target()

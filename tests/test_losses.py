@@ -102,13 +102,14 @@ class TestBuildCentroids:
         bank = build_centroids(m, [0, 0, 1, 2], np.array([0, 1, -1, -1]))
         assert set(zip(*np.nonzero(bank.camera_present))) == {(0, 0), (0, 1)}
         assert len(bank.label_centroids) == 3
-        assert build_centroids(m, [0, 0, 1, 2]).camera_present.size == 0
+        no_cams = build_centroids(m, [0, 0, 1, 2], np.full(4, -1))
+        assert no_cams.camera_present.size == 0
 
     def test_empty_embeddings_rejected(self):
         with pytest.raises(EmptyLabelError):
-            build_centroids(np.zeros((0, 3)), [], None)
+            build_centroids(np.zeros((0, 3)), [], [])
         with pytest.raises(EmptyLabelError):  # label 1 has no member
-            build_centroids(np.eye(3)[:2], [0, 2], None)
+            build_centroids(np.eye(3)[:2], [0, 2], [-1, -1])
 
 
 def oracle_pairs(view, bank, tau_scale=1.0):
@@ -117,8 +118,6 @@ def oracle_pairs(view, bank, tau_scale=1.0):
     return [
         (instance_loss(view, t["tau_ins_m"], t["tau_ins_s"]),
          reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
-        (instance_loss(view, t["tau_ins_m"], t["tau_ins_s"], True),
-         reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"], True)),
         (augmentation_loss(view, t["tau_aug"]),
          reference_augmentation_loss(view, t["tau_aug"])),
         (centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"]),
@@ -238,13 +237,22 @@ class TestInstanceLossOracle:
         loss, _ = instance_loss(view, tau, 0.2)
         assert loss == pytest.approx(expect, abs=1e-12)
 
-    def test_negatives_stay_within_source_by_default(self):
-        view = random_view(2)
-        # same-label singles are invisible to multi anchors unless the
-        # cross-source toggle is on, so the losses must differ
-        l_within, _ = instance_loss(view, 0.1, 0.2, cross_source_negatives=False)
-        l_cross, _ = instance_loss(view, 0.1, 0.2, cross_source_negatives=True)
-        assert l_within != pytest.approx(l_cross)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_negatives_stay_within_source(self, seed):
+        # an anchor sees only its own source, so a mixed batch's loss is
+        # the anchor-weighted mean of its two single-source sub-batches,
+        # and each sub-batch's gradient rows scale by its share of anchors
+        view = random_view(seed, n_multi=6, n_single=4)
+        loss, grads = instance_loss(view, 0.1, 0.2)
+        parts = []
+        for rows in (view.multi, ~view.multi):
+            sub = BatchView(view.f[rows], view.m[rows], view.labels[rows],
+                            view.multi[rows], view.cameras[rows])
+            sub_loss, sub_grads = instance_loss(sub, 0.1, 0.2)
+            share = sub.size / view.size
+            assert np.max(np.abs(grads[rows] - share * sub_grads)) <= 1e-12
+            parts.append(share * sub_loss)
+        assert abs(loss - sum(parts)) <= 1e-12
 
 
 class TestDegenerateZeros:
@@ -298,9 +306,6 @@ class TestGradients:
 
     def test_instance(self):
         self.check(lambda v, b: instance_loss(v, 0.1, 0.2))
-
-    def test_instance_cross_source(self):
-        self.check(lambda v, b: instance_loss(v, 0.1, 0.2, True))
 
     def test_augmentation(self):
         self.check(lambda v, b: augmentation_loss(v, 0.1))

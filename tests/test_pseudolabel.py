@@ -19,7 +19,6 @@ from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import (
     NOISE,
     dbscan,
-    default_budget,
     pseudo_label_epoch,
 )
 
@@ -346,6 +345,3 @@ class TestPseudoLabelEpoch:
         with pytest.raises(ValueError):
             pseudo_label_epoch(_corpus().grouped(), _params(), 0.3, 3, 0,
                                substream(4, "videos"))
-
-    def test_default_budget(self):
-        assert default_budget(32, 50) == 1600

@@ -8,7 +8,11 @@ from remix import trainer
 from remix.config import RunConfig
 from remix.datamodel import GeneratorConfig, SingleCamCorpus, synth_generate
 from remix.encoder import load_checkpoint
-from remix.errors import BudgetUnreachableError, NonFiniteTrainingError
+from remix.errors import (
+    BudgetUnreachableError,
+    InvalidConfigError,
+    NonFiniteTrainingError,
+)
 from remix.pseudolabel import PseudoLabeledPool
 
 
@@ -69,6 +73,36 @@ def test_no_corpus_disables_pseudo_labels():
     state = trainer.train(multi, None, cfg)
     assert all(m["purity"] is None for m in state.metrics)
     assert all(m["pseudo_clusters"] == 0 for m in state.metrics)
+
+
+def test_config_that_uses_the_corpus_needs_one(monkeypatch, tmp_path):
+    # no silent fall-back to labels alone: the error comes before the
+    # first epoch, and nothing is written
+    cfg = tiny_cfg()
+    multi, _, _ = data_for(cfg)
+    monkeypatch.setattr(trainer, "run_epoch", None)  # never reached
+    with pytest.raises(InvalidConfigError, match="corpus"):
+        trainer.train(multi, None, cfg, checkpoint_path=tmp_path / "c.json",
+                      metrics_path=tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_pseudo_label_budget(monkeypatch, budget):
+    # unset, the budget is one epoch's single-camera slots
+    cfg = tiny_cfg(epochs=2, pseudo_label_budget=budget)
+    multi, corpus, _ = data_for(cfg)
+    real = trainer.pseudo_label_epoch
+    budgets = []
+
+    def spy(corpus, momentum, eps, min_pts, budget, rng):
+        budgets.append(budget)
+        return real(corpus, momentum, eps, min_pts, budget, rng)
+
+    monkeypatch.setattr(trainer, "pseudo_label_epoch", spy)
+    trainer.train(multi, corpus, cfg)
+    # n_p_single * n_k_single * iters_per_epoch = 4 * 2 * 10
+    assert budgets == [budget or 80] * 2
 
 
 def test_momentum_not_touched_by_backprop():
