@@ -16,9 +16,11 @@ in which the change read better (ties count for neither side; "better"
 is the metric's direction in BENCHMARK.json), the relative change of the
 median, whether a gain would hold (the change better in at least 9 of 10
 pairs and the medians further apart than the parent's q3 - q1), and a
-verdict on the metric's bound (`verdict`). The summary
-is printed as one JSON object, the shape a BENCH_<topic>.json holds, and
-written to FILE with --out.
+verdict on the metric's bound (`verdict`). Last, each side's failed share
+(failed over attempted operations, summed over its runs), flagging a
+change whose share is higher: more failures reject a change whatever its
+metrics. The summary is printed as one JSON object, the shape a
+BENCH_<topic>.json holds, and written to FILE with --out.
 """
 import argparse
 import json
@@ -78,6 +80,21 @@ def summarise(pairs, end_to_end):
             "gain_holds": wins >= 0.9 * len(pairs) and gap > pq[2] - pq[0],
             "verdict": verdict(parent, change, lower, spec["bound"]),
         }
+    return out
+
+
+def failures(runs):
+    """Each side's failed and attempted operations summed over the runs,
+    its failed share (failed / attempted), and whether the change's share
+    is the higher one, which rejects the change whatever its metrics."""
+    out = {f"{key}_operations": {side: sum(r[side][key] for r in runs)
+                                 for side in SIDES}
+           for key in ("failed", "attempted")}
+    out["failed_share"] = {side: out["failed_operations"][side]
+                           / out["attempted_operations"][side]
+                           for side in SIDES}
+    out["change_fails_more"] = \
+        out["failed_share"]["change"] > out["failed_share"]["parent"]
     return out
 
 
@@ -142,10 +159,7 @@ def main(argv=None):
         "command": " ".join(bench["command"]) + f" --workload {args.workload}"
                    f" --seed S --seconds {bench['run_seconds']} --trace 0",
         "machine": machine,
-        "failed_operations": {side: sum(r[side]["failed"] for r in runs)
-                              for side in SIDES},
-        "attempted_operations": {side: sum(r[side]["attempted"]
-                                           for r in runs) for side in SIDES},
+        **failures(runs),
         "end_to_end": summarise(pairs, bench["end_to_end"]),
         "runs": runs,
     }
@@ -154,6 +168,11 @@ def main(argv=None):
               f"{s['change_q1_median_q3']} change better in "
               f"{s['change_better_in']} (ties {s['ties']}) "
               f"gain_holds={s['gain_holds']} verdict={s['verdict']}")
+    shares = summary["failed_share"]
+    print(f"failed share: parent {shares['parent']:.4g} change "
+          f"{shares['change']:.4g}"
+          + (" -- the change fails more" if summary["change_fails_more"]
+             else ""))
     text = json.dumps(summary, indent=1)
     print(text)
     if args.out is not None:

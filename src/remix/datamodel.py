@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientLabelsError, InvalidConfigError, VersionMismatchError
-from .numcore import atomic_write, normalize, substream
+from .errors import (InsufficientLabelsError, InvalidConfigError,
+                     VersionMismatchError, ZeroVectorError)
+from .numcore import NORM_FLOOR, atomic_write, normalize, substream
 
 MULTI = "multi"
 SINGLE = "single"
@@ -216,20 +217,33 @@ def _simplexify(protos: list[np.ndarray]) -> list[np.ndarray]:
     return [normalize(q - center) for q in ortho]
 
 
-def _styled(proto, a, b, rng, sigma_frame):
-    v = a @ proto + b + sigma_frame * rng.standard_normal(proto.shape)
-    return normalize(v)
+def _views(protos: np.ndarray, styles, per: int, rng: np.random.Generator,
+           sigma_frame: float) -> list[np.ndarray]:
+    """`per` unit views of each prototype row under each (a, b) style, in
+    (prototype, style, view) order, noise drawn as one block in that order.
+    Stacked mat-vecs and row dots equal each row's `a @ p` and 1-D norm bit
+    for bit; the axis-1 norm does not. Own arrays: a kept view pins no block."""
+    d = len(styles[0][1])
+    protos = protos.reshape(-1, d)  # a video may hold no identity
+    v = np.stack([np.matmul(a, protos[:, :, None])[:, :, 0] + b
+                  for a, b in styles], axis=1).reshape(-1, d)
+    v = np.repeat(v, per, axis=0)
+    v = v + sigma_frame * rng.standard_normal(v.shape)
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    if np.any(norms <= NORM_FLOOR):
+        raise ZeroVectorError(f"cannot normalize view with norm {norms.min():g}")
+    return [row.copy() for row in v / norms[:, None]]
 
 
 def _multicam(protos, cams, per, hidden_base, rng, sigma_frame) -> MultiCamDataset:
     """`per` styled views of each prototype y on each camera, sample ids
     from 0 in (identity, camera) order, hidden identity hidden_base + y."""
-    views = [(y, c, _styled(proto, a, b, rng, sigma_frame))
-             for y, proto in enumerate(protos)
-             for c, (a, b) in enumerate(cams) for _ in range(per)]
+    views = _views(np.array(protos), cams, per, rng, sigma_frame)
+    n = len(cams) * per
     return MultiCamDataset.from_samples(
-        [PersonSample(sid, v, y, c, MULTI, None, hidden_base + y)
-         for sid, (y, c, v) in enumerate(views)])
+        [PersonSample(sid, v, sid // n, sid % n // per, MULTI, None,
+                      hidden_base + sid // n)
+         for sid, v in enumerate(views)])
 
 
 def synth_generate(
@@ -264,16 +278,12 @@ def synth_generate(
         a, b = _style_map(rng, d, cfg.sigma_video, cfg.sigma_shift, pool)
         lo = v * per_video
         hi = min((v + 1) * per_video, cfg.n_single_identities)
-        video_protos = _simplexify(s_protos[lo:hi])
-        frames = []
-        for off, proto in enumerate(video_protos):
-            for _ in range(cfg.frames_per_identity):
-                frames.append(
-                    PersonSample(sid, _styled(proto, a, b, rng, cfg.sigma_frame),
-                                 None, None, SINGLE, v,
-                                 hidden_identity=hidden_base + lo + off)
-                )
-                sid += 1
+        views = _views(np.array(_simplexify(s_protos[lo:hi])), [(a, b)],
+                       cfg.frames_per_identity, rng, cfg.sigma_frame)
+        frames = [PersonSample(sid + i, f, None, None, SINGLE, v,
+                               hidden_base + lo + i // cfg.frames_per_identity)
+                  for i, f in enumerate(views)]
+        sid += len(frames)
         videos.append((v, frames))
     corpus = SingleCamCorpus(videos)
 
@@ -385,7 +395,7 @@ def compose_batch(
 def _sample_record(s: PersonSample) -> dict:
     return {
         "sample_id": s.sample_id,
-        "features": [float(x) for x in s.features],
+        "features": s.features.tolist(),
         "identity": s.identity,
         "camera": s.camera,
         "video_id": s.video_id,
@@ -406,10 +416,14 @@ def save_dataset(path, samples: Iterable[PersonSample], dim: int) -> int:
     return n
 
 
+_ID_TYPES = {int, type(None)}
+
+
 def load_samples(path) -> tuple[list[PersonSample], int]:
     """Read a dataset file. A truncated line, a missing key, a repeated
-    sample_id, a wrong feature count, a non-finite feature or fields that
-    make no valid sample raise VersionMismatchError naming the file and the
+    sample_id, a wrong feature count, a non-finite feature or one beyond
+    the float range, an id field that is not an integer or fields that make
+    no valid sample raise VersionMismatchError naming the file and the
     1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 1
@@ -433,14 +447,19 @@ def load_samples(path) -> tuple[list[PersonSample], int]:
                 if not math.isfinite(sum(values)) \
                         and not np.isfinite(features).all():
                     raise ValueError("non-finite feature")
+                ident, cam, vid = r["identity"], r["camera"], r["video_id"]
+                hidden = r["hidden_identity"]
+                # JSON integers; null only where PersonSample allows it
+                if type(sid) is not int or type(hidden) is not int \
+                        or not {type(ident), type(cam), type(vid)} <= _ID_TYPES:
+                    raise ValueError("id fields must be integers")
                 if sid in seen:
                     raise ValueError(f"repeated sample_id {sid}")
                 seen.add(sid)
-                samples.append(PersonSample(
-                    sid, features, r["identity"], r["camera"], r["source"],
-                    r["video_id"], r["hidden_identity"]))
-        except (AttributeError, KeyError, TypeError, ValueError,
-                InvalidConfigError) as exc:
+                samples.append(PersonSample(sid, features, ident, cam,
+                                            r["source"], vid, hidden))
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError, InvalidConfigError) as exc:
             raise VersionMismatchError(
                 f"malformed dataset {path} line {lineno}: {exc!r}") from exc
     return samples, dim

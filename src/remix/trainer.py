@@ -16,7 +16,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import evalkit
-from .config import RunConfig
+from .config import RunConfig, TrainConfig
 from .datamodel import (
     CorpusFrames,
     LabelGroups,
@@ -49,6 +49,12 @@ def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
                       enc.OptimizerState.for_params(params))
 
 
+def _require_corpus(t: TrainConfig, corpus) -> None:
+    if t.uses_corpus and corpus is None:
+        raise InvalidConfigError("the config uses the single-camera corpus, "
+                                 "but no corpus was given")
+
+
 def run_epoch(
     state: TrainState,
     multi: LabelGroups,
@@ -59,8 +65,10 @@ def run_epoch(
     video_rng: np.random.Generator,
 ) -> TrainState:
     """One epoch over the multi-camera rows grouped by identity and the
-    corpus rows grouped by video; mutates and returns state."""
+    corpus rows grouped by video; mutates and returns state. A config that
+    uses the corpus needs one: InvalidConfigError if None."""
     t = cfg.train
+    _require_corpus(t, corpus)
 
     # epoch-start: pseudo-label the corpus, momentum-embed all multi data,
     # rebuild the centroid bank over both
@@ -139,9 +147,7 @@ def train(
     """Run cfg.train.epochs epochs; write metrics lines and checkpoints.
     A config that uses the corpus needs one: InvalidConfigError if None."""
     t = cfg.train
-    if t.uses_corpus and corpus is None:
-        raise InvalidConfigError("the config uses the single-camera corpus, "
-                                 "but no corpus was given")
+    _require_corpus(t, corpus)
     rows = multi.grouped()
     # rows are grouped by identity: one spans two cameras iff two of its
     # neighbouring rows differ in camera

@@ -243,3 +243,70 @@ def reference_camera_centroids_loss(view, bank, tau_cc):
     if contributing == 0:
         return 0.0, grads
     return total / contributing, grads / contributing
+
+
+# --- the synthetic generator, one styled view at a time ---------------------
+
+
+def reference_synth_generate(cfg, seed):
+    """synth_generate with one mat-vec, one noise draw and one 1-D norm per
+    sample, in the generator's draw order."""
+    from remix.datamodel import (MULTI, SINGLE, MultiCamDataset, PersonSample,
+                                 SingleCamCorpus, _simplexify, _style_basis,
+                                 _style_map)
+    from remix.numcore import normalize, substream
+
+    cfg.validate()
+    rng = substream(seed, "generator")
+    d = cfg.dim
+
+    def styled(proto, a, b):
+        return normalize(a @ proto + b
+                         + cfg.sigma_frame * rng.standard_normal(proto.shape))
+
+    def multicam(protos, cams, per, hidden_base):
+        samples = []
+        for y, proto in enumerate(protos):
+            for c, (a, b) in enumerate(cams):
+                for _ in range(per):
+                    samples.append(PersonSample(
+                        len(samples), styled(proto, a, b), y, c, MULTI, None,
+                        hidden_base + y))
+        return MultiCamDataset.from_samples(samples)
+
+    q, _ = np.linalg.qr(rng.standard_normal((d, cfg.multi_subspace_dim)))
+    protos = [normalize(q @ rng.standard_normal(cfg.multi_subspace_dim))
+              for _ in range(cfg.n_identities)]
+    pool = _style_basis(rng, d, cfg.style_pool)
+    cams = [_style_map(rng, d, cfg.sigma_cam, cfg.sigma_shift, pool)
+            for _ in range(cfg.n_cameras)]
+    multi = multicam(protos, cams, cfg.samples_per_id_per_cam, 0)
+
+    s_protos = [normalize(rng.standard_normal(d))
+                for _ in range(cfg.n_single_identities)]
+    hidden_base = cfg.n_identities
+    videos = []
+    sid = 0
+    per_video = int(np.ceil(cfg.n_single_identities / cfg.n_videos))
+    for v in range(cfg.n_videos):
+        a, b = _style_map(rng, d, cfg.sigma_video, cfg.sigma_shift, pool)
+        lo = v * per_video
+        hi = min((v + 1) * per_video, cfg.n_single_identities)
+        frames = []
+        for off, proto in enumerate(_simplexify(s_protos[lo:hi])):
+            for _ in range(cfg.frames_per_identity):
+                frames.append(PersonSample(sid, styled(proto, a, b), None,
+                                           None, SINGLE, v,
+                                           hidden_base + lo + off))
+                sid += 1
+        videos.append((v, frames))
+    corpus = SingleCamCorpus(videos)
+
+    t_protos = [normalize(rng.standard_normal(d))
+                for _ in range(cfg.n_target_identities)]
+    t_cams = [_style_map(rng, d, cfg.sigma_cam * cfg.domain_shift,
+                         cfg.sigma_shift * cfg.domain_shift, pool)
+              for _ in range(cfg.n_target_cameras)]
+    target = multicam(t_protos, t_cams, cfg.target_samples_per_id_per_cam,
+                      hidden_base + cfg.n_single_identities)
+    return multi, corpus, target

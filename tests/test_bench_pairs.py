@@ -93,3 +93,23 @@ def test_spread_wider_than_the_bound_is_unresolved():
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("9101-9110") == list(range(9101, 9111))
     assert bench_pairs.parse_seeds("7") == [7]
+
+
+def test_failed_share_is_over_attempts():
+    def runs(parent, change):
+        return [{"parent": {"attempted": pa, "failed": pf},
+                 "change": {"attempted": ca, "failed": cf}}
+                for (pa, pf), (ca, cf) in zip(parent, change)]
+
+    # one failure each, but the change attempted half as many operations
+    f = bench_pairs.failures(runs([(10, 1), (10, 0)], [(6, 0), (4, 1)]))
+    assert f["failed_operations"] == {"parent": 1, "change": 1}
+    assert f["attempted_operations"] == {"parent": 20, "change": 10}
+    assert f["failed_share"] == {"parent": 0.05, "change": 0.1}
+    assert f["change_fails_more"]
+    # an equal share, or a lower one, is not flagged
+    f = bench_pairs.failures(runs([(10, 1), (10, 0)], [(10, 0), (10, 1)]))
+    assert f["failed_share"] == {"parent": 0.05, "change": 0.05}
+    assert not f["change_fails_more"]
+    f = bench_pairs.failures(runs([(10, 1)], [(10, 0)]))
+    assert not f["change_fails_more"]

@@ -28,6 +28,8 @@ from remix.errors import (
 )
 from remix.numcore import substream
 
+from oracles import reference_synth_generate
+
 
 def _ms(sid, ident, cam, dim=4):
     return PersonSample(sid, np.ones(dim), ident, cam, MULTI, None,
@@ -125,6 +127,26 @@ class TestSynthGenerate:
         c = synth_generate(small_cfg(), 6)[0]
         assert not np.array_equal(a.samples[0].features, c.samples[0].features)
 
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(),
+        small_cfg(n_single_identities=10),  # the last video is short
+        small_cfg(frames_per_identity=1),
+        small_cfg(n_cameras=1),
+        small_cfg(dim=2, multi_subspace_dim=1, n_single_identities=4),
+    ], ids=["default", "uneven-videos", "one-frame", "one-camera", "dim-2"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_per_sample_reference(self, cfg, seed):
+        def rows(multi, corpus, target):
+            frames = [s for _, fr in corpus.videos for s in fr]
+            return [(s.sample_id, s.identity, s.camera, s.source, s.video_id,
+                     s.hidden_identity, s.features)
+                    for s in multi.samples + frames + target.samples]
+
+        got = rows(*synth_generate(cfg, seed))
+        want = rows(*reference_synth_generate(cfg, seed))
+        assert [r[:-1] for r in got] == [r[:-1] for r in want]
+        assert all(np.array_equal(g[-1], w[-1]) for g, w in zip(got, want))
+
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
             synth_generate(small_cfg(n_videos=0), 0)
@@ -134,6 +156,8 @@ class TestSynthGenerate:
             synth_generate(small_cfg(multi_subspace_dim=9), 0)
         with pytest.raises(InvalidConfigError):
             synth_generate(small_cfg(n_single_identities=2), 0)
+        with pytest.raises(InvalidConfigError):  # 2 per video leaves one empty
+            synth_generate(small_cfg(n_single_identities=5), 0)
 
 
 # one feature vector, and a (B, D) batch as the trainer augments it
@@ -266,10 +290,31 @@ class TestDatasetFiles:
         n = save_dataset(path, multi.samples, 8)
         assert n == len(multi.samples)
         back = load_multicam(path)
+        assert len(back.samples) == len(multi.samples)
         for a, b in zip(multi.samples, back.samples):
-            assert a.sample_id == b.sample_id
-            assert a.identity == b.identity and a.camera == b.camera
-            assert np.allclose(a.features, b.features)
+            assert (a.sample_id, a.identity, a.camera, a.source, a.video_id,
+                    a.hidden_identity) == (b.sample_id, b.identity, b.camera,
+                                           b.source, b.video_id,
+                                           b.hidden_identity)
+            assert np.array_equal(a.features, b.features)
+
+    def test_record_bytes(self, tmp_path):
+        # each record is json.dumps of its fields, the features as Python
+        # floats: the shortest text that reads back as the same double
+        multi, corpus, _ = synth_generate(small_cfg(), 3)
+        samples = multi.samples + [s for _, fr in corpus.videos for s in fr]
+        path = tmp_path / "ds.jsonl"
+        save_dataset(path, samples, 8)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [json.dumps({
+            "sample_id": s.sample_id,
+            "features": [float(x) for x in s.features],
+            "identity": s.identity,
+            "camera": s.camera,
+            "video_id": s.video_id,
+            "source": s.source,
+            "hidden_identity": s.hidden_identity,
+        }) for s in samples]
 
     def test_header_tag(self, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -351,6 +396,15 @@ BROKEN_RECORD = {
     "inf-feature": lambda r: _set_feature(r, float("-inf")),
     "unknown-source": lambda r: r.update(source="bogus"),
     "multi-without-camera": lambda r: r.update(camera=None),
+    "integer-feature-beyond-float": lambda r: _set_feature(r, 10 ** 400),
+    "string-sample-id": lambda r: r.update(sample_id="a"),
+    "float-sample-id": lambda r: r.update(sample_id=5.0),
+    "null-sample-id": lambda r: r.update(sample_id=None),
+    "string-camera": lambda r: r.update(camera="0"),
+    "boolean-identity": lambda r: r.update(identity=True),
+    "float-video-id": lambda r: r.update(video_id=1.5),
+    "null-hidden-identity": lambda r: r.update(hidden_identity=None),
+    "boolean-hidden-identity": lambda r: r.update(hidden_identity=False),
 }
 
 

@@ -87,6 +87,17 @@ def test_config_that_uses_the_corpus_needs_one(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_epoch_that_uses_the_corpus_needs_one():
+    cfg = tiny_cfg()
+    multi, _, _ = data_for(cfg)
+    rows = multi.grouped()
+    state = trainer.init_state(cfg, rows.features.shape[1])
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    with pytest.raises(InvalidConfigError, match="corpus"):
+        trainer.run_epoch(state, rows, None, cfg, *rngs)
+    assert state.epoch == 0 and state.metrics == []
+
+
 @pytest.mark.parametrize("budget", [None, 20])
 def test_pseudo_label_budget(monkeypatch, budget):
     # unset, the budget is one epoch's single-camera slots
