@@ -6,12 +6,13 @@ Usage:
     python3 scripts/run_ablation.py [--config PATH] [--seeds 0 1 2]
 """
 import argparse
+import json
 import sys
 import time
 
 import numpy as np
 
-from remix.config import RunConfig, load_config
+from remix.config import RunConfig, apply_overrides, load_config
 from remix.datamodel import synth_generate
 from remix.evalkit import evaluate, shuffled_label_baseline
 from remix.numcore import substream
@@ -19,17 +20,17 @@ from remix.trainer import train
 
 
 def run_once(base: RunConfig, seed: int, use_single: bool):
-    cfg = RunConfig(**{f: getattr(base, f) for f in
-                       ("generator", "model", "train", "eval", "io")})
-    cfg.seed = seed
-    cfg.train.use_single_cam = use_single
-    cfg.validate()
+    """Train one arm on a copy of base and evaluate its momentum encoder:
+    the target report, the shuffled-label baseline mAP and the purity of
+    each epoch (None where the corpus is off)."""
+    cfg = apply_overrides(base, [
+        f"seed={seed}", f"train.use_single_cam={json.dumps(use_single)}"])
     multi, corpus, target = synth_generate(cfg.generator, seed)
     state = train(multi, corpus if use_single else None, cfg)
     report = evaluate(state.momentum, target)
     base_map = shuffled_label_baseline(state.momentum, target,
                                        substream(seed, "baseline"))
-    return report, base_map
+    return report, base_map, [m["purity"] for m in state.metrics]
 
 
 def main(argv=None):
@@ -42,8 +43,8 @@ def main(argv=None):
     rows = []
     for seed in args.seeds:
         t0 = time.time()
-        on, base_on = run_once(base, seed, True)
-        off, base_off = run_once(base, seed, False)
+        on, base_on, _ = run_once(base, seed, True)
+        off, base_off, _ = run_once(base, seed, False)
         rows.append((seed, on["mAP"], off["mAP"],
                      0.5 * (base_on + base_off)))
         print(f"seed {seed}: mAP on={on['mAP']:.4f} off={off['mAP']:.4f} "

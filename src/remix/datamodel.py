@@ -173,7 +173,10 @@ class GeneratorConfig:
             raise InvalidConfigError("style_pool must be >= 1")
         if not 1 <= self.multi_subspace_dim <= self.dim:
             raise InvalidConfigError("multi_subspace_dim must be in [1, dim]")
-        if self.n_single_identities < self.n_videos:
+        # videos take ceil(n / v) identities each, in order; the last one
+        # must still get one
+        n, v = self.n_single_identities, self.n_videos
+        if -(-n // v) * (v - 1) >= n:
             raise InvalidConfigError("need at least one identity per video")
 
 
@@ -421,10 +424,10 @@ _ID_TYPES = {int, type(None)}
 
 def load_samples(path) -> tuple[list[PersonSample], int]:
     """Read a dataset file. A truncated line, a missing key, a repeated
-    sample_id, a wrong feature count, a non-finite feature or one beyond
-    the float range, an id field that is not an integer or fields that make
-    no valid sample raise VersionMismatchError naming the file and the
-    1-based line."""
+    sample_id, a wrong feature count, a boolean or non-finite feature or
+    one beyond the float range, an id field that is not an integer or
+    fields that make no valid sample raise VersionMismatchError naming the
+    file and the 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 1
         try:
@@ -442,6 +445,8 @@ def load_samples(path) -> tuple[list[PersonSample], int]:
                 features = np.array(values, dtype=np.float64)
                 if features.shape != (dim,):
                     raise ValueError("record dimension disagrees with header")
+                if bool in map(type, values):  # np.array takes true as 1.0
+                    raise ValueError("boolean feature")
                 # a sum is finite only if every term is; an overflowing sum
                 # of finite terms gets the exact check
                 if not math.isfinite(sum(values)) \

@@ -4,8 +4,8 @@ optimizer with linear warm-up, and the EMA momentum copy.
 Hidden layers use tanh (smooth, so finite-difference gradient checks are
 clean everywhere); the final layer is linear followed by unit
 normalization, whose Jacobian is handled exactly in backward_batch().
-Gradients are shaped like the parameters: backward_batch returns an
-EncoderParams of them, which adam_step takes as it is.
+Parameters, gradients and Adam moments are each one flat float64 vector
+in EncoderParams' layout; a checkpoint holds one nested list per array.
 """
 from __future__ import annotations
 
@@ -32,18 +32,43 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _size(dims) -> int:
+    """Parameter count of an encoder with these layer widths."""
+    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+
+
 @dataclass
 class EncoderParams:
-    weights: list[np.ndarray]  # weights[l] has shape (d_in, d_out)
-    biases: list[np.ndarray]
+    """All parameters as one contiguous float64 vector. weights[l], of shape
+    (dims[l], dims[l + 1]), and biases[l] are views into it, in arrays()
+    order: writing either writes flat, and the reverse."""
+    flat: np.ndarray
+    dims: tuple[int, ...]  # layer widths: dim_in, *hidden, dim_out
+
+    def __post_init__(self):
+        self.dims = tuple(self.dims)
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if len(self.dims) < 2 or self.flat.shape != (_size(self.dims),):
+            raise ShapeMismatchError(
+                f"{self.flat.shape} parameters for layer widths {self.dims}")
+        weights, biases, i = [], [], 0
+        for a, b in zip(self.dims[:-1], self.dims[1:]):
+            weights.append(self.flat[i:i + a * b].reshape(a, b))
+            biases.append(self.flat[i + a * b:i + a * b + b])
+            i += a * b + b
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @classmethod
-    def from_arrays(cls, arrays: list[np.ndarray]) -> "EncoderParams":
-        """Inverse of arrays()."""
-        return cls(list(arrays[0::2]), list(arrays[1::2]))
+    def zeros(cls, dims) -> "EncoderParams":
+        return cls(np.zeros(_size(dims)), dims)
+
+    def like(self, flat: np.ndarray) -> "EncoderParams":
+        """Parameters of this layout backed by flat (a contiguous float64
+        vector is not copied)."""
+        return EncoderParams(flat, self.dims)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams.from_arrays([a.copy() for a in self.arrays()])
+        return self.like(self.flat.copy())
 
     def arrays(self) -> list[np.ndarray]:
         """Parameters in layer order: w0, b0, w1, b1, ..."""
@@ -51,23 +76,21 @@ class EncoderParams:
 
     @property
     def dim_in(self) -> int:
-        return self.weights[0].shape[0]
+        return self.dims[0]
 
     @property
     def dim_out(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.dims[-1]
 
 
 def init_params(dim_in: int, hidden: list[int], dim_out: int,
                 rng: np.random.Generator) -> EncoderParams:
     """Glorot-uniform weights, zero biases."""
-    dims = [dim_in, *hidden, dim_out]
-    weights, biases = [], []
-    for a, b in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (a + b))
-        weights.append(rng.uniform(-bound, bound, size=(a, b)))
-        biases.append(np.zeros(b))
-    return EncoderParams(weights, biases)
+    params = EncoderParams.zeros((dim_in, *hidden, dim_out))
+    for w in params.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 @dataclass
@@ -107,29 +130,26 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     # normalization layer: dv = (du - (du.u) u) / ||v||
     proj = np.sum(d_u * cache.u, axis=1, keepdims=True)
     g = (d_u - proj * cache.u) / cache.norms[:, None]
-    d_weights = [None] * len(params.weights)
-    d_biases = [None] * len(params.biases)
+    grads = params.like(np.empty_like(params.flat))
     for l in range(len(params.weights) - 1, -1, -1):
-        a_in = cache.activations[l]
-        d_weights[l] = a_in.T @ g
-        d_biases[l] = g.sum(axis=0)
+        np.matmul(cache.activations[l].T, g, out=grads.weights[l])
+        g.sum(axis=0, out=grads.biases[l])
         if l > 0:
             g = (g @ params.weights[l].T) * (1.0 - cache.activations[l] ** 2)
-    return EncoderParams(d_weights, d_biases)
+    return grads
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments aligned with EncoderParams.arrays(), and the step count.
+    """Adam moments laid out like EncoderParams.flat, and the step count.
     The hyperparameters live in TrainConfig."""
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: EncoderParams) -> "OptimizerState":
-        return cls([np.zeros_like(a) for a in params.arrays()],
-                   [np.zeros_like(a) for a in params.arrays()])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def effective_lr(lr: float, warmup_epochs: int, epoch: int) -> float:
@@ -147,25 +167,16 @@ def adam_step(
     weight_decay: float,
 ) -> tuple[EncoderParams, OptimizerState]:
     """Bias-corrected Adam with decoupled weight decay."""
-    arrays = params.arrays()
-    g_arrays = grads.arrays()
-    if len(g_arrays) != len(arrays) or any(
-            g.shape != p.shape for g, p in zip(g_arrays, arrays)):
+    if grads.dims != params.dims:
         raise ShapeMismatchError("gradient shapes do not match parameters")
     t = opt.step + 1
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(arrays, g_arrays, opt.m, opt.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_p.append(p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                               + weight_decay * p))
-        new_m.append(m)
-        new_v.append(v)
-    return EncoderParams.from_arrays(new_p), OptimizerState(new_m, new_v, t)
+    p, g = params.flat, grads.flat
+    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_p = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+    return params.like(new_p), OptimizerState(m, v, t)
 
 
 def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
@@ -173,11 +184,9 @@ def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
     """theta_m <- lam * theta_m + (1 - lam) * theta_e, elementwise."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("momentum coefficient must be in [0, 1]")
-    a_m, a_e = theta_m.arrays(), theta_e.arrays()
-    if [a.shape for a in a_m] != [a.shape for a in a_e]:
+    if theta_m.dims != theta_e.dims:
         raise ShapeMismatchError("encoder shapes differ")
-    return EncoderParams.from_arrays(
-        [lam * m + (1.0 - lam) * e for m, e in zip(a_m, a_e)])
+    return theta_m.like(lam * theta_m.flat + (1.0 - lam) * theta_e.flat)
 
 
 # --- checkpoint file --------------------------------------------------------
@@ -197,7 +206,7 @@ def save_checkpoint(path, config: dict, epoch: int, enc: EncoderParams,
         "step": opt.step,
     }
     lists = {"encoder": enc.arrays(), "momentum": mom.arrays(),
-             "m": opt.m, "v": opt.v}
+             "m": enc.like(opt.m).arrays(), "v": enc.like(opt.v).arrays()}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header)[:-1])
         for key, arrays in lists.items():
@@ -218,18 +227,20 @@ def _arrays(doc: dict, key: str, shapes=None) -> list[np.ndarray]:
     return arrays
 
 
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def _layers(arrays: list[np.ndarray]) -> EncoderParams:
     """The encoder the arrays describe, if they chain as layers."""
-    if not arrays or len(arrays) % 2:
+    if not arrays or len(arrays) % 2 or arrays[0].ndim != 2:
         raise ValueError("'encoder' needs a weight and a bias per layer")
-    params = EncoderParams.from_arrays(arrays)
-    d_in = arrays[0].shape[:1]
-    for w, b in zip(params.weights, params.biases):
-        if w.ndim != 2 or w.shape[:1] != d_in or b.shape != w.shape[1:]:
-            raise ValueError(f"'encoder' layer shapes {w.shape} and "
-                             f"{b.shape} do not chain")
-        d_in = w.shape[1:]
-    return params
+    params = EncoderParams.zeros(
+        (arrays[0].shape[0], *(b.size for b in arrays[1::2])))
+    shapes = [a.shape for a in arrays]
+    if shapes != [a.shape for a in params.arrays()]:
+        raise ValueError(f"'encoder' layer shapes {shapes} do not chain")
+    return params.like(_flat(arrays))
 
 
 def _count(doc: dict, key: str) -> int:
@@ -252,10 +263,10 @@ def load_checkpoint(path) -> tuple[dict, int, EncoderParams, EncoderParams, Opti
             raise ValueError("'config' is not an object")
         enc = _layers(_arrays(doc, "encoder"))
         shapes = [a.shape for a in enc.arrays()]
-        mom, m, v = (_arrays(doc, k, shapes) for k in ("momentum", "m", "v"))
+        mom, m, v = (_flat(_arrays(doc, k, shapes))
+                     for k in ("momentum", "m", "v"))
         opt = OptimizerState(m, v, _count(doc, "step"))
-        return (doc["config"], _count(doc, "epoch"), enc,
-                EncoderParams.from_arrays(mom), opt)
+        return doc["config"], _count(doc, "epoch"), enc, enc.like(mom), opt
     except (KeyError, TypeError, ValueError) as exc:
         raise VersionMismatchError(
             f"malformed checkpoint {path}: {exc!r}") from exc

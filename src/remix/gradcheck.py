@@ -32,17 +32,6 @@ LOSSES = {
 }
 
 
-def _flatten(params: enc.EncoderParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in params.arrays()])
-
-
-def _unflatten(flat: np.ndarray, like: enc.EncoderParams) -> enc.EncoderParams:
-    arrays = like.arrays()
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-    return enc.EncoderParams.from_arrays(
-        [part.reshape(a.shape) for part, a in zip(np.split(flat, cuts), arrays)])
-
-
 def _random_case(rng, feat_dim, emb_dim, batch):
     """Mixed batch: the first half multi-camera (labels 0 and 1, random
     cameras), the rest single-camera (labels 2 and 3)."""
@@ -72,19 +61,17 @@ def max_relative_errors(
     for _ in range(n_batches):
         params = enc.init_params(feat_dim, [hidden], emb_dim, rng)
         x, rows, m, bank = _random_case(rng, feat_dim, emb_dim, batch)
-        flat0 = _flatten(params)
         for name, loss_fn in LOSSES.items():
 
             def scalar(flat):
-                p = _unflatten(flat, params)
-                f, _ = enc.forward_batch(p, x)
+                f, _ = enc.forward_batch(params.like(flat), x)
                 loss, _ = loss_fn(BatchView(f, m, *rows), bank)
                 return loss
 
             f, cache = enc.forward_batch(params, x)
             _, d_f = loss_fn(BatchView(f, m, *rows), bank)
-            analytic = _flatten(enc.backward_batch(params, cache, d_f))
-            fd = finite_diff_grad(scalar, flat0, h)
+            analytic = enc.backward_batch(params, cache, d_f).flat
+            fd = finite_diff_grad(scalar, params.flat, h)
             scale = max(float(np.max(np.abs(fd))), 1e-12)
             err = float(np.max(np.abs(analytic - fd))) / scale
             worst[name] = max(worst[name], err)

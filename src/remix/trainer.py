@@ -102,8 +102,7 @@ def run_epoch(
             view, bank, t.tau_ins_multi, t.tau_ins_single, t.tau_aug,
             t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma)
         grads = enc.backward_batch(state.params, cache, d_f)
-        if not (np.isfinite(loss)
-                and all(np.isfinite(g).all() for g in grads.arrays())):
+        if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or gradient at epoch {state.epoch}, "
                 f"iteration {it}")

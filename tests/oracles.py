@@ -4,6 +4,7 @@ Everything here is deliberately written the slow, obvious way.
 """
 import numpy as np
 
+from remix.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from remix.errors import NoValidPositiveError
 
 NOISE = -1
@@ -100,6 +101,35 @@ def reference_rankings(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
         prec = np.cumsum(ranked) / np.arange(1, len(ranked) + 1)
         aps.append(float(prec[ranked].sum() / ranked.sum()))
     return np.array(first), np.array(aps)
+
+
+# --- the optimizer step and EMA, one array at a time -----------------------
+
+
+def reference_adam_step(params, grads, m, v, step, lr, weight_decay):
+    """Adam with decoupled weight decay, one array at a time. params,
+    grads, m and v are lists of arrays in the same order; returns the new
+    params, m and v lists."""
+    t = step + 1
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    new_p, new_m, new_v = [], [], []
+    for p, g, m_a, v_a in zip(params, grads, m, v):
+        m_a = ADAM_BETA1 * m_a + (1.0 - ADAM_BETA1) * g
+        v_a = ADAM_BETA2 * v_a + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m_a / bc1
+        v_hat = v_a / bc2
+        new_p.append(p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                               + weight_decay * p))
+        new_m.append(m_a)
+        new_v.append(v_a)
+    return new_p, new_m, new_v
+
+
+def reference_ema_update(momentum, params, lam):
+    """lam * momentum + (1 - lam) * params, one array at a time."""
+    return [lam * m + (1.0 - lam) * e for m, e in zip(momentum, params)]
+
 
 # --- the four ReMix losses as per-anchor loops ------------------------------
 

@@ -5,24 +5,20 @@ capture) and then asserts. The two training-based checks share one set of
 ablation runs through a module-scoped fixture.
 """
 import hashlib
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import oracle_ap, reference_dbscan
 from remix import encoder as enc
-from remix import trainer
 from remix.cli import main as cli_main
-from remix.config import RunConfig
+from remix.config import RunConfig, apply_overrides
 from remix.datamodel import MULTI, LabelGroups, compose_batch, synth_generate
-from remix.evalkit import (
-    cmc_rank_k,
-    evaluate,
-    mean_ap,
-    shuffled_label_baseline,
-)
+from remix.evalkit import cmc_rank_k, mean_ap
 from remix.errors import NoValidPositiveError
 from remix.gradcheck import max_relative_errors
 from remix.losses import (
@@ -36,6 +32,11 @@ from remix.losses import (
 )
 from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import dbscan
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "run_ablation.py"
+_spec = importlib.util.spec_from_file_location("run_ablation", _PATH)
+run_ablation = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_ablation)
 
 
 def report(capsys, n, ok, detail):
@@ -150,27 +151,32 @@ def test_criterion_4_metric_fixtures(capsys):
 
 @pytest.fixture(scope="module")
 def ablation():
-    """Criterion-5 runs: 3 seeds x (single-cam on, off), default config."""
+    """Criterion-5 runs: 3 seeds x (single-cam on, off), default config,
+    through scripts/run_ablation.py's run_once."""
     t0 = time.time()
     out = {"on": [], "off": [], "base": [], "purity": []}
+    base = RunConfig().validate()
     for seed in (0, 1, 2):
         for enabled in (True, False):
-            cfg = RunConfig()
-            cfg.seed = seed
-            cfg.train.use_single_cam = enabled
-            cfg.validate()
-            multi, corpus, target = synth_generate(cfg.generator, seed)
-            state = trainer.train(multi, corpus if enabled else None, cfg)
-            rep = evaluate(state.momentum, target)
-            out["base"].append(shuffled_label_baseline(
-                state.momentum, target, substream(seed, "baseline")))
+            rep, base_map, purity = run_ablation.run_once(base, seed, enabled)
+            out["base"].append(base_map)
             if enabled:
                 out["on"].append(rep["mAP"])
-                out["purity"].append([m["purity"] for m in state.metrics])
+                out["purity"].append(purity)
             else:
                 out["off"].append(rep["mAP"])
     out["elapsed"] = time.time() - t0
     return out
+
+
+def test_ablation_arm_leaves_its_base_config_alone():
+    base = apply_overrides(RunConfig(), ["train.epochs=1",
+                                         "train.iters_per_epoch=5"])
+    before = base.to_dict()
+    for enabled in (True, False):
+        _, _, purity = run_ablation.run_once(base, 3, enabled)
+        assert len(purity) == 1 and (purity[0] is not None) == enabled
+    assert base.to_dict() == before
 
 
 def test_criterion_5_single_camera_direction_of_effect(capsys, ablation):

@@ -159,6 +159,23 @@ class TestSynthGenerate:
         with pytest.raises(InvalidConfigError):  # 2 per video leaves one empty
             synth_generate(small_cfg(n_single_identities=5), 0)
 
+    @pytest.mark.parametrize("n, v", [(5, 4), (9, 4), (7, 6), (3, 4)])
+    def test_validate_rejects_a_split_with_an_empty_video(self, n, v):
+        # videos take ceil(n / v) identities each, in order, so these
+        # leave the last video none
+        with pytest.raises(InvalidConfigError, match="video"):
+            small_cfg(n_single_identities=n, n_videos=v).validate()
+
+    @pytest.mark.parametrize("n, v", [(10, 4), (8, 4), (4, 4), (7, 4)])
+    def test_every_video_of_a_valid_split_has_an_identity(self, n, v):
+        cfg = small_cfg(n_single_identities=n, n_videos=v)
+        cfg.validate()
+        _, corpus, _ = synth_generate(cfg, 0)
+        hidden = [{s.hidden_identity for s in frames}
+                  for _, frames in corpus.videos]
+        assert len(hidden) == v and all(hidden)
+        assert sum(map(len, hidden)) == n
+
 
 # one feature vector, and a (B, D) batch as the trainer augments it
 SHAPES = st.sampled_from([(50,), (4, 50)])
@@ -397,6 +414,8 @@ BROKEN_RECORD = {
     "unknown-source": lambda r: r.update(source="bogus"),
     "multi-without-camera": lambda r: r.update(camera=None),
     "integer-feature-beyond-float": lambda r: _set_feature(r, 10 ** 400),
+    "boolean-feature": lambda r: _set_feature(r, True),
+    "boolean-features": lambda r: r.update(features=[True, False] * 4),
     "string-sample-id": lambda r: r.update(sample_id="a"),
     "float-sample-id": lambda r: r.update(sample_id=5.0),
     "null-sample-id": lambda r: r.update(sample_id=None),
@@ -461,6 +480,16 @@ class TestMalformedDatasetFile:
         path.write_text("\n".join(lines) + "\n")
         samples, _ = load_samples(path)
         assert np.all(samples[0].features == 1e308)
+
+    def test_integer_features_load(self, tmp_path):
+        # JSON integers are numbers; only booleans are refused
+        path, lines = self._write(tmp_path)
+        record = json.loads(lines[1])
+        record["features"] = [1, 0] * 4
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        samples, _ = load_samples(path)
+        assert samples[0].features.tolist() == [1.0, 0.0] * 4
 
     def test_valid_file_still_loads(self, tmp_path):
         path, _ = self._write(tmp_path)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import reference_adam_step, reference_ema_update
 from remix import encoder as enc
 from remix.config import RunConfig
 from remix.errors import (
@@ -25,6 +26,40 @@ def test_init_shapes_and_zero_biases():
     assert [w.shape for w in p.weights] == [(5, 7), (7, 3)]
     assert all(np.all(b == 0) for b in p.biases)
     assert p.dim_in == 5 and p.dim_out == 3
+
+
+def test_weights_and_biases_are_views_of_flat():
+    p = make_params(dims=(5, 7, 3))
+    assert p.flat.shape == (5 * 7 + 7 + 7 * 3 + 3,) and p.dims == (5, 7, 3)
+    p.flat[:] = np.arange(p.flat.size)
+    assert np.array_equal(p.weights[0], np.arange(35).reshape(5, 7))
+    assert np.array_equal(p.biases[0], np.arange(35, 42))
+    assert np.array_equal(p.weights[1], np.arange(42, 63).reshape(7, 3))
+    assert np.array_equal(p.biases[1], np.arange(63, 66))
+    p.weights[1][2, 1] = -1.0
+    p.biases[0][3] = -2.0
+    assert p.flat[42 + 2 * 3 + 1] == -1.0 and p.flat[35 + 3] == -2.0
+    assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]),
+                          p.flat)
+
+
+def test_like_wraps_without_copying():
+    p = make_params()
+    flat = np.zeros_like(p.flat)
+    q = p.like(flat)
+    flat[0] = 5.0
+    assert q.dims == p.dims and q.weights[0][0, 0] == 5.0
+    c = p.copy()
+    c.flat[0] += 1.0
+    assert c.flat[0] != p.flat[0]
+
+
+# (6, 8, 4) holds 6 * 8 + 8 + 8 * 4 + 4 = 92 parameters; (6,) no layer
+@pytest.mark.parametrize("length, dims", [(0, (6, 8, 4)), (91, (6, 8, 4)),
+                                          (93, (6, 8, 4)), (0, (6,))])
+def test_flat_length_must_match_dims(length, dims):
+    with pytest.raises(ShapeMismatchError):
+        enc.EncoderParams(np.zeros(length), dims)
 
 
 def test_init_deterministic():
@@ -81,7 +116,7 @@ def test_backward_matches_finite_differences():
     for l in range(len(p.weights)):
         def f(w, l=l):
             q = p.copy()
-            q.weights[l] = w
+            q.weights[l][...] = w
             uu, _ = enc.forward_batch(q, x)
             return float(np.sum(uu * probe))
 
@@ -90,7 +125,7 @@ def test_backward_matches_finite_differences():
 
         def g(b, l=l):
             q = p.copy()
-            q.biases[l] = b
+            q.biases[l][...] = b
             uu, _ = enc.forward_batch(q, x)
             return float(np.sum(uu * probe))
 
@@ -98,9 +133,28 @@ def test_backward_matches_finite_differences():
         assert np.allclose(grads.biases[l], fd_b, atol=1e-6)
 
 
+@pytest.mark.parametrize("batch", [1, 64])
+def test_backward_view_writes_equal_products(batch):
+    # each layer's gradient is written into a view of one vector; the
+    # writes must equal a.T @ g and g.sum(axis=0) bit for bit, at batch 1
+    # (rank-one products, vector-matrix propagation) as at batch 64
+    rng = substream(batch, "gradcheck")
+    p = make_params(dims=(32, 64, 16))
+    x = rng.standard_normal((batch, 32))
+    d_u = rng.standard_normal((batch, 16))
+    _, cache = enc.forward_batch(p, x)
+    grads = enc.backward_batch(p, cache, d_u)
+    proj = np.sum(d_u * cache.u, axis=1, keepdims=True)
+    g = (d_u - proj * cache.u) / cache.norms[:, None]
+    for l in (1, 0):
+        a = cache.activations[l]
+        assert np.array_equal(grads.weights[l], a.T @ g)
+        assert np.array_equal(grads.biases[l], g.sum(axis=0))
+        g = (g @ p.weights[l].T) * (1.0 - a ** 2)
+
+
 def ones_grads(p, value=1.0):
-    return enc.EncoderParams.from_arrays(
-        [np.full_like(a, value) for a in p.arrays()])
+    return p.like(np.full_like(p.flat, value))
 
 
 class TestOptimizer:
@@ -130,19 +184,39 @@ class TestOptimizer:
         enc.adam_step(opt, p, ones_grads(p), lr=0.002, weight_decay=0.0005)
         assert all(np.array_equal(w, s) for w, s in zip(p.weights, snapshot))
         assert opt.step == 0
-        assert all(not a.any() for a in opt.m + opt.v)
+        assert opt.m.shape == opt.v.shape == p.flat.shape
+        assert not opt.m.any() and not opt.v.any()
 
     def test_gradient_shape_check(self):
         p = make_params()
         opt = enc.OptimizerState.for_params(p)
-        bad = enc.EncoderParams([np.zeros((2, 2)) for _ in p.weights],
-                                [np.zeros_like(b) for b in p.biases])
+        # another hidden width, so another parameter count
+        bad = enc.EncoderParams.zeros((6, 9, 4))
         with pytest.raises(ShapeMismatchError):
             enc.adam_step(opt, p, bad, lr=0.002, weight_decay=0.0)
-        short = enc.EncoderParams([np.zeros_like(w) for w in p.weights],
-                                  p.biases[:1])
+        # one layer of 22 * 4 + 4 = 92 parameters, as many as p holds
+        short = enc.EncoderParams.zeros((22, 4))
+        assert short.flat.shape == p.flat.shape
         with pytest.raises(ShapeMismatchError):
             enc.adam_step(opt, p, short, lr=0.002, weight_decay=0.0)
+
+    def test_matches_per_array_reference(self):
+        p = make_params()
+        opt = enc.OptimizerState.for_params(p)
+        ref_p = p.arrays()
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        for i in range(5):
+            g = grads_for(p, i)
+            ref_p, ref_m, ref_v = reference_adam_step(
+                ref_p, g.arrays(), ref_m, ref_v, i, 0.002, 0.0005)
+            p, opt = enc.adam_step(opt, p, g, lr=0.002, weight_decay=0.0005)
+            assert opt.step == i + 1
+            for new, ref in ((p.arrays(), ref_p),
+                             (p.like(opt.m).arrays(), ref_m),
+                             (p.like(opt.v).arrays(), ref_v)):
+                assert all(a.shape == b.shape and np.array_equal(a, b)
+                           for a, b in zip(new, ref, strict=True))
 
     def test_first_step_magnitude(self):
         # bias correction makes the first step approach lr * sign(g)
@@ -173,6 +247,16 @@ class TestEma:
         expect = 0.25 * mom.weights[0] + 0.75 * par.weights[0]
         assert np.allclose(out.weights[0], expect)
 
+    def test_matches_per_array_reference(self):
+        mom, par = make_params(0), make_params(1)
+        ref = mom.arrays()
+        for i, lam in enumerate((0.99, 0.9, 0.5, 0.99)):
+            par = par.like(par.flat + grads_for(par, i).flat)
+            ref = reference_ema_update(ref, par.arrays(), lam)
+            mom = enc.ema_update(mom, par, lam)
+            assert all(a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(mom.arrays(), ref, strict=True))
+
     def test_bad_lambda(self):
         with pytest.raises(ValueError):
             enc.ema_update(make_params(), make_params(), 1.5)
@@ -186,8 +270,7 @@ class TestEma:
 def grads_for(p, i):
     """Fixed pseudo-random gradients for Adam step i."""
     rng = substream(i, "gradcheck")
-    return enc.EncoderParams([rng.standard_normal(w.shape) for w in p.weights],
-                             [rng.standard_normal(b.shape) for b in p.biases])
+    return p.like(rng.standard_normal(p.flat.size))
 
 
 def stepped(k):
@@ -245,9 +328,10 @@ class TestCheckpoint:
         enc.save_checkpoint(path, {"seed": 3}, 7, p, m, opt)
         cfg, epoch, p2, m2, opt2 = enc.load_checkpoint(path)
         assert cfg == {"seed": 3} and epoch == 7 and opt2.step == 1
-        pairs = list(zip(p.arrays() + m.arrays() + opt.m + opt.v,
-                         p2.arrays() + m2.arrays() + opt2.m + opt2.v))
-        assert len(pairs) == 16
+        assert p2.dims == m2.dims == p.dims
+        pairs = list(zip(p.arrays() + m.arrays() + [opt.m, opt.v],
+                         p2.arrays() + m2.arrays() + [opt2.m, opt2.v]))
+        assert len(pairs) == 10
         assert all(a.shape == b.shape and np.array_equal(a, b)
                    for a, b in pairs)
 
@@ -264,8 +348,8 @@ class TestCheckpoint:
         p_straight, opt_straight = stepped(k + 1)
         assert opt.step == opt_straight.step == k + 1
         assert all(np.array_equal(a, b) for a, b in
-                   zip(p.arrays() + opt.m + opt.v,
-                       p_straight.arrays() + opt_straight.m + opt_straight.v))
+                   zip([p.flat, opt.m, opt.v],
+                       [p_straight.flat, opt_straight.m, opt_straight.v]))
 
     @pytest.mark.parametrize("shape", ["default", "refresh"])
     def test_bytes_equal_one_json_dump(self, tmp_path, shape):
@@ -287,8 +371,8 @@ class TestCheckpoint:
                "config": cfg.to_dict(), "epoch": 7, "step": 3,
                "encoder": [a.tolist() for a in p.arrays()],
                "momentum": [a.tolist() for a in m.arrays()],
-               "m": [a.tolist() for a in opt.m],
-               "v": [a.tolist() for a in opt.v]}
+               "m": [a.tolist() for a in p.like(opt.m).arrays()],
+               "v": [a.tolist() for a in p.like(opt.v).arrays()]}
         with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
