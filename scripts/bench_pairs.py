@@ -19,7 +19,8 @@ pairs and the medians further apart than the parent's q3 - q1), and a
 verdict on the metric's bound (`verdict`). Last, each side's failed share
 (failed over attempted operations, summed over its runs), flagging a
 change whose share is higher: more failures reject a change whatever its
-metrics. The summary is printed as one JSON object, the shape a
+metrics, and each side's median attempts per run, against which to read
+peak_rss_mb. The summary is printed as one JSON object, the shape a
 BENCH_<topic>.json holds, and written to FILE with --out.
 """
 import argparse
@@ -85,11 +86,16 @@ def summarise(pairs, end_to_end):
 
 def failures(runs):
     """Each side's failed and attempted operations summed over the runs,
-    its failed share (failed / attempted), and whether the change's share
-    is the higher one, which rejects the change whatever its metrics."""
+    its median attempts per run, its failed share (failed / attempted), and
+    whether the change's share is the higher one, which rejects the change
+    whatever its metrics. A run keeps every rep's outcome alive, so a side
+    that fits more reps in the window reads more peak memory."""
     out = {f"{key}_operations": {side: sum(r[side][key] for r in runs)
                                  for side in SIDES}
            for key in ("failed", "attempted")}
+    out["attempted_median"] = {
+        side: statistics.median(r[side]["attempted"] for r in runs)
+        for side in SIDES}
     out["failed_share"] = {side: out["failed_operations"][side]
                            / out["attempted_operations"][side]
                            for side in SIDES}
@@ -173,6 +179,9 @@ def main(argv=None):
           f"{shares['change']:.4g}"
           + (" -- the change fails more" if summary["change_fails_more"]
              else ""))
+    attempts = summary["attempted_median"]
+    print(f"median attempts per run: parent {attempts['parent']:g} "
+          f"change {attempts['change']:g}")
     text = json.dumps(summary, indent=1)
     print(text)
     if args.out is not None:

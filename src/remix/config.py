@@ -130,11 +130,30 @@ _SECTIONS = {
 }
 
 
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
+               "None": type(None)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotation such as 'int | None'
+    or 'list[int]'. A boolean fits only 'bool': it is no number."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) \
+            and all(_fits(v, annotation[5:-1]) for v in value)
+    return any(isinstance(value, _JSON_TYPES[t])
+               and isinstance(value, bool) == (t == "bool")
+               for t in annotation.split(" | "))
+
+
 def _build_section(cls, data: dict, where: str):
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise InvalidConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name in data and not _fits(data[f.name], f.type):
+            raise InvalidConfigError(
+                f"{where}.{f.name} must be {f.type}, got {data[f.name]!r}")
     return cls(**data)
 
 
@@ -151,7 +170,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise InvalidConfigError(f"section {name!r} must be an object")
         kwargs[name] = _build_section(cls, section, name)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _fits(seed, "int"):
         raise InvalidConfigError("seed must be an integer")
     return RunConfig(seed=seed, **kwargs).validate()
 

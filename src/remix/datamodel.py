@@ -1,5 +1,6 @@
 """Datasets, synthetic generator with hidden ground truth, augmentation,
-and the two-source PK mini-batch sampler.
+and the two-source PK mini-batch sampler, which draws an epoch's batches
+at once and gathers one per iteration.
 
 The generator stands in for real re-identification data: each identity is
 a latent unit prototype, each camera (or video) applies a random affine
@@ -316,22 +317,11 @@ def augment(
     return out
 
 
-def _pick_labels(groups: LabelGroups, n_p: int, rng: np.random.Generator,
-                 what: str):
-    """n_p distinct labels drawn with one choice, with each one's first row
-    and row count."""
-    if groups.n_labels < n_p:
-        raise InsufficientLabelsError(
-            f"need {n_p} {what} labels, have {groups.n_labels}")
-    picked = rng.choice(groups.n_labels, size=n_p, replace=False)
-    lo = groups.start[picked]
-    return picked, lo, groups.start[picked + 1] - lo
-
-
 def _camera_diverse(groups: LabelGroups, lo: np.ndarray, size: np.ndarray,
                     n_k: int, rng: np.random.Generator) -> np.ndarray:
-    """(P, n_k) rows: the first n_k of each label's camera-diverse order,
-    which repeats from its start when the label has fewer rows. The order:
+    """(len(lo), n_k) rows: for each picked label, with first row lo and
+    row count size, the first n_k of its camera-diverse order, which
+    repeats from its start when the label has fewer rows. The order:
     each row gets a random rank among its label's rows on its camera; rows
     sort by rank, and rows of equal rank (one per camera) in random order.
     So no camera gives its k-th row before every camera has given k - 1
@@ -341,12 +331,13 @@ def _camera_diverse(groups: LabelGroups, lo: np.ndarray, size: np.ndarray,
     pos = np.arange(len(slot))
     rows = lo[slot] + pos - first[slot]
     cams = groups.cameras[rows]
-    u, v = rng.random((2, len(rows)))
+    # an integer key plus a draw below 1/2 sorts by key, ties by the draw
+    u, v = rng.random((2, len(rows))) / 2
     pair = slot * (int(cams.max()) + 1) + cams  # (label, camera)
-    by_pair = np.lexsort((u, pair))
+    by_pair = np.argsort(pair + u)
     rank = np.empty_like(pos)
     rank[by_pair] = pos - np.searchsorted(pair[by_pair], pair[by_pair])
-    order = rows[np.lexsort((v, rank, slot))]
+    order = rows[np.argsort(slot * (int(rank.max()) + 1) + rank + v)]
     return order[first[:, None] + np.arange(n_k) % size[:, None]]
 
 
@@ -363,33 +354,69 @@ def _distinct(size: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_batch(
+@dataclass
+class EpochDraws:
+    """An epoch of PK batches as indices, no features: batch it gathers
+    rows[s][it] of each sources[s].features in turn, multi-camera first,
+    and row it of labels, multi and cameras holds its other fields."""
+    sources: list[LabelGroups]
+    rows: list[np.ndarray]  # per source, (iters, P * K)
+    labels: np.ndarray  # (iters, B), as in MiniBatch
+    multi: np.ndarray  # (iters, B)
+    cameras: np.ndarray  # (iters, B)
+
+
+def draw_epoch(
     multi: LabelGroups,
     single: LabelGroups | None,
     sizes: tuple[int, int, int, int],
+    iters: int,
     rng: np.random.Generator,
-) -> MiniBatch:
-    """PK sampling from both sources: sizes = (N_P^m, N_K^m, N_P^s, N_K^s).
-    An identity gives N_K^m rows in camera-diverse order (`_camera_diverse`).
-    A pseudo label gives N_K^s rows drawn without replacement when it has
-    that many, with replacement otherwise, and is labelled
-    multi.n_labels + its label."""
+) -> EpochDraws:
+    """`iters` batches of PK sampling from both sources, drawn at once:
+    sizes = (N_P^m, N_K^m, N_P^s, N_K^s). A batch takes N_P distinct labels
+    of a source, the N_P smallest of one uniform draw per label, so every
+    N_P-subset is equally likely. An identity gives N_K^m rows in
+    camera-diverse order (`_camera_diverse`). A pseudo label gives N_K^s
+    rows drawn without replacement when it has that many, with replacement
+    otherwise, and is labelled multi.n_labels + its label. A source that is
+    None or has N_P = 0 is not sampled."""
     np_m, nk_m, np_s, nk_s = sizes
-    parts = []  # (source, labels, (P, K) rows)
-    if np_m > 0:
-        picked, lo, size = _pick_labels(multi, np_m, rng, "multi-camera")
-        parts.append((multi, picked, _camera_diverse(multi, lo, size, nk_m, rng)))
-    if np_s > 0:
-        picked, lo, size = _pick_labels(single, np_s, rng, "pseudo")
-        r = rng.random((np_s, nk_s))
-        k = np.where(size[:, None] >= nk_s, _distinct(size, r),
-                     (r * size[:, None]).astype(np.int64))
-        parts.append((single, multi.n_labels + picked, lo[:, None] + k))
+    parts = []  # (source, (iters, P * K) rows, their labels)
+    for src, n_p, n_k in ((multi, np_m, nk_m), (single, np_s, nk_s)):
+        if src is None or n_p == 0:
+            continue
+        if src.n_labels < n_p:
+            raise InsufficientLabelsError(
+                f"need {n_p} {'multi-camera' if src is multi else 'pseudo'} "
+                f"labels, have {src.n_labels}")
+        picked = np.argpartition(rng.random((iters, src.n_labels)), n_p - 1,
+                                 axis=1)[:, :n_p]
+        lo = src.start[picked.ravel()]
+        size = src.start[picked.ravel() + 1] - lo
+        if src is multi:
+            rows = _camera_diverse(src, lo, size, n_k, rng)
+        else:
+            r = rng.random((iters * n_p, n_k))
+            rows = lo[:, None] + np.where(size[:, None] >= n_k,
+                                          _distinct(size, r),
+                                          (r * size[:, None]).astype(np.int64))
+            picked = multi.n_labels + picked
+        parts.append((src, rows.reshape(iters, -1),
+                      np.repeat(picked, n_k, axis=1)))
+    return EpochDraws(
+        [src for src, _, _ in parts], [r for _, r, _ in parts],
+        np.hstack([y for _, _, y in parts]),
+        np.hstack([np.full(r.shape, src is multi) for src, r, _ in parts]),
+        np.hstack([src.cameras[r] for src, r, _ in parts]))
+
+
+def compose_batch(draws: EpochDraws, it: int) -> MiniBatch:
+    """Batch `it` of an epoch's draws, its rows gathered."""
     return MiniBatch(
-        np.concatenate([src.features[t.ravel()] for src, _, t in parts]),
-        np.concatenate([np.repeat(y, t.shape[1]) for _, y, t in parts]),
-        np.concatenate([np.full(t.size, src is multi) for src, _, t in parts]),
-        np.concatenate([src.cameras[t.ravel()] for src, _, t in parts]))
+        np.concatenate([src.features[r[it]]
+                        for src, r in zip(draws.sources, draws.rows)]),
+        draws.labels[it], draws.multi[it], draws.cameras[it])
 
 
 # --- line-delimited dataset files -----------------------------------------

@@ -9,6 +9,7 @@ in EncoderParams' layout; a checkpoint holds one nested list per array.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -32,9 +33,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _size(dims) -> int:
-    """Parameter count of an encoder with these layer widths."""
-    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+@functools.lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...]):
+    """(parameter count, per layer (weight slice, weight shape, bias
+    slice) of the flat vector) for these layer widths; one per dims."""
+    layers, i = [], 0
+    for a, b in zip(dims[:-1], dims[1:]):
+        w = i + a * b  # end of the weights, first bias
+        layers.append((slice(i, w), (a, b), slice(w, w + b)))
+        i = w + b
+    return i, tuple(layers)
 
 
 @dataclass
@@ -48,19 +56,19 @@ class EncoderParams:
     def __post_init__(self):
         self.dims = tuple(self.dims)
         self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
-        if len(self.dims) < 2 or self.flat.shape != (_size(self.dims),):
+        size, layers = _layout(self.dims)
+        if len(self.dims) < 2 or self.flat.shape != (size,):
             raise ShapeMismatchError(
                 f"{self.flat.shape} parameters for layer widths {self.dims}")
-        weights, biases, i = [], [], 0
-        for a, b in zip(self.dims[:-1], self.dims[1:]):
-            weights.append(self.flat[i:i + a * b].reshape(a, b))
-            biases.append(self.flat[i + a * b:i + a * b + b])
-            i += a * b + b
+        weights, biases = [], []
+        for w, shape, b in layers:
+            weights.append(self.flat[w].reshape(shape))
+            biases.append(self.flat[b])
         self.weights, self.biases = tuple(weights), tuple(biases)
 
     @classmethod
     def zeros(cls, dims) -> "EncoderParams":
-        return cls(np.zeros(_size(dims)), dims)
+        return cls(np.zeros(_layout(tuple(dims))[0]), dims)
 
     def like(self, flat: np.ndarray) -> "EncoderParams":
         """Parameters of this layout backed by flat (a contiguous float64

@@ -89,25 +89,29 @@ def pseudo_label_epoch(
     min_pts: int,
     budget: int,
     rng: np.random.Generator,
+    min_labels: int = 0,
 ) -> PseudoLabeledPool:
     """Walk one random permutation of the videos, cluster each with DBSCAN
     over momentum embeddings, and collect its clusters under fresh pseudo
     labels. Each video is clustered at most once, so no frame carries two
-    labels; the walk stops once `budget` non-noise images are labelled."""
+    labels; the walk stops once `budget` non-noise images are labelled
+    under at least `min_labels` pseudo labels, or when the videos run out."""
     if budget <= 0:
         raise ValueError("pseudo-label budget must be positive")
     kept = []  # per video: (corpus rows, embeddings, cluster sizes) by label
-    noise_count = n_labeled = 0
+    noise_count = n_labeled = n_clusters = 0
     for v in rng.permutation(len(corpus.start) - 1):
         lo, hi = corpus.start[v], corpus.start[v + 1]
         embs, _ = forward_batch(momentum, corpus.features[lo:hi])
         labels = dbscan(embs, eps, min_pts)
         noise = int(np.count_nonzero(labels == NOISE))
         rows = np.argsort(labels, kind="stable")[noise:]  # clustered, by label
-        kept.append((lo + rows, embs[rows], np.bincount(labels[rows])))
+        sizes = np.bincount(labels[rows])
+        kept.append((lo + rows, embs[rows], sizes))
         noise_count += noise
         n_labeled += len(rows)
-        if n_labeled >= budget:
+        n_clusters += len(sizes)
+        if n_labeled >= budget and n_clusters >= min_labels:
             break
     if n_labeled == 0:
         raise BudgetUnreachableError(

@@ -24,6 +24,7 @@ from .datamodel import (
     SingleCamCorpus,
     augment,
     compose_batch,
+    draw_epoch,
 )
 from .errors import InvalidConfigError, NonFiniteTrainingError
 from .losses import BatchView, build_centroids, total_loss
@@ -76,12 +77,13 @@ def run_epoch(
     embs, _ = enc.forward_batch(state.momentum, multi.features)
     labels, cams = multi.labels(), multi.cameras
     if t.uses_corpus:
-        # by default a cap of one epoch's single-camera slots; a smaller
-        # corpus is labelled whole, once
+        # by default a cap of one epoch's single-camera slots, and at least
+        # a batch's labels; a smaller corpus is labelled whole, once
         budget = t.pseudo_label_budget or (
             t.n_p_single * t.n_k_single * t.iters_per_epoch)
         pool = pseudo_label_epoch(corpus, state.momentum, t.dbscan_eps,
-                                  t.dbscan_min_pts, budget, video_rng)
+                                  t.dbscan_min_pts, budget, video_rng,
+                                  t.n_p_single)
         single = pool.frames
         embs = np.concatenate([embs, pool.embeddings])
         labels = np.concatenate([labels, multi.n_labels + single.labels()])
@@ -89,11 +91,11 @@ def run_epoch(
     bank = build_centroids(embs, labels, cams)
 
     lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
-    sizes = (t.n_p_multi, t.n_k_multi,
-             t.n_p_single if t.uses_corpus else 0, t.n_k_single)
+    sizes = (t.n_p_multi, t.n_k_multi, t.n_p_single, t.n_k_single)
+    draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, sampler_rng)
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
     for it in range(t.iters_per_epoch):
-        batch = compose_batch(multi, single, sizes, sampler_rng)
+        batch = compose_batch(draws, it)
         augmented = augment(batch.features, aug_rng, t.sigma_aug, t.p_drop)
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, batch.features)

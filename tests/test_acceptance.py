@@ -17,7 +17,8 @@ from oracles import oracle_ap, reference_dbscan
 from remix import encoder as enc
 from remix.cli import main as cli_main
 from remix.config import RunConfig, apply_overrides
-from remix.datamodel import MULTI, LabelGroups, compose_batch, synth_generate
+from remix.datamodel import (MULTI, LabelGroups, compose_batch, draw_epoch,
+                             synth_generate)
 from remix.evalkit import cmc_rank_k, mean_ap
 from remix.errors import NoValidPositiveError
 from remix.gradcheck import max_relative_errors
@@ -214,9 +215,10 @@ def test_criterion_7_batch_composition(capsys):
                        np.arange(0, 241, 8), np.full(240, -1))
     rng = substream(0, "sampler")
     violations = 0
-    rows = multi.grouped()
-    for _ in range(10_000):
-        b = compose_batch(rows, pool, (8, 4, 8, 4), rng)
+    # one epoch of 10,000 batches, drawn at once and gathered one by one
+    draws = draw_epoch(multi.grouped(), pool, (8, 4, 8, 4), 10_000, rng)
+    for it in range(10_000):
+        b = compose_batch(draws, it)
         labels = b.labels[b.multi].tolist()
         plabels = b.labels[~b.multi].tolist()
         if not (len(labels) == 32 and len(plabels) == 32
@@ -235,8 +237,8 @@ def test_criterion_7_batch_composition(capsys):
     ]).grouped()
     diverse_ok = True
     for trial in range(50):
-        b = compose_batch(fixture, None, (8, 4, 0, 0),
-                          substream(trial, "sampler"))
+        b = compose_batch(draw_epoch(fixture, None, (8, 4, 0, 0), 1,
+                                     substream(trial, "sampler")), 0)
         for y in set(b.labels.tolist()):
             cams = sorted(b.cameras[b.labels == y].tolist())
             if cams != [0, 1, 2, 3]:

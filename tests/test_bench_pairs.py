@@ -113,3 +113,15 @@ def test_failed_share_is_over_attempts():
     assert not f["change_fails_more"]
     f = bench_pairs.failures(runs([(10, 1)], [(10, 0)]))
     assert not f["change_fails_more"]
+
+
+def test_median_attempts_per_run():
+    def runs(parent, change):
+        return [{"parent": {"attempted": pa, "failed": 0},
+                 "change": {"attempted": ca, "failed": 0}}
+                for pa, ca in zip(parent, change)]
+
+    f = bench_pairs.failures(runs([36, 41, 38], [46, 41, 44]))
+    assert f["attempted_median"] == {"parent": 38, "change": 44}
+    f = bench_pairs.failures(runs([36, 41, 38, 40], [46, 41, 44, 45]))
+    assert f["attempted_median"] == {"parent": 39, "change": 44.5}

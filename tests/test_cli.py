@@ -107,6 +107,12 @@ def test_exit_codes():
     assert run(["train", "--config", "/does/not/exist.json"]) == 2
 
 
+def test_wrong_type_is_a_config_error(capsys):
+    assert run(["train", "--set", "train.use_single_cam=False"]) == 1
+    assert "config error: train.use_single_cam must be bool" \
+        in capsys.readouterr().err
+
+
 def test_bad_config_json(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{broken")

@@ -74,6 +74,36 @@ def test_invalid_values(section, key, value):
         config_from_dict({section: dict.fromkeys(key.split("+"), value)})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "use_single_cam", "False"),
+    ("train", "use_single_cam", 0),
+    ("train", "epochs", "3"),
+    ("train", "epochs", 3.0),
+    ("train", "epochs", True),
+    ("train", "lr", "0.01"),
+    ("train", "lr", False),
+    ("train", "pseudo_label_budget", 64.0),
+    ("train", "pseudo_label_budget", "none"),
+    ("generator", "dim", 8.5),
+    ("generator", "sigma_cam", None),
+    ("model", "hidden", 64),
+    ("model", "hidden", [64.0]),
+    ("model", "hidden", [True]),
+    ("io", "metrics_path", 3),
+    ("eval", "report_path", None),
+])
+def test_wrong_types(section, key, value):
+    with pytest.raises(InvalidConfigError, match=f"{section}.{key} must be"):
+        config_from_dict({section: {key: value}})
+
+
+def test_floats_take_integers_and_budget_takes_null():
+    cfg = config_from_dict({"train": {"lr": 1, "pseudo_label_budget": None},
+                            "generator": {"sigma_cam": 0}})
+    assert cfg.train.lr == 1 and cfg.train.pseudo_label_budget is None
+    assert cfg.generator.sigma_cam == 0
+
+
 def test_negative_seed():
     with pytest.raises(InvalidConfigError, match="seed"):
         config_from_dict({"seed": -1})
@@ -127,6 +157,13 @@ class TestOverrides:
         assert cfg.train.epochs == 3
         assert cfg.train.use_single_cam is False
         assert cfg.model.hidden == [32, 32]
+
+    @pytest.mark.parametrize("item", ["train.use_single_cam=False",
+                                      'train.epochs="3"', "train.lr=fast"])
+    def test_wrong_type(self, item):
+        # a value that is not JSON stays a string, which no flag or count takes
+        with pytest.raises(InvalidConfigError, match="must be"):
+            apply_overrides(RunConfig().validate(), [item])
 
     def test_unknown_key(self):
         for key in ("train.nope", "nope.lr", "train.lr.x", "seed.x", ""):

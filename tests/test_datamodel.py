@@ -15,6 +15,7 @@ from remix.datamodel import (
     SingleCamCorpus,
     augment,
     compose_batch,
+    draw_epoch,
     load_corpus,
     load_multicam,
     load_samples,
@@ -226,11 +227,17 @@ NO_MULTI = LabelGroups(np.zeros((0, 4)), np.zeros(1, dtype=np.int64),
                        np.zeros(0, dtype=np.int64))
 
 
+def _batches(multi, single, sizes, iters, rng):
+    """The epoch's batches, drawn at once and gathered one by one."""
+    draws = draw_epoch(multi, single, sizes, iters, rng)
+    return [compose_batch(draws, it) for it in range(iters)]
+
+
 class TestComposeBatch:
     def test_sizes_and_order(self):
         multi = _toy_multi()
-        batch = compose_batch(multi, _pool([5] * 9), (8, 4, 8, 4),
-                              substream(0, "sampler"))
+        batch, = _batches(multi, _pool([5] * 9), (8, 4, 8, 4), 1,
+                          substream(0, "sampler"))
         assert batch.features.shape == (64, 4)
         assert batch.multi.tolist() == [True] * 32 + [False] * 32
         assert len(set(batch.labels[:32])) == 8
@@ -238,66 +245,123 @@ class TestComposeBatch:
         assert len(set(batch.labels[32:])) == 8 and batch.labels[32:].min() >= 10
         assert np.all(batch.cameras[32:] == -1)
 
+    def test_draws_hold_indices_not_features(self):
+        multi, single = _toy_multi(), _pool([5] * 9)
+        draws = draw_epoch(multi, single, (8, 4, 8, 4), 7,
+                           substream(0, "sampler"))
+        assert draws.sources[0] is multi and draws.sources[1] is single
+        assert [r.shape for r in draws.rows] == [(7, 32), (7, 32)]
+        assert all(a.dtype.kind == "i" for a in
+                   (*draws.rows, draws.labels, draws.cameras))
+        assert draws.labels.shape == draws.multi.shape == (7, 64)
+        # no corpus, or no pseudo label per batch: one source
+        for single, sizes in ((None, (8, 4, 8, 4)), (_pool([5]), (8, 4, 0, 4))):
+            draws = draw_epoch(multi, single, sizes, 7, substream(0, "sampler"))
+            assert len(draws.sources) == 1 and draws.sources[0] is multi
+            assert draws.multi.all()
+
     def test_camera_diversity(self):
         # 4 cameras available and 4 slots: all four cameras must appear
         multi = _toy_multi(n_ids=8, n_cams=4, per=3)
-        rng = substream(3, "sampler")
-        for _ in range(20):
-            batch = compose_batch(multi, None, (8, 4, 0, 0), rng)
+        for batch in _batches(multi, None, (8, 4, 0, 0), 20,
+                              substream(3, "sampler")):
             for y in set(batch.labels.tolist()):
                 assert sorted(batch.cameras[batch.labels == y]) == [0, 1, 2, 3]
 
     def test_small_cluster_sampled_with_replacement(self):
         multi = _toy_multi(n_ids=8)
-        batch = compose_batch(multi, _pool([1] * 8), (8, 4, 8, 4),
-                              substream(1, "sampler"))
+        batch, = _batches(multi, _pool([1] * 8), (8, 4, 8, 4), 1,
+                          substream(1, "sampler"))
         assert np.count_nonzero(~batch.multi) == 32  # singleton clusters repeat
 
     def test_insufficient_labels(self):
         multi = _toy_multi(n_ids=4)
-        with pytest.raises(InsufficientLabelsError):
-            compose_batch(multi, None, (8, 4, 0, 0), substream(0, "sampler"))
-        with pytest.raises(InsufficientLabelsError):
-            compose_batch(multi, _pool([3]), (4, 4, 8, 4),
-                          substream(0, "sampler"))
+        with pytest.raises(InsufficientLabelsError, match="8 multi-camera"):
+            draw_epoch(multi, None, (8, 4, 0, 0), 5, substream(0, "sampler"))
+        with pytest.raises(InsufficientLabelsError, match="8 pseudo"):
+            draw_epoch(multi, _pool([3]), (4, 4, 8, 4), 5,
+                       substream(0, "sampler"))
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
-           st.integers(1, 30), st.integers(0, 2**32 - 1))
-    def test_camera_diverse_rule(self, per_cam, n_k, seed):
+           st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_camera_diverse_rule(self, per_cam, n_k, iters, seed):
         # one identity with 1-6 cameras of 1-4 samples each, in a random
-        # row order, and n_k up to above its sample count
+        # row order, and n_k up to above its sample count, in each of the
+        # epoch's batches
         rng = np.random.default_rng(seed)
         n = sum(per_cam)
         n_k = min(n_k, n + 3)
         cams = rng.permutation(np.repeat(np.arange(len(per_cam)), per_cam))
         rows = LabelGroups(np.arange(n, dtype=float)[:, None],
                            np.array([0, n]), cams)
-        batch = compose_batch(rows, None, (1, n_k, 0, 0), rng)
-        picked = batch.features[:, 0].astype(int)
-        assert len(picked) == n_k
-        assert np.array_equal(batch.cameras, cams[picked])
-        assert len(set(batch.cameras.tolist())) == min(n_k, len(per_cam))
-        assert len(set(picked.tolist())) == min(n_k, n)
-        # past its sample count the order repeats: no row twice more than another
-        counts = np.bincount(picked, minlength=n)
-        assert counts.max() - counts.min() <= 1
+        for batch in _batches(rows, None, (1, n_k, 0, 0), iters, rng):
+            picked = batch.features[:, 0].astype(int)
+            assert len(picked) == n_k
+            assert np.array_equal(batch.cameras, cams[picked])
+            assert len(set(batch.cameras.tolist())) == min(n_k, len(per_cam))
+            assert len(set(picked.tolist())) == min(n_k, n)
+            # past its sample count the order repeats: no row twice more
+            # than another
+            counts = np.bincount(picked, minlength=n)
+            assert counts.max() - counts.min() <= 1
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
-           st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_pseudo_label_fills_its_slots(self, sizes, n_k, seed):
+           st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_pseudo_label_fills_its_slots(self, sizes, n_k, iters, seed):
         single = _pool(sizes)
-        batch = compose_batch(NO_MULTI, single, (0, 1, len(sizes), n_k),
-                              np.random.default_rng(seed))
-        assert not batch.multi.any()
-        for pl, size in enumerate(sizes):
-            picked = batch.features[batch.labels == pl, 0].astype(int)
-            assert len(picked) == n_k
-            assert np.all((single.start[pl] <= picked)
-                          & (picked < single.start[pl + 1]))
-            if size >= n_k:  # without replacement
-                assert len(set(picked.tolist())) == n_k
+        for batch in _batches(NO_MULTI, single, (0, 1, len(sizes), n_k),
+                              iters, np.random.default_rng(seed)):
+            assert not batch.multi.any()
+            for pl, size in enumerate(sizes):
+                picked = batch.features[batch.labels == pl, 0].astype(int)
+                assert len(picked) == n_k
+                assert np.all((single.start[pl] <= picked)
+                              & (picked < single.start[pl + 1]))
+                if size >= n_k:  # without replacement
+                    assert len(set(picked.tolist())) == n_k
+
+    def test_label_sets_are_uniform(self):
+        # 5 labels per source, 2 per batch, over 200 epochs of 50 batches:
+        # each label's picks and each of the 10 label pairs' counts pass a
+        # chi-square test at p = 0.001 (df 4: 18.47, df 9: 27.88)
+        multi = _toy_multi(n_ids=5, n_cams=2, per=2)
+        single = _pool([1, 2, 3, 4, 5])
+        rng = substream(0, "sampler")
+        labels, pairs = np.zeros((2, 5)), np.zeros((2, 5, 5))
+        for _ in range(200):
+            draws = draw_epoch(multi, single, (2, 3, 2, 3), 50, rng)
+            for s in range(2):
+                y = draws.labels[:, 6 * s:6 * s + 6]
+                # P distinct labels of K rows each
+                assert np.array_equal(y, np.repeat(y[:, ::3], 3, axis=1))
+                y = y[:, ::3] - 5 * s  # pseudo labels follow 5 identities
+                assert np.all(y[:, 0] != y[:, 1])
+                np.add.at(labels[s], y.ravel(), 1)
+                np.add.at(pairs[s], (y.min(axis=1), y.max(axis=1)), 1)
+        n = 200 * 50
+        for s in range(2):
+            expected = n * 2 / 5
+            assert ((labels[s] - expected) ** 2 / expected).sum() < 18.47
+            observed = pairs[s][np.triu_indices(5, 1)]
+            expected = n / 10
+            assert ((observed - expected) ** 2 / expected).sum() < 27.88
+
+
+    def test_camera_diverse_first_row_is_uniform(self):
+        # cameras with 3, 2 and 1 rows: the first row of the order is a
+        # rank-0 row, one per camera, in random order, so each camera leads
+        # a third of the 10,000 batches, by each of its rows equally often;
+        # chi-square at p = 0.001, df 5: 20.52
+        cams = np.array([0, 1, 2, 0, 1, 0])
+        rows = LabelGroups(np.arange(6, dtype=float)[:, None],
+                           np.array([0, 6]), cams)
+        draws = draw_epoch(rows, None, (1, 1, 0, 0), 10_000,
+                           substream(0, "sampler"))
+        counts = np.bincount(draws.rows[0].ravel(), minlength=6)
+        expected = 10_000 / 3 / np.bincount(cams)[cams]
+        assert ((counts - expected) ** 2 / expected).sum() < 20.52
 
 
 class TestDatasetFiles:

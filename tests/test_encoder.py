@@ -54,6 +54,14 @@ def test_like_wraps_without_copying():
     assert c.flat[0] != p.flat[0]
 
 
+def test_layout_is_computed_once_per_dims():
+    p = make_params()
+    before = enc._layout.cache_info()
+    p.copy(), p.like(np.zeros_like(p.flat))
+    after = enc._layout.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2
+
+
 # (6, 8, 4) holds 6 * 8 + 8 + 8 * 4 + 4 = 92 parameters; (6,) no layer
 @pytest.mark.parametrize("length, dims", [(0, (6, 8, 4)), (91, (6, 8, 4)),
                                           (93, (6, 8, 4)), (0, (6,))])

@@ -335,6 +335,23 @@ class TestPseudoLabelEpoch:
                     for s, _ in members}) == 1
         assert len(pool.embeddings) == 8
 
+    @pytest.mark.parametrize("min_labels", [0, 1, 2, 3, 4, 100])
+    def test_walk_goes_on_to_min_labels(self, dbscan_calls, min_labels):
+        # the budget alone stops the walk after one video; it goes on until
+        # min_labels labels exist, and never past the last video
+        corpus = _corpus(n_videos=3, n_groups=2, frames_per_group=4)
+        frames = corpus.grouped()
+        pool = pseudo_label_epoch(frames, _params(), 0.3, 3, 3,
+                                  substream(2, "videos"), min_labels)
+        n = pool.frames.n_labels
+        # labels are numbered in walk order; the video of each
+        video = [frames.samples[pool.rows[a]].video_id
+                 for a in pool.frames.start[:-1]]
+        assert len(dbscan_calls) == len(set(video))
+        assert n >= min_labels or len(dbscan_calls) == 3
+        # the walk stopped at the first video that was enough
+        assert len(dbscan_calls) == 1 or video.count(video[-1]) + min_labels > n
+
     def test_unreachable_budget(self):
         corpus = _corpus(n_videos=2, n_groups=1, frames_per_group=2)
         with pytest.raises(BudgetUnreachableError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from remix import trainer
-from remix.config import RunConfig
+from remix.config import RunConfig, config_from_dict
 from remix.datamodel import GeneratorConfig, SingleCamCorpus, synth_generate
 from remix.encoder import load_checkpoint
 from remix.errors import (
@@ -106,14 +106,29 @@ def test_pseudo_label_budget(monkeypatch, budget):
     real = trainer.pseudo_label_epoch
     budgets = []
 
-    def spy(corpus, momentum, eps, min_pts, budget, rng):
-        budgets.append(budget)
-        return real(corpus, momentum, eps, min_pts, budget, rng)
+    def spy(corpus, momentum, eps, min_pts, budget, rng, min_labels):
+        budgets.append((budget, min_labels))
+        return real(corpus, momentum, eps, min_pts, budget, rng, min_labels)
 
     monkeypatch.setattr(trainer, "pseudo_label_epoch", spy)
     trainer.train(multi, corpus, cfg)
-    # n_p_single * n_k_single * iters_per_epoch = 4 * 2 * 10
-    assert budgets == [budget or 80] * 2
+    # n_p_single * n_k_single * iters_per_epoch = 4 * 2 * 10, and at least
+    # n_p_single labels
+    assert budgets == [(budget or 80, 4)] * 2
+
+
+def test_one_gather_and_one_augment_per_iteration(monkeypatch):
+    # the benchmark times and traces training at these two call sites
+    cfg = tiny_cfg(epochs=3, iters_per_epoch=7)
+    multi, corpus, _ = data_for(cfg)
+    calls = {"compose_batch": 0, "augment": 0}
+    for name in calls:
+        def spy(*args, real=getattr(trainer, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(trainer, name, spy)
+    trainer.train(multi, corpus, cfg)
+    assert calls == {"compose_batch": 21, "augment": 21}
 
 
 def test_momentum_not_touched_by_backprop():
@@ -273,3 +288,13 @@ def test_loss_decreases_by_epoch_five():
     multi, corpus, _ = synth_generate(cfg.generator, cfg.seed)
     state = trainer.train(multi, corpus, cfg)
     assert state.metrics[4]["loss_total"] < state.metrics[0]["loss_total"]
+
+
+def test_default_budget_reaches_n_p_single_labels():
+    # the default config's 64-frame budget (2 iterations) reaches about two
+    # videos, 7 clusters at seed 3: the walk goes on to n_p_single labels
+    cfg = config_from_dict({"seed": 3,
+                            "train": {"epochs": 1, "iters_per_epoch": 2}})
+    multi, corpus, _ = synth_generate(cfg.generator, cfg.seed)
+    state = trainer.train(multi, corpus, cfg)
+    assert state.metrics[0]["pseudo_clusters"] >= cfg.train.n_p_single
