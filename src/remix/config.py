@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .datamodel import GeneratorConfig
@@ -78,6 +79,8 @@ class TrainConfig:
         if (self.n_p_multi > 0 and self.n_k_multi == 0) \
                 or (self.uses_corpus and self.n_k_single == 0):
             raise InvalidConfigError("a sampled source needs n_k >= 1")
+        if self.lr <= 0 or self.weight_decay < 0:
+            raise InvalidConfigError("lr must be > 0 and weight_decay >= 0")
         if not 0.0 <= self.p_drop <= 1.0 or self.sigma_aug < 0:
             raise InvalidConfigError("bad augmentation parameters")
         if self.pseudo_label_budget is not None and self.pseudo_label_budget <= 0:
@@ -136,10 +139,13 @@ _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
 
 def _fits(value, annotation: str) -> bool:
     """Whether a JSON value fits a field annotation such as 'int | None'
-    or 'list[int]'. A boolean fits only 'bool': it is no number."""
+    or 'list[int]'. A boolean fits only 'bool': it is no number. A float
+    must be finite: json.loads reads NaN and Infinity."""
     if annotation.startswith("list["):
         return isinstance(value, list) \
             and all(_fits(v, annotation[5:-1]) for v in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return any(isinstance(value, _JSON_TYPES[t])
                and isinstance(value, bool) == (t == "bool")
                for t in annotation.split(" | "))

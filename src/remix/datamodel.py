@@ -228,7 +228,6 @@ def _views(protos: np.ndarray, styles, per: int, rng: np.random.Generator,
     Stacked mat-vecs and row dots equal each row's `a @ p` and 1-D norm bit
     for bit; the axis-1 norm does not. Own arrays: a kept view pins no block."""
     d = len(styles[0][1])
-    protos = protos.reshape(-1, d)  # a video may hold no identity
     v = np.stack([np.matmul(a, protos[:, :, None])[:, :, 0] + b
                   for a, b in styles], axis=1).reshape(-1, d)
     v = np.repeat(v, per, axis=0)

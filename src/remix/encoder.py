@@ -5,7 +5,7 @@ Hidden layers use tanh (smooth, so finite-difference gradient checks are
 clean everywhere); the final layer is linear followed by unit
 normalization, whose Jacobian is handled exactly in backward_batch().
 Parameters, gradients and Adam moments are each one flat float64 vector
-in EncoderParams' layout; a checkpoint holds one nested list per array.
+in EncoderParams' layout, and a checkpoint stores each as one flat list.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import (
 from .numcore import NORM_FLOOR, atomic_write
 
 CHECKPOINT_FORMAT = "remix-ckpt"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Adam moment decay rates and denominator floor
 ADAM_BETA1 = 0.9
@@ -198,64 +198,44 @@ def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
 
 
 # --- checkpoint file --------------------------------------------------------
-# The encoder, momentum, m and v entries each hold their arrays in
-# EncoderParams.arrays() order, as nested lists.
+# "dims" holds the layer widths; encoder, momentum, m and v are each one
+# flat list in EncoderParams(flat, dims) layout.
+VECTORS = ("encoder", "momentum", "m", "v")
 
 
 def save_checkpoint(path, config: dict, epoch: int, enc: EncoderParams,
                     mom: EncoderParams, opt: OptimizerState) -> None:
-    """Write the bytes json.dump would, one json.dumps call per array: the
-    C encoder's speed, while only one array's text is held at a time."""
+    """Write the bytes json.dump would, one json.dumps call per vector: the
+    C encoder's speed, while only one vector's text is held at a time."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": config,
         "epoch": epoch,
         "step": opt.step,
+        "dims": list(enc.dims),
     }
-    lists = {"encoder": enc.arrays(), "momentum": mom.arrays(),
-             "m": enc.like(opt.m).arrays(), "v": enc.like(opt.v).arrays()}
     with atomic_write(path) as fh:
         fh.write(json.dumps(header)[:-1])
-        for key, arrays in lists.items():
-            fh.write(f", {json.dumps(key)}: [")
-            for i, a in enumerate(arrays):
-                fh.write((", " if i else "") + json.dumps(a.tolist()))
-            fh.write("]")
+        for key, vec in zip(VECTORS, (enc.flat, mom.flat, opt.m, opt.v)):
+            fh.write(f", {json.dumps(key)}: {json.dumps(vec.tolist())}")
         fh.write("}")
 
 
-def _arrays(doc: dict, key: str, shapes=None) -> list[np.ndarray]:
-    """doc[key] as float arrays, all finite and, if given, of these shapes."""
-    arrays = [np.array(a, dtype=np.float64) for a in doc[key]]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError(f"{key!r} holds a non-finite value")
-    if shapes is not None and [a.shape for a in arrays] != shapes:
-        raise ValueError(f"{key!r} shapes differ from the encoder's")
-    return arrays
-
-
-def _flat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _layers(arrays: list[np.ndarray]) -> EncoderParams:
-    """The encoder the arrays describe, if they chain as layers."""
-    if not arrays or len(arrays) % 2 or arrays[0].ndim != 2:
-        raise ValueError("'encoder' needs a weight and a bias per layer")
-    params = EncoderParams.zeros(
-        (arrays[0].shape[0], *(b.size for b in arrays[1::2])))
-    shapes = [a.shape for a in arrays]
-    if shapes != [a.shape for a in params.arrays()]:
-        raise ValueError(f"'encoder' layer shapes {shapes} do not chain")
-    return params.like(_flat(arrays))
-
-
-def _count(doc: dict, key: str) -> int:
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{key!r} is not a count: {value!r}")
+def _count(value, what: str, least: int = 0) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} is not a count of at least {least}: {value!r}")
     return value
+
+
+def _vector(doc: dict, key: str, size: int) -> np.ndarray:
+    """doc[key] as a finite float vector of this size."""
+    vec = np.array(doc[key], dtype=np.float64)
+    if vec.shape != (size,):
+        raise ValueError(f"{key!r} has shape {vec.shape}, not ({size},)")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{key!r} holds a non-finite value")
+    return vec
 
 
 def load_checkpoint(path) -> tuple[dict, int, EncoderParams, EncoderParams, OptimizerState]:
@@ -269,12 +249,17 @@ def load_checkpoint(path) -> tuple[dict, int, EncoderParams, EncoderParams, Opti
             raise VersionMismatchError(f"bad checkpoint header in {path}")
         if not isinstance(doc["config"], dict):
             raise ValueError("'config' is not an object")
-        enc = _layers(_arrays(doc, "encoder"))
-        shapes = [a.shape for a in enc.arrays()]
-        mom, m, v = (_flat(_arrays(doc, k, shapes))
-                     for k in ("momentum", "m", "v"))
-        opt = OptimizerState(m, v, _count(doc, "step"))
-        return doc["config"], _count(doc, "epoch"), enc, enc.like(mom), opt
+        dims = doc["dims"]
+        if not isinstance(dims, list) or len(dims) < 2:
+            raise ValueError(f"'dims' is not two or more widths: {dims!r}")
+        # the widths give the size, so a vector's check allocates no more
+        # than the file holds
+        size = _layout(tuple(_count(w, "a width", 1) for w in dims))[0]
+        enc, mom, m, v = (_vector(doc, k, size) for k in VECTORS)
+        enc = EncoderParams(enc, dims)
+        opt = OptimizerState(m, v, _count(doc["step"], "'step'"))
+        return doc["config"], _count(doc["epoch"], "'epoch'"), enc, \
+            enc.like(mom), opt
     except (KeyError, TypeError, ValueError) as exc:
         raise VersionMismatchError(
             f"malformed checkpoint {path}: {exc!r}") from exc

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import remix
@@ -81,6 +82,24 @@ def test_eval_truncated_checkpoint(workdir, capsys):
     assert err.startswith("error:") and "checkpoint" in err
 
 
+def test_eval_version_2_checkpoint(workdir, capsys):
+    # the per-layer format of version 2 has no reader
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["train", "--config", cfg, "--out", str(out)])
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    params = encoder.EncoderParams.zeros(doc.pop("dims"))
+    for key in encoder.VECTORS:
+        doc[key] = [a.tolist() for a in params.like(
+            np.array(doc[key])).arrays()]
+    ckpt.write_text(json.dumps({**doc, "version": 2}))
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err
+
+
 def test_set_overrides(workdir):
     out, cfg = workdir
     run(["generate", "--config", cfg, "--out", str(out)])
@@ -111,6 +130,15 @@ def test_wrong_type_is_a_config_error(capsys):
     assert run(["train", "--set", "train.use_single_cam=False"]) == 1
     assert "config error: train.use_single_cam must be bool" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, value):
+    assert run(["generate", "--out", str(tmp_path),
+                "--set", f"generator.sigma_frame={value}"]) == 1
+    assert "config error: generator.sigma_frame must be float" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_json(tmp_path):

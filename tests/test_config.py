@@ -58,6 +58,9 @@ def test_seed_type():
     ("train", "epochs", -1),
     ("train", "dbscan_eps", 0.0),
     ("train", "dbscan_min_pts", 0),
+    ("train", "lr", 0.0),
+    ("train", "lr", -1),
+    ("train", "weight_decay", -0.0005),
     ("train", "n_p_single", -1),
     ("generator", "style_pool", 0),
     ("generator", "n_cameras+samples_per_id_per_cam", 1),
@@ -91,6 +94,10 @@ def test_invalid_values(section, key, value):
     ("model", "hidden", [True]),
     ("io", "metrics_path", 3),
     ("eval", "report_path", None),
+    # json.loads reads these, and no float field takes them
+    ("generator", "sigma_frame", float("nan")),
+    ("train", "dbscan_eps", float("inf")),
+    ("train", "tau_aug", float("-inf")),
 ])
 def test_wrong_types(section, key, value):
     with pytest.raises(InvalidConfigError, match=f"{section}.{key} must be"):
@@ -159,9 +166,13 @@ class TestOverrides:
         assert cfg.model.hidden == [32, 32]
 
     @pytest.mark.parametrize("item", ["train.use_single_cam=False",
-                                      'train.epochs="3"', "train.lr=fast"])
+                                      'train.epochs="3"', "train.lr=fast",
+                                      "generator.sigma_frame=NaN",
+                                      "train.dbscan_eps=Infinity",
+                                      "train.tau_aug=-Infinity"])
     def test_wrong_type(self, item):
-        # a value that is not JSON stays a string, which no flag or count takes
+        # a value that is not JSON stays a string, which no flag or count
+        # takes; NaN and Infinity parse, but fit no float field
         with pytest.raises(InvalidConfigError, match="must be"):
             apply_overrides(RunConfig().validate(), [item])
 

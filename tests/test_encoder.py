@@ -291,35 +291,44 @@ def stepped(k):
     return p, opt
 
 
-def _drop_row(doc, key, i):
-    doc[key][i] = doc[key][i][:-1]
-
-
 def _set_first(doc, key, value):
-    doc[key][0][0][0] = value
+    doc[key][0] = value
 
 
-ARRAY_KEYS = ("encoder", "momentum", "m", "v")
+def _nest(doc, key):
+    """doc[key] as rows of two: the right count, not a flat list."""
+    flat = doc[key]
+    doc[key] = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+
+
 # each case edits a valid checkpoint document in place
 BROKEN_DOC = {
     "version-1": lambda d: d.update(version=1),
+    # no reader is kept for the per-layer format
+    "version-2": lambda d: d.update(version=2),
     "missing-m": lambda d: d.pop("m"),
     "missing-step": lambda d: d.pop("step"),
     "missing-momentum": lambda d: d.pop("momentum"),
+    "missing-dims": lambda d: d.pop("dims"),
     "step-not-a-count": lambda d: d.update(step=1.5),
     "config-not-an-object": lambda d: d.update(config=[]),
+    "dims-not-a-list": lambda d: d.update(dims=8),
+    # one width and empty vectors: no layer, though the sizes agree
+    "no-layers": lambda d: d.update(dims=d["dims"][:1],
+                                    **dict.fromkeys(enc.VECTORS, [])),
+    # a last layer of width 0 adds no parameter, so the sizes agree
+    "zero-width": lambda d: d["dims"].append(0),
+    "boolean-width": lambda d: d["dims"].__setitem__(0, True),
+    "text-width": lambda d: d["dims"].__setitem__(0, "8"),
+    # widths of valid form whose size differs from the vectors'
+    "dims-disagree": lambda d: d["dims"].__setitem__(-1, d["dims"][-1] + 1),
     "nan-in-v": lambda d: _set_first(d, "v", float("nan")),
     "inf-in-encoder": lambda d: _set_first(d, "encoder", float("inf")),
     "text-in-encoder": lambda d: _set_first(d, "encoder", "x"),
-    "ragged-m": lambda d: _drop_row(d["m"], 0, 0),
-    "odd-array-count": lambda d: d["encoder"].pop(),
-    "no-layers": lambda d: d.update(encoder=[]),
-    # the same cut in all four array lists, so only the chain is wrong
-    "layer-chain": lambda d: [_drop_row(d, k, 2) for k in ARRAY_KEYS],
-    "bias-length": lambda d: [_drop_row(d, k, 1) for k in ARRAY_KEYS],
-    "momentum-shape": lambda d: _drop_row(d, "momentum", 0),
-    "m-shape": lambda d: _drop_row(d, "m", 3),
+    "momentum-shape": lambda d: d["momentum"].pop(),
     "v-count": lambda d: d["v"].pop(),
+    "m-shape": lambda d: _nest(d, "m"),
+    "ragged-m": lambda d: (_nest(d, "m"), d["m"][0].pop()),
 }
 # each case rewrites the valid file's text
 BROKEN_TEXT = {
@@ -337,9 +346,8 @@ class TestCheckpoint:
         cfg, epoch, p2, m2, opt2 = enc.load_checkpoint(path)
         assert cfg == {"seed": 3} and epoch == 7 and opt2.step == 1
         assert p2.dims == m2.dims == p.dims
-        pairs = list(zip(p.arrays() + m.arrays() + [opt.m, opt.v],
-                         p2.arrays() + m2.arrays() + [opt2.m, opt2.v]))
-        assert len(pairs) == 10
+        pairs = list(zip([p.flat, m.flat, opt.m, opt.v],
+                         [p2.flat, m2.flat, opt2.m, opt2.v]))
         assert all(a.shape == b.shape and np.array_equal(a, b)
                    for a, b in pairs)
 
@@ -375,12 +383,11 @@ class TestCheckpoint:
                                    weight_decay=0.0005)
         path = tmp_path / "ckpt.json"
         enc.save_checkpoint(path, cfg.to_dict(), 7, p, m, opt)
-        doc = {"format": "remix-ckpt", "version": 2,
+        doc = {"format": "remix-ckpt", "version": 3,
                "config": cfg.to_dict(), "epoch": 7, "step": 3,
-               "encoder": [a.tolist() for a in p.arrays()],
-               "momentum": [a.tolist() for a in m.arrays()],
-               "m": [a.tolist() for a in p.like(opt.m).arrays()],
-               "v": [a.tolist() for a in p.like(opt.v).arrays()]}
+               "dims": list(dims), "encoder": p.flat.tolist(),
+               "momentum": m.flat.tolist(), "m": opt.m.tolist(),
+               "v": opt.v.tolist()}
         with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
@@ -390,9 +397,12 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         enc.save_checkpoint(path, {}, 0, p, p, enc.OptimizerState.for_params(p))
         doc = json.loads(path.read_text())
-        assert doc["format"] == "remix-ckpt" and doc["version"] == 2
-        assert set(doc) == {"format", "version", "config", "epoch", "step",
-                            "encoder", "momentum", "m", "v"}
+        assert doc["format"] == "remix-ckpt" and doc["version"] == 3
+        assert list(doc) == ["format", "version", "config", "epoch", "step",
+                             "dims", "encoder", "momentum", "m", "v"]
+        assert doc["dims"] == list(p.dims)
+        assert all(doc[k] == p.flat.tolist()
+                   for k in ("encoder", "momentum"))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ckpt.json"
