@@ -85,6 +85,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0 or args.batches < 1:
+        print(f"error: --seed must be >= 0 and --batches >= 1, got "
+              f"{args.seed} and {args.batches}", file=sys.stderr)
+        return 1
     errors = max_relative_errors(seed=args.seed, n_batches=args.batches)
     for name, err in errors.items():
         status = "PASS" if err <= TOLERANCE else "FAIL"

@@ -30,9 +30,8 @@ def extract(params: EncoderParams, samples: list[PersonSample]) -> np.ndarray:
     return embs
 
 
-# Queries per block, and positives per comparison chunk. Both bound the
-# temporaries at a few (32 x gallery) arrays, below the query-by-gallery
-# similarity matrix, however many positives a query has.
+# Queries per block. It bounds the temporaries at a few (32 x gallery)
+# arrays, below the query-by-gallery similarity matrix.
 _BLOCK = 32
 
 
@@ -40,8 +39,9 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     """Per query over the valid gallery: (1-based rank of the first correct
     match, average precision).
 
-    A positive's rank is counted, not sorted for: one plus the valid gallery
-    items that score higher, or score the same at a lower gallery index.
+    A positive's rank is one plus the valid gallery items that score
+    higher, or score the same at a lower gallery index: a binary search in
+    the block's sorted keys, plus a count of equals where a key recurs.
     """
     q_embs = np.asarray(q_embs)
     g_embs = np.asarray(g_embs)
@@ -58,7 +58,6 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
         if len(bad):
             raise NonFiniteEvaluationError(
                 f"{side} embedding {bad[0]} is not finite")
-    cols = np.arange(len(g_ids))
     first = np.empty(len(q_ids), dtype=np.int64)
     ap = np.empty(len(q_ids))
     for start in range(0, len(q_ids), _BLOCK):
@@ -71,17 +70,20 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
         if not n_pos.all():
             stranded = start + int(np.argmin(n_pos))
             raise NoValidPositiveError(f"query {stranded} has no valid positive")
+        srt, k_pos = np.sort(key, axis=1), key[rows, pos]
+        starts = np.cumsum(n_pos) - n_pos
         rank = np.empty(len(rows), dtype=np.int64)
-        for c in range(0, len(rows), _BLOCK):
-            r, p = rows[c:c + _BLOCK], pos[c:c + _BLOCK]
-            k_row, k_pos = key[r], key[r, p][:, None]
-            ahead = (k_row < k_pos) | ((k_row == k_pos) & (cols < p[:, None]))
-            rank[c:c + _BLOCK] = 1 + np.count_nonzero(ahead, axis=1)
+        for r, (a, e) in enumerate(zip(starts, starts + n_pos)):
+            rank[a:e] = 1 + np.searchsorted(srt[r], k_pos[a:e])
+        # an equal key next in sorted order means a tie; the clamped last
+        # column compares the positive with itself, and the count is exact
+        after = np.minimum(rank, srt.shape[1] - 1)
+        for t in np.nonzero(srt[rows, after] == k_pos)[0]:
+            rank[t] += np.count_nonzero(key[rows[t], :pos[t]] == k_pos[t])
         # positives by query, then by rank: the j-th of a query has
         # precision j / rank
         order = np.lexsort((rank, rows))
         rows, rank = rows[order], rank[order]
-        starts = np.cumsum(n_pos) - n_pos
         j = np.arange(len(rank)) - starts[rows] + 1
         first[b] = rank[starts]
         ap[b] = np.bincount(rows, weights=j / rank, minlength=len(key)) / n_pos

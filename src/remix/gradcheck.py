@@ -56,6 +56,8 @@ def max_relative_errors(
     h: float = 1e-5,
 ) -> dict[str, float]:
     """Max relative analytic-vs-FD parameter gradient error per loss."""
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
     rng = substream(seed, "gradcheck")
     worst = {name: 0.0 for name in LOSSES}
     for _ in range(n_batches):

@@ -11,6 +11,7 @@ import pytest
 import remix
 from remix import encoder
 from remix.cli import main
+from remix.gradcheck import max_relative_errors
 
 TINY = {
     "seed": 3,
@@ -166,6 +167,21 @@ def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "0", "--batches", "2"]) == 0
     printed = capsys.readouterr().out
     assert printed.count("PASS") == 4 and "FAIL" not in printed
+
+
+@pytest.mark.parametrize("argv", [["--batches", "0"], ["--batches", "-3"],
+                                  ["--seed", "-1"]])
+def test_gradcheck_rejects_bad_counts(argv, capsys):
+    # no batch checks nothing, and a negative seed has no RNG stream
+    assert run(["gradcheck", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error:")
+
+
+@pytest.mark.parametrize("n_batches", [0, -3])
+def test_max_relative_errors_needs_a_batch(n_batches):
+    with pytest.raises(ValueError, match="n_batches must be >= 1"):
+        max_relative_errors(n_batches=n_batches)
 
 
 def test_gradcheck_detects_corruption(capsys, monkeypatch):

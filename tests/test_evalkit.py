@@ -21,6 +21,7 @@ from remix.errors import (
 )
 from remix.evalkit import (
     _BLOCK,
+    _rank_queries,
     cluster_purity,
     cmc_rank_k,
     evaluate,
@@ -120,6 +121,50 @@ class TestFixtures:
             mean_ap(q, [0, 1], [0, 0], g, [0, 1, 0], [1, 1, 1])
 
 
+def _assert_matches(args, reference):
+    """_rank_queries against the stable-sort oracle's (first, ap): each
+    query's first rank exactly and its AP to 1e-12."""
+    first, ap = _rank_queries(*args)
+    ref_first, ref_ap = reference
+    assert np.array_equal(first, ref_first)
+    assert np.max(np.abs(ap - ref_ap)) <= 1e-12
+    return first, ap
+
+
+def _on_axis(*scores):
+    """Gallery rows that score `scores` exactly against the query (1, 0)."""
+    return np.array([[s, 0.0] for s in scores])
+
+
+# name -> ((q_embs, q_ids, q_cams, g_embs, g_ids, g_cams), first ranks).
+# Every gallery camera is 1 and every query camera 0 unless a case masks.
+_HAND_CASES = {
+    # query 0's positive ties with the last valid item in sorted order;
+    # query 1's worst item is its positive, so the lookup after it is the
+    # clamped one
+    "tied-with-last": ((np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1], [0, 0],
+                        _on_axis(2, 0, 0), [1, 1, 0], [1, 1, 1]), [3, 1]),
+    # every valid item scores 1; the masked one (same id and camera, at
+    # index 0) ties too but must not count
+    "all-tied": ((_on_axis(1), [0], [0], _on_axis(1, 1, 1, 1, 1),
+                  [0, 1, 0, 1, 0], [0, 1, 1, 1, 1]), [2]),
+    # the positive at index 2 ties with index 0 before it and index 3
+    # after it
+    "tied-both-sides": ((_on_axis(1), [0], [0], _on_axis(1, 2, 1, 1, 0),
+                         [1, 1, 0, 1, 1], [1] * 5), [3]),
+    # orthogonal rows score zero, of either sign as the BLAS kernel
+    # rounds it; every zero key ties
+    "signed-zero": ((_on_axis(1), [0], [0],
+                     np.array([[0.0, 1.0], [-0.0, -1.0], [0.0, -2.0],
+                               [2.0, 0.0], [-0.0, 3.0]]),
+                     [1, 0, 1, 1, 0], [1] * 5), [3]),
+    # every valid item is a positive; two of them tie and the last in
+    # sorted order takes the clamped lookup
+    "only-positives": ((_on_axis(1), [0], [0], _on_axis(3, 1, 1, 0),
+                        [0] * 4, [1, 2, 1, 2]), [1]),
+}
+
+
 class TestAgainstOracle:
     def test_fifty_random_instances(self):
         # up to three ranking blocks and one query more; half the instances
@@ -154,6 +199,36 @@ class TestAgainstOracle:
             assert abs(mean_ap(*args) - np.mean(ap)) <= 1e-12
             checked += 1
         assert checked >= 40
+
+    def test_tie_heavy_large_galleries(self):
+        # integer directions, so that scores are exact and most of them
+        # tie; galleries up to 300 items and queries across block
+        # boundaries; per query, the first rank exactly and the AP to 1e-12
+        rng = substream(1, "ties")
+        checked = 0
+        for _ in range(40):
+            nq = int(rng.integers(_BLOCK - 2, 3 * _BLOCK + 2))
+            ng = int(rng.integers(100, 300))
+            n_dirs = int(rng.integers(2, 8))
+            dirs = rng.integers(-2, 3, size=(n_dirs, 3)).astype(np.float64)
+            q = rng.integers(-2, 3, size=(nq, 3)).astype(np.float64)
+            g = dirs[rng.integers(n_dirs, size=ng)]
+            n_ids = int(rng.integers(2, 6))
+            args = (q, rng.integers(n_ids, size=nq), rng.integers(2, size=nq),
+                    g, rng.integers(n_ids, size=ng), rng.integers(2, size=ng))
+            try:
+                reference = reference_rankings(*args)
+            except NoValidPositiveError:
+                continue
+            _assert_matches(args, reference)
+            checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("case", sorted(_HAND_CASES))
+    def test_hand_built_ties(self, case):
+        args, first = _HAND_CASES[case]
+        got, _ = _assert_matches(args, reference_rankings(*args))
+        assert got.tolist() == first
 
     def test_refresh_sized_target(self):
         cfg = GeneratorConfig(n_target_identities=400)
