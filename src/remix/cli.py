@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     except InvalidConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, RemixError) as exc:
+    except (OSError, RemixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,13 +28,6 @@ class TrainConfig:
     # 0.999 suits runs of many thousands of iterations; at the default
     # 1000 iterations the momentum encoder would stay glued to its init
     ema_momentum: float = 0.99
-    gamma: float = 0.5
-    tau_ins_multi: float = 0.1
-    tau_ins_single: float = 0.2
-    tau_aug: float = 0.1
-    tau_cen_multi: float = 0.5
-    tau_cen_single: float = 0.6
-    tau_camera: float = 0.07
     n_p_multi: int = 8
     n_k_multi: int = 4
     n_p_single: int = 8
@@ -58,18 +51,12 @@ class TrainConfig:
         return self.use_single_cam and self.n_p_single > 0
 
     def validate(self):
-        taus = (self.tau_ins_multi, self.tau_ins_single, self.tau_aug,
-                self.tau_cen_multi, self.tau_cen_single, self.tau_camera)
-        if any(t <= 0 for t in taus):
-            raise InvalidConfigError("all temperatures must be > 0")
         if not 0.0 <= self.ema_momentum <= 1.0:
             raise InvalidConfigError("ema_momentum must be in [0, 1]")
-        if self.gamma < 0:
-            raise InvalidConfigError("gamma must be >= 0")
         if self.iters_per_epoch < 1:
             raise InvalidConfigError("iters_per_epoch must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfigError("epochs must be >= 0")
+        if self.epochs < 0 or self.warmup_epochs < 0:
+            raise InvalidConfigError("epochs and warmup_epochs must be >= 0")
         if self.dbscan_eps <= 0 or self.dbscan_min_pts < 1:
             raise InvalidConfigError("bad DBSCAN parameters")
         if min(self.n_p_multi, self.n_k_multi, self.n_p_single, self.n_k_single) < 0:

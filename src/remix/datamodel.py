@@ -449,11 +449,11 @@ _ID_TYPES = {int, type(None)}
 
 
 def load_samples(path) -> tuple[list[PersonSample], int]:
-    """Read a dataset file. A truncated line, a missing key, a repeated
-    sample_id, a wrong feature count, a boolean or non-finite feature or
-    one beyond the float range, an id field that is not an integer or
-    fields that make no valid sample raise VersionMismatchError naming the
-    file and the 1-based line."""
+    """Read a dataset file. A header dim that is no JSON integer >= 1, a
+    truncated line, a missing key, a repeated sample_id, a wrong feature
+    count, a boolean or non-finite feature or one beyond the float range,
+    an id field that is not an integer or fields that make no valid sample
+    raise VersionMismatchError naming the file and the 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 1
         try:
@@ -462,7 +462,9 @@ def load_samples(path) -> tuple[list[PersonSample], int]:
                     or header.get("version") != DATASET_VERSION:
                 raise VersionMismatchError(
                     f"bad dataset header in {path}: {header}")
-            dim = int(header["dim"])
+            dim = header["dim"]
+            if type(dim) is not int or dim < 1:
+                raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
             samples = []
             seen: set[int] = set()
             for lineno, line in enumerate(fh, start=2):

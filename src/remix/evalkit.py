@@ -164,8 +164,10 @@ def shuffled_label_baseline(
     """Chance-level mAP: permute gallery identities and re-score.
 
     Averaged over a few permutations; permutations that strand a query
-    without a valid positive are redrawn.
+    without a valid positive are redrawn. n_shuffles < 1: ValueError.
     """
+    if n_shuffles < 1:
+        raise ValueError(f"n_shuffles must be >= 1, got {n_shuffles}")
     query, (g_embs, g_ids, g_cams) = _query_gallery(params, target)
     maps = []
     attempts = 0

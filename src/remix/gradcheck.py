@@ -4,7 +4,7 @@ Used both by the CLI `gradcheck` command and by the acceptance suite. The
 probe builds random mixed batches, computes analytic parameter gradients
 through the loss and the encoder, and compares against central
 differences on the flattened parameter vector. LOSSES names each loss with
-the call that evaluates it at fixed temperatures.
+the call that evaluates it at the objective's temperatures.
 """
 from __future__ import annotations
 
@@ -12,6 +12,10 @@ import numpy as np
 
 from . import encoder as enc
 from .losses import (
+    TAU_AUG,
+    TAU_CC,
+    TAU_CEN,
+    TAU_INS,
     BatchView,
     augmentation_loss,
     build_centroids,
@@ -25,10 +29,10 @@ from .numcore import finite_diff_grad, normalize_rows, substream
 TOLERANCE = 1e-4
 
 LOSSES = {
-    "instance": lambda view, bank: instance_loss(view, 0.1, 0.2),
-    "augmentation": lambda view, bank: augmentation_loss(view, 0.1),
-    "centroids": lambda view, bank: centroids_loss(view, bank, 0.5, 0.6),
-    "camera_centroids": lambda view, bank: camera_centroids_loss(view, bank, 0.07),
+    "instance": lambda view, bank: instance_loss(view, *TAU_INS),
+    "augmentation": lambda view, bank: augmentation_loss(view, TAU_AUG),
+    "centroids": lambda view, bank: centroids_loss(view, bank, *TAU_CEN),
+    "camera_centroids": lambda view, bank: camera_centroids_loss(view, bank, TAU_CC),
 }
 
 

@@ -22,6 +22,9 @@ that have at least one positive. Per term (anchor label y, camera c):
 
 A label is an integer row of the centroid bank. Multi-camera identities
 and single-camera pseudo labels take disjoint ranges of rows.
+
+The temperatures of the terms (multi-camera, single-camera anchors where a
+term has two) and the weight GAMMA of L_cc are the module constants below.
 """
 from __future__ import annotations
 
@@ -36,6 +39,12 @@ from .errors import (
 )
 from .numcore import normalize_rows
 
+TAU_INS = (0.1, 0.2)
+TAU_AUG = 0.1
+TAU_CEN = (0.5, 0.6)
+TAU_CC = 0.07
+GAMMA = 0.5
+
 
 @dataclass
 class BatchView:
@@ -44,10 +53,8 @@ class BatchView:
     labels: np.ndarray  # (B,) bank row of each sample's label
     multi: np.ndarray  # (B,) True for multi-camera samples, which come first
     cameras: np.ndarray  # (B,) camera id, -1 for single-camera samples
-    # derived once per batch: the distinct labels in ascending order, and
-    # each sample's position among them
+    # derived once per batch: the distinct labels in ascending order
     batch_labels: np.ndarray = field(init=False)
-    codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=np.float64)
@@ -67,9 +74,7 @@ class BatchView:
         if np.any(seen.all(axis=0)):
             raise DimensionMismatchError("a label cannot be both multi-camera "
                                          "and single-camera")
-        present = seen.any(axis=0)
-        self.batch_labels = np.flatnonzero(present)
-        self.codes = (np.cumsum(present) - 1)[self.labels]
+        self.batch_labels = np.flatnonzero(seen.any(axis=0))
 
     @property
     def size(self) -> int:
@@ -173,8 +178,8 @@ def instance_loss(
     included. Negatives are same-source batch members with a different
     label.
     """
-    codes, multi = view.codes, view.multi
-    pos = codes[:, None] == codes[None, :]
+    labels, multi = view.labels, view.multi
+    pos = labels[:, None] == labels[None, :]
     neg = ~pos & (multi[:, None] == multi[None, :])
     tau = np.where(multi, tau_m, tau_s)
     return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
@@ -184,7 +189,7 @@ def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarra
     """Pulls each augmented embedding to its own momentum original; negatives
     are all different-label batch members from either source."""
     pos = np.eye(view.size, dtype=bool)
-    neg = view.codes[:, None] != view.codes[None, :]
+    neg = view.labels[:, None] != view.labels[None, :]
     tau = np.full(view.size, tau_aug)
     return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
 
@@ -197,7 +202,7 @@ def centroids_loss(
     labels = view.batch_labels
     if len(labels) and labels[-1] >= len(bank.label_centroids):
         raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
-    pos = view.codes[:, None] == np.arange(len(labels))[None, :]
+    pos = view.labels[:, None] == labels[None, :]
     tau = np.where(view.multi, tau_m, tau_s)
     return _contrastive(view.f, bank.label_centroids[labels], pos, ~pos, tau,
                         shared_pool=False)
@@ -224,25 +229,14 @@ def camera_centroids_loss(
 
 
 def total_loss(
-    view: BatchView,
-    bank: CentroidBank,
-    tau_ins_m: float,
-    tau_ins_s: float,
-    tau_aug: float,
-    tau_cen_m: float,
-    tau_cen_s: float,
-    tau_cc: float,
-    gamma: float,
+    view: BatchView, bank: CentroidBank
 ) -> tuple[float, np.ndarray, dict[str, float]]:
-    """L = L_ins + L_aug + L_cen + gamma * L_cc, with the matching gradient."""
-    l_ins, g_ins = instance_loss(view, tau_ins_m, tau_ins_s)
-    l_aug, g_aug = augmentation_loss(view, tau_aug)
-    l_cen, g_cen = centroids_loss(view, bank, tau_cen_m, tau_cen_s)
-    if gamma != 0.0:
-        l_cc, g_cc = camera_centroids_loss(view, bank, tau_cc)
-    else:
-        l_cc, g_cc = 0.0, np.zeros_like(view.f)
-    loss = l_ins + l_aug + l_cen + gamma * l_cc
-    grads = g_ins + g_aug + g_cen + gamma * g_cc
+    """L = L_ins + L_aug + L_cen + GAMMA * L_cc, with the matching gradient."""
+    l_ins, g_ins = instance_loss(view, *TAU_INS)
+    l_aug, g_aug = augmentation_loss(view, TAU_AUG)
+    l_cen, g_cen = centroids_loss(view, bank, *TAU_CEN)
+    l_cc, g_cc = camera_centroids_loss(view, bank, TAU_CC)
+    loss = l_ins + l_aug + l_cen + GAMMA * l_cc
+    grads = g_ins + g_aug + g_cen + GAMMA * g_cc
     parts = {"ins": l_ins, "aug": l_aug, "cen": l_cen, "cc": l_cc}
     return loss, grads, parts

@@ -26,7 +26,11 @@ from .datamodel import (
     compose_batch,
     draw_epoch,
 )
-from .errors import InvalidConfigError, NonFiniteTrainingError
+from .errors import (
+    InsufficientLabelsError,
+    InvalidConfigError,
+    NonFiniteTrainingError,
+)
 from .losses import BatchView, build_centroids, total_loss
 from .numcore import substream
 from .pseudolabel import pseudo_label_epoch
@@ -100,9 +104,7 @@ def run_epoch(
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, batch.features)
         view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
-        loss, d_f, parts = total_loss(
-            view, bank, t.tau_ins_multi, t.tau_ins_single, t.tau_aug,
-            t.tau_cen_multi, t.tau_cen_single, t.tau_camera, t.gamma)
+        loss, d_f, parts = total_loss(view, bank)
         grads = enc.backward_batch(state.params, cache, d_f)
         if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
             raise NonFiniteTrainingError(
@@ -146,9 +148,12 @@ def train(
     metrics_path: str | Path | None = None,
 ) -> TrainState:
     """Run cfg.train.epochs epochs; write metrics lines and checkpoints.
-    A config that uses the corpus needs one: InvalidConfigError if None."""
+    A config that uses the corpus needs one: InvalidConfigError if None.
+    An empty multi-camera set raises InsufficientLabelsError."""
     t = cfg.train
     _require_corpus(t, corpus)
+    if not multi.samples:
+        raise InsufficientLabelsError("the multi-camera set is empty")
     rows = multi.grouped()
     # rows are grouped by identity: one spans two cameras iff two of its
     # neighbouring rows differ in camera

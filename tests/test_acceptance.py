@@ -291,8 +291,7 @@ def test_criterion_9_loss_weight_contract(capsys):
     view = BatchView(f, m, labels, np.arange(12) < 6, cams)
     bank = build_centroids(m, labels, cams)
 
-    loss, grads, parts = total_loss(view, bank, 0.1, 0.2, 0.1, 0.5, 0.6,
-                                    0.07, gamma=0.5)
+    loss, grads, parts = total_loss(view, bank)
     expect = parts["ins"] + parts["aug"] + parts["cen"] + 0.5 * parts["cc"]
     g = (instance_loss(view, 0.1, 0.2)[1]
          + augmentation_loss(view, 0.1)[1]

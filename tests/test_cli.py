@@ -122,9 +122,33 @@ def test_single_camera_ablation_from_one_config(workdir):
 def test_exit_codes():
     assert run([]) == 1  # missing subcommand
     assert run(["train", "--set", "train.nope=1"]) == 1  # bad config key
+    assert run(["train", "--set", "train.gamma=0.5"]) == 1  # a loss constant
     assert run(["train", "--set", "train.n_p_multi=0",
                 "--set", "train.n_p_single=0"]) == 1  # empty batch
     assert run(["train", "--config", "/does/not/exist.json"]) == 2
+
+
+def test_header_only_multicam_file_is_a_runtime_error(workdir, capsys):
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    path = out / "multicam.jsonl"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "multi-camera set is empty" in err
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_out_that_is_a_file_is_a_runtime_error(tmp_path, capsys, command):
+    # generate cannot make the directory, and eval cannot read through it
+    out = tmp_path / "file"
+    out.write_text("not a directory\n")
+    assert run([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_wrong_type_is_a_config_error(capsys):

@@ -41,9 +41,7 @@ def test_seed_type():
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("train", "tau_aug", 0.0),
     ("train", "ema_momentum", 1.5),
-    ("train", "gamma", -1),
     ("train", "p_drop", 2.0),
     ("train", "pseudo_label_budget", 0),
     ("generator", "n_videos", 0),
@@ -56,6 +54,7 @@ def test_seed_type():
     ("model", "embed_dim", 0),
     ("train", "iters_per_epoch", 0),
     ("train", "epochs", -1),
+    ("train", "warmup_epochs", -5),
     ("train", "dbscan_eps", 0.0),
     ("train", "dbscan_min_pts", 0),
     ("train", "lr", 0.0),
@@ -75,6 +74,24 @@ def test_invalid_values(section, key, value):
     # "a+b" sets several keys of the section to the same value
     with pytest.raises(InvalidConfigError):
         config_from_dict({section: dict.fromkeys(key.split("+"), value)})
+
+
+# the loss temperatures and the L_cc weight are constants of remix.losses
+REMOVED_KEYS = ["tau_ins_multi", "tau_ins_single", "tau_aug", "tau_cen_multi",
+                "tau_cen_single", "tau_camera", "gamma"]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_rejected(tmp_path, key):
+    value = 0.1  # a value each of them used to accept
+    with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
+        config_from_dict({"train": {key: value}})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": {key: value}}))
+    with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
+        load_config(path)
+    with pytest.raises(InvalidConfigError, match="unknown override"):
+        apply_overrides(RunConfig().validate(), [f"train.{key}={value}"])
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -97,7 +114,7 @@ def test_invalid_values(section, key, value):
     # json.loads reads these, and no float field takes them
     ("generator", "sigma_frame", float("nan")),
     ("train", "dbscan_eps", float("inf")),
-    ("train", "tau_aug", float("-inf")),
+    ("train", "sigma_aug", float("-inf")),
 ])
 def test_wrong_types(section, key, value):
     with pytest.raises(InvalidConfigError, match=f"{section}.{key} must be"):
@@ -169,7 +186,7 @@ class TestOverrides:
                                       'train.epochs="3"', "train.lr=fast",
                                       "generator.sigma_frame=NaN",
                                       "train.dbscan_eps=Infinity",
-                                      "train.tau_aug=-Infinity"])
+                                      "train.sigma_aug=-Infinity"])
     def test_wrong_type(self, item):
         # a value that is not JSON stays a string, which no flag or count
         # takes; NaN and Infinity parse, but fit no float field
@@ -187,4 +204,4 @@ class TestOverrides:
 
     def test_revalidates(self):
         with pytest.raises(InvalidConfigError):
-            apply_overrides(RunConfig().validate(), ["train.tau_aug=-1"])
+            apply_overrides(RunConfig().validate(), ["train.sigma_aug=-1"])

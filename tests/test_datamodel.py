@@ -521,6 +521,15 @@ class TestMalformedDatasetFile:
         path.write_text("\n".join(lines[:3]) + "\n" + lines[3][:40])
         self._raises_at(path, 4)
 
+    @pytest.mark.parametrize("dim", ["8", True, 8.0, 2.9, 0])
+    def test_header_dim_must_be_a_positive_integer(self, tmp_path, dim):
+        path, lines = self._write(tmp_path)
+        header = json.loads(lines[0])
+        header["dim"] = dim
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        self._raises_at(path, 1)
+
     def test_truncated_header(self, tmp_path):
         path, lines = self._write(tmp_path)
         path.write_text(lines[0][:20])

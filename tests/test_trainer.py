@@ -6,10 +6,16 @@ import pytest
 
 from remix import trainer
 from remix.config import RunConfig, config_from_dict
-from remix.datamodel import GeneratorConfig, SingleCamCorpus, synth_generate
+from remix.datamodel import (
+    GeneratorConfig,
+    MultiCamDataset,
+    SingleCamCorpus,
+    synth_generate,
+)
 from remix.encoder import load_checkpoint
 from remix.errors import (
     BudgetUnreachableError,
+    InsufficientLabelsError,
     InvalidConfigError,
     NonFiniteTrainingError,
 )
@@ -83,6 +89,18 @@ def test_config_that_uses_the_corpus_needs_one(monkeypatch, tmp_path):
     monkeypatch.setattr(trainer, "run_epoch", None)  # never reached
     with pytest.raises(InvalidConfigError, match="corpus"):
         trainer.train(multi, None, cfg, checkpoint_path=tmp_path / "c.json",
+                      metrics_path=tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_multicam_set_is_rejected_before_the_first_epoch(
+        monkeypatch, tmp_path):
+    cfg = tiny_cfg()
+    _, corpus, _ = data_for(cfg)
+    monkeypatch.setattr(trainer, "run_epoch", None)  # never reached
+    with pytest.raises(InsufficientLabelsError, match="multi-camera"):
+        trainer.train(MultiCamDataset.from_samples([]), corpus, cfg,
+                      checkpoint_path=tmp_path / "c.json",
                       metrics_path=tmp_path / "m.jsonl")
     assert list(tmp_path.iterdir()) == []
 
