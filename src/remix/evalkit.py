@@ -14,6 +14,7 @@ import numpy as np
 from .datamodel import MultiCamDataset, PersonSample
 from .encoder import EncoderParams, forward_batch
 from .errors import (
+    DimensionMismatchError,
     EmptyPoolError,
     NoValidPositiveError,
     NonFiniteEvaluationError,
@@ -39,9 +40,16 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     """Per query over the valid gallery: (1-based rank of the first correct
     match, average precision).
 
-    A positive's rank is one plus the valid gallery items that score
-    higher, or score the same at a lower gallery index: a binary search in
-    the block's sorted keys, plus a count of equals where a key recurs.
+    The gallery is grouped by identity once, so a query's same-identity
+    items are one slice of that order: those on the query's camera are
+    masked out, the rest are its positives, in ascending gallery index. A
+    positive's rank is one plus the valid gallery items that score higher,
+    or score the same at a lower gallery index: a binary search in the
+    block's sorted keys, plus a count of equals where a key recurs.
+
+    Identities and cameras are integer vectors with one entry per row of
+    their side's embeddings, and both sides have the same width; anything
+    else raises DimensionMismatchError.
     """
     q_embs = np.asarray(q_embs)
     g_embs = np.asarray(g_embs)
@@ -49,23 +57,47 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     q_cams = np.asarray(q_cams)
     g_ids = np.asarray(g_ids)
     g_cams = np.asarray(g_cams)
-    if len(q_ids) == 0:
-        raise EmptyPoolError("no queries to rank")
-    # a NaN similarity would compare false both ways and take some
-    # arbitrary rank
-    for side, embs in (("query", q_embs), ("gallery", g_embs)):
+    for side, embs, ids, cams in (("query", q_embs, q_ids, q_cams),
+                                  ("gallery", g_embs, g_ids, g_cams)):
+        for name, arr in (("identities", ids), ("cameras", cams)):
+            if embs.ndim != 2 or arr.shape != embs.shape[:1]:
+                raise DimensionMismatchError(
+                    f"{side} {name} have shape {arr.shape}, {side} "
+                    f"embeddings {embs.shape}")
+            # an empty list arrives as float64 and holds no bad value
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise DimensionMismatchError(
+                    f"{side} {name} must be integers, got {arr.dtype}")
+        # a NaN similarity would compare false both ways and take some
+        # arbitrary rank
         bad = np.nonzero(~np.isfinite(embs).all(axis=1))[0]
         if len(bad):
             raise NonFiniteEvaluationError(
                 f"{side} embedding {bad[0]} is not finite")
+    if q_embs.shape[1] != g_embs.shape[1]:
+        raise DimensionMismatchError(
+            f"query embeddings have width {q_embs.shape[1]}, gallery "
+            f"embeddings {g_embs.shape[1]}")
+    if len(q_ids) == 0:
+        raise EmptyPoolError("no queries to rank")
+    # gallery indices by identity, ascending within one; query q's
+    # same-identity items are the n_same[q] from by_id[lo[q]]
+    by_id = np.argsort(g_ids, kind="stable")
+    grouped = g_ids[by_id]
+    lo = np.searchsorted(grouped, q_ids, side="left")
+    n_same = np.searchsorted(grouped, q_ids, side="right") - lo
     first = np.empty(len(q_ids), dtype=np.int64)
     ap = np.empty(len(q_ids))
     for start in range(0, len(q_ids), _BLOCK):
         b = slice(start, start + _BLOCK)
-        same_id = q_ids[b, None] == g_ids
-        valid = ~(same_id & (q_cams[b, None] == g_cams))
-        key = np.where(valid, -(q_embs[b] @ g_embs.T), np.inf)
-        rows, pos = np.nonzero(same_id & valid)
+        key = -(q_embs[b] @ g_embs.T)
+        # the block's slices of by_id end to end, tagged with their rows
+        rows = np.repeat(np.arange(len(key)), n_same[b])
+        skip = lo[b] - (np.cumsum(n_same[b]) - n_same[b])
+        same = by_id[np.arange(len(rows)) + np.repeat(skip, n_same[b])]
+        own_cam = g_cams[same] == q_cams[b][rows]
+        key[rows[own_cam], same[own_cam]] = np.inf
+        rows, pos = rows[~own_cam], same[~own_cam]
         n_pos = np.bincount(rows, minlength=len(key))
         if not n_pos.all():
             stranded = start + int(np.argmin(n_pos))

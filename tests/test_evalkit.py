@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from remix.datamodel import (
     synth_generate,
 )
 from remix.errors import (
+    DimensionMismatchError,
     EmptyPoolError,
     NonFiniteEvaluationError,
     NoValidPositiveError,
@@ -110,6 +112,48 @@ class TestFixtures:
         with pytest.raises(ValueError, match="k must be >= 1"):
             cmc_rank_k(angles(0), [0], [0], angles(10), [0], [1], k=0)
 
+    def test_query_ids_one_per_embedding(self):
+        # 40 query embeddings with 32 identities must not rank 32 of them
+        nq = 40
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^query identities have shape \(32,\), "
+                                 r"query embeddings \(40, 2\)$"):
+            mean_ap(angles(*range(nq)), [0] * 32, [0] * nq, angles(10), [0],
+                    [1])
+
+    @pytest.mark.parametrize("arg", range(4))
+    def test_labels_one_per_embedding(self, arg):
+        # query ids, query cameras, gallery ids, gallery cameras: each one
+        # entry short
+        labels = [[0, 0], [0, 0], [0, 1, 0], [1, 1, 1]]
+        labels[arg] = labels[arg][:-1]
+        side = "query" if arg < 2 else "gallery"
+        name = "cameras" if arg % 2 else "identities"
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{side} {name} have shape"):
+            mean_ap(angles(0, 10), *labels[:2], angles(5, 20, 60),
+                    *labels[2:])
+
+    def test_labels_must_be_vectors(self):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^query identities have shape \(1, 1\)"):
+            cmc_rank_k(angles(0), [[0]], [0], angles(10), [0], [1], k=1)
+
+    def test_embedding_widths_agree(self):
+        with pytest.raises(DimensionMismatchError,
+                           match="^query embeddings have width 2, gallery "
+                                 "embeddings 3$"):
+            mean_ap(angles(0), [0], [0], np.ones((1, 3)), [0], [1])
+
+    @pytest.mark.parametrize("arg", range(4))
+    def test_labels_must_be_integers(self, arg):
+        labels = [[0], [0], [0, 1, 0], [1, 1, 1]]
+        labels[arg] = np.asarray(labels[arg], dtype=np.float64)
+        with pytest.raises(DimensionMismatchError,
+                           match="must be integers, got float64$"):
+            cmc_rank_k(angles(0), *labels[:2], angles(5, 20, 60),
+                       *labels[2:], k=1)
+
     @pytest.mark.parametrize("side", ["query", "gallery"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_embedding(self, side, value):
@@ -163,6 +207,22 @@ _HAND_CASES = {
     "only-positives": ((_on_axis(1), [0], [0], _on_axis(3, 1, 1, 0),
                         [0] * 4, [1, 2, 1, 2]), [1]),
 }
+
+
+@pytest.fixture(scope="module")
+def refresh_target():
+    """(params, target, ranking arguments) of a 1,600-query by
+    3,200-item target under a random encoder."""
+    cfg = GeneratorConfig(n_target_identities=400)
+    target = synth_generate(cfg, 0)[2]
+    params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
+    q_idx, g_idx = split_query_gallery(target)
+    embs = extract(params, target.samples)
+    ids = np.array([s.identity for s in target.samples])
+    cams = np.array([s.camera for s in target.samples])
+    args = (embs[q_idx], ids[q_idx], cams[q_idx],
+            embs[g_idx], ids[g_idx], cams[g_idx])
+    return params, target, args
 
 
 class TestAgainstOracle:
@@ -230,21 +290,37 @@ class TestAgainstOracle:
         got, _ = _assert_matches(args, reference_rankings(*args))
         assert got.tolist() == first
 
-    def test_refresh_sized_target(self):
-        cfg = GeneratorConfig(n_target_identities=400)
-        target = synth_generate(cfg, 0)[2]
-        params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
+    def test_refresh_sized_target(self, refresh_target):
+        params, target, args = refresh_target
         report = evaluate(params, target)
-        q_idx, g_idx = split_query_gallery(target)
-        embs = extract(params, target.samples)
-        ids = np.array([s.identity for s in target.samples])
-        cams = np.array([s.camera for s in target.samples])
-        first, ap = reference_rankings(embs[q_idx], ids[q_idx], cams[q_idx],
-                                       embs[g_idx], ids[g_idx], cams[g_idx])
+        first, ap = reference_rankings(*args)
         assert (report["n_query"], report["n_gallery"]) == (1600, 3200)
         for k in (1, 5, 10):
             assert report[f"rank{k}"] == np.mean(first <= k)
         assert abs(report["mAP"] - np.mean(ap)) <= 1e-12
+
+    def test_refresh_sized_target_ungrouped(self, refresh_target):
+        # the generator's gallery comes sorted by identity; permuted rows
+        # make the identity grouping in _rank_queries do the work
+        q_embs, q_ids, q_cams, g_embs, g_ids, g_cams = refresh_target[2]
+        perm = np.random.default_rng(0).permutation(len(g_ids))
+        assert np.any(np.diff(g_ids[perm]) < 0)
+        args = (q_embs, q_ids, q_cams, g_embs[perm], g_ids[perm], g_cams[perm])
+        _assert_matches(args, reference_rankings(*args))
+
+    def test_peak_stays_below_four_block_arrays(self, refresh_target):
+        # beside its inputs, the ranking holds a few (_BLOCK x gallery)
+        # float arrays at once: the keys and their sorted copy, not a
+        # query-by-gallery matrix or full-width boolean masks
+        args = refresh_target[2]
+        _rank_queries(*args)
+        tracemalloc.start()
+        try:
+            _rank_queries(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _BLOCK * len(args[4]) * 8
 
 
 def _pool(clusters, order=None):
