@@ -19,8 +19,8 @@ class EmptyPoolError(RemixError):
 
 class NonFiniteEvaluationError(RemixError):
     """A value came out NaN or Inf where it must be finite: a probed
-    function during finite differencing, or a query or gallery embedding
-    about to be ranked."""
+    function during finite differencing, a query or gallery embedding
+    about to be ranked, or a point about to be clustered."""
 
 
 class NonFiniteTrainingError(RemixError):
@@ -37,7 +37,8 @@ class InsufficientLabelsError(RemixError):
 
 
 class UnresolvedLabelError(RemixError):
-    """A batch label has no centroid in the bank."""
+    """A label has no row in the centroid bank: a batch label the bank
+    lacks, or a negative one."""
 
 
 class EmptyLabelError(RemixError):

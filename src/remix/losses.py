@@ -88,29 +88,47 @@ class CentroidBank:
     camera_present: np.ndarray  # (I, C) which (label, camera) pairs have one
 
 
+def _sums(keys: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sums of the rows by flat key into shape + (E,), added in row order."""
+    d = rows.shape[1]
+    flat = (keys[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, rows.ravel(), np.prod(shape, dtype=int) * d)
+    # bincount gives int64 zeros when there is no key
+    return sums.astype(np.float64, copy=False).reshape(shape + (d,))
+
+
 def build_centroids(
     embeddings: np.ndarray,
     labels: np.ndarray,
     cameras: np.ndarray,
 ) -> CentroidBank:
     """Normalized per-label means over dense labels 0..L-1, and normalized
-    per-(label, camera) means over the rows with a camera (>= 0)."""
+    per-(label, camera) means over the rows with a camera (>= 0).
+
+    Embeddings are 2-D with one label and one camera per row, else
+    DimensionMismatchError; a negative label raises UnresolvedLabelError.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    cameras = np.asarray(cameras)
+    if embeddings.ndim != 2 or not (
+            labels.shape == cameras.shape == embeddings.shape[:1]):
+        raise DimensionMismatchError(
+            f"embeddings {embeddings.shape} need one label and one camera "
+            f"per row, got labels {labels.shape}, cameras {cameras.shape}")
     if len(labels) == 0:
         raise EmptyLabelError("cannot build centroids from an empty batch")
+    if labels.min() < 0:
+        raise UnresolvedLabelError(f"label {labels.min()} is negative")
     counts = np.bincount(labels)
     if not counts.all():
         raise EmptyLabelError(f"label {int(np.argmin(counts))} has no members")
-    sums = np.zeros((len(counts), embeddings.shape[1]))
-    np.add.at(sums, labels, embeddings)
+    sums = _sums(labels, embeddings, counts.shape)
     label_centroids = normalize_rows(sums / counts[:, None])
-    cameras = np.asarray(cameras)
     has_cam = cameras >= 0
     y, c = labels[has_cam], cameras[has_cam]
     shape = (int(y.max(initial=-1)) + 1, int(c.max(initial=-1)) + 1)
-    cam_sums = np.zeros(shape + (embeddings.shape[1],))
-    np.add.at(cam_sums, (y, c), embeddings[has_cam])
+    cam_sums = _sums(y * shape[1] + c, embeddings[has_cam], shape)
     cam_counts = np.bincount(y * shape[1] + c, minlength=np.prod(shape))
     present = cam_counts.reshape(shape) > 0
     cam_sums[present] = normalize_rows(cam_sums[present]

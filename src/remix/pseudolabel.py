@@ -14,9 +14,31 @@ import numpy as np
 
 from .datamodel import CorpusFrames, LabelGroups, PersonSample
 from .encoder import EncoderParams, forward_batch
-from .errors import BudgetUnreachableError
+from .errors import (
+    BudgetUnreachableError,
+    DimensionMismatchError,
+    NonFiniteEvaluationError,
+)
 
 NOISE = -1
+
+
+def _components(graph: np.ndarray) -> np.ndarray:
+    """Component of each node of a symmetric boolean graph with a true
+    diagonal, by lowest node: each node follows its lowest neighbour to a
+    root, and the groups' graph (rows, then columns OR-ed) is solved next."""
+    root = graph.argmax(axis=1)
+    for _ in range(len(graph).bit_length()):
+        root = root[root]
+    head = root == np.arange(len(graph))
+    if head.all():
+        return root
+    group = (head.cumsum() - 1)[root]
+    order = np.argsort(root, kind="stable")  # a group's root comes first
+    start = np.flatnonzero(head[order])
+    rows = np.bitwise_or.reduceat(np.packbits(graph, axis=1)[order], start)
+    cols = np.unpackbits(rows, axis=1, count=len(graph))[:, order]
+    return _components(np.logical_or.reduceat(cols, start, axis=1))[group]
 
 
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -27,34 +49,34 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     numbered in ascending order of each cluster's first core point; a
     border point joins the lowest-numbered cluster that reaches it.
     Returns one label per point; NOISE (-1) marks unclustered points.
+
+    Points must be a 2-D array (DimensionMismatchError) of finite values
+    (NonFiniteEvaluationError, naming the first bad row). The similarities
+    are one general matrix product, not numpy's symmetric one, which is
+    about three times slower here; its rounding can differ in the last bit.
     """
     x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"points of shape {x.shape} are not 2-D")
     if eps <= 0 or min_pts < 1:
         raise ValueError("eps must be > 0 and min_pts >= 1")
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+        raise NonFiniteEvaluationError(f"point {bad} is not finite")
     # in place: a fresh (n, n) temporary costs more than the arithmetic
-    dist = x @ x.T
+    dist = x @ x.T.copy()
     np.clip(dist, -1.0, 1.0, out=dist)
     np.subtract(1.0, dist, out=dist)
     neigh = dist <= eps
-    core = np.count_nonzero(neigh, axis=1) >= min_pts
+    core = np.bitwise_count(np.packbits(neigh, axis=1)).sum(axis=1) >= min_pts
     labels = np.full(x.shape[0], NOISE, dtype=np.int64)
     c = np.nonzero(core)[0]
     m = len(c)
     if m == 0:
         return labels
     adj = neigh if m == len(x) else neigh[np.ix_(c, c)]
-    np.fill_diagonal(adj, True)  # so each row's argmax finds a neighbour
-    # min-label propagation with pointer jumping: each core point ends
-    # holding the lowest core position in its component. A row's argmax is
-    # its first neighbour; with columns sorted by label, its lowest label
-    root, new = None, adj.argmax(axis=1)
-    while not np.array_equal(new, root):
-        root = new
-        while not np.array_equal(root[root], root):
-            root = root[root]
-        order = np.argsort(root, kind="stable")
-        new = root[order[adj.take(order, axis=1).argmax(axis=1)]]
-    _, cluster = np.unique(root, return_inverse=True)
+    np.fill_diagonal(adj, True)
+    cluster = _components(adj)
     labels[c] = cluster
     border = np.nonzero(~core)[0]
     owner = np.where(neigh[border][:, c], cluster, m).min(axis=1, initial=m)

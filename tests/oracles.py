@@ -6,6 +6,8 @@ import numpy as np
 
 from remix.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from remix.errors import NoValidPositiveError
+from remix.losses import CentroidBank
+from remix.numcore import normalize_rows
 
 NOISE = -1
 
@@ -47,6 +49,29 @@ def reference_dbscan(points, eps, min_pts):
             if owners:
                 labels[i] = min(owners)
     return labels
+
+
+def reference_build_centroids(embeddings, labels, cameras):
+    """build_centroids with every sum taken by np.add.at, which adds the
+    rows into their label's (or label and camera's) sum one at a time, in
+    row order."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    cameras = np.asarray(cameras)
+    counts = np.bincount(labels)
+    sums = np.zeros((len(counts), embeddings.shape[1]))
+    np.add.at(sums, labels, embeddings)
+    label_centroids = normalize_rows(sums / counts[:, None])
+    has_cam = cameras >= 0
+    y, c = labels[has_cam], cameras[has_cam]
+    shape = (int(y.max(initial=-1)) + 1, int(c.max(initial=-1)) + 1)
+    cam_sums = np.zeros(shape + (embeddings.shape[1],))
+    np.add.at(cam_sums, (y, c), embeddings[has_cam])
+    cam_counts = np.bincount(y * shape[1] + c, minlength=np.prod(shape))
+    present = cam_counts.reshape(shape) > 0
+    cam_sums[present] = normalize_rows(cam_sums[present]
+                                       / cam_counts[cam_counts > 0][:, None])
+    return CentroidBank(label_centroids, cam_sums, present)
 
 
 def reference_purity(labels, hidden):

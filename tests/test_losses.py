@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     reference_augmentation_loss,
+    reference_build_centroids,
     reference_camera_centroids_loss,
     reference_centroids_loss,
     reference_contrastive,
@@ -114,6 +115,81 @@ class TestBuildCentroids:
             build_centroids(np.zeros((0, 3)), [], [])
         with pytest.raises(EmptyLabelError):  # label 1 has no member
             build_centroids(np.eye(3)[:2], [0, 2], [-1, -1])
+
+    @pytest.mark.parametrize("embeddings, labels, cameras", [
+        (np.ones(3), [0, 0, 0], [0, 0, 0]),  # 1-D embeddings
+        (np.ones((3, 2, 2)), [0, 0, 0], [0, 0, 0]),
+        (np.eye(3), [0, 1], [-1, -1, -1]),  # one label short
+        (np.eye(3), [0, 1, 2, 0], [-1, -1, -1, -1]),
+        (np.eye(3), [0, 1, 2], [-1, -1]),  # one camera short
+        (np.eye(2), [[0, 1]], [[-1, -1]]),  # 2-D labels and cameras
+    ])
+    def test_one_label_and_camera_per_row(self, embeddings, labels, cameras):
+        with pytest.raises(DimensionMismatchError):
+            build_centroids(embeddings, labels, cameras)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(UnresolvedLabelError, match="-1"):
+            build_centroids(np.eye(3), [0, -1, 1], [0, 0, 0])
+
+
+def assert_same_bank(got, want):
+    """Bit for bit: dtype, shape and bytes of each of the bank's arrays."""
+    for name in ("label_centroids", "camera_centroids", "camera_present"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestBuildCentroidsAgainstOracle:
+    def test_refresh_sized_bank(self):
+        # a refresh epoch's bank: 60 identities x 4 cameras x 3 rows, then
+        # 480 pseudo labels x 16 frames without cameras, in shuffled order
+        rng = substream(6, "gradcheck")
+        labels = np.r_[np.repeat(np.arange(60), 12),
+                       60 + rng.permutation(np.repeat(np.arange(480), 16))]
+        cameras = np.r_[np.tile(np.repeat(np.arange(4), 3), 60),
+                        np.full(480 * 16, -1)]
+        order = rng.permutation(len(labels))
+        embs = normalize_rows(rng.standard_normal((len(labels), 16)))
+        bank = build_centroids(embs, labels[order], cameras[order])
+        assert bank.camera_present.all()
+        assert_same_bank(bank, reference_build_centroids(
+            embs, labels[order], cameras[order]))
+
+    def test_label_with_cameras_missing(self):
+        # label 0 lacks camera 1, label 1 has only camera 1 beside a row
+        # without one, and the highest label has no camera row at all
+        rng = substream(7, "gradcheck")
+        embs = normalize_rows(rng.standard_normal((7, 5)))
+        labels, cameras = [0, 1, 0, 2, 1, 0, 2], [2, -1, 0, -1, 1, 2, -1]
+        bank = build_centroids(embs, labels, cameras)
+        assert bank.camera_present.tolist() == [[True, False, True],
+                                                [False, True, False]]
+        assert not bank.camera_centroids[0, 1].any()
+        assert_same_bank(bank, reference_build_centroids(embs, labels,
+                                                         cameras))
+
+    def test_no_camera_rows(self):
+        rng = substream(8, "gradcheck")
+        embs = normalize_rows(rng.standard_normal((6, 4)))
+        labels, cameras = [1, 0, 2, 1, 0, 2], np.full(6, -1)
+        bank = build_centroids(embs, labels, cameras)
+        assert bank.camera_centroids.shape == (0, 0, 4)
+        assert_same_bank(bank, reference_build_centroids(embs, labels,
+                                                         cameras))
+
+    def test_random_banks(self):
+        rng = substream(9, "gradcheck")
+        for _ in range(50):
+            n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))  # labels 0..k-1, none empty
+            labels = rng.permutation(np.r_[np.arange(k),
+                                           rng.integers(0, k, n - k)])
+            cameras = rng.integers(-1, 4, n)
+            embs = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0)
+            assert_same_bank(build_centroids(embs, labels, cameras),
+                             reference_build_centroids(embs, labels, cameras))
 
 
 def oracle_pairs(view, bank, tau_scale=1.0):

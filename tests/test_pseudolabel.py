@@ -14,7 +14,11 @@ from remix.datamodel import (
     SingleCamCorpus,
     synth_generate,
 )
-from remix.errors import BudgetUnreachableError
+from remix.errors import (
+    BudgetUnreachableError,
+    DimensionMismatchError,
+    NonFiniteEvaluationError,
+)
 from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import (
     NOISE,
@@ -182,11 +186,36 @@ class TestDbscan:
         assert labels.max() + 1 == n_chains
         assert np.array_equal(labels, reference_dbscan(pts, 0.1, 2))
 
+    @pytest.mark.parametrize("n_chains, min_pts", [(1, 2), (8, 3)])
+    def test_long_shuffled_chains(self, monkeypatch, n_chains, min_pts):
+        # 256 shuffled points on chains: a point's lowest neighbour joins it
+        # to a short run of its chain, and the chain of runs is contracted
+        # and solved again, over at least two contractions. With min_pts 3
+        # the two ends of each chain are border points.
+        pts = chains(substream(7, "gradcheck"), n_chains, 256 // n_chains,
+                     1e-4)
+        levels = []
+        solve = pseudolabel._components
+
+        def spy(graph):
+            levels.append(len(graph))
+            return solve(graph)
+
+        monkeypatch.setattr(pseudolabel, "_components", spy)
+        labels = dbscan(pts, 1e-4, min_pts)
+        assert len(levels) >= 3 and levels[-1] == n_chains
+        border = neighbour_counts(pts, 1e-4) < min_pts
+        assert np.count_nonzero(border) == (min_pts - 2) * 2 * n_chains
+        assert labels.max() + 1 == n_chains and np.all(labels != NOISE)
+        assert np.array_equal(labels, reference_dbscan(pts, 1e-4, min_pts))
+
     def test_every_point_core_needs_no_copy_of_the_graph(self):
-        # beside the (n, n) float distances dbscan holds at most two
-        # (n, n) boolean masks at once: the neighbour mask, which is the
-        # core graph itself when every point is core, and one column
-        # permutation of it. A core-core copy would make a third.
+        # beside the (n, n) float distances dbscan holds one (n, n) boolean
+        # mask, the neighbour mask, which is the core graph itself when
+        # every point is core, and bit-packed copies of its rows (n * n / 8
+        # bytes each): a peak of about 9.4 * n * n bytes. The bound is
+        # 1.1 * n * n above that, so it would miss one more boolean mask,
+        # such as a core-core copy, but not a second float matrix.
         n = 512
         pts = random_points(substream(3, "gradcheck"), n, dim=8)
         assert neighbour_counts(pts, 0.5).min() >= 1
@@ -238,6 +267,20 @@ class TestDbscan:
         b = np.tile(np.array([-1.0, 0.0]), (4, 1))
         labels = dbscan(np.vstack([a, b]), 0.5, 3)
         assert np.array_equal(labels, [0, 0, 0, 0, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize("points", [np.ones(4), np.ones((2, 2, 2)),
+                                        np.float64(1.0)])
+    def test_points_must_be_2d(self, points):
+        with pytest.raises(DimensionMismatchError):
+            dbscan(points, 0.5, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named(self, bad):
+        # a NaN row would otherwise reach nothing and be labelled noise
+        pts = random_points(substream(6, "gradcheck"), 5)
+        pts[3, 1] = bad
+        with pytest.raises(NonFiniteEvaluationError, match="point 3"):
+            dbscan(pts, 0.5, 2)
 
     def test_bad_parameters(self):
         pts = random_points(substream(2, "gradcheck"), 4)
