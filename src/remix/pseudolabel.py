@@ -53,7 +53,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     Points must be a 2-D array (DimensionMismatchError) of finite values
     (NonFiniteEvaluationError, naming the first bad row). The similarities
     are one general matrix product, not numpy's symmetric one, which is
-    about three times slower here; its rounding can differ in the last bit.
+    about three times slower here. Its rounding can differ in the last bit
+    across the diagonal, so a pair is neighbours only if both are within
+    eps of each other.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -68,6 +70,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     np.clip(dist, -1.0, 1.0, out=dist)
     np.subtract(1.0, dist, out=dist)
     neigh = dist <= eps
+    neigh &= neigh.T
     core = np.bitwise_count(np.packbits(neigh, axis=1)).sum(axis=1) >= min_pts
     labels = np.full(x.shape[0], NOISE, dtype=np.int64)
     c = np.nonzero(core)[0]

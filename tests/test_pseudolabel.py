@@ -212,10 +212,11 @@ class TestDbscan:
     def test_every_point_core_needs_no_copy_of_the_graph(self):
         # beside the (n, n) float distances dbscan holds one (n, n) boolean
         # mask, the neighbour mask, which is the core graph itself when
-        # every point is core, and bit-packed copies of its rows (n * n / 8
-        # bytes each): a peak of about 9.4 * n * n bytes. The bound is
-        # 1.1 * n * n above that, so it would miss one more boolean mask,
-        # such as a core-core copy, but not a second float matrix.
+        # every point is core, and for a while a transposed copy of it,
+        # which makes the mask symmetric: a peak of about 10.0 * n * n
+        # bytes. A core-core copy of the mask, kept while the components
+        # pack its rows, reads 10.55 * n * n and fails the bound, if only
+        # by 0.05 * n * n; a second float matrix fails it by far.
         n = 512
         pts = random_points(substream(3, "gradcheck"), n, dim=8)
         assert neighbour_counts(pts, 0.5).min() >= 1
@@ -267,6 +268,43 @@ class TestDbscan:
         b = np.tile(np.array([-1.0, 0.0]), (4, 1))
         labels = dbscan(np.vstack([a, b]), 0.5, 3)
         assert np.array_equal(labels, [0, 0, 0, 0, 1, 1, 1, 1])
+
+    def test_pair_at_exactly_eps(self):
+        # the first two points are exactly 0.5 apart both ways: neighbours
+        # at eps 0.5 (the boundary is inclusive), not one ulp below it
+        pts = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)], [-1.0, 0.0]])
+        for eps, want in ((0.5, [0, 0, NOISE]),
+                          (np.nextafter(0.5, 0.0), [NOISE] * 3)):
+            assert np.array_equal(dbscan(pts, eps, 2), want)
+            assert np.array_equal(reference_dbscan(pts, eps, 2), want)
+
+    def test_pair_rounded_apart_across_the_diagonal(self):
+        # the product as dbscan forms it can round one pair's similarity
+        # differently above and below the diagonal. With eps between the
+        # two distances the pair must be no neighbour either way, whichever
+        # side holds the nearer one. Each input plants one close pair
+        # i < j, and every other pair is farther apart. With OpenBLAS at one
+        # thread 10 of the 200 pairs round apart; with a BLAS whose product
+        # is exactly symmetric, this checks the boundary only.
+        rng = substream(11, "gradcheck")
+        for _ in range(200):
+            n = int(rng.integers(8, 65))
+            pts = random_points(rng, n, dim=16)
+            i, j = np.sort(rng.choice(n, 2, replace=False))
+            pts[j] = normalize_rows(pts[i] + 0.01 * rng.standard_normal(16))
+            d = 1.0 - np.clip(pts @ pts.T.copy(), -1.0, 1.0)
+            far = np.partition((d + 2.0 * np.eye(n)).ravel(), 2)[2]
+            assert far > max(d[i, j], d[j, i])
+            for eps in (min(d[i, j], d[j, i]), max(d[i, j], d[j, i])):
+                near = max(d[i, j], d[j, i]) <= eps
+                want = np.arange(n)
+                if near:
+                    want[j:] -= 1
+                    want[j] = i
+                assert np.array_equal(dbscan(pts, eps, 1), want)
+                pair = np.full(n, NOISE)
+                pair[[i, j]] = 0 if near else NOISE
+                assert np.array_equal(dbscan(pts, eps, 2), pair)
 
     @pytest.mark.parametrize("points", [np.ones(4), np.ones((2, 2, 2)),
                                         np.float64(1.0)])
