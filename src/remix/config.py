@@ -172,7 +172,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -167,6 +167,11 @@ class GeneratorConfig:
             raise InvalidConfigError("generator counts must be positive")
         if self.samples_per_id_per_cam * self.n_cameras < 2:
             raise InvalidConfigError("each identity needs >= 2 samples")
+        # a target query needs a gallery item of its identity on another
+        # camera
+        if min(self.n_target_cameras, self.target_samples_per_id_per_cam) < 2:
+            raise InvalidConfigError("the target needs >= 2 cameras and >= 2 "
+                                     "samples per identity per camera")
         if min(self.sigma_cam, self.sigma_video, self.sigma_shift,
                self.sigma_frame, self.domain_shift) < 0:
             raise InvalidConfigError("noise scales must be >= 0")
@@ -510,7 +515,13 @@ def _samples_of(path, source: str) -> list[PersonSample]:
 
 
 def load_multicam(path) -> MultiCamDataset:
-    return MultiCamDataset.from_samples(_samples_of(path, MULTI))
+    """An identity of one sample, or identity or camera ids that are not
+    dense from 0, raise VersionMismatchError naming the file."""
+    samples = _samples_of(path, MULTI)
+    try:
+        return MultiCamDataset.from_samples(samples)
+    except InvalidConfigError as exc:
+        raise VersionMismatchError(f"malformed dataset {path}: {exc}") from exc
 
 
 def load_corpus(path) -> SingleCamCorpus:

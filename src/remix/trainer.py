@@ -40,9 +40,15 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainState:
+    """Everything a run carries from one epoch to the next: the encoder,
+    its momentum copy, the optimizer, the epoch, the metrics records and
+    the named random streams. No data: run_epoch is given the datasets."""
     params: enc.EncoderParams
     momentum: enc.EncoderParams
     opt: enc.OptimizerState
+    sampler: np.random.Generator  # the epoch's batch draws
+    augment: np.random.Generator  # the training views' noise and drops
+    videos: np.random.Generator  # the pseudo-labelling video order
     epoch: int = 0
     metrics: list[dict] = field(default_factory=list)
 
@@ -51,7 +57,10 @@ def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
     params = enc.init_params(feature_dim, list(cfg.model.hidden),
                              cfg.model.embed_dim, substream(cfg.seed, "init"))
     return TrainState(params, params.copy(),
-                      enc.OptimizerState.for_params(params))
+                      enc.OptimizerState.for_params(params),
+                      sampler=substream(cfg.seed, "sampler"),
+                      augment=substream(cfg.seed, "augment"),
+                      videos=substream(cfg.seed, "videos"))
 
 
 def _require_corpus(t: TrainConfig, corpus) -> None:
@@ -60,15 +69,8 @@ def _require_corpus(t: TrainConfig, corpus) -> None:
                                  "but no corpus was given")
 
 
-def run_epoch(
-    state: TrainState,
-    multi: LabelGroups,
-    corpus: CorpusFrames | None,
-    cfg: RunConfig,
-    sampler_rng: np.random.Generator,
-    aug_rng: np.random.Generator,
-    video_rng: np.random.Generator,
-) -> TrainState:
+def run_epoch(state: TrainState, multi: LabelGroups,
+              corpus: CorpusFrames | None, cfg: RunConfig) -> TrainState:
     """One epoch over the multi-camera rows grouped by identity and the
     corpus rows grouped by video; mutates and returns state. A config that
     uses the corpus needs one: InvalidConfigError if None."""
@@ -86,7 +88,7 @@ def run_epoch(
         budget = t.pseudo_label_budget or (
             t.n_p_single * t.n_k_single * t.iters_per_epoch)
         pool = pseudo_label_epoch(corpus, state.momentum, t.dbscan_eps,
-                                  t.dbscan_min_pts, budget, video_rng,
+                                  t.dbscan_min_pts, budget, state.videos,
                                   t.n_p_single)
         single = pool.frames
         embs = np.concatenate([embs, pool.embeddings])
@@ -96,11 +98,11 @@ def run_epoch(
 
     lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi, t.n_p_single, t.n_k_single)
-    draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, sampler_rng)
+    draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, state.sampler)
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
     for it in range(t.iters_per_epoch):
         batch = compose_batch(draws, it)
-        augmented = augment(batch.features, aug_rng, t.sigma_aug, t.p_drop)
+        augmented = augment(batch.features, state.augment, t.sigma_aug, t.p_drop)
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, batch.features)
         view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
@@ -162,9 +164,6 @@ def train(
                     "is inert")
     frames = corpus.grouped() if t.uses_corpus else None
     state = init_state(cfg, rows.features.shape[1])
-    sampler_rng = substream(cfg.seed, "sampler")
-    aug_rng = substream(cfg.seed, "augment")
-    video_rng = substream(cfg.seed, "videos")
     cfg_echo = cfg.to_dict()
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
 
@@ -175,7 +174,7 @@ def train(
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for _ in range(t.epochs):
-            run_epoch(state, rows, frames, cfg, sampler_rng, aug_rng, video_rng)
+            run_epoch(state, rows, frames, cfg)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(state.metrics[-1]) + "\n")
                 metrics_fh.flush()

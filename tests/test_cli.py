@@ -140,6 +140,37 @@ def test_header_only_multicam_file_is_a_runtime_error(workdir, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+def _keep_one_record_of_identity(path, identity):
+    header, *records = path.read_text().splitlines()
+    lone = [r for r in records if json.loads(r)["identity"] == identity][1:]
+    path.write_text("\n".join([header] + [r for r in records
+                                          if r not in lone]) + "\n")
+
+
+@pytest.mark.parametrize("command, name", [("train", "multicam.jsonl"),
+                                           ("eval", "target.jsonl")])
+def test_identity_of_one_sample_is_a_runtime_error(workdir, capsys, command,
+                                                   name):
+    # a dataset defect, named with its file, like a malformed record
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    if command == "eval":
+        assert run(["train", "--config", cfg, "--out", str(out)]) == 0
+    _keep_one_record_of_identity(out / name, 3)
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / name) in err
+    assert ">= 2 samples" in err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff" + json.dumps(TINY).encode())
+    assert run(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("command", ["generate", "eval"])
 def test_out_that_is_a_file_is_a_runtime_error(tmp_path, capsys, command):
     # generate cannot make the directory, and eval cannot read through it

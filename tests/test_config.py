@@ -63,6 +63,9 @@ def test_seed_type():
     ("train", "n_p_single", -1),
     ("generator", "style_pool", 0),
     ("generator", "n_cameras+samples_per_id_per_cam", 1),
+    # a target query needs a same-identity gallery item on another camera
+    ("generator", "n_target_cameras", 1),
+    ("generator", "target_samples_per_id_per_cam", 1),
     # instance negatives always come from the anchor's own source
     ("train", "cross_source_negatives", True),
     # Adam's betas and eps are encoder constants, not config keys

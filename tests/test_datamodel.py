@@ -464,6 +464,24 @@ class TestWrongKindOfFile:
         assert f"line {lineno}:" in str(info.value)
 
 
+class TestMalformedMultiCamSet:
+    """Records that each load but make no multi-camera set raise
+    VersionMismatchError naming the file."""
+
+    @pytest.mark.parametrize("ids_cams, why", [
+        ([(0, 0), (0, 1), (1, 0)], ">= 2 samples"),  # identity 1 once
+        ([(1, 0), (1, 1)], "dense"),  # no identity 0
+        ([(0, 1), (0, 2)], "dense"),  # no camera 0
+    ])
+    def test_rejected(self, tmp_path, ids_cams, why):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(path, [_ms(sid, ident, cam) for sid, (ident, cam)
+                            in enumerate(ids_cams)], 4)
+        with pytest.raises(VersionMismatchError, match=why) as info:
+            load_multicam(path)
+        assert str(path) in str(info.value)
+
+
 def _set_feature(r, value):
     r["features"][0] = value
 

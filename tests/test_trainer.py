@@ -1,5 +1,6 @@
 import hashlib
 import json
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from remix.errors import (
     InvalidConfigError,
     NonFiniteTrainingError,
 )
+from remix.numcore import substream
 from remix.pseudolabel import PseudoLabeledPool
 
 
@@ -110,10 +112,48 @@ def test_epoch_that_uses_the_corpus_needs_one():
     multi, _, _ = data_for(cfg)
     rows = multi.grouped()
     state = trainer.init_state(cfg, rows.features.shape[1])
-    rngs = [np.random.default_rng(k) for k in range(3)]
     with pytest.raises(InvalidConfigError, match="corpus"):
-        trainer.run_epoch(state, rows, None, cfg, *rngs)
+        trainer.run_epoch(state, rows, None, cfg)
     assert state.epoch == 0 and state.metrics == []
+
+
+STREAMS = ("sampler", "augment", "videos")
+
+
+def test_init_state_streams_start_at_their_substreams():
+    cfg = tiny_cfg()
+    state = trainer.init_state(cfg, 8)
+    for name in STREAMS:
+        assert getattr(state, name).bit_generator.state \
+            == substream(cfg.seed, name).bit_generator.state
+
+
+def test_state_carries_the_whole_run():
+    # 2 epochs, then 2 more from the state and from a copy of it, match 4
+    # straight epochs bit for bit; the copy runs second, so a stream kept
+    # outside the state would have moved on under it
+    cfg = tiny_cfg(epochs=4)
+    multi, corpus, _ = data_for(cfg)
+    rows, frames = multi.grouped(), corpus.grouped()
+    straight = trainer.train(multi, corpus, cfg)
+    state = trainer.init_state(cfg, rows.features.shape[1])
+    for _ in range(2):
+        trainer.run_epoch(state, rows, frames, cfg)
+    copy = deepcopy(state)
+    for resumed in (state, copy):
+        for _ in range(2):
+            trainer.run_epoch(resumed, rows, frames, cfg)
+        assert resumed.epoch == 4
+        for a, b in [(resumed.params.flat, straight.params.flat),
+                     (resumed.momentum.flat, straight.momentum.flat),
+                     (resumed.opt.m, straight.opt.m),
+                     (resumed.opt.v, straight.opt.v)]:
+            assert a.tobytes() == b.tobytes()
+        assert resumed.opt.step == straight.opt.step
+        assert resumed.metrics == straight.metrics
+        for name in STREAMS:
+            assert getattr(resumed, name).bit_generator.state \
+                == getattr(straight, name).bit_generator.state
 
 
 @pytest.mark.parametrize("budget", [None, 20])
