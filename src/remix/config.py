@@ -25,22 +25,12 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    # 0.999 suits runs of many thousands of iterations; at the default
-    # 1000 iterations the momentum encoder would stay glued to its init
-    ema_momentum: float = 0.99
     n_p_multi: int = 8
     n_k_multi: int = 4
     n_p_single: int = 8
     n_k_single: int = 4
     epochs: int = 20
     iters_per_epoch: int = 50
-    dbscan_eps: float = 0.8
-    dbscan_min_pts: int = 4
-    warmup_epochs: int = 10
-    lr: float = 0.002  # scaled up for short runs; 0.00035 at full scale
-    weight_decay: float = 0.0005
-    sigma_aug: float = 0.05
-    p_drop: float = 0.1
     use_single_cam: bool = True
     pseudo_label_budget: int | None = None
     checkpoint_every: int = 5
@@ -51,14 +41,10 @@ class TrainConfig:
         return self.use_single_cam and self.n_p_single > 0
 
     def validate(self):
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise InvalidConfigError("ema_momentum must be in [0, 1]")
         if self.iters_per_epoch < 1:
             raise InvalidConfigError("iters_per_epoch must be >= 1")
-        if self.epochs < 0 or self.warmup_epochs < 0:
-            raise InvalidConfigError("epochs and warmup_epochs must be >= 0")
-        if self.dbscan_eps <= 0 or self.dbscan_min_pts < 1:
-            raise InvalidConfigError("bad DBSCAN parameters")
+        if self.epochs < 0:
+            raise InvalidConfigError("epochs must be >= 0")
         if min(self.n_p_multi, self.n_k_multi, self.n_p_single, self.n_k_single) < 0:
             raise InvalidConfigError("batch sizes must be >= 0")
         if self.n_p_multi == 0 and not self.uses_corpus:
@@ -66,10 +52,6 @@ class TrainConfig:
         if (self.n_p_multi > 0 and self.n_k_multi == 0) \
                 or (self.uses_corpus and self.n_k_single == 0):
             raise InvalidConfigError("a sampled source needs n_k >= 1")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise InvalidConfigError("lr must be > 0 and weight_decay >= 0")
-        if not 0.0 <= self.p_drop <= 1.0 or self.sigma_aug < 0:
-            raise InvalidConfigError("bad augmentation parameters")
         if self.pseudo_label_budget is not None and self.pseudo_label_budget <= 0:
             raise InvalidConfigError("pseudo_label_budget must be positive")
         if self.checkpoint_every < 0:

@@ -78,6 +78,10 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return self.like(self.flat.copy())
 
+    def __deepcopy__(self, memo) -> "EncoderParams":
+        # field by field, the views would become copies of their own
+        return self.copy()
+
     def arrays(self) -> list[np.ndarray]:
         """Parameters in layer order: w0, b0, w1, b1, ..."""
         return [a for pair in zip(self.weights, self.biases) for a in pair]

@@ -122,14 +122,6 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     return first, ap
 
 
-def cmc_rank_k(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams, k: int) -> float:
-    """Fraction of queries with a correct match in the top-k valid ranking."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    first, _ = _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams)
-    return float(np.mean(first <= k))
-
-
 def mean_ap(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams) -> float:
     """Mean over queries of average precision of the masked ranking."""
     _, ap = _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams)

@@ -142,27 +142,25 @@ def _contrastive(
     pos: np.ndarray,
     neg: np.ndarray,
     tau: np.ndarray,
-    shared_pool: bool,
 ) -> tuple[float, np.ndarray]:
     """Masked multi-positive log-softmax of each anchor against `proxies`.
 
     `pos` and `neg` are (B, P) masks and `tau` is the (B,) temperature. Row
-    i scores positive j against {j} plus the negatives, or against every
-    positive and negative when `shared_pool` is set; its loss is the mean
-    of -log softmax over its positives. The result is averaged over the
-    rows with at least one positive, and is exactly zero when there are
-    none or when no pool holds more than its own positive.
+    i scores positive j against {j} plus the negatives, which is the
+    negatives alone when j is one of them; its loss is the mean of -log
+    softmax over its positives. The result is averaged over the rows with
+    at least one positive, and is exactly zero when there are none or when
+    no pool holds more than its own positive.
     """
     z = (f @ proxies.T) / tau[:, None]
-    rest = pos | neg if shared_pool else neg
-    top = np.max(z, axis=1, where=rest, initial=-np.inf)
+    top = np.max(z, axis=1, where=neg, initial=-np.inf)
     shift = np.where(np.isfinite(top), top, 0.0)  # no -inf - -inf on empty rows
-    # z - shift <= 0 on rest; the clip keeps exp finite (and off numpy's
-    # slow path for -inf) on the entries the mask then zeroes
-    e = np.exp(np.minimum(z - shift[:, None], 0.0)) * rest
+    # z - shift <= 0 on the negatives; the clip keeps exp finite (and off
+    # numpy's slow path for -inf) on the entries the mask then zeroes
+    e = np.exp(np.minimum(z - shift[:, None], 0.0)) * neg
     s = e.sum(axis=1)
     with np.errstate(divide="ignore"):
-        lse_rest = shift + np.log(s)  # -inf where rest is empty
+        lse_neg = shift + np.log(s)  # -inf where a row has no negative
     # only the positives carry weight: work there (at flat indices k, rows
     # i), and scatter into zero matrices so every reduction adds the same
     # terms in the same order
@@ -171,17 +169,21 @@ def _contrastive(
     n_pos = np.bincount(i, minlength=len(pos))
     w = 1.0 / n_pos[i]
     n_anchors = max(int(np.count_nonzero(n_pos)), 1)
-    z_p, lr, in_rest = z.ravel()[k], lse_rest[i], rest.ravel()[k]
-    lse = np.where(in_rest, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
+    z_p, lr, in_neg = z.ravel()[k], lse_neg[i], neg.ravel()[k]
+    lse = np.where(in_neg, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
     scatter = np.zeros_like(z)
     np.put(scatter, k, w * (lse - z_p))
     loss = float(np.sum(scatter)) / n_anchors
-    # dL/dz: -w on the positives, plus each pool's softmax weighted by w
-    np.put(scatter, k, w * np.exp(lr - lse))
+    # dL/dz: each pool's softmax weighted by w, less w at its positive. A
+    # positive outside the negatives gets -w times the negatives' share
+    # of its pool, not w * (softmax - 1), which cancels when the positive
+    # dominates; inside them, the share is 1
+    share = w * np.exp(lr - lse)
+    np.put(scatter, k, share)
     c = np.sum(scatter, axis=1, keepdims=True)
     d_z = e / np.where(s > 0.0, s, 1.0)[:, None] * c
     d = d_z.ravel()  # a view
-    d[k] = d[k] + np.where(in_rest, 0.0, w * np.exp(z_p - lse)) - w
+    d[k] = d[k] - share
     return loss, (d_z / tau[:, None]) @ proxies / n_anchors
 
 
@@ -200,7 +202,7 @@ def instance_loss(
     pos = labels[:, None] == labels[None, :]
     neg = ~pos & (multi[:, None] == multi[None, :])
     tau = np.where(multi, tau_m, tau_s)
-    return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
+    return _contrastive(view.f, view.m, pos, neg, tau)
 
 
 def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarray]:
@@ -209,7 +211,7 @@ def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarra
     pos = np.eye(view.size, dtype=bool)
     neg = view.labels[:, None] != view.labels[None, :]
     tau = np.full(view.size, tau_aug)
-    return _contrastive(view.f, view.m, pos, neg, tau, shared_pool=False)
+    return _contrastive(view.f, view.m, pos, neg, tau)
 
 
 def centroids_loss(
@@ -222,8 +224,7 @@ def centroids_loss(
         raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
     pos = view.labels[:, None] == labels[None, :]
     tau = np.where(view.multi, tau_m, tau_s)
-    return _contrastive(view.f, bank.label_centroids[labels], pos, ~pos, tau,
-                        shared_pool=False)
+    return _contrastive(view.f, bank.label_centroids[labels], pos, ~pos, tau)
 
 
 def camera_centroids_loss(
@@ -232,7 +233,8 @@ def camera_centroids_loss(
     """Pulls multi-camera anchors toward same-label centroids from *other*
     cameras; negatives are camera centroids of the other multi labels in the
     batch. Each positive is scored against all of them, the other positives
-    included. Anchors with no cross-camera proxy contribute zero."""
+    included: those are negatives of the kernel too. Anchors with no
+    cross-camera proxy contribute zero."""
     # single-camera labels have no camera centroids, so select no proxies
     ids = view.batch_labels[view.batch_labels < len(bank.camera_present)]
     which, proxy_cams = np.nonzero(bank.camera_present[ids])
@@ -243,7 +245,7 @@ def camera_centroids_loss(
     pos = same & (view.cameras[:, None] != proxy_cams[None, :])
     neg = multi & ~same
     tau = np.full(view.size, tau_cc)
-    return _contrastive(view.f, proxies, pos, neg, tau, shared_pool=True)
+    return _contrastive(view.f, proxies, pos, pos | neg, tau)
 
 
 def total_loss(

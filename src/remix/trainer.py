@@ -37,6 +37,18 @@ from .pseudolabel import pseudo_label_epoch
 
 log = logging.getLogger(__name__)
 
+# The training hyperparameters, fixed like the loss constants of losses.
+LR = 0.002  # scaled up for short runs; 0.00035 at full scale
+WEIGHT_DECAY = 0.0005
+WARMUP_EPOCHS = 10
+# 0.999 suits runs of many thousands of iterations; at the default 1000
+# iterations the momentum encoder would stay glued to its init
+EMA_MOMENTUM = 0.99
+SIGMA_AUG = 0.05
+P_DROP = 0.1
+DBSCAN_EPS = 0.8
+DBSCAN_MIN_PTS = 4
+
 
 @dataclass
 class TrainState:
@@ -87,8 +99,8 @@ def run_epoch(state: TrainState, multi: LabelGroups,
         # a batch's labels; a smaller corpus is labelled whole, once
         budget = t.pseudo_label_budget or (
             t.n_p_single * t.n_k_single * t.iters_per_epoch)
-        pool = pseudo_label_epoch(corpus, state.momentum, t.dbscan_eps,
-                                  t.dbscan_min_pts, budget, state.videos,
+        pool = pseudo_label_epoch(corpus, state.momentum, DBSCAN_EPS,
+                                  DBSCAN_MIN_PTS, budget, state.videos,
                                   t.n_p_single)
         single = pool.frames
         embs = np.concatenate([embs, pool.embeddings])
@@ -96,13 +108,13 @@ def run_epoch(state: TrainState, multi: LabelGroups,
         cams = np.concatenate([cams, single.cameras])
     bank = build_centroids(embs, labels, cams)
 
-    lr = enc.effective_lr(t.lr, t.warmup_epochs, state.epoch)
+    lr = enc.effective_lr(LR, WARMUP_EPOCHS, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi, t.n_p_single, t.n_k_single)
     draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, state.sampler)
     sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
     for it in range(t.iters_per_epoch):
         batch = compose_batch(draws, it)
-        augmented = augment(batch.features, state.augment, t.sigma_aug, t.p_drop)
+        augmented = augment(batch.features, state.augment, SIGMA_AUG, P_DROP)
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, batch.features)
         view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
@@ -113,9 +125,9 @@ def run_epoch(state: TrainState, multi: LabelGroups,
                 f"non-finite loss or gradient at epoch {state.epoch}, "
                 f"iteration {it}")
         state.params, state.opt = enc.adam_step(state.opt, state.params,
-                                                grads, lr, t.weight_decay)
+                                                grads, lr, WEIGHT_DECAY)
         state.momentum = enc.ema_update(state.momentum, state.params,
-                                        t.ema_momentum)
+                                        EMA_MOMENTUM)
         sums["total"] += loss
         for k in parts:
             sums[k] += parts[k]

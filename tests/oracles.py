@@ -160,14 +160,16 @@ def reference_ema_update(momentum, params, lam):
 
 
 def _term_and_coeffs(z_target, z_rest):
-    """log-softmax term plus d(term)/dz for target and rest entries."""
+    """log-softmax term plus d(term)/dz for target and rest entries. The
+    target's 1 - softmax is the rest's share of the pool, summed: taken as
+    1.0 - p[0] it cancels to 0 once the target holds all but 1e-16."""
     pool = np.concatenate(([z_target], z_rest))
     mx = pool.max()
     e = np.exp(pool - mx)
     s = e.sum()
     term = float(z_target - (mx + np.log(s)))
     p = e / s
-    return term, 1.0 - p[0], -p[1:]
+    return term, p[1:].sum(), -p[1:]
 
 
 def reference_contrastive(f, proxies, pos, neg, tau, shared_pool):

@@ -19,7 +19,7 @@ from remix.cli import main as cli_main
 from remix.config import RunConfig, apply_overrides
 from remix.datamodel import (MULTI, LabelGroups, compose_batch, draw_epoch,
                              synth_generate)
-from remix.evalkit import cmc_rank_k, mean_ap
+from remix.evalkit import _rank_queries, mean_ap
 from remix.errors import NoValidPositiveError
 from remix.gradcheck import max_relative_errors
 from remix.losses import (
@@ -114,10 +114,9 @@ def test_criterion_4_metric_fixtures(capsys):
         == pytest.approx(5.0 / 6.0)
         and mean_ap(ang(0), [0], [0], ang(5, 60), [1, 0], [1, 1])
         == pytest.approx(0.5)
-        and cmc_rank_k(ang(0), [0], [0], ang(5, 20, 60), [1, 1, 0],
-                       [1] * 3, k=1) == 0.0
-        and cmc_rank_k(ang(0), [0], [0], ang(5, 20, 60), [1, 1, 0],
-                       [1] * 3, k=3) == 1.0
+        # the first match is third: a miss at rank 1, a hit at rank 3
+        and _rank_queries(ang(0), [0], [0], ang(5, 20, 60), [1, 1, 0],
+                          [1] * 3)[0].tolist() == [3]
     )
 
     rng = substream(7, "gradcheck")

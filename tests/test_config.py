@@ -41,8 +41,6 @@ def test_seed_type():
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("train", "ema_momentum", 1.5),
-    ("train", "p_drop", 2.0),
     ("train", "pseudo_label_budget", 0),
     ("generator", "n_videos", 0),
     ("generator", "sigma_cam", -0.5),
@@ -54,12 +52,6 @@ def test_seed_type():
     ("model", "embed_dim", 0),
     ("train", "iters_per_epoch", 0),
     ("train", "epochs", -1),
-    ("train", "warmup_epochs", -5),
-    ("train", "dbscan_eps", 0.0),
-    ("train", "dbscan_min_pts", 0),
-    ("train", "lr", 0.0),
-    ("train", "lr", -1),
-    ("train", "weight_decay", -0.0005),
     ("train", "n_p_single", -1),
     ("generator", "style_pool", 0),
     ("generator", "n_cameras+samples_per_id_per_cam", 1),
@@ -72,6 +64,16 @@ def test_seed_type():
     ("train", "adam_beta1", 0.9),
     ("train", "adam_beta2", 0.999),
     ("train", "adam_eps", 1e-8),
+    # so are the training hyperparameters of remix.trainer: each value was
+    # out of range when they were keys
+    ("train", "ema_momentum", 1.5),
+    ("train", "p_drop", 2.0),
+    ("train", "warmup_epochs", -5),
+    ("train", "dbscan_eps", 0.0),
+    ("train", "dbscan_min_pts", 0),
+    ("train", "lr", 0.0),
+    ("train", "lr", -1),
+    ("train", "weight_decay", -0.0005),
 ])
 def test_invalid_values(section, key, value):
     # "a+b" sets several keys of the section to the same value
@@ -79,14 +81,21 @@ def test_invalid_values(section, key, value):
         config_from_dict({section: dict.fromkeys(key.split("+"), value)})
 
 
-# the loss temperatures and the L_cc weight are constants of remix.losses
-REMOVED_KEYS = ["tau_ins_multi", "tau_ins_single", "tau_aug", "tau_cen_multi",
-                "tau_cen_single", "tau_camera", "gamma"]
+# key -> a value it used to accept: the loss temperatures and the L_cc
+# weight are constants of remix.losses, the training hyperparameters
+# constants of remix.trainer
+REMOVED_KEYS = {
+    "tau_ins_multi": 0.1, "tau_ins_single": 0.1, "tau_aug": 0.1,
+    "tau_cen_multi": 0.1, "tau_cen_single": 0.1, "tau_camera": 0.1,
+    "gamma": 0.1, "lr": 0.002, "weight_decay": 0.0005, "warmup_epochs": 10,
+    "ema_momentum": 0.99, "sigma_aug": 0.05, "p_drop": 0.1,
+    "dbscan_eps": 0.8, "dbscan_min_pts": 4,
+}
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_is_rejected(tmp_path, key):
-    value = 0.1  # a value each of them used to accept
+    value = REMOVED_KEYS[key]
     with pytest.raises(InvalidConfigError, match=f"unknown key.*'{key}'"):
         config_from_dict({"train": {key: value}})
     path = tmp_path / "run.json"
@@ -103,8 +112,8 @@ def test_removed_key_is_rejected(tmp_path, key):
     ("train", "epochs", "3"),
     ("train", "epochs", 3.0),
     ("train", "epochs", True),
-    ("train", "lr", "0.01"),
-    ("train", "lr", False),
+    ("generator", "sigma_video", "0.01"),
+    ("generator", "sigma_video", False),
     ("train", "pseudo_label_budget", 64.0),
     ("train", "pseudo_label_budget", "none"),
     ("generator", "dim", 8.5),
@@ -116,8 +125,8 @@ def test_removed_key_is_rejected(tmp_path, key):
     ("eval", "report_path", None),
     # json.loads reads these, and no float field takes them
     ("generator", "sigma_frame", float("nan")),
-    ("train", "dbscan_eps", float("inf")),
-    ("train", "sigma_aug", float("-inf")),
+    ("generator", "sigma_shift", float("inf")),
+    ("generator", "domain_shift", float("-inf")),
 ])
 def test_wrong_types(section, key, value):
     with pytest.raises(InvalidConfigError, match=f"{section}.{key} must be"):
@@ -125,10 +134,10 @@ def test_wrong_types(section, key, value):
 
 
 def test_floats_take_integers_and_budget_takes_null():
-    cfg = config_from_dict({"train": {"lr": 1, "pseudo_label_budget": None},
-                            "generator": {"sigma_cam": 0}})
-    assert cfg.train.lr == 1 and cfg.train.pseudo_label_budget is None
-    assert cfg.generator.sigma_cam == 0
+    cfg = config_from_dict({"train": {"pseudo_label_budget": None},
+                            "generator": {"sigma_cam": 0, "domain_shift": 1}})
+    assert cfg.train.pseudo_label_budget is None
+    assert cfg.generator.sigma_cam == 0 and cfg.generator.domain_shift == 1
 
 
 def test_negative_seed():
@@ -177,19 +186,20 @@ def test_load_config_bad_json(tmp_path):
 class TestOverrides:
     def test_typed_values(self):
         cfg = apply_overrides(RunConfig().validate(),
-                              ["train.lr=0.01", "train.epochs=3",
+                              ["generator.sigma_video=0.01", "train.epochs=3",
                                "train.use_single_cam=false",
                                "model.hidden=[32, 32]"])
-        assert cfg.train.lr == 0.01
+        assert cfg.generator.sigma_video == 0.01
         assert cfg.train.epochs == 3
         assert cfg.train.use_single_cam is False
         assert cfg.model.hidden == [32, 32]
 
     @pytest.mark.parametrize("item", ["train.use_single_cam=False",
-                                      'train.epochs="3"', "train.lr=fast",
+                                      'train.epochs="3"',
+                                      "generator.sigma_video=fast",
                                       "generator.sigma_frame=NaN",
-                                      "train.dbscan_eps=Infinity",
-                                      "train.sigma_aug=-Infinity"])
+                                      "generator.sigma_shift=Infinity",
+                                      "generator.domain_shift=-Infinity"])
     def test_wrong_type(self, item):
         # a value that is not JSON stays a string, which no flag or count
         # takes; NaN and Infinity parse, but fit no float field
@@ -197,14 +207,15 @@ class TestOverrides:
             apply_overrides(RunConfig().validate(), [item])
 
     def test_unknown_key(self):
-        for key in ("train.nope", "nope.lr", "train.lr.x", "seed.x", ""):
+        for key in ("train.nope", "nope.epochs", "train.epochs.x", "seed.x",
+                    ""):
             with pytest.raises(InvalidConfigError, match="unknown override"):
                 apply_overrides(RunConfig().validate(), [f"{key}=1"])
 
     def test_missing_equals(self):
         with pytest.raises(InvalidConfigError):
-            apply_overrides(RunConfig().validate(), ["train.lr"])
+            apply_overrides(RunConfig().validate(), ["train.epochs"])
 
     def test_revalidates(self):
         with pytest.raises(InvalidConfigError):
-            apply_overrides(RunConfig().validate(), ["train.sigma_aug=-1"])
+            apply_overrides(RunConfig().validate(), ["generator.sigma_cam=-1"])

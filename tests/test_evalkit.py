@@ -25,7 +25,6 @@ from remix.evalkit import (
     _BLOCK,
     _rank_queries,
     cluster_purity,
-    cmc_rank_k,
     evaluate,
     extract,
     mean_ap,
@@ -67,9 +66,9 @@ class TestFixtures:
         q = angles(0)
         g = angles(5, 20, 60)
         ids = [1, 1, 0]
-        assert cmc_rank_k(q, [0], [0], g, ids, [1] * 3, k=1) == 0.0
-        assert cmc_rank_k(q, [0], [0], g, ids, [1] * 3, k=2) == 0.0
-        assert cmc_rank_k(q, [0], [0], g, ids, [1] * 3, k=3) == 1.0
+        # the first match is third: a miss at rank 1 and 2, a hit at 3
+        first, _ = _rank_queries(q, [0], [0], g, ids, [1] * 3)
+        assert first.tolist() == [3]
 
     def test_same_id_same_cam_masked(self):
         q = angles(0)
@@ -99,18 +98,14 @@ class TestFixtures:
         q_ids[[_BLOCK + 3, _BLOCK + 5]] = 1
         with pytest.raises(NoValidPositiveError,
                            match=f"^query {_BLOCK + 3} has no valid positive$"):
-            cmc_rank_k(angles(*range(nq)), q_ids, [0] * nq, g, [0], [1], k=1)
+            _rank_queries(angles(*range(nq)), q_ids, [0] * nq, g, [0], [1])
 
     def test_no_queries(self):
         args = (np.zeros((0, 2)), [], [], angles(10), [0], [1])
         with pytest.raises(EmptyPoolError):
             mean_ap(*args)
         with pytest.raises(EmptyPoolError):
-            cmc_rank_k(*args, k=1)
-
-    def test_k_below_one(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            cmc_rank_k(angles(0), [0], [0], angles(10), [0], [1], k=0)
+            _rank_queries(*args)
 
     def test_query_ids_one_per_embedding(self):
         # 40 query embeddings with 32 identities must not rank 32 of them
@@ -137,7 +132,7 @@ class TestFixtures:
     def test_labels_must_be_vectors(self):
         with pytest.raises(DimensionMismatchError,
                            match=r"^query identities have shape \(1, 1\)"):
-            cmc_rank_k(angles(0), [[0]], [0], angles(10), [0], [1], k=1)
+            _rank_queries(angles(0), [[0]], [0], angles(10), [0], [1])
 
     def test_embedding_widths_agree(self):
         with pytest.raises(DimensionMismatchError,
@@ -151,8 +146,8 @@ class TestFixtures:
         labels[arg] = np.asarray(labels[arg], dtype=np.float64)
         with pytest.raises(DimensionMismatchError,
                            match="must be integers, got float64$"):
-            cmc_rank_k(angles(0), *labels[:2], angles(5, 20, 60),
-                       *labels[2:], k=1)
+            _rank_queries(angles(0), *labels[:2], angles(5, 20, 60),
+                          *labels[2:])
 
     @pytest.mark.parametrize("side", ["query", "gallery"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -254,8 +249,7 @@ class TestAgainstOracle:
                 with pytest.raises(NoValidPositiveError, match=f"^{exc}$"):
                     mean_ap(*args)
                 continue
-            for k in (1, 5, 10):
-                assert cmc_rank_k(*args, k=k) == np.mean(first <= k)
+            assert np.array_equal(_rank_queries(*args)[0], first)
             assert abs(mean_ap(*args) - np.mean(ap)) <= 1e-12
             checked += 1
         assert checked >= 40

@@ -68,8 +68,10 @@ def test_metrics_one_record_per_epoch():
     assert 0.0 <= rec["purity"] <= 1.0
 
 
-def test_metrics_lr_follows_warmup():
-    cfg = tiny_cfg(lr=0.01, warmup_epochs=2)
+def test_metrics_lr_follows_warmup(monkeypatch):
+    monkeypatch.setattr(trainer, "LR", 0.01)
+    monkeypatch.setattr(trainer, "WARMUP_EPOCHS", 2)
+    cfg = tiny_cfg()
     multi, corpus, _ = data_for(cfg)
     state = trainer.train(multi, corpus, cfg)
     assert [m["lr"] for m in state.metrics] == [0.005, 0.01, 0.01]
@@ -156,6 +158,18 @@ def test_state_carries_the_whole_run():
                 == getattr(straight, name).bit_generator.state
 
 
+def test_deep_copied_state_keeps_its_parameter_views():
+    # writing a copy's flat vector writes its weights and biases, and
+    # leaves the original alone
+    state = trainer.init_state(tiny_cfg(), 8)
+    copy = deepcopy(state)
+    for orig, dup in ((state.params, copy.params),
+                      (state.momentum, copy.momentum)):
+        dup.flat[:] = 99.0
+        assert all(np.all(a == 99.0) for a in dup.arrays())
+        assert not np.any(orig.flat == 99.0)
+
+
 @pytest.mark.parametrize("budget", [None, 20])
 def test_pseudo_label_budget(monkeypatch, budget):
     # unset, the budget is one epoch's single-camera slots
@@ -189,10 +203,11 @@ def test_one_gather_and_one_augment_per_iteration(monkeypatch):
     assert calls == {"compose_batch": 21, "augment": 21}
 
 
-def test_momentum_not_touched_by_backprop():
+def test_momentum_not_touched_by_backprop(monkeypatch):
     # with lambda = 1 the momentum encoder must stay frozen at init even
     # though the gradient encoder moves
-    cfg = tiny_cfg(ema_momentum=1.0, epochs=2)
+    monkeypatch.setattr(trainer, "EMA_MOMENTUM", 1.0)
+    cfg = tiny_cfg(epochs=2)
     multi, corpus, _ = data_for(cfg)
     init = trainer.init_state(cfg, 8)
     before = params_digest(init.momentum)
@@ -201,8 +216,9 @@ def test_momentum_not_touched_by_backprop():
     assert params_digest(state.params) != before
 
 
-def test_lambda_zero_tracks_encoder_exactly():
-    cfg = tiny_cfg(ema_momentum=0.0, epochs=2)
+def test_lambda_zero_tracks_encoder_exactly(monkeypatch):
+    monkeypatch.setattr(trainer, "EMA_MOMENTUM", 0.0)
+    cfg = tiny_cfg(epochs=2)
     multi, corpus, _ = data_for(cfg)
     state = trainer.train(multi, corpus, cfg)
     assert params_digest(state.momentum) == params_digest(state.params)
@@ -233,10 +249,11 @@ def test_metrics_file_and_checkpoints(tmp_path):
     assert not (tmp_path / "ckpt.epoch4.json").exists()  # final covers it
 
 
-def test_partial_checkpoint_on_failure(tmp_path):
+def test_partial_checkpoint_on_failure(monkeypatch, tmp_path):
     # an unreachable pseudo-label budget aborts the epoch; the partial
     # checkpoint must still land on disk
-    cfg = tiny_cfg(dbscan_min_pts=50)
+    monkeypatch.setattr(trainer, "DBSCAN_MIN_PTS", 50)
+    cfg = tiny_cfg()
     multi, corpus, _ = data_for(cfg)
     ckpt = tmp_path / "ckpt.json"
     with pytest.raises(BudgetUnreachableError):
