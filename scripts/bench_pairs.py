@@ -6,8 +6,11 @@ Usage:
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
         --seeds A-B [--out FILE]
 
-For each seed S in A..B (one pair per seed), the benchmark command of
-BENCHMARK.json runs from the root of each checkout with
+Both checkouts must declare the same benchmark in BENCHMARK.json and hold
+byte-identical files under its `paths` (`__pycache__` aside), so that
+both sides run the same benchmark code: otherwise the script stops
+before any run. For each seed S in A..B (one pair per seed), the
+benchmark command runs from the root of each checkout with
 `--workload W --seed S --seconds <run_seconds> --trace 0`. The parent runs
 first in even pairs and the change first in odd ones. Each run's
 end-to-end metrics are printed with its attempted and failed operations.
@@ -21,9 +24,11 @@ verdict on the metric's bound (`verdict`). Last, each side's failed share
 change whose share is higher: more failures reject a change whatever its
 metrics, and each side's median attempts per run, against which to read
 peak_rss_mb. The summary is printed as one JSON object, the shape a
-BENCH_<topic>.json holds, and written to FILE with --out.
+BENCH_<topic>.json holds, with the digest of the benchmark files, and
+written to FILE with --out.
 """
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -104,6 +109,24 @@ def failures(runs):
     return out
 
 
+def benchmark_digest(root: Path, paths):
+    """sha256 over each file under `paths` (relative to root), skipping
+    __pycache__ directories: its path, its size and its bytes, in sorted
+    path order, so a renamed, added or edited file changes the digest."""
+    files = []
+    for p in paths:
+        top = root / p
+        found = [top] if top.is_file() else top.rglob("*")
+        files += [f for f in found if f.is_file() and
+                  "__pycache__" not in f.relative_to(root).parts]
+    h = hashlib.sha256()
+    for f in sorted(files, key=lambda f: f.relative_to(root).as_posix()):
+        data = f.read_bytes()
+        h.update(f"{f.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def parse_seeds(text):
     lo, _, hi = text.partition("-")
     lo, hi = int(lo), int(hi or lo)
@@ -137,10 +160,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     specs = [json.loads((d / "BENCHMARK.json").read_text(encoding="utf-8"))
              for d in (args.parent, args.change)]
-    keys = ("command", "run_seconds", "end_to_end")
+    keys = ("command", "paths", "run_seconds", "end_to_end")
     if any(specs[0][k] != specs[1][k] for k in keys):
         sys.exit("the checkouts declare different benchmarks")
     bench = specs[1]
+    digests = {benchmark_digest(d, bench["paths"])
+               for d in (args.parent, args.change)}
+    if len(digests) != 1:
+        sys.exit(f"the checkouts' benchmark files differ under "
+                 f"{', '.join(bench['paths'])}")
     roots = dict(zip(SIDES, (args.parent, args.change)))
     runs, pairs, machine = [], [], None
     for i, seed in enumerate(args.seeds):
@@ -165,6 +193,7 @@ def main(argv=None):
         "command": " ".join(bench["command"]) + f" --workload {args.workload}"
                    f" --seed S --seconds {bench['run_seconds']} --trace 0",
         "machine": machine,
+        "benchmark_digest": digests.pop(),
         **failures(runs),
         "end_to_end": summarise(pairs, bench["end_to_end"]),
         "runs": runs,

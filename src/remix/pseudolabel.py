@@ -7,6 +7,8 @@ clusters from different videos never collide.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -41,6 +43,29 @@ def _components(graph: np.ndarray) -> np.ndarray:
     return _components(np.logical_or.reduceat(cols, start, axis=1))[group]
 
 
+@functools.lru_cache
+def _threshold(eps: float) -> float:
+    """Least double t with 1 - clip(t, -1, 1) <= eps in float64, or -inf if
+    -1 passes: bisection over [-1, 1] in bit-pattern order (63 steps)."""
+    def at(k: int) -> np.float64:  # bit pattern k, or -k with the sign set
+        return np.uint64(abs(k) | (k < 0) << 63).view(np.float64)
+    keys = range(-0x3FF0_0000_0000_0000, 0x3FF0_0000_0000_0001)  # -1 to 1
+    i = bisect.bisect_left(keys, True, key=lambda k: 1.0 - at(k) <= eps)
+    return float(at(keys[i])) if i else -np.inf
+
+
+def _neighbours(x: np.ndarray, eps: float) -> np.ndarray:
+    """Mask of the row pairs within eps both ways. Any dot product is within
+    gamma_d |x_i| |x_j| of exact: a one-way pair fails in [t - tol, t)."""
+    sim = x @ x.T.copy()
+    t = _threshold(eps)
+    neigh = sim >= t
+    tol = x.shape[1] * (2.0**-51 * sim.diagonal().max(initial=0) + 2.0**-1072)
+    band = sim < t - tol  # equal to neigh (false) in the band and at NaN
+    neigh.T.flat[np.flatnonzero(np.equal(band, neigh, out=band))] = False
+    return neigh
+
+
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Classic DBSCAN over unit embeddings with distance 1 - cosine.
 
@@ -52,25 +77,20 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     Points must be a 2-D array (DimensionMismatchError) of finite values
     (NonFiniteEvaluationError, naming the first bad row). The similarities
-    are one general matrix product, not numpy's symmetric one, which is
-    about three times slower here. Its rounding can differ in the last bit
-    across the diagonal, so a pair is neighbours only if both are within
-    eps of each other.
+    are one general matrix product (numpy's symmetric one is about three
+    times slower here), each compared once with a threshold found per eps.
+    The product's rounding can differ in the last bits across the diagonal,
+    so a pair is neighbours only if both are within eps of each other.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError(f"points of shape {x.shape} are not 2-D")
-    if eps <= 0 or min_pts < 1:
+    if not eps > 0 or min_pts < 1:
         raise ValueError("eps must be > 0 and min_pts >= 1")
     if not np.isfinite(x).all():
         bad = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
         raise NonFiniteEvaluationError(f"point {bad} is not finite")
-    # in place: a fresh (n, n) temporary costs more than the arithmetic
-    dist = x @ x.T.copy()
-    np.clip(dist, -1.0, 1.0, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    neigh = dist <= eps
-    neigh &= neigh.T
+    neigh = _neighbours(x, float(eps))
     core = np.bitwise_count(np.packbits(neigh, axis=1)).sum(axis=1) >= min_pts
     labels = np.full(x.shape[0], NOISE, dtype=np.int64)
     c = np.nonzero(core)[0]

@@ -51,6 +51,17 @@ def reference_dbscan(points, eps, min_pts):
     return labels
 
 
+def reference_neighbours(points, eps):
+    """dbscan's neighbour mask the direct way: the distances 1 - clip(s, -1,
+    1) of the general product (the transposed copy keeps numpy off its
+    symmetric one), the test `<= eps`, and a pair kept only if it passes
+    both ways, which takes a transposed copy of the mask."""
+    x = np.asarray(points, dtype=np.float64)
+    neigh = 1.0 - np.clip(x @ x.T.copy(), -1.0, 1.0) <= eps
+    neigh &= neigh.T
+    return neigh
+
+
 def reference_build_centroids(embeddings, labels, cameras):
     """build_centroids with every sum taken by np.add.at, which adds the
     rows into their label's (or label and camera's) sum one at a time, in

@@ -1,6 +1,8 @@
-"""The pair summary of scripts/bench_pairs.py, on made-up run values: no
-benchmark is started."""
+"""The pair summary of scripts/bench_pairs.py, on made-up run values, and
+its check that both checkouts hold the same benchmark files: no benchmark
+is started."""
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +127,41 @@ def test_median_attempts_per_run():
     assert f["attempted_median"] == {"parent": 38, "change": 44}
     f = bench_pairs.failures(runs([36, 41, 38, 40], [46, 41, 44, 45]))
     assert f["attempted_median"] == {"parent": 39, "change": 44.5}
+
+
+def checkout(root, files):
+    """A checkout whose benchmark would leave a marker file if it ran."""
+    spec = {"command": ["python3", "-c", "open('ran', 'w')"],
+            "paths": ["perfbench"], "run_seconds": 1, "end_to_end": SPECS}
+    files = {"BENCHMARK.json": json.dumps(spec), **files}
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_benchmark_digest_covers_names_and_bytes_but_not_caches(tmp_path):
+    files = {"perfbench/run.py": "print(1)\n", "perfbench/a/b.py": "x = 2\n"}
+    base = bench_pairs.benchmark_digest(
+        checkout(tmp_path / "base", files), ["perfbench"])
+    # a byte-identical tree with a compiled cache and files outside `paths`
+    same = checkout(tmp_path / "same", {
+        **files, "perfbench/__pycache__/run.cpython-311.pyc": "junk",
+        "src/remix/x.py": "y = 3\n"})
+    assert bench_pairs.benchmark_digest(same, ["perfbench"]) == base
+    # an edited, a renamed and an added file
+    for k, changed in enumerate((
+            {**files, "perfbench/run.py": "print(2)\n"},
+            {"perfbench/run.py": "print(1)\n", "perfbench/a/c.py": "x = 2\n"},
+            {**files, "perfbench/new.txt": ""})):
+        other = checkout(tmp_path / f"changed{k}", changed)
+        assert bench_pairs.benchmark_digest(other, ["perfbench"]) != base
+
+
+def test_different_benchmark_files_stop_before_any_run(tmp_path):
+    parent = checkout(tmp_path / "parent", {"perfbench/run.py": "a\n"})
+    change = checkout(tmp_path / "change", {"perfbench/run.py": "b\n"})
+    with pytest.raises(SystemExit, match="benchmark files differ"):
+        bench_pairs.main([str(parent), str(change), "--workload", "w",
+                          "--seeds", "1"])
+    assert not (parent / "ran").exists() and not (change / "ran").exists()

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from remix.pseudolabel import (
 )
 
 
-from oracles import reference_dbscan
+from oracles import reference_dbscan, reference_neighbours
 
 
 def random_points(rng, n, dim=4):
@@ -83,6 +85,30 @@ def chains(rng, n_chains, length, eps):
 def neighbour_counts(pts, eps):
     return np.count_nonzero(1.0 - np.clip(pts @ pts.T, -1.0, 1.0) <= eps,
                             axis=1)
+
+
+def passes(s, eps):
+    """The neighbour test of one similarity as the distance 1 - clip(s, -1,
+    1) <= eps, in numpy float64."""
+    return bool(1.0 - np.clip(np.float64(s), -1.0, 1.0) <= eps)
+
+
+@contextlib.contextmanager
+def deadline(seconds=5.0):
+    """Fails the block after `seconds` instead of hanging the suite: a
+    threshold search that walks one double at a time never ends near eps
+    1, where about 2**62 similarities give the same distance. A search by
+    bisection takes about a millisecond."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def refresh_video_embeddings():
@@ -210,13 +236,13 @@ class TestDbscan:
         assert np.array_equal(labels, reference_dbscan(pts, 1e-4, min_pts))
 
     def test_every_point_core_needs_no_copy_of_the_graph(self):
-        # beside the (n, n) float distances dbscan holds one (n, n) boolean
-        # mask, the neighbour mask, which is the core graph itself when
-        # every point is core, and for a while a transposed copy of it,
-        # which makes the mask symmetric: a peak of about 10.0 * n * n
-        # bytes. A core-core copy of the mask, kept while the components
-        # pack its rows, reads 10.55 * n * n and fails the bound, if only
-        # by 0.05 * n * n; a second float matrix fails it by far.
+        # dbscan peaks while it builds the neighbour mask: the (n, n) float
+        # similarities, the (n, n) boolean mask and the band mask of the
+        # pairs just below the threshold, which makes the mask symmetric
+        # without a transposed copy: about 10.0 * n * n bytes. A band built
+        # out of place reads 12.0 * n * n, and a second float matrix fails
+        # the bound by far. The similarities are freed before the components
+        # run, so a core-core copy of the graph there stays below the bound.
         n = 512
         pts = random_points(substream(3, "gradcheck"), n, dim=8)
         assert neighbour_counts(pts, 0.5).min() >= 1
@@ -324,8 +350,111 @@ class TestDbscan:
         pts = random_points(substream(2, "gradcheck"), 4)
         with pytest.raises(ValueError):
             dbscan(pts, 0.0, 2)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            dbscan(pts, np.nan, 2)  # would label every point noise
         with pytest.raises(ValueError):
             dbscan(pts, 0.5, 0)
+
+
+class TestThreshold:
+    """`sim >= t` is the distance test: t passes it, the double below not."""
+
+    @staticmethod
+    def check(eps):
+        with deadline():
+            t = pseudolabel._threshold.__wrapped__(eps)  # uncached
+        assert passes(t, eps)
+        if eps >= 2.0:  # every similarity passes, even far below -1
+            assert t == -np.inf
+        else:
+            assert -1.0 < t <= 1.0
+            assert not passes(np.nextafter(t, -np.inf), eps)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.8, 0.3, 0.1, 2.0,
+                                     np.nextafter(2.0, 0.0), 5e-324,
+                                     2.0**-53, np.inf])
+    def test_least_passing_double(self, eps):
+        self.check(eps)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(0.0, 3.0, exclude_min=True))
+    def test_least_passing_double_drawn(self, eps):
+        self.check(eps)
+
+    def test_found_once_per_eps(self):
+        pseudolabel._threshold.cache_clear()
+        pts = random_points(substream(8, "gradcheck"), 6)
+        for eps in (0.3, 0.8, 0.3, 0.8):
+            dbscan(pts, eps, 2)
+        assert pseudolabel._threshold.cache_info().misses == 2
+
+
+class TestNeighbourMask:
+    """dbscan's neighbour mask bit for bit against the direct one of
+    tests/oracles.reference_neighbours."""
+
+    @staticmethod
+    def check(pts, eps):
+        pseudolabel._threshold.cache_clear()  # search under the deadline
+        with deadline():
+            got = pseudolabel._neighbours(np.asarray(pts, dtype=float), eps)
+        assert np.array_equal(got, reference_neighbours(pts, eps)), eps
+
+    def test_norms_from_1e_3_to_1e3(self):
+        # similarities far outside [-1, 1], and eps on a pair's distance
+        rng = substream(12, "gradcheck")
+        for _ in range(60):
+            n = int(rng.integers(2, 60))
+            pts = random_points(rng, n, dim=int(rng.integers(1, 20)))
+            pts *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            d = 1.0 - np.clip(pts @ pts.T.copy(), -1.0, 1.0)
+            for eps in (float(rng.uniform(0.01, 2.5)), 1.0,
+                        float(d[rng.integers(n), rng.integers(n)]) or 0.5):
+                self.check(pts, eps)
+
+    def test_duplicated_rows(self):
+        rng = substream(13, "gradcheck")
+        for _ in range(40):
+            base = random_points(rng, int(rng.integers(1, 6)), dim=16)
+            pts = base[rng.integers(len(base), size=int(rng.integers(1, 70)))]
+            for eps in (5e-324, 2.0**-53, 2.0**-50, 0.3):
+                self.check(pts, eps)
+
+    def test_pairs_rounded_apart_off_the_sphere(self):
+        # one close pair i < j per input, both rows scaled by the same
+        # c < 1, so their similarity is about c**2 and the two directions
+        # of the general product can round apart. eps is set to each
+        # direction's distance in turn. With OpenBLAS at one thread 8 of
+        # the 200 pairs round apart; with a BLAS whose product is exactly
+        # symmetric, this checks the boundary only.
+        rng = substream(14, "gradcheck")
+        for _ in range(200):
+            n = int(rng.integers(8, 65))
+            pts = random_points(rng, n, dim=16)
+            i, j = np.sort(rng.choice(n, 2, replace=False))
+            pts[j] = normalize_rows(pts[i] + 0.01 * rng.standard_normal(16))
+            pts[[i, j]] *= rng.uniform(0.1, 1.0)
+            d = 1.0 - np.clip(pts @ pts.T.copy(), -1.0, 1.0)
+            for eps in (d[i, j], d[j, i]):
+                self.check(pts, eps)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 1.0, 1.9, 2.0, 5.0])
+    def test_one_point_and_none(self, eps):
+        for pts in ([[0.6, 0.8]], [[1e-3, 0.0]], [[30.0, -40.0]],
+                    np.zeros((0, 3))):
+            self.check(pts, eps)
+
+    @pytest.mark.parametrize("eps", [2.0, 3.0, np.inf])
+    def test_eps_of_two_or_more_joins_every_pair(self, eps):
+        # antipodal rows of norms up to 1e3: similarities down to -1e6
+        rng = substream(15, "gradcheck")
+        pts = random_points(rng, 20, dim=4) * 10.0 ** rng.uniform(-3, 3,
+                                                                 (20, 1))
+        pts = np.vstack([pts, -pts])
+        assert (pts @ pts.T).min() < -1e3
+        self.check(pts, eps)
+        assert reference_neighbours(pts, eps).all()
+        assert np.array_equal(dbscan(pts, eps, 40), np.zeros(40))
 
 
 def _corpus(n_videos=4, n_groups=2, frames_per_group=5, dim=6, seed=0):
