@@ -199,9 +199,6 @@ def _style_map(rng: np.random.Generator, dim: int, sigma: float, shift: float,
     distortions drawn from the world's shared direction pool.
 
     Every camera and video is a point in the pool's coefficient space.
-    A handful of cameras samples that space too sparsely to reveal its
-    structure, while many videos cover it, so only broad exposure yields
-    invariance that transfers to unseen styles.
     """
     a = np.eye(dim)
     for u, v in basis:

@@ -154,7 +154,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
 @dataclass
 class OptimizerState:
     """Adam moments laid out like EncoderParams.flat, and the step count.
-    The hyperparameters live in TrainConfig."""
+    The hyperparameters are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS here, and
+    LR and WEIGHT_DECAY in trainer.py."""
     m: np.ndarray
     v: np.ndarray
     step: int = 0

@@ -1,5 +1,5 @@
-"""Embedding extraction and ranking metrics: CMC Rank-k, mAP, the
-cross-domain query/gallery protocol, and cluster purity by pair counts.
+"""Ranking metrics over the target: the cross-domain query/gallery split,
+CMC Rank-k, mAP, and cluster purity by pair counts.
 
 Protocol: gallery items sharing the query's identity AND camera are masked
 out; equal scores break by ascending gallery index, but the BLAS product
@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .datamodel import MultiCamDataset, PersonSample
+from .datamodel import MultiCamDataset
 from .encoder import EncoderParams, forward_batch
 from .errors import (
     DimensionMismatchError,
@@ -21,14 +21,6 @@ from .errors import (
 )
 from .numcore import atomic_write
 from .pseudolabel import PseudoLabeledPool
-
-
-def extract(params: EncoderParams, samples: list[PersonSample]) -> np.ndarray:
-    """Order-preserving embeddings with no augmentation applied."""
-    if not samples:
-        return np.zeros((0, params.dim_out))
-    embs, _ = forward_batch(params, np.stack([s.features for s in samples]))
-    return embs
 
 
 # Queries per block. It bounds the temporaries at a few (32 x gallery)
@@ -142,26 +134,23 @@ def cluster_purity(pool: PseudoLabeledPool) -> float:
     return int(best.sum()) / len(hidden)
 
 
-def split_query_gallery(dataset: MultiCamDataset) -> tuple[list[int], list[int]]:
-    """Per (identity, camera): the lowest sample_id is a query, rest gallery."""
-    first: dict[tuple[int, int], int] = {}
-    for i, s in enumerate(dataset.samples):
-        key = (s.identity, s.camera)
-        if key not in first or dataset.samples[first[key]].sample_id > s.sample_id:
-            first[key] = i
-    q_idx = sorted(first.values())
-    q_set = set(q_idx)
-    g_idx = [i for i in range(len(dataset.samples)) if i not in q_set]
-    return q_idx, g_idx
-
-
 def _query_gallery(params: EncoderParams, target: MultiCamDataset):
     """(embeddings, identities, cameras) of the queries, then of the
-    gallery."""
-    embs = extract(params, target.samples)
-    ids = np.array([s.identity for s in target.samples])
-    cams = np.array([s.camera for s in target.samples])
-    return [(embs[i], ids[i], cams[i]) for i in split_query_gallery(target)]
+    gallery, both in dataset order: per (identity, camera), the lowest
+    sample_id is the query and every other record is gallery. One forward
+    pass embeds the whole target, with no augmentation."""
+    feats = [s.features for s in target.samples]
+    embs, _ = forward_batch(params, np.stack(feats) if feats
+                            else np.empty((0, params.dim_in)))
+    ids, cams, sids = np.array(
+        [(s.identity, s.camera, s.sample_id) for s in target.samples],
+        dtype=np.int64).reshape(-1, 3).T
+    # by identity, camera, then sample_id: each group's first row is its query
+    order = np.lexsort((sids, cams, ids))
+    i, c = ids[order], cams[order]
+    is_query = np.ones(len(order), dtype=bool)
+    is_query[order[1:]] = (i[1:] != i[:-1]) | (c[1:] != c[:-1])
+    return [(embs[m], ids[m], cams[m]) for m in (is_query, ~is_query)]
 
 
 def evaluate(params: EncoderParams, target: MultiCamDataset) -> dict:

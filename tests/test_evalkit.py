@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remix import encoder as enc
+from remix import evalkit
 from remix.datamodel import (
     CorpusFrames,
     GeneratorConfig,
@@ -23,13 +24,12 @@ from remix.errors import (
 )
 from remix.evalkit import (
     _BLOCK,
+    _query_gallery,
     _rank_queries,
     cluster_purity,
     evaluate,
-    extract,
     mean_ap,
     shuffled_label_baseline,
-    split_query_gallery,
     write_report,
 )
 from remix.numcore import normalize_rows, substream
@@ -211,13 +211,8 @@ def refresh_target():
     cfg = GeneratorConfig(n_target_identities=400)
     target = synth_generate(cfg, 0)[2]
     params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
-    q_idx, g_idx = split_query_gallery(target)
-    embs = extract(params, target.samples)
-    ids = np.array([s.identity for s in target.samples])
-    cams = np.array([s.camera for s in target.samples])
-    args = (embs[q_idx], ids[q_idx], cams[q_idx],
-            embs[g_idx], ids[g_idx], cams[g_idx])
-    return params, target, args
+    query, gallery = _query_gallery(params, target)
+    return params, target, (*query, *gallery)
 
 
 class TestAgainstOracle:
@@ -374,17 +369,31 @@ def _target(seed=0):
 
 class TestProtocol:
     def test_split_takes_lowest_sample_id(self):
-        target = _target()
-        q_idx, g_idx = split_query_gallery(target)
-        assert len(q_idx) == 6 * 3
-        assert set(q_idx).isdisjoint(g_idx)
-        assert len(q_idx) + len(g_idx) == len(target.samples)
-        chosen = {}
-        for i in q_idx:
-            s = target.samples[i]
-            chosen[(s.identity, s.camera)] = s.sample_id
-        for s in target.samples:
-            assert chosen[(s.identity, s.camera)] <= s.sample_id
+        # the generator writes records in sample_id order; shuffled, a
+        # group's first record is often not its lowest sample_id
+        samples = _target().samples
+        perm = np.random.default_rng(0).permutation(len(samples))
+        target = MultiCamDataset.from_samples([samples[k] for k in perm])
+        lowest = {}
+        for i, s in enumerate(target.samples):
+            key, rec = (s.identity, s.camera), (s.sample_id, i)
+            lowest[key] = min(lowest.get(key, rec), rec)
+        q_idx = sorted(i for _, i in lowest.values())
+        g_idx = sorted(set(range(len(target.samples))) - set(q_idx))
+        first = {}
+        for i, s in enumerate(target.samples):
+            first.setdefault((s.identity, s.camera), i)
+        assert len(q_idx) == 6 * 3 and sorted(first.values()) != q_idx
+        params = enc.init_params(8, [8], 4, substream(0, "init"))
+        # one pass over the raw features, in dataset order
+        embs, _ = enc.forward_batch(
+            params, np.stack([s.features for s in target.samples]))
+        ids = np.array([s.identity for s in target.samples])
+        cams = np.array([s.camera for s in target.samples])
+        for got, idx in zip(_query_gallery(params, target), (q_idx, g_idx)):
+            assert np.array_equal(got[0], embs[idx])
+            assert np.array_equal(got[1], ids[idx])
+            assert np.array_equal(got[2], cams[idx])
 
     def test_evaluate_report_shape(self):
         target = _target()
@@ -399,17 +408,22 @@ class TestProtocol:
 
     def test_empty_target(self):
         params = enc.init_params(8, [8], 4, substream(0, "init"))
-        assert extract(params, []).shape == (0, 4)
-        with pytest.raises(EmptyPoolError):
+        with pytest.raises(EmptyPoolError, match="^no queries to rank$"):
             evaluate(params, MultiCamDataset.from_samples([]))
 
-    def test_extract_preserves_order_and_skips_augmentation(self):
+    def test_one_embedding_call_per_evaluation(self, monkeypatch):
+        # the benchmark times and traces evaluation at this call site
+        calls = []
+        def spy(*args, real=evalkit.forward_batch):
+            calls.append(len(args[1]))
+            return real(*args)
+        monkeypatch.setattr(evalkit, "forward_batch", spy)
         target = _target()
-        params = enc.init_params(8, [8], 4, substream(0, "init"))
-        a = extract(params, target.samples)
-        b = extract(params, target.samples)
-        assert np.array_equal(a, b)
-        assert a.shape == (len(target.samples), 4)
+        params = enc.init_params(8, [16], 8, substream(1, "init"))
+        evaluate(params, target)
+        assert calls == [len(target.samples)]
+        shuffled_label_baseline(params, target, substream(0, "baseline"))
+        assert calls == [len(target.samples)] * 2
 
     def test_shuffled_baseline_below_real_score(self):
         target = _target()
