@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .datamodel import GeneratorConfig
 from .errors import InvalidConfigError
@@ -87,6 +88,10 @@ class RunConfig:
         self.train.validate()
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
+        for where in ("eval", "io"):  # each names a file to read or write
+            for key, path in dataclasses.asdict(getattr(self, where)).items():
+                if not Path(path).name:
+                    raise InvalidConfigError(f"{where}.{key} names no file: {path!r}")
         return self
 
     def to_dict(self) -> dict:

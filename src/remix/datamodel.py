@@ -123,14 +123,6 @@ class LabelGroups:
 
 
 @dataclass
-class MiniBatch:
-    features: np.ndarray  # (B, D) raw features, multi-camera rows first
-    labels: np.ndarray  # (B,) identity, or number of identities + pseudo label
-    multi: np.ndarray  # (B,) True for multi-camera rows
-    cameras: np.ndarray  # (B,) camera, -1 for single-camera rows
-
-
-@dataclass
 class GeneratorConfig:
     dim: int = 32
     n_identities: int = 60
@@ -359,12 +351,12 @@ def _distinct(size: np.ndarray, r: np.ndarray) -> np.ndarray:
 class EpochDraws:
     """An epoch of PK batches as indices, no features: batch it gathers
     rows[s][it] of each sources[s].features in turn, multi-camera first,
-    and row it of labels, multi and cameras holds its other fields."""
+    and row it of labels and cameras holds its other fields. A row is
+    multi-camera iff its camera is >= 0."""
     sources: list[LabelGroups]
     rows: list[np.ndarray]  # per source, (iters, P * K)
-    labels: np.ndarray  # (iters, B), as in MiniBatch
-    multi: np.ndarray  # (iters, B)
-    cameras: np.ndarray  # (iters, B)
+    labels: np.ndarray  # (iters, B) identity, or identities + pseudo label
+    cameras: np.ndarray  # (iters, B) camera, -1 for single-camera rows
 
 
 def draw_epoch(
@@ -408,16 +400,14 @@ def draw_epoch(
     return EpochDraws(
         [src for src, _, _ in parts], [r for _, r, _ in parts],
         np.hstack([y for _, _, y in parts]),
-        np.hstack([np.full(r.shape, src is multi) for src, r, _ in parts]),
         np.hstack([src.cameras[r] for src, r, _ in parts]))
 
 
-def compose_batch(draws: EpochDraws, it: int) -> MiniBatch:
-    """Batch `it` of an epoch's draws, its rows gathered."""
-    return MiniBatch(
-        np.concatenate([src.features[r[it]]
-                        for src, r in zip(draws.sources, draws.rows)]),
-        draws.labels[it], draws.multi[it], draws.cameras[it])
+def compose_batch(draws: EpochDraws, it: int) -> np.ndarray:
+    """The (B, D) features of batch `it` of an epoch's draws, its rows
+    gathered; its labels and cameras are row `it` of the draws'."""
+    return np.concatenate([src.features[r[it]]
+                           for src, r in zip(draws.sources, draws.rows)])
 
 
 # --- line-delimited dataset files -----------------------------------------

@@ -90,10 +90,6 @@ class EncoderParams:
     def dim_in(self) -> int:
         return self.dims[0]
 
-    @property
-    def dim_out(self) -> int:
-        return self.dims[-1]
-
 
 def init_params(dim_in: int, hidden: list[int], dim_out: int,
                 rng: np.random.Generator) -> EncoderParams:

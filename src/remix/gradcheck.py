@@ -1,39 +1,21 @@
-"""Finite-difference verification of every loss composed with the encoder.
+"""Finite-difference verification of each term of `losses.TERMS` composed
+with the encoder.
 
 Used both by the CLI `gradcheck` command and by the acceptance suite. The
 probe builds random mixed batches, computes analytic parameter gradients
-through the loss and the encoder, and compares against central
-differences on the flattened parameter vector. LOSSES names each loss with
-the call that evaluates it at the objective's temperatures.
+through each term and the encoder, and compares against central
+differences on the flattened parameter vector.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import encoder as enc
-from .losses import (
-    TAU_AUG,
-    TAU_CC,
-    TAU_CEN,
-    TAU_INS,
-    BatchView,
-    augmentation_loss,
-    build_centroids,
-    camera_centroids_loss,
-    centroids_loss,
-    instance_loss,
-)
+from .losses import TERMS, BatchView, build_centroids
 from .numcore import finite_diff_grad, normalize_rows, substream
 
-# a loss passes when its max relative error is at most this
+# a term passes when its max relative error is at most this
 TOLERANCE = 1e-4
-
-LOSSES = {
-    "instance": lambda view, bank: instance_loss(view, *TAU_INS),
-    "augmentation": lambda view, bank: augmentation_loss(view, TAU_AUG),
-    "centroids": lambda view, bank: centroids_loss(view, bank, *TAU_CEN),
-    "camera_centroids": lambda view, bank: camera_centroids_loss(view, bank, TAU_CC),
-}
 
 
 def _random_case(rng, feat_dim, emb_dim, batch):
@@ -43,11 +25,10 @@ def _random_case(rng, feat_dim, emb_dim, batch):
     x = rng.standard_normal((batch, feat_dim))
     labels = np.concatenate([np.arange(half) * 2 // half,
                              2 + np.arange(batch - half) * 2 // (batch - half)])
-    multi = np.arange(batch) < half
-    cameras = np.where(multi, rng.integers(3, size=batch), -1)
+    cameras = np.where(np.arange(batch) < half, rng.integers(3, size=batch), -1)
     m = normalize_rows(rng.standard_normal((batch, emb_dim)))
     bank = build_centroids(m, labels, cameras)
-    return x, (labels, multi, cameras), m, bank
+    return x, (labels, cameras), m, bank
 
 
 def max_relative_errors(
@@ -59,23 +40,23 @@ def max_relative_errors(
     hidden: int = 8,
     h: float = 1e-5,
 ) -> dict[str, float]:
-    """Max relative analytic-vs-FD parameter gradient error per loss."""
+    """Max relative analytic-vs-FD parameter gradient error per term, by name."""
     if n_batches < 1:
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
     rng = substream(seed, "gradcheck")
-    worst = {name: 0.0 for name in LOSSES}
+    worst = {name: 0.0 for name in TERMS}
     for _ in range(n_batches):
         params = enc.init_params(feat_dim, [hidden], emb_dim, rng)
         x, rows, m, bank = _random_case(rng, feat_dim, emb_dim, batch)
-        for name, loss_fn in LOSSES.items():
+        for name, (_, term) in TERMS.items():
 
             def scalar(flat):
                 f, _ = enc.forward_batch(params.like(flat), x)
-                loss, _ = loss_fn(BatchView(f, m, *rows), bank)
+                loss, _ = term(BatchView(f, m, *rows), bank)
                 return loss
 
             f, cache = enc.forward_batch(params, x)
-            _, d_f = loss_fn(BatchView(f, m, *rows), bank)
+            _, d_f = term(BatchView(f, m, *rows), bank)
             analytic = enc.backward_batch(params, cache, d_f).flat
             fd = finite_diff_grad(scalar, params.flat, h)
             scale = max(float(np.max(np.abs(fd))), 1e-12)

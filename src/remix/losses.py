@@ -25,6 +25,8 @@ and single-camera pseudo labels take disjoint ranges of rows.
 
 The temperatures of the terms (multi-camera, single-camera anchors where a
 term has two) and the weight GAMMA of L_cc are the module constants below.
+TERMS is the objective, L = L_ins + L_aug + L_cen + GAMMA * L_cc, as
+name -> (weight, the term's call at its temperatures), summed in order.
 """
 from __future__ import annotations
 
@@ -48,25 +50,27 @@ GAMMA = 0.5
 
 @dataclass
 class BatchView:
+    """One batch as the losses see it. A row is multi-camera iff its camera
+    is >= 0 (a single-camera row has -1), and those rows come first."""
     f: np.ndarray  # (B, E) encoder embeddings of augmented inputs
     m: np.ndarray  # (B, E) momentum embeddings of the originals
     labels: np.ndarray  # (B,) bank row of each sample's label
-    multi: np.ndarray  # (B,) True for multi-camera samples, which come first
     cameras: np.ndarray  # (B,) camera id, -1 for single-camera samples
-    # derived once per batch: the distinct labels in ascending order
+    # derived once per batch: the multi-camera rows, the labels in order
+    multi: np.ndarray = field(init=False)
     batch_labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=np.float64)
         self.m = np.asarray(self.m, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.multi = np.asarray(self.multi, dtype=bool)
         self.cameras = np.asarray(self.cameras, dtype=np.int64)
+        self.multi = self.cameras >= 0
         b = self.f.shape[0]
         if self.f.shape != self.m.shape or any(
-                a.shape != (b,) for a in (self.labels, self.multi, self.cameras)):
-            raise DimensionMismatchError("f, m, labels, multi and cameras "
-                                         "must agree in batch size")
+                a.shape != (b,) for a in (self.labels, self.cameras)):
+            raise DimensionMismatchError("f, m, labels and cameras must "
+                                         "agree in batch size")
         if np.any(self.multi[1:] > self.multi[:-1]):
             raise DimensionMismatchError("multi samples must precede single samples")
         seen = np.zeros((2, int(self.labels.max(initial=-1)) + 1), dtype=bool)
@@ -248,15 +252,23 @@ def camera_centroids_loss(
     return _contrastive(view.f, proxies, pos, pos | neg, tau)
 
 
+# The objective, summed in order: name -> (weight, the term at its taus).
+# Each call looks its loss up in the module globals, so patches take effect.
+TERMS = {
+    "ins": (1.0, lambda view, bank: instance_loss(view, *TAU_INS)),
+    "aug": (1.0, lambda view, bank: augmentation_loss(view, TAU_AUG)),
+    "cen": (1.0, lambda view, bank: centroids_loss(view, bank, *TAU_CEN)),
+    "cc": (GAMMA, lambda view, bank: camera_centroids_loss(view, bank, TAU_CC)),
+}
+
+
 def total_loss(
     view: BatchView, bank: CentroidBank
 ) -> tuple[float, np.ndarray, dict[str, float]]:
-    """L = L_ins + L_aug + L_cen + GAMMA * L_cc, with the matching gradient."""
-    l_ins, g_ins = instance_loss(view, *TAU_INS)
-    l_aug, g_aug = augmentation_loss(view, TAU_AUG)
-    l_cen, g_cen = centroids_loss(view, bank, *TAU_CEN)
-    l_cc, g_cc = camera_centroids_loss(view, bank, TAU_CC)
-    loss = l_ins + l_aug + l_cen + GAMMA * l_cc
-    grads = g_ins + g_aug + g_cen + GAMMA * g_cc
-    parts = {"ins": l_ins, "aug": l_aug, "cen": l_cen, "cc": l_cc}
+    """The weighted sum of TERMS, its gradient and each term's loss by name."""
+    loss, grads, parts = 0.0, 0.0, {}
+    for name, (weight, term) in TERMS.items():
+        parts[name], g = term(view, bank)
+        loss = loss + weight * parts[name]
+        grads = grads + weight * g
     return loss, grads, parts

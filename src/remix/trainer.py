@@ -31,7 +31,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteTrainingError,
 )
-from .losses import BatchView, build_centroids, total_loss
+from .losses import TERMS, BatchView, build_centroids, total_loss
 from .numcore import substream
 from .pseudolabel import pseudo_label_epoch
 
@@ -111,13 +111,13 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     lr = enc.effective_lr(LR, WARMUP_EPOCHS, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi, t.n_p_single, t.n_k_single)
     draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, state.sampler)
-    sums = {"total": 0.0, "ins": 0.0, "aug": 0.0, "cen": 0.0, "cc": 0.0}
+    sums = dict.fromkeys(["total", *TERMS], 0.0)
     for it in range(t.iters_per_epoch):
-        batch = compose_batch(draws, it)
-        augmented = augment(batch.features, state.augment, SIGMA_AUG, P_DROP)
+        features = compose_batch(draws, it)
+        augmented = augment(features, state.augment, SIGMA_AUG, P_DROP)
         f, cache = enc.forward_batch(state.params, augmented)
-        m, _ = enc.forward_batch(state.momentum, batch.features)
-        view = BatchView(f, m, batch.labels, batch.multi, batch.cameras)
+        m, _ = enc.forward_batch(state.momentum, features)
+        view = BatchView(f, m, draws.labels[it], draws.cameras[it])
         loss, d_f, parts = total_loss(view, bank)
         grads = enc.backward_batch(state.params, cache, d_f)
         if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
@@ -136,11 +136,7 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     purity = evalkit.cluster_purity(pool) if pool is not None else None
     state.metrics.append({
         "epoch": state.epoch,
-        "loss_total": sums["total"] / n,
-        "loss_ins": sums["ins"] / n,
-        "loss_aug": sums["aug"] / n,
-        "loss_cen": sums["cen"] / n,
-        "loss_cc": sums["cc"] / n,
+        **{f"loss_{k}": v / n for k, v in sums.items()},
         "pseudo_clusters": pool.frames.n_labels if pool is not None else 0,
         "pseudo_noise": pool.noise_count if pool is not None else 0,
         "purity": purity,

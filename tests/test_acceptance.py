@@ -63,15 +63,14 @@ def test_criterion_2_degenerate_zeros(capsys):
     f = normalize_rows(rng.standard_normal((3, 4)))
 
     # single label: instance loss sees no negatives
-    multi = np.ones(3, dtype=bool)
-    v_one = BatchView(f, f, [0] * 3, multi, np.array([0, 1, 2]))
+    v_one = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
     zeros = [instance_loss(v_one, 0.1, 0.2)[0],
              augmentation_loss(v_one, 0.1)[0]]
     bank = build_centroids(f, v_one.labels, v_one.cameras)
     zeros.append(centroids_loss(v_one, bank, 0.5, 0.6)[0])
 
     # two labels but one camera each: no cross-camera proxies
-    v_cam = BatchView(f, f, [0, 0, 1], multi, np.zeros(3, dtype=int))
+    v_cam = BatchView(f, f, [0, 0, 1], np.zeros(3, dtype=int))
     bank_cam = build_centroids(f, v_cam.labels, v_cam.cameras)
     zeros.append(camera_centroids_loss(v_cam, bank_cam, 0.07)[0])
 
@@ -217,10 +216,12 @@ def test_criterion_7_batch_composition(capsys):
     # one epoch of 10,000 batches, drawn at once and gathered one by one
     draws = draw_epoch(multi.grouped(), pool, (8, 4, 8, 4), 10_000, rng)
     for it in range(10_000):
-        b = compose_batch(draws, it)
-        labels = b.labels[b.multi].tolist()
-        plabels = b.labels[~b.multi].tolist()
-        if not (len(labels) == 32 and len(plabels) == 32
+        features = compose_batch(draws, it)
+        batch_labels, is_multi = draws.labels[it], draws.cameras[it] >= 0
+        labels = batch_labels[is_multi].tolist()
+        plabels = batch_labels[~is_multi].tolist()
+        if not (features.shape == (64, cfg.generator.dim)
+                and len(labels) == 32 and len(plabels) == 32
                 and len(set(labels)) == 8 and len(set(plabels)) == 8
                 and all(labels.count(y) == 4 for y in set(labels))
                 and all(plabels.count(p) == 4 for p in set(plabels))):
@@ -236,10 +237,11 @@ def test_criterion_7_batch_composition(capsys):
     ]).grouped()
     diverse_ok = True
     for trial in range(50):
-        b = compose_batch(draw_epoch(fixture, None, (8, 4, 0, 0), 1,
-                                     substream(trial, "sampler")), 0)
-        for y in set(b.labels.tolist()):
-            cams = sorted(b.cameras[b.labels == y].tolist())
+        draws = draw_epoch(fixture, None, (8, 4, 0, 0), 1,
+                           substream(trial, "sampler"))
+        labels, cameras = draws.labels[0], draws.cameras[0]
+        for y in set(labels.tolist()):
+            cams = sorted(cameras[labels == y].tolist())
             if cams != [0, 1, 2, 3]:
                 diverse_ok = False
 
@@ -287,7 +289,7 @@ def test_criterion_9_loss_weight_contract(capsys):
     m = normalize_rows(rng.standard_normal((12, 6)))
     labels = [i % 3 for i in range(6)] + [3 + i % 3 for i in range(6)]
     cams = np.array([int(rng.integers(3)) for _ in range(6)] + [-1] * 6)
-    view = BatchView(f, m, labels, np.arange(12) < 6, cams)
+    view = BatchView(f, m, labels, cams)
     bank = build_centroids(m, labels, cams)
 
     loss, grads, parts = total_loss(view, bank)

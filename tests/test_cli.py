@@ -197,6 +197,18 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key", ["eval.report_path", "io.multicam_path",
+                                 "io.corpus_path", "io.target_path",
+                                 "io.checkpoint_path", "io.metrics_path"])
+@pytest.mark.parametrize("command", ["generate", "train", "eval"])
+def test_path_with_no_file_name_is_a_config_error(tmp_path, capsys, command,
+                                                  key):
+    # rejected before anything is read, generated, trained or written
+    assert run([command, "--out", str(tmp_path), "--set", f"{key}="]) == 1
+    assert f"config error: {key} names no file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_config_json(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{broken")

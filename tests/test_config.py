@@ -133,6 +133,22 @@ def test_wrong_types(section, key, value):
         config_from_dict({section: {key: value}})
 
 
+# every key whose value is the path of a file a command writes or reads
+PATH_KEYS = [("eval", "report_path"), ("io", "multicam_path"),
+             ("io", "corpus_path"), ("io", "target_path"),
+             ("io", "checkpoint_path"), ("io", "metrics_path")]
+
+
+@pytest.mark.parametrize("section,key", PATH_KEYS)
+@pytest.mark.parametrize("value", ["", ".", "/"])
+def test_path_with_no_file_name_is_rejected(section, key, value):
+    match = f"{section}.{key} names no file"
+    with pytest.raises(InvalidConfigError, match=match):
+        config_from_dict({section: {key: value}})
+    with pytest.raises(InvalidConfigError, match=match):
+        apply_overrides(RunConfig().validate(), [f"{section}.{key}={value}"])
+
+
 def test_floats_take_integers_and_budget_takes_null():
     cfg = config_from_dict({"train": {"pseudo_label_budget": None},
                             "generator": {"sigma_cam": 0, "domain_shift": 1}})

@@ -228,22 +228,24 @@ NO_MULTI = LabelGroups(np.zeros((0, 4)), np.zeros(1, dtype=np.int64),
 
 
 def _batches(multi, single, sizes, iters, rng):
-    """The epoch's batches, drawn at once and gathered one by one."""
+    """The epoch's batches, drawn at once and gathered one by one: per
+    batch its features, then its labels and cameras from the draws."""
     draws = draw_epoch(multi, single, sizes, iters, rng)
-    return [compose_batch(draws, it) for it in range(iters)]
+    return [(compose_batch(draws, it), draws.labels[it], draws.cameras[it])
+            for it in range(iters)]
 
 
 class TestComposeBatch:
     def test_sizes_and_order(self):
         multi = _toy_multi()
-        batch, = _batches(multi, _pool([5] * 9), (8, 4, 8, 4), 1,
-                          substream(0, "sampler"))
-        assert batch.features.shape == (64, 4)
-        assert batch.multi.tolist() == [True] * 32 + [False] * 32
-        assert len(set(batch.labels[:32])) == 8
+        (features, labels, cameras), = _batches(
+            multi, _pool([5] * 9), (8, 4, 8, 4), 1, substream(0, "sampler"))
+        assert features.shape == (64, 4)
+        assert (cameras >= 0).tolist() == [True] * 32 + [False] * 32
+        assert len(set(labels[:32])) == 8
         # pseudo labels follow the 10 identities
-        assert len(set(batch.labels[32:])) == 8 and batch.labels[32:].min() >= 10
-        assert np.all(batch.cameras[32:] == -1)
+        assert len(set(labels[32:])) == 8 and labels[32:].min() >= 10
+        assert np.all(cameras[32:] == -1)
 
     def test_draws_hold_indices_not_features(self):
         multi, single = _toy_multi(), _pool([5] * 9)
@@ -253,26 +255,26 @@ class TestComposeBatch:
         assert [r.shape for r in draws.rows] == [(7, 32), (7, 32)]
         assert all(a.dtype.kind == "i" for a in
                    (*draws.rows, draws.labels, draws.cameras))
-        assert draws.labels.shape == draws.multi.shape == (7, 64)
+        assert draws.labels.shape == draws.cameras.shape == (7, 64)
         # no corpus, or no pseudo label per batch: one source
         for single, sizes in ((None, (8, 4, 8, 4)), (_pool([5]), (8, 4, 0, 4))):
             draws = draw_epoch(multi, single, sizes, 7, substream(0, "sampler"))
             assert len(draws.sources) == 1 and draws.sources[0] is multi
-            assert draws.multi.all()
+            assert (draws.cameras >= 0).all()
 
     def test_camera_diversity(self):
         # 4 cameras available and 4 slots: all four cameras must appear
         multi = _toy_multi(n_ids=8, n_cams=4, per=3)
-        for batch in _batches(multi, None, (8, 4, 0, 0), 20,
-                              substream(3, "sampler")):
-            for y in set(batch.labels.tolist()):
-                assert sorted(batch.cameras[batch.labels == y]) == [0, 1, 2, 3]
+        for _, labels, cameras in _batches(multi, None, (8, 4, 0, 0), 20,
+                                           substream(3, "sampler")):
+            for y in set(labels.tolist()):
+                assert sorted(cameras[labels == y]) == [0, 1, 2, 3]
 
     def test_small_cluster_sampled_with_replacement(self):
         multi = _toy_multi(n_ids=8)
-        batch, = _batches(multi, _pool([1] * 8), (8, 4, 8, 4), 1,
-                          substream(1, "sampler"))
-        assert np.count_nonzero(~batch.multi) == 32  # singleton clusters repeat
+        (_, _, cameras), = _batches(multi, _pool([1] * 8), (8, 4, 8, 4), 1,
+                                    substream(1, "sampler"))
+        assert np.count_nonzero(cameras < 0) == 32  # singleton clusters repeat
 
     def test_insufficient_labels(self):
         multi = _toy_multi(n_ids=4)
@@ -295,11 +297,12 @@ class TestComposeBatch:
         cams = rng.permutation(np.repeat(np.arange(len(per_cam)), per_cam))
         rows = LabelGroups(np.arange(n, dtype=float)[:, None],
                            np.array([0, n]), cams)
-        for batch in _batches(rows, None, (1, n_k, 0, 0), iters, rng):
-            picked = batch.features[:, 0].astype(int)
+        for features, _, cameras in _batches(rows, None, (1, n_k, 0, 0),
+                                             iters, rng):
+            picked = features[:, 0].astype(int)
             assert len(picked) == n_k
-            assert np.array_equal(batch.cameras, cams[picked])
-            assert len(set(batch.cameras.tolist())) == min(n_k, len(per_cam))
+            assert np.array_equal(cameras, cams[picked])
+            assert len(set(cameras.tolist())) == min(n_k, len(per_cam))
             assert len(set(picked.tolist())) == min(n_k, n)
             # past its sample count the order repeats: no row twice more
             # than another
@@ -311,11 +314,12 @@ class TestComposeBatch:
            st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_pseudo_label_fills_its_slots(self, sizes, n_k, iters, seed):
         single = _pool(sizes)
-        for batch in _batches(NO_MULTI, single, (0, 1, len(sizes), n_k),
-                              iters, np.random.default_rng(seed)):
-            assert not batch.multi.any()
+        for features, labels, cameras in _batches(
+                NO_MULTI, single, (0, 1, len(sizes), n_k), iters,
+                np.random.default_rng(seed)):
+            assert not (cameras >= 0).any()
             for pl, size in enumerate(sizes):
-                picked = batch.features[batch.labels == pl, 0].astype(int)
+                picked = features[labels == pl, 0].astype(int)
                 assert len(picked) == n_k
                 assert np.all((single.start[pl] <= picked)
                               & (picked < single.start[pl + 1]))

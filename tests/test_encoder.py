@@ -25,7 +25,7 @@ def test_init_shapes_and_zero_biases():
     p = make_params(dims=(5, 7, 3))
     assert [w.shape for w in p.weights] == [(5, 7), (7, 3)]
     assert all(np.all(b == 0) for b in p.biases)
-    assert p.dim_in == 5 and p.dim_out == 3
+    assert p.dim_in == 5 and p.dims[-1] == 3
 
 
 def test_weights_and_biases_are_views_of_flat():

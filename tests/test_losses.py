@@ -18,12 +18,15 @@ from remix.errors import (
     EmptyLabelError,
     UnresolvedLabelError,
 )
+from remix import losses
+from remix.gradcheck import max_relative_errors
 from remix.losses import (
     GAMMA,
     TAU_AUG,
     TAU_CC,
     TAU_CEN,
     TAU_INS,
+    TERMS,
     BatchView,
     _contrastive,
     augmentation_loss,
@@ -50,7 +53,7 @@ def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3):
     labels += [offset + i % n_labels for i in range(n_single)]
     cameras = np.array([int(rng.integers(n_cams)) for _ in range(n_multi)]
                        + [-1] * n_single)
-    return BatchView(f, m, labels, np.arange(b) < n_multi, cameras)
+    return BatchView(f, m, labels, cameras)
 
 
 def bank_for(view, seed=10):
@@ -59,31 +62,32 @@ def bank_for(view, seed=10):
     return build_centroids(m, view.labels, view.cameras)
 
 
-def multi_view(f, m, labels, cameras):
-    """A view of multi-camera samples only."""
-    return BatchView(f, m, labels, np.ones(len(labels), dtype=bool), cameras)
-
-
 class TestBatchView:
     def test_single_before_multi_rejected(self):
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
-            BatchView(f, f, [1, 0], [False, True], np.array([-1, 0]))
+            BatchView(f, f, [1, 0], np.array([-1, 0]))
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            multi_view(np.eye(2), np.eye(3), [0, 0], np.zeros(2))
+            BatchView(np.eye(2), np.eye(3), [0, 0], np.zeros(2))
 
     def test_label_in_both_sources_rejected(self):
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
-            BatchView(f, f, [0, 0], [True, False], np.array([0, -1]))
+            BatchView(f, f, [0, 0], np.array([0, -1]))
 
     def test_codes_number_distinct_labels(self):
         f = np.eye(4)
-        v = BatchView(f, f, [5, 2, 5, 9], [True, True, True, False],
-                      [0, 1, 2, -1])
+        v = BatchView(f, f, [5, 2, 5, 9], [0, 1, 2, -1])
         assert v.batch_labels.tolist() == [2, 5, 9]
+
+    def test_source_is_read_from_the_camera(self):
+        f = np.eye(4)
+        v = BatchView(f, f, [0, 0, 1, 2], [2, 0, -1, -1])
+        assert v.multi.tolist() == [True, True, False, False]
+        with pytest.raises(TypeError):  # the source is not an argument
+            BatchView(f, f, [0, 0, 1, 2], v.multi, [2, 0, -1, -1])
 
     def test_counts(self):
         v = random_view(n_multi=4, n_single=2)
@@ -303,7 +307,7 @@ class TestKernelAgainstLoops:
         # camera term against both positives (loss ln 2)
         f = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        view = multi_view(f, m, [0, 0], np.array([0, 0]))
+        view = BatchView(f, m, [0, 0], np.array([0, 0]))
         bank = build_centroids(m, [0, 0], np.array([1, 2]))
         assert instance_loss(view, 0.1, 0.2)[0] == 0.0
         assert camera_centroids_loss(view, bank, 0.07)[0] == \
@@ -317,7 +321,7 @@ class TestInstanceLossOracle:
         m = normalize_rows(np.array([[1.0, 0.2, 0.0],
                                      [0.1, 1.0, 0.0],
                                      [0.0, 0.3, 1.0]]))
-        view = multi_view(f, m, [0, 0, 1], np.array([0, 1, 0]))
+        view = BatchView(f, m, [0, 0, 1], np.array([0, 1, 0]))
         tau = 0.1
         sims = f @ m.T
 
@@ -345,7 +349,7 @@ class TestInstanceLossOracle:
         parts = []
         for rows in (view.multi, ~view.multi):
             sub = BatchView(view.f[rows], view.m[rows], view.labels[rows],
-                            view.multi[rows], view.cameras[rows])
+                            view.cameras[rows])
             sub_loss, sub_grads = instance_loss(sub, 0.1, 0.2)
             share = sub.size / view.size
             assert np.max(np.abs(grads[rows] - share * sub_grads)) <= 1e-12
@@ -357,7 +361,7 @@ class TestDegenerateZeros:
     def test_instance_single_label_no_negatives(self):
         rng = substream(3, "init")
         f = normalize_rows(rng.standard_normal((3, 4)))
-        view = multi_view(f, f, [0] * 3, np.array([0, 1, 2]))
+        view = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
         loss, grads = instance_loss(view, 0.1, 0.2)
         assert loss == 0.0
         assert np.allclose(grads, 0.0)
@@ -365,14 +369,14 @@ class TestDegenerateZeros:
     def test_augmentation_no_negatives(self):
         rng = substream(4, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = multi_view(f, f, [0] * 2, np.array([0, 1]))
+        view = BatchView(f, f, [0] * 2, np.array([0, 1]))
         loss, grads = augmentation_loss(view, 0.1)
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_centroids_single_label(self):
         rng = substream(5, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = multi_view(f, f, [0] * 2, np.array([0, 1]))
+        view = BatchView(f, f, [0] * 2, np.array([0, 1]))
         bank = build_centroids(f, view.labels, view.cameras)
         loss, grads = centroids_loss(view, bank, 0.5, 0.6)
         assert loss == 0.0 and np.allclose(grads, 0.0)
@@ -380,7 +384,7 @@ class TestDegenerateZeros:
     def test_camera_centroids_single_camera(self):
         rng = substream(6, "init")
         f = normalize_rows(rng.standard_normal((4, 4)))
-        view = multi_view(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
+        view = BatchView(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
         bank = build_centroids(f, view.labels, view.cameras)
         loss, grads = camera_centroids_loss(view, bank, 0.07)
         assert loss == 0.0 and np.allclose(grads, 0.0)
@@ -396,7 +400,7 @@ class TestGradients:
 
         def scalar(flat):
             v2 = BatchView(flat.reshape(view.f.shape), view.m, view.labels,
-                           view.multi, view.cameras)
+                           view.cameras)
             return fn(v2, bank)[0]
 
         fd = finite_diff_grad(scalar, view.f.reshape(-1)).reshape(view.f.shape)
@@ -452,3 +456,51 @@ class TestTotalLoss:
     def test_constants_keep_the_config_defaults_they_replaced(self):
         assert (TAU_INS, TAU_AUG, TAU_CEN, TAU_CC, GAMMA) \
             == ((0.1, 0.2), 0.1, (0.5, 0.6), 0.07, 0.5)
+
+    def test_terms_are_the_objective_in_order(self):
+        assert [(name, weight) for name, (weight, _) in TERMS.items()] \
+            == [("ins", 1.0), ("aug", 1.0), ("cen", 1.0), ("cc", GAMMA)]
+
+
+# the loss each term of TERMS calls
+LOSS_OF = {"ins": "instance_loss", "aug": "augmentation_loss",
+           "cen": "centroids_loss", "cc": "camera_centroids_loss"}
+
+
+class TestTermCalls:
+    """Every term is computed through its loss, looked up in `losses` when
+    it runs, so a wrapper patched onto the module sees every call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for fn_name in LOSS_OF.values():
+            def counted(*args, _real=getattr(losses, fn_name), _name=fn_name):
+                seen.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(losses, fn_name, counted)
+        return seen
+
+    def test_total_loss_calls_each_loss_once_in_terms_order(self, calls):
+        view = random_view(12)
+        bank = bank_for(view)
+        for n in (1, 2):
+            total_loss(view, bank)
+            assert calls == [LOSS_OF[name] for name in TERMS] * n
+
+    def test_gradcheck_calls_one_loss_per_term_evaluation(self, calls,
+                                                          monkeypatch):
+        evaluated = []
+        for name, (weight, term) in list(TERMS.items()):
+            def counted(view, bank, _term=term, _name=name):
+                evaluated.append(_name)
+                return _term(view, bank)
+            monkeypatch.setitem(TERMS, name, (weight, counted))
+        errors = max_relative_errors(seed=0, n_batches=1, feat_dim=3,
+                                     emb_dim=2, batch=4, hidden=2)
+        assert list(errors) == list(TERMS)
+        assert calls == [LOSS_OF[name] for name in evaluated]
+        # term by term in TERMS order, each evaluated as often
+        n = len(evaluated) // len(TERMS)
+        assert n > 1 and evaluated == [name for name in TERMS
+                                       for _ in range(n)]
