@@ -37,6 +37,13 @@ def _resolve(out_dir: str | None, path: str) -> Path:
     return p
 
 
+def _file_path(value: str) -> str:
+    """An argument that must name a file, like the config's io paths."""
+    if not Path(value).name:
+        raise argparse.ArgumentTypeError(f"names no file: {value!r}")
+    return value
+
+
 def cmd_generate(args) -> int:
     cfg = _load(args)
     multi, corpus, target = datamodel.synth_generate(cfg.generator, cfg.seed)
@@ -73,7 +80,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load(args)
     out = args.out
-    ckpt = args.checkpoint or str(_resolve(out, cfg.io.checkpoint_path))
+    ckpt = (args.checkpoint if args.checkpoint is not None
+            else str(_resolve(out, cfg.io.checkpoint_path)))
     _, _, _, momentum, _ = encoder.load_checkpoint(ckpt)
     target = datamodel.load_multicam(_resolve(out, cfg.io.target_path))
     report = evalkit.evaluate(momentum, target)
@@ -137,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the momentum encoder on the "
                                     "target domain")
     _add_common(p)
-    p.add_argument("--checkpoint", metavar="PATH", default=None)
+    p.add_argument("--checkpoint", metavar="PATH", default=None,
+                   type=_file_path)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all "

@@ -26,6 +26,24 @@ from .pseudolabel import PseudoLabeledPool
 # Queries per block. It bounds the temporaries at a few (32 x gallery)
 # arrays, below the query-by-gallery similarity matrix.
 _BLOCK = 32
+# Thresholds compared per pass: the block's boolean comparison then holds
+# as many bytes as one (32 x gallery) float64 array.
+_PER_PASS = 8
+
+
+def _count_below(key, thr, compare, out):
+    """Per row r of key and column c of thr: the number of entries x of
+    key[r] with compare(x, thr[r, c]), for np.less or np.less_equal. `out`
+    is a reusable (>= rows, _PER_PASS, gallery) boolean buffer."""
+    counts = np.empty(thr.shape, dtype=np.int64)
+    for c in range(0, thr.shape[1], _PER_PASS):
+        t = thr[:, c:c + _PER_PASS]
+        hits = compare(key[:, None, :], t[:, :, None],
+                       out=out[:len(t), :t.shape[1]])
+        # a row's count is below its gallery size, so int32 holds it
+        counts[:, c:c + _PER_PASS] = np.bitwise_count(
+            np.packbits(hits, axis=2)).sum(axis=2, dtype=np.int32)
+    return counts
 
 
 def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
@@ -36,8 +54,13 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     items are one slice of that order: those on the query's camera are
     masked out, the rest are its positives, in ascending gallery index. A
     positive's rank is one plus the valid gallery items that score higher,
-    or score the same at a lower gallery index: a binary search in the
-    block's sorted keys, plus a count of equals where a key recurs.
+    or score the same at a lower gallery index. Two counts over the query's
+    row give it with no sort: `lt`, the keys (negated scores) strictly
+    below the positive's, and `le`, those at or below it. The rank is
+    1 + lt; where le - lt > 1 the key recurs, and the equal keys at a lower
+    gallery index are counted and added. The work per query grows with its
+    positives, each a comparison against the whole row, so past about 12
+    positives per query one sort of the row would be cheaper.
 
     Identities and cameras are integer vectors with one entry per row of
     their side's embeddings, and both sides have the same width; anything
@@ -78,11 +101,16 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
     grouped = g_ids[by_id]
     lo = np.searchsorted(grouped, q_ids, side="left")
     n_same = np.searchsorted(grouped, q_ids, side="right") - lo
+    # negation is exact, so q @ neg is -(q @ g.T) up to the sign of a zero,
+    # and +0 and -0 compare equal
+    neg = -g_embs.T
+    scores = np.empty((_BLOCK, len(g_ids)))
+    hits = np.empty((_BLOCK, _PER_PASS, len(g_ids)), dtype=bool)
     first = np.empty(len(q_ids), dtype=np.int64)
     ap = np.empty(len(q_ids))
     for start in range(0, len(q_ids), _BLOCK):
         b = slice(start, start + _BLOCK)
-        key = -(q_embs[b] @ g_embs.T)
+        key = np.matmul(q_embs[b], neg, out=scores[:len(q_embs[b])])
         # the block's slices of by_id end to end, tagged with their rows
         rows = np.repeat(np.arange(len(key)), n_same[b])
         skip = lo[b] - (np.cumsum(n_same[b]) - n_same[b])
@@ -94,15 +122,17 @@ def _rank_queries(q_embs, q_ids, q_cams, g_embs, g_ids, g_cams):
         if not n_pos.all():
             stranded = start + int(np.argmin(n_pos))
             raise NoValidPositiveError(f"query {stranded} has no valid positive")
-        srt, k_pos = np.sort(key, axis=1), key[rows, pos]
+        # each row's positive keys in gallery-index order, padded with -inf;
+        # the padding's counts are never read
         starts = np.cumsum(n_pos) - n_pos
-        rank = np.empty(len(rows), dtype=np.int64)
-        for r, (a, e) in enumerate(zip(starts, starts + n_pos)):
-            rank[a:e] = 1 + np.searchsorted(srt[r], k_pos[a:e])
-        # an equal key next in sorted order means a tie; the clamped last
-        # column compares the positive with itself, and the count is exact
-        after = np.minimum(rank, srt.shape[1] - 1)
-        for t in np.nonzero(srt[rows, after] == k_pos)[0]:
+        col = np.arange(len(rows)) - starts[rows]
+        thr = np.full((len(key), n_pos.max()), -np.inf)
+        k_pos = key[rows, pos]
+        thr[rows, col] = k_pos
+        lt = _count_below(key, thr, np.less, hits)[rows, col]
+        le = _count_below(key, thr, np.less_equal, hits)[rows, col]
+        rank = 1 + lt
+        for t in np.nonzero(le - lt > 1)[0]:
             rank[t] += np.count_nonzero(key[rows[t], :pos[t]] == k_pos[t])
         # positives by query, then by rank: the j-th of a query has
         # precision j / rank

@@ -69,6 +69,21 @@ def test_eval_explicit_checkpoint(workdir):
                 "--checkpoint", ckpt]) == 0
 
 
+def test_eval_checkpoint_with_no_file_name_is_a_usage_error(workdir, capsys):
+    # an empty --checkpoint must not fall back to the config's checkpoint;
+    # like an io path, it is rejected before anything is read or written
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["train", "--config", cfg, "--out", str(out)])
+    for value in ("", ".", "/"):
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg, "--out", str(out),
+                    "--checkpoint", value]) == 1
+        err = capsys.readouterr().err
+        assert f"--checkpoint: names no file: {value!r}" in err
+        assert not (out / "report.json").exists()
+
+
 def test_eval_truncated_checkpoint(workdir, capsys):
     # a RemixError (here VersionMismatchError) is a runtime error: exit 2
     out, cfg = workdir

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import remix
 from remix import encoder as enc
 from remix import evalkit
 from remix.datamodel import (
@@ -24,6 +28,7 @@ from remix.errors import (
 )
 from remix.evalkit import (
     _BLOCK,
+    _PER_PASS,
     _query_gallery,
     _rank_queries,
     cluster_purity,
@@ -178,9 +183,9 @@ def _on_axis(*scores):
 # name -> ((q_embs, q_ids, q_cams, g_embs, g_ids, g_cams), first ranks).
 # Every gallery camera is 1 and every query camera 0 unless a case masks.
 _HAND_CASES = {
-    # query 0's positive ties with the last valid item in sorted order;
-    # query 1's worst item is its positive, so the lookup after it is the
-    # clamped one
+    # query 0's positive ties with the item before it, and the two hold
+    # the row's largest key; query 1's worst item is a positive, so its le
+    # counts the whole row
     "tied-with-last": ((np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1], [0, 0],
                         _on_axis(2, 0, 0), [1, 1, 0], [1, 1, 1]), [3, 1]),
     # every valid item scores 1; the masked one (same id and camera, at
@@ -192,27 +197,52 @@ _HAND_CASES = {
     "tied-both-sides": ((_on_axis(1), [0], [0], _on_axis(1, 2, 1, 1, 0),
                          [1, 1, 0, 1, 1], [1] * 5), [3]),
     # orthogonal rows score zero, of either sign as the BLAS kernel
-    # rounds it; every zero key ties
+    # rounds it against the negated gallery; +0 and -0 count as one key,
+    # so every zero key ties
     "signed-zero": ((_on_axis(1), [0], [0],
                      np.array([[0.0, 1.0], [-0.0, -1.0], [0.0, -2.0],
                                [2.0, 0.0], [-0.0, 3.0]]),
                      [1, 0, 1, 1, 0], [1] * 5), [3]),
-    # every valid item is a positive; two of them tie and the last in
-    # sorted order takes the clamped lookup
+    # every valid item is a positive, so the query's row of thresholds is
+    # full; two of them tie, and the worst one's le counts the whole row
     "only-positives": ((_on_axis(1), [0], [0], _on_axis(3, 1, 1, 0),
                         [0] * 4, [1, 2, 1, 2]), [1]),
 }
 
 
-@pytest.fixture(scope="module")
-def refresh_target():
-    """(params, target, ranking arguments) of a 1,600-query by
-    3,200-item target under a random encoder."""
-    cfg = GeneratorConfig(n_target_identities=400)
+def _generated_target(**generator):
+    """(params, target, ranking arguments) of a generated target under a
+    random encoder."""
+    cfg = GeneratorConfig(**generator)
     target = synth_generate(cfg, 0)[2]
     params = enc.init_params(cfg.dim, [64], 16, substream(0, "init"))
     query, gallery = _query_gallery(params, target)
     return params, target, (*query, *gallery)
+
+
+@pytest.fixture(scope="module")
+def refresh_target():
+    """A 1,600-query by 3,200-item target, 6 positives per query."""
+    return _generated_target(n_target_identities=400)
+
+
+def _ranking_peak(args):
+    """tracemalloc's peak over one _rank_queries call, after a warm-up."""
+    _rank_queries(*args)
+    tracemalloc.start()
+    try:
+        _rank_queries(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _positives_per_query(q_ids, q_cams, g_ids, g_cams):
+    """Per query: the gallery items of its identity on another camera."""
+    same = np.asarray(q_ids)[:, None] == np.asarray(g_ids)[None, :]
+    other = np.asarray(q_cams)[:, None] != np.asarray(g_cams)[None, :]
+    return (same & other).sum(axis=1)
 
 
 class TestAgainstOracle:
@@ -299,17 +329,99 @@ class TestAgainstOracle:
 
     def test_peak_stays_below_four_block_arrays(self, refresh_target):
         # beside its inputs, the ranking holds a few (_BLOCK x gallery)
-        # float arrays at once: the keys and their sorted copy, not a
+        # arrays' worth at once: the block's keys, the boolean buffer of
+        # _PER_PASS thresholds per query and the negated gallery, not a
         # query-by-gallery matrix or full-width boolean masks
         args = refresh_target[2]
-        _rank_queries(*args)
-        tracemalloc.start()
-        try:
-            _rank_queries(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * _BLOCK * len(args[4]) * 8
+        assert _ranking_peak(args) < 4 * _BLOCK * len(args[4]) * 8
+
+    def test_eighteen_positives_per_query(self):
+        # 7 samples per identity and camera over 4 cameras: 18 positives
+        # per query, so each count takes three passes of _PER_PASS
+        # thresholds; the report matches the oracle, and the boolean buffer
+        # keeps the peak under the same bound as at 6 positives
+        params, target, args = _generated_target(
+            n_target_identities=100, target_samples_per_id_per_cam=7)
+        assert set(_positives_per_query(*args[1:3], *args[4:])) == {18}
+        report = evaluate(params, target)
+        first, ap = reference_rankings(*args)
+        for k in (1, 5, 10):
+            assert report[f"rank{k}"] == np.mean(first <= k)
+        assert abs(report["mAP"] - np.mean(ap)) <= 1e-12
+        assert _ranking_peak(args) < 4 * _BLOCK * len(args[4]) * 8
+
+    def test_many_positives_per_query(self):
+        # two identities over up to 130 gallery items: up to about 40
+        # positives per query, so the thresholds span several passes of
+        # _PER_PASS; half the instances score from integer directions, so
+        # that many keys tie exactly
+        rng = substream(2, "positives")
+        checked, most = 0, 0
+        for _ in range(30):
+            nq = int(rng.integers(1, 2 * _BLOCK + 2))
+            ng = int(rng.integers(40, 130))
+            n_cams = int(rng.integers(2, 4))
+            if rng.random() < 0.5:
+                dirs = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), 3))
+                q = rng.integers(-2, 3, size=(nq, 3)).astype(np.float64)
+                g = dirs[rng.integers(len(dirs), size=ng)].astype(np.float64)
+            else:
+                q = normalize_rows(rng.standard_normal((nq, 3)))
+                g = normalize_rows(rng.standard_normal((ng, 3)))
+            args = (q, rng.integers(2, size=nq), rng.integers(n_cams, size=nq),
+                    g, rng.integers(2, size=ng), rng.integers(n_cams, size=ng))
+            try:
+                reference = reference_rankings(*args)
+            except NoValidPositiveError:
+                continue
+            _assert_matches(args, reference)
+            most = max(most, _positives_per_query(*args[1:3], *args[4:]).max())
+            checked += 1
+        assert checked >= 25 and most >= 4 * _PER_PASS
+
+    def test_unequal_positives_in_one_block(self):
+        # query r holds r + 1 positives, so each row of a block's
+        # thresholds ends at its own column and the rest is padding, and a
+        # pass compares rows whose thresholds have run out beside rows that
+        # still hold some; each identity also has two items on its query's
+        # camera (masked), and the scores are exact integers with many ties
+        rng = substream(3, "padding")
+        nq = _BLOCK + 5
+        cams = [np.repeat([0, 1], [2, r + 1]) for r in range(nq)]
+        g_ids = np.concatenate([np.full(len(c), r) for r, c in enumerate(cams)]
+                               + [np.full(40, nq)])
+        g_cams = np.concatenate(cams + [np.ones(40, dtype=np.int64)])
+        perm = rng.permutation(len(g_ids))
+        g_ids, g_cams = g_ids[perm], g_cams[perm]
+        g = rng.integers(-3, 4, size=(len(g_ids), 4)).astype(np.float64)
+        q = rng.integers(-3, 4, size=(nq, 4)).astype(np.float64)
+        args = (q, np.arange(nq), np.zeros(nq, dtype=np.int64),
+                g, g_ids, g_cams)
+        assert np.array_equal(_positives_per_query(*args[1:3], *args[4:]),
+                              np.arange(1, nq + 1))
+        _assert_matches(args, reference_rankings(*args))
+
+    def test_duplicated_rows_across_the_block_boundary(self):
+        # the queries on either side of the first block boundary are one
+        # row with one identity and camera, and each gallery row appears
+        # three times in scattered places: every positive's key recurs, and
+        # both blocks must settle the ties by gallery index alike
+        rng = substream(4, "duplicates")
+        nq = 2 * _BLOCK
+        base = rng.integers(-3, 4, size=(40, 4)).astype(np.float64)
+        perm = rng.permutation(3 * len(base))
+        g = np.tile(base, (3, 1))[perm]
+        g_ids = np.tile(rng.integers(3, size=len(base)), 3)[perm]
+        g_cams = rng.integers(3, size=len(g_ids))
+        q = rng.integers(-3, 4, size=(nq, 4)).astype(np.float64)
+        q_ids = rng.integers(3, size=nq)
+        q_cams = rng.integers(3, size=nq)
+        edge = slice(_BLOCK - 3, _BLOCK + 3)
+        q[edge], q_ids[edge], q_cams[edge] = q[_BLOCK], q_ids[_BLOCK], 0
+        args = (q, q_ids, q_cams, g, g_ids, g_cams)
+        first, ap = _assert_matches(args, reference_rankings(*args))
+        assert len(set(first[edge])) == 1
+        assert len(set(ap[edge])) == 1
 
 
 def _pool(clusters, order=None):
@@ -452,3 +564,17 @@ class TestProtocol:
             write_report(path, {"mAP": 0.7, "extra": object()})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_time_evaluate_script():
+    # the timing script that sizes the ranking, on a small target: 6
+    # identities over 4 cameras with 4 samples per identity and camera
+    script = Path(__file__).resolve().parents[1] / "scripts" / "time_evaluate.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(remix.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script), "--identities", "6",
+                          "--per-cam", "4", "--reps", "3"], env=env,
+                         capture_output=True, text=True, check=True)
+    doc = json.loads(out.stdout)
+    assert (doc["n_query"], doc["n_gallery"], doc["positives_per_query"],
+            doc["reps"]) == (24, 72, 9, 3)
+    assert 0 < doc["q1_s"] <= doc["median_s"] <= doc["q3_s"]
