@@ -1,6 +1,6 @@
 """Datasets, synthetic generator with hidden ground truth, augmentation,
-and the two-source PK mini-batch sampler, which draws an epoch's batches
-at once and gathers one per iteration.
+an epoch's one row space (LabelGroups.then) and the two-source PK sampler,
+which draws an epoch's batches from it at once and gathers one per batch.
 
 The generator stands in for real re-identification data: each identity is
 a latent unit prototype, each camera (or video) applies a random affine
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,11 +41,15 @@ class PersonSample:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.source == MULTI:
-            if self.identity is None or self.camera is None:
-                raise InvalidConfigError("multi-camera sample needs identity and camera")
+            if self.identity is None or self.camera is None \
+                    or self.video_id is not None:
+                raise InvalidConfigError("multi-camera sample needs identity "
+                                         "and camera, and no video_id")
         elif self.source == SINGLE:
-            if self.video_id is None or self.camera is not None:
-                raise InvalidConfigError("single-camera sample needs video_id and no camera")
+            if self.video_id is None or self.camera is not None \
+                    or self.identity is not None:
+                raise InvalidConfigError("single-camera sample needs "
+                                         "video_id, and no identity or camera")
         else:
             raise InvalidConfigError(f"unknown source {self.source!r}")
 
@@ -54,18 +58,16 @@ class PersonSample:
 class MultiCamDataset:
     samples: list[PersonSample]
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[PersonSample]) -> "MultiCamDataset":
+    def __post_init__(self):
         ids: dict[int, int] = {}
         cams: set[int] = set()
-        for s in samples:
+        for s in self.samples:
             ids[s.identity] = ids.get(s.identity, 0) + 1
             cams.add(s.camera)
         if any(count < 2 for count in ids.values()):
             raise InvalidConfigError("every identity must appear in >= 2 samples")
         if set(ids) != set(range(len(ids))) or cams != set(range(len(cams))):
             raise InvalidConfigError("identity and camera ids must be dense from 0")
-        return cls(list(samples))
 
     def grouped(self) -> "LabelGroups":
         """The samples' features and cameras as arrays, rows grouped by
@@ -120,6 +122,14 @@ class LabelGroups:
     def labels(self) -> np.ndarray:
         """(N,) label of each row."""
         return np.repeat(np.arange(self.n_labels), np.diff(self.start))
+
+    def then(self, other: "LabelGroups") -> "LabelGroups":
+        """These rows, then other's, its labels numbered after these: the
+        one place where a second source's labels get their offset."""
+        return LabelGroups(np.concatenate([self.features, other.features]),
+                           np.concatenate([self.start,
+                                           self.start[-1] + other.start[1:]]),
+                           np.concatenate([self.cameras, other.cameras]))
 
 
 @dataclass
@@ -237,7 +247,7 @@ def _multicam(protos, cams, per, hidden_base, rng, sigma_frame) -> MultiCamDatas
     from 0 in (identity, camera) order, hidden identity hidden_base + y."""
     views = _views(np.array(protos), cams, per, rng, sigma_frame)
     n = len(cams) * per
-    return MultiCamDataset.from_samples(
+    return MultiCamDataset(
         [PersonSample(sid, v, sid // n, sid % n // per, MULTI, None,
                       hidden_base + sid // n)
          for sid, v in enumerate(views)])
@@ -349,65 +359,61 @@ def _distinct(size: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EpochDraws:
-    """An epoch of PK batches as indices, no features: batch it gathers
-    rows[s][it] of each sources[s].features in turn, multi-camera first,
-    and row it of labels and cameras holds its other fields. A row is
-    multi-camera iff its camera is >= 0."""
-    sources: list[LabelGroups]
-    rows: list[np.ndarray]  # per source, (iters, P * K)
-    labels: np.ndarray  # (iters, B) identity, or identities + pseudo label
+    """An epoch of PK batches as indices into one row space, no features:
+    batch it is groups.features[rows[it]], multi-camera rows first, and
+    labels[it] and cameras[it] are those rows' labels and cameras."""
+    groups: LabelGroups
+    rows: np.ndarray  # (iters, B) rows of groups
+    labels: np.ndarray  # (iters, B)
     cameras: np.ndarray  # (iters, B) camera, -1 for single-camera rows
 
 
 def draw_epoch(
-    multi: LabelGroups,
-    single: LabelGroups | None,
+    groups: LabelGroups,
     sizes: tuple[int, int, int, int],
     iters: int,
     rng: np.random.Generator,
 ) -> EpochDraws:
-    """`iters` batches of PK sampling from both sources, drawn at once:
-    sizes = (N_P^m, N_K^m, N_P^s, N_K^s). A batch takes N_P distinct labels
-    of a source, the N_P smallest of one uniform draw per label, so every
-    N_P-subset is equally likely. An identity gives N_K^m rows in
-    camera-diverse order (`_camera_diverse`). A pseudo label gives N_K^s
-    rows drawn without replacement when it has that many, with replacement
-    otherwise, and is labelled multi.n_labels + its label. A source that is
-    None or has N_P = 0 is not sampled."""
+    """`iters` batches of PK sampling from both sources of one row space,
+    drawn at once: sizes = (N_P^m, N_K^m, N_P^s, N_K^s). Labels whose rows
+    have camera >= 0 are identities and come first, the rest pseudo labels.
+    A batch takes N_P distinct labels of a source, the N_P smallest of one
+    uniform draw per label, so every N_P-subset is equally likely. An
+    identity gives N_K^m rows in camera-diverse order (`_camera_diverse`).
+    A pseudo label gives N_K^s rows drawn without replacement when it has
+    that many, with replacement otherwise. A source of N_P = 0 is skipped."""
     np_m, nk_m, np_s, nk_s = sizes
-    parts = []  # (source, (iters, P * K) rows, their labels)
-    for src, n_p, n_k in ((multi, np_m, nk_m), (single, np_s, nk_s)):
-        if src is None or n_p == 0:
+    n_m = int(np.count_nonzero(groups.cameras[groups.start[:-1]] >= 0))
+    parts = []  # per source, (iters, P * K) rows
+    for multi, start, n_p, n_k in ((True, groups.start[:n_m + 1], np_m, nk_m),
+                                   (False, groups.start[n_m:], np_s, nk_s)):
+        n_labels = len(start) - 1
+        if n_p == 0:
             continue
-        if src.n_labels < n_p:
+        if n_labels < n_p:
             raise InsufficientLabelsError(
-                f"need {n_p} {'multi-camera' if src is multi else 'pseudo'} "
-                f"labels, have {src.n_labels}")
-        picked = np.argpartition(rng.random((iters, src.n_labels)), n_p - 1,
-                                 axis=1)[:, :n_p]
-        lo = src.start[picked.ravel()]
-        size = src.start[picked.ravel() + 1] - lo
-        if src is multi:
-            rows = _camera_diverse(src, lo, size, n_k, rng)
+                f"need {n_p} {'multi-camera' if multi else 'pseudo'} labels, "
+                f"have {n_labels}")
+        picked = np.argpartition(rng.random((iters, n_labels)), n_p - 1,
+                                 axis=1)[:, :n_p].ravel()
+        lo = start[picked]
+        size = start[picked + 1] - lo
+        if multi:
+            rows = _camera_diverse(groups, lo, size, n_k, rng)
         else:
             r = rng.random((iters * n_p, n_k))
             rows = lo[:, None] + np.where(size[:, None] >= n_k,
                                           _distinct(size, r),
                                           (r * size[:, None]).astype(np.int64))
-            picked = multi.n_labels + picked
-        parts.append((src, rows.reshape(iters, -1),
-                      np.repeat(picked, n_k, axis=1)))
-    return EpochDraws(
-        [src for src, _, _ in parts], [r for _, r, _ in parts],
-        np.hstack([y for _, _, y in parts]),
-        np.hstack([src.cameras[r] for src, r, _ in parts]))
+        parts.append(rows.reshape(iters, -1))
+    rows = np.hstack(parts)
+    return EpochDraws(groups, rows, groups.labels()[rows], groups.cameras[rows])
 
 
 def compose_batch(draws: EpochDraws, it: int) -> np.ndarray:
     """The (B, D) features of batch `it` of an epoch's draws, its rows
     gathered; its labels and cameras are row `it` of the draws'."""
-    return np.concatenate([src.features[r[it]]
-                           for src, r in zip(draws.sources, draws.rows)])
+    return draws.groups.features[draws.rows[it]]
 
 
 # --- line-delimited dataset files -----------------------------------------
@@ -506,7 +512,7 @@ def load_multicam(path) -> MultiCamDataset:
     dense from 0, raise VersionMismatchError naming the file."""
     samples = _samples_of(path, MULTI)
     try:
-        return MultiCamDataset.from_samples(samples)
+        return MultiCamDataset(samples)
     except InvalidConfigError as exc:
         raise VersionMismatchError(f"malformed dataset {path}: {exc}") from exc
 

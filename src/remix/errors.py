@@ -14,7 +14,7 @@ class DimensionMismatchError(RemixError):
 
 
 class EmptyPoolError(RemixError):
-    """A softmax pool, cluster pool, sample pool or query set was empty."""
+    """No queries to rank, or no clusters to score purity over."""
 
 
 class NonFiniteEvaluationError(RemixError):

@@ -91,9 +91,8 @@ def run_epoch(state: TrainState, multi: LabelGroups,
 
     # epoch-start: pseudo-label the corpus, momentum-embed all multi data,
     # rebuild the centroid bank over both
-    pool = single = None
+    groups, pool = multi, None
     embs, _ = enc.forward_batch(state.momentum, multi.features)
-    labels, cams = multi.labels(), multi.cameras
     if t.uses_corpus:
         # by default a cap of one epoch's single-camera slots, and at least
         # a batch's labels; a smaller corpus is labelled whole, once
@@ -102,15 +101,14 @@ def run_epoch(state: TrainState, multi: LabelGroups,
         pool = pseudo_label_epoch(corpus, state.momentum, DBSCAN_EPS,
                                   DBSCAN_MIN_PTS, budget, state.videos,
                                   t.n_p_single)
-        single = pool.frames
+        groups = multi.then(pool.frames)
         embs = np.concatenate([embs, pool.embeddings])
-        labels = np.concatenate([labels, multi.n_labels + single.labels()])
-        cams = np.concatenate([cams, single.cameras])
-    bank = build_centroids(embs, labels, cams)
+    bank = build_centroids(embs, groups.labels(), groups.cameras)
 
     lr = enc.effective_lr(LR, WARMUP_EPOCHS, state.epoch)
-    sizes = (t.n_p_multi, t.n_k_multi, t.n_p_single, t.n_k_single)
-    draws = draw_epoch(multi, single, sizes, t.iters_per_epoch, state.sampler)
+    sizes = (t.n_p_multi, t.n_k_multi,
+             t.n_p_single if t.uses_corpus else 0, t.n_k_single)
+    draws = draw_epoch(groups, sizes, t.iters_per_epoch, state.sampler)
     sums = dict.fromkeys(["total", *TERMS], 0.0)
     for it in range(t.iters_per_epoch):
         features = compose_batch(draws, it)

@@ -340,7 +340,7 @@ def reference_synth_generate(cfg, seed):
                     samples.append(PersonSample(
                         len(samples), styled(proto, a, b), y, c, MULTI, None,
                         hidden_base + y))
-        return MultiCamDataset.from_samples(samples)
+        return MultiCamDataset(samples)
 
     q, _ = np.linalg.qr(rng.standard_normal((d, cfg.multi_subspace_dim)))
     protos = [normalize(q @ rng.standard_normal(cfg.multi_subspace_dim))

@@ -214,7 +214,7 @@ def test_criterion_7_batch_composition(capsys):
     rng = substream(0, "sampler")
     violations = 0
     # one epoch of 10,000 batches, drawn at once and gathered one by one
-    draws = draw_epoch(multi.grouped(), pool, (8, 4, 8, 4), 10_000, rng)
+    draws = draw_epoch(multi.grouped().then(pool), (8, 4, 8, 4), 10_000, rng)
     for it in range(10_000):
         features = compose_batch(draws, it)
         batch_labels, is_multi = draws.labels[it], draws.cameras[it] >= 0
@@ -230,14 +230,14 @@ def test_criterion_7_batch_composition(capsys):
     # camera-diversity rule on a constructed fixture: with 4 cameras on
     # offer and 4 slots, every pick must use a distinct camera
     from remix.datamodel import MultiCamDataset, PersonSample
-    fixture = MultiCamDataset.from_samples([
+    fixture = MultiCamDataset([
         PersonSample(s, np.ones(4), y, c, MULTI, None, y)
         for s, (y, c) in enumerate((y, c) for y in range(8)
                                    for c in range(4) for _ in range(2))
     ]).grouped()
     diverse_ok = True
     for trial in range(50):
-        draws = draw_epoch(fixture, None, (8, 4, 0, 0), 1,
+        draws = draw_epoch(fixture, (8, 4, 0, 0), 1,
                            substream(trial, "sampler"))
         labels, cameras = draws.labels[0], draws.cameras[0]
         for y in set(labels.tolist()):

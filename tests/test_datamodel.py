@@ -67,23 +67,35 @@ class TestPersonSample:
 class TestMultiCamDataset:
     def test_identity_needs_two_samples(self):
         with pytest.raises(InvalidConfigError):
-            MultiCamDataset.from_samples([_ms(0, 0, 0), _ms(1, 0, 1),
-                                          _ms(2, 1, 0)])
+            MultiCamDataset([_ms(0, 0, 0), _ms(1, 0, 1), _ms(2, 1, 0)])
 
     def test_ids_must_be_dense(self):
         samples = [_ms(0, 0, 0), _ms(1, 0, 1), _ms(2, 5, 0), _ms(3, 5, 1)]
         with pytest.raises(InvalidConfigError):
-            MultiCamDataset.from_samples(samples)
+            MultiCamDataset(samples)
 
     def test_grouped(self):
         samples = [_ms(0, 1, 0), _ms(1, 0, 1), _ms(2, 1, 1), _ms(3, 0, 0)]
         for s in samples:
             s.features = np.full(4, float(s.sample_id))
-        rows = MultiCamDataset.from_samples(samples).grouped()
+        rows = MultiCamDataset(samples).grouped()
         assert rows.start.tolist() == [0, 2, 4]
         assert rows.features[:, 0].tolist() == [1, 3, 0, 2]  # stable
         assert rows.cameras.tolist() == [1, 0, 0, 1]
         assert rows.labels().tolist() == [0, 0, 1, 1]
+
+
+def test_then_numbers_the_other_labels_after_these():
+    a = LabelGroups(np.arange(100.0, 106.0)[:, None].repeat(4, axis=1),
+                    np.array([0, 2, 5, 6]), np.array([0, 1, 1, 0, 2, 0]))
+    b = _pool([2, 1, 3])
+    ab = a.then(b)
+    assert ab.features[:, 0].tolist() == [100, 101, 102, 103, 104, 105,
+                                          0, 1, 2, 3, 4, 5]
+    assert ab.start.tolist() == [0, 2, 5, 6, 8, 9, 12]
+    assert ab.cameras.tolist() == [0, 1, 1, 0, 2, 0] + [-1] * 6
+    assert np.array_equal(ab.labels(), np.concatenate(
+        [a.labels(), a.n_labels + b.labels()]))
 
 
 def test_corpus_videos_must_be_non_empty():
@@ -213,7 +225,7 @@ def _toy_multi(n_ids=10, n_cams=4, per=2):
             for _ in range(per):
                 samples.append(_ms(sid, y, c))
                 sid += 1
-    return MultiCamDataset.from_samples(samples).grouped()
+    return MultiCamDataset(samples).grouped()
 
 
 def _pool(sizes):
@@ -227,10 +239,10 @@ NO_MULTI = LabelGroups(np.zeros((0, 4)), np.zeros(1, dtype=np.int64),
                        np.zeros(0, dtype=np.int64))
 
 
-def _batches(multi, single, sizes, iters, rng):
+def _batches(groups, sizes, iters, rng):
     """The epoch's batches, drawn at once and gathered one by one: per
     batch its features, then its labels and cameras from the draws."""
-    draws = draw_epoch(multi, single, sizes, iters, rng)
+    draws = draw_epoch(groups, sizes, iters, rng)
     return [(compose_batch(draws, it), draws.labels[it], draws.cameras[it])
             for it in range(iters)]
 
@@ -239,7 +251,8 @@ class TestComposeBatch:
     def test_sizes_and_order(self):
         multi = _toy_multi()
         (features, labels, cameras), = _batches(
-            multi, _pool([5] * 9), (8, 4, 8, 4), 1, substream(0, "sampler"))
+            multi.then(_pool([5] * 9)), (8, 4, 8, 4), 1,
+            substream(0, "sampler"))
         assert features.shape == (64, 4)
         assert (cameras >= 0).tolist() == [True] * 32 + [False] * 32
         assert len(set(labels[:32])) == 8
@@ -248,40 +261,55 @@ class TestComposeBatch:
         assert np.all(cameras[32:] == -1)
 
     def test_draws_hold_indices_not_features(self):
-        multi, single = _toy_multi(), _pool([5] * 9)
-        draws = draw_epoch(multi, single, (8, 4, 8, 4), 7,
-                           substream(0, "sampler"))
-        assert draws.sources[0] is multi and draws.sources[1] is single
-        assert [r.shape for r in draws.rows] == [(7, 32), (7, 32)]
+        multi = _toy_multi()
+        groups = multi.then(_pool([5] * 9))
+        draws = draw_epoch(groups, (8, 4, 8, 4), 7, substream(0, "sampler"))
+        assert draws.groups is groups
+        assert draws.rows.shape == (7, 64)
         assert all(a.dtype.kind == "i" for a in
-                   (*draws.rows, draws.labels, draws.cameras))
+                   (draws.rows, draws.labels, draws.cameras))
         assert draws.labels.shape == draws.cameras.shape == (7, 64)
-        # no corpus, or no pseudo label per batch: one source
-        for single, sizes in ((None, (8, 4, 8, 4)), (_pool([5]), (8, 4, 0, 4))):
-            draws = draw_epoch(multi, single, sizes, 7, substream(0, "sampler"))
-            assert len(draws.sources) == 1 and draws.sources[0] is multi
+        # no corpus, or no pseudo label per batch: multi-camera rows only
+        for groups in (multi, multi.then(_pool([5]))):
+            draws = draw_epoch(groups, (8, 4, 0, 4), 7,
+                               substream(0, "sampler"))
+            assert draws.groups is groups and draws.rows.shape == (7, 32)
             assert (draws.cameras >= 0).all()
+
+    @pytest.mark.parametrize("groups, sizes", [
+        (NO_MULTI.then(_pool([1, 3, 5, 2])), (0, 4, 3, 2)),
+        (_toy_multi(n_ids=5), (3, 4, 0, 2)),
+        (_toy_multi(n_ids=5).then(_pool([1, 3, 5, 2])), (3, 4, 3, 2)),
+    ], ids=["no-identities", "no-pseudo-labels", "both"])
+    def test_draws_read_the_row_space(self, groups, sizes):
+        draws = draw_epoch(groups, sizes, 20, substream(0, "sampler"))
+        n_multi = sizes[0] * sizes[1]
+        assert draws.rows.shape == (20, n_multi + sizes[2] * sizes[3])
+        assert np.array_equal(draws.labels, groups.labels()[draws.rows])
+        assert np.array_equal(draws.cameras, groups.cameras[draws.rows])
+        assert (draws.cameras[:, :n_multi] >= 0).all()
+        assert (draws.cameras[:, n_multi:] < 0).all()
 
     def test_camera_diversity(self):
         # 4 cameras available and 4 slots: all four cameras must appear
         multi = _toy_multi(n_ids=8, n_cams=4, per=3)
-        for _, labels, cameras in _batches(multi, None, (8, 4, 0, 0), 20,
+        for _, labels, cameras in _batches(multi, (8, 4, 0, 0), 20,
                                            substream(3, "sampler")):
             for y in set(labels.tolist()):
                 assert sorted(cameras[labels == y]) == [0, 1, 2, 3]
 
     def test_small_cluster_sampled_with_replacement(self):
         multi = _toy_multi(n_ids=8)
-        (_, _, cameras), = _batches(multi, _pool([1] * 8), (8, 4, 8, 4), 1,
-                                    substream(1, "sampler"))
+        (_, _, cameras), = _batches(multi.then(_pool([1] * 8)), (8, 4, 8, 4),
+                                    1, substream(1, "sampler"))
         assert np.count_nonzero(cameras < 0) == 32  # singleton clusters repeat
 
     def test_insufficient_labels(self):
         multi = _toy_multi(n_ids=4)
         with pytest.raises(InsufficientLabelsError, match="8 multi-camera"):
-            draw_epoch(multi, None, (8, 4, 0, 0), 5, substream(0, "sampler"))
+            draw_epoch(multi, (8, 4, 0, 0), 5, substream(0, "sampler"))
         with pytest.raises(InsufficientLabelsError, match="8 pseudo"):
-            draw_epoch(multi, _pool([3]), (4, 4, 8, 4), 5,
+            draw_epoch(multi.then(_pool([3])), (4, 4, 8, 4), 5,
                        substream(0, "sampler"))
 
     @settings(deadline=None, max_examples=200)
@@ -297,8 +325,8 @@ class TestComposeBatch:
         cams = rng.permutation(np.repeat(np.arange(len(per_cam)), per_cam))
         rows = LabelGroups(np.arange(n, dtype=float)[:, None],
                            np.array([0, n]), cams)
-        for features, _, cameras in _batches(rows, None, (1, n_k, 0, 0),
-                                             iters, rng):
+        for features, _, cameras in _batches(rows, (1, n_k, 0, 0), iters,
+                                             rng):
             picked = features[:, 0].astype(int)
             assert len(picked) == n_k
             assert np.array_equal(cameras, cams[picked])
@@ -315,7 +343,7 @@ class TestComposeBatch:
     def test_pseudo_label_fills_its_slots(self, sizes, n_k, iters, seed):
         single = _pool(sizes)
         for features, labels, cameras in _batches(
-                NO_MULTI, single, (0, 1, len(sizes), n_k), iters,
+                NO_MULTI.then(single), (0, 1, len(sizes), n_k), iters,
                 np.random.default_rng(seed)):
             assert not (cameras >= 0).any()
             for pl, size in enumerate(sizes):
@@ -330,12 +358,12 @@ class TestComposeBatch:
         # 5 labels per source, 2 per batch, over 200 epochs of 50 batches:
         # each label's picks and each of the 10 label pairs' counts pass a
         # chi-square test at p = 0.001 (df 4: 18.47, df 9: 27.88)
-        multi = _toy_multi(n_ids=5, n_cams=2, per=2)
-        single = _pool([1, 2, 3, 4, 5])
+        groups = _toy_multi(n_ids=5, n_cams=2, per=2).then(
+            _pool([1, 2, 3, 4, 5]))
         rng = substream(0, "sampler")
         labels, pairs = np.zeros((2, 5)), np.zeros((2, 5, 5))
         for _ in range(200):
-            draws = draw_epoch(multi, single, (2, 3, 2, 3), 50, rng)
+            draws = draw_epoch(groups, (2, 3, 2, 3), 50, rng)
             for s in range(2):
                 y = draws.labels[:, 6 * s:6 * s + 6]
                 # P distinct labels of K rows each
@@ -361,9 +389,8 @@ class TestComposeBatch:
         cams = np.array([0, 1, 2, 0, 1, 0])
         rows = LabelGroups(np.arange(6, dtype=float)[:, None],
                            np.array([0, 6]), cams)
-        draws = draw_epoch(rows, None, (1, 1, 0, 0), 10_000,
-                           substream(0, "sampler"))
-        counts = np.bincount(draws.rows[0].ravel(), minlength=6)
+        draws = draw_epoch(rows, (1, 1, 0, 0), 10_000, substream(0, "sampler"))
+        counts = np.bincount(draws.rows.ravel(), minlength=6)
         expected = 10_000 / 3 / np.bincount(cams)[cams]
         assert ((counts - expected) ** 2 / expected).sum() < 20.52
 
@@ -510,6 +537,9 @@ BROKEN_RECORD = {
     "float-video-id": lambda r: r.update(video_id=1.5),
     "null-hidden-identity": lambda r: r.update(hidden_identity=None),
     "boolean-hidden-identity": lambda r: r.update(hidden_identity=False),
+    "multi-with-video-id": lambda r: r.update(video_id=7),
+    "corpus-with-identity": lambda r: r.update(source=SINGLE, camera=None,
+                                               video_id=0, identity=3),
 }
 
 

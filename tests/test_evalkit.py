@@ -485,7 +485,7 @@ class TestProtocol:
         # group's first record is often not its lowest sample_id
         samples = _target().samples
         perm = np.random.default_rng(0).permutation(len(samples))
-        target = MultiCamDataset.from_samples([samples[k] for k in perm])
+        target = MultiCamDataset([samples[k] for k in perm])
         lowest = {}
         for i, s in enumerate(target.samples):
             key, rec = (s.identity, s.camera), (s.sample_id, i)
@@ -521,7 +521,7 @@ class TestProtocol:
     def test_empty_target(self):
         params = enc.init_params(8, [8], 4, substream(0, "init"))
         with pytest.raises(EmptyPoolError, match="^no queries to rank$"):
-            evaluate(params, MultiCamDataset.from_samples([]))
+            evaluate(params, MultiCamDataset([]))
 
     def test_one_embedding_call_per_evaluation(self, monkeypatch):
         # the benchmark times and traces evaluation at this call site

@@ -103,7 +103,7 @@ def test_empty_multicam_set_is_rejected_before_the_first_epoch(
     _, corpus, _ = data_for(cfg)
     monkeypatch.setattr(trainer, "run_epoch", None)  # never reached
     with pytest.raises(InsufficientLabelsError, match="multi-camera"):
-        trainer.train(MultiCamDataset.from_samples([]), corpus, cfg,
+        trainer.train(MultiCamDataset([]), corpus, cfg,
                       checkpoint_path=tmp_path / "c.json",
                       metrics_path=tmp_path / "m.jsonl")
     assert list(tmp_path.iterdir()) == []
