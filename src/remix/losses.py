@@ -71,6 +71,11 @@ class BatchView:
                 a.shape != (b,) for a in (self.labels, self.cameras)):
             raise DimensionMismatchError("f, m, labels and cameras must "
                                          "agree in batch size")
+        if self.labels.min(initial=0) < 0:
+            raise UnresolvedLabelError(f"label {self.labels.min()} is negative")
+        if self.cameras.min(initial=-1) < -1:
+            raise DimensionMismatchError(f"camera {self.cameras.min()} is "
+                                         "neither -1 nor >= 0")
         if np.any(self.multi[1:] > self.multi[:-1]):
             raise DimensionMismatchError("multi samples must precede single samples")
         seen = np.zeros((2, int(self.labels.max(initial=-1)) + 1), dtype=bool)
@@ -156,18 +161,20 @@ def _contrastive(
     at least one positive, and is exactly zero when there are none or when
     no pool holds more than its own positive.
     """
-    z = (f @ proxies.T) / tau[:, None]
-    top = np.max(z, axis=1, where=neg, initial=-np.inf)
+    z = f @ proxies.T
+    z /= tau[:, None]
+    top = np.where(neg, z, -np.inf).max(axis=1, initial=-np.inf)
     shift = np.where(np.isfinite(top), top, 0.0)  # no -inf - -inf on empty rows
     # z - shift <= 0 on the negatives; the clip keeps exp finite (and off
     # numpy's slow path for -inf) on the entries the mask then zeroes
-    e = np.exp(np.minimum(z - shift[:, None], 0.0)) * neg
+    e = z - shift[:, None]  # one buffer: exp, then dL/dz
+    np.exp(np.minimum(e, 0.0, out=e), out=e)
+    e *= neg
     s = e.sum(axis=1)
     with np.errstate(divide="ignore"):
         lse_neg = shift + np.log(s)  # -inf where a row has no negative
-    # only the positives carry weight: work there (at flat indices k, rows
-    # i), and scatter into zero matrices so every reduction adds the same
-    # terms in the same order
+    # only the positives carry weight: work on their own vectors (at flat
+    # indices k, rows i), and sum those
     k = np.flatnonzero(pos)
     i = k // pos.shape[1]
     n_pos = np.bincount(i, minlength=len(pos))
@@ -175,20 +182,17 @@ def _contrastive(
     n_anchors = max(int(np.count_nonzero(n_pos)), 1)
     z_p, lr, in_neg = z.ravel()[k], lse_neg[i], neg.ravel()[k]
     lse = np.where(in_neg, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
-    scatter = np.zeros_like(z)
-    np.put(scatter, k, w * (lse - z_p))
-    loss = float(np.sum(scatter)) / n_anchors
+    loss = float(np.sum(w * (lse - z_p))) / n_anchors
     # dL/dz: each pool's softmax weighted by w, less w at its positive. A
     # positive outside the negatives gets -w times the negatives' share
     # of its pool, not w * (softmax - 1), which cancels when the positive
     # dominates; inside them, the share is 1
     share = w * np.exp(lr - lse)
-    np.put(scatter, k, share)
-    c = np.sum(scatter, axis=1, keepdims=True)
-    d_z = e / np.where(s > 0.0, s, 1.0)[:, None] * c
-    d = d_z.ravel()  # a view
-    d[k] = d[k] - share
-    return loss, (d_z / tau[:, None]) @ proxies / n_anchors
+    c = np.bincount(i, share, minlength=len(pos))
+    e *= (c / np.where(s > 0.0, s, 1.0))[:, None]
+    e.ravel()[k] -= share  # ravel is a view of e
+    e /= (tau * n_anchors)[:, None]
+    return loss, e @ proxies
 
 
 def instance_loss(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -76,6 +77,18 @@ class TestBatchView:
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
             BatchView(f, f, [0, 0], np.array([0, -1]))
+
+    def test_negative_label_rejected(self):
+        # a label of -1 would index the last column of the per-source
+        # table, and its anchor would fall out of the batch's labels
+        f = np.eye(3)
+        with pytest.raises(UnresolvedLabelError, match="-1"):
+            BatchView(f, f, [0, 0, -1], [0, 1, 2])
+
+    def test_camera_below_minus_one_rejected(self):
+        f = np.eye(3)
+        with pytest.raises(DimensionMismatchError, match="-2"):
+            BatchView(f, f, [0, 0, 1], [0, 1, -2])
 
     def test_codes_number_distinct_labels(self):
         f = np.eye(4)
@@ -211,6 +224,16 @@ def oracle_pairs(view, bank, tau_scale=1.0):
     ]
 
 
+def assert_matches_loops(view, bank):
+    """Each loss and gradient within 1e-12 of the loops, at the module's
+    temperatures, with no overflow or invalid value on the way."""
+    with np.errstate(invalid="raise", over="raise"):
+        pairs = oracle_pairs(view, bank)
+    for (loss, grads), (want, want_grads) in pairs:
+        assert abs(loss - want) <= 1e-12
+        assert np.max(np.abs(grads - want_grads)) <= 1e-12
+
+
 def bank_with_absent_label(view, seed=10):
     """Bank over the batch's labels plus a multi label the batch lacks."""
     rng = substream(seed, "gradcheck")
@@ -219,6 +242,30 @@ def bank_with_absent_label(view, seed=10):
     cams = np.concatenate([view.cameras, [0, 1, 2]])
     m = normalize_rows(rng.standard_normal((len(labels), view.m.shape[1])))
     return build_centroids(m, labels, cams)
+
+
+def batch_shaped_view(seed, n_pseudo, dim=16):
+    """A batch at the trainer's default shape, with its bank: 8 of 20
+    identities x 4 rows, one per camera of 4, then n_pseudo of 30 pseudo
+    labels x 4 rows. The bank holds every identity (8 rows on random
+    cameras, so some camera centroids are missing) and, when the batch has
+    pseudo labels, all 30 of them (4 rows each)."""
+    rng = substream(seed, "gradcheck")
+    ids = np.sort(rng.choice(20, 8, replace=False))
+    pseudo = 20 + np.sort(rng.choice(30, n_pseudo, replace=False))
+    labels = np.concatenate([np.repeat(ids, 4), np.repeat(pseudo, 4)])
+    cameras = np.concatenate([rng.permutation(4) for _ in ids]
+                             + [np.full(4 * n_pseudo, -1)])
+    f = normalize_rows(rng.standard_normal((len(labels), dim)))
+    m = normalize_rows(rng.standard_normal((len(labels), dim)))
+    n_bank_pseudo = 30 if n_pseudo else 0
+    bank_labels = np.concatenate([np.repeat(np.arange(20), 8),
+                                  20 + np.repeat(np.arange(n_bank_pseudo), 4)])
+    bank_cams = np.concatenate([rng.integers(4, size=160),
+                                np.full(4 * n_bank_pseudo, -1)])
+    embs = normalize_rows(rng.standard_normal((len(bank_labels), dim)))
+    return (BatchView(f, m, labels, cameras),
+            build_centroids(embs, bank_labels, bank_cams))
 
 
 @st.composite
@@ -249,12 +296,38 @@ class TestKernelAgainstLoops:
     def test_loss_and_gradient(self, shape):
         for seed in range(10):
             view = random_view(seed, **shape)
-            bank = bank_with_absent_label(view, seed + 100)
-            with np.errstate(invalid="raise", over="raise"):
-                pairs = oracle_pairs(view, bank)
-            for (loss, grads), (want, want_grads) in pairs:
-                assert abs(loss - want) <= 1e-12
-                assert np.max(np.abs(grads - want_grads)) <= 1e-12
+            assert_matches_loops(view, bank_with_absent_label(view, seed + 100))
+
+    @pytest.mark.parametrize("n_pseudo", [8, 0], ids=["joint", "labeled_only"])
+    def test_batch_shape(self, n_pseudo):
+        # 64 rows (32 with labels only) against banks of 50 (20) labels: the
+        # shapes the trainer runs, beside the 12-row views above
+        for seed in range(5):
+            view, bank = batch_shaped_view(seed, n_pseudo)
+            assert view.size == 32 + 4 * n_pseudo
+            assert len(bank.label_centroids) > len(view.batch_labels)
+            assert_matches_loops(view, bank)
+
+    def test_peak_stays_below_three_matrices(self):
+        # beside its inputs, one call at (256, 256) holds two float
+        # matrices at a time: the logits and either the masked logits of
+        # the negatives' max or the one buffer that takes exp and then the
+        # gradient
+        rng = substream(0, "gradcheck")
+        b = p = 256
+        f = normalize_rows(rng.standard_normal((b, 16)))
+        proxies = normalize_rows(rng.standard_normal((p, 16)))
+        labels = np.arange(b) // 4
+        pos = labels[:, None] == labels[None, :]
+        args = (f, proxies, pos, ~pos, np.full(b, 0.1))
+        _contrastive(*args)
+        tracemalloc.start()
+        try:
+            _contrastive(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * b * p * 8
 
     def test_large_magnitudes(self):
         # tau = 1e-4 puts logits near 1e4: the max shift keeps every loss
