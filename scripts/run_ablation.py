@@ -26,7 +26,7 @@ def run_once(base: RunConfig, seed: int, use_single: bool):
     cfg = apply_overrides(base, [
         f"seed={seed}", f"train.use_single_cam={json.dumps(use_single)}"])
     multi, corpus, target = synth_generate(cfg.generator, seed)
-    state = train(multi, corpus if use_single else None, cfg)
+    state = train(multi, corpus if cfg.train.use_single_cam else None, cfg)
     report = evaluate(state.momentum, target)
     base_map = shuffled_label_baseline(state.momentum, target,
                                        substream(seed, "baseline"))

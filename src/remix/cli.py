@@ -68,7 +68,7 @@ def cmd_train(args) -> int:
     out = args.out
     multi = datamodel.load_multicam(_resolve(out, cfg.io.multicam_path))
     corpus = (datamodel.load_corpus(_resolve(out, cfg.io.corpus_path))
-              if cfg.train.uses_corpus else None)
+              if cfg.train.use_single_cam else None)
     state = trainer.train(multi, corpus, cfg,
                           checkpoint_path=_resolve(out, cfg.io.checkpoint_path),
                           metrics_path=_resolve(out, cfg.io.metrics_path))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -36,27 +37,21 @@ class TrainConfig:
     pseudo_label_budget: int | None = None
     checkpoint_every: int = 5
 
-    @property
-    def uses_corpus(self) -> bool:
-        """Whether a run samples pseudo-labelled corpus frames."""
-        return self.use_single_cam and self.n_p_single > 0
-
     def validate(self):
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 0:
+                raise InvalidConfigError(f"train.{f.name} must be >= 0")
         if self.iters_per_epoch < 1:
             raise InvalidConfigError("iters_per_epoch must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfigError("epochs must be >= 0")
-        if min(self.n_p_multi, self.n_k_multi, self.n_p_single, self.n_k_single) < 0:
-            raise InvalidConfigError("batch sizes must be >= 0")
-        if self.n_p_multi == 0 and not self.uses_corpus:
+        if self.n_p_multi == 0 and not self.use_single_cam:
             raise InvalidConfigError("a batch needs at least one sampled label")
-        if (self.n_p_multi > 0 and self.n_k_multi == 0) \
-                or (self.uses_corpus and self.n_k_single == 0):
+        if self.n_p_multi > 0 and self.n_k_multi == 0:
             raise InvalidConfigError("a sampled source needs n_k >= 1")
+        if self.use_single_cam and min(self.n_p_single, self.n_k_single) < 1:
+            raise InvalidConfigError("use_single_cam needs n_p_single >= 1 "
+                                     "and n_k_single >= 1")
         if self.pseudo_label_budget is not None and self.pseudo_label_budget <= 0:
             raise InvalidConfigError("pseudo_label_budget must be positive")
-        if self.checkpoint_every < 0:
-            raise InvalidConfigError("checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -88,23 +83,20 @@ class RunConfig:
         self.train.validate()
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
+        named = {}  # normalised path -> the key that names it
         for where in ("eval", "io"):  # each names a file to read or write
             for key, path in dataclasses.asdict(getattr(self, where)).items():
+                name, norm = f"{where}.{key}", os.path.normpath(path)
                 if not Path(path).name:
-                    raise InvalidConfigError(f"{where}.{key} names no file: {path!r}")
+                    raise InvalidConfigError(f"{name} names no file: {path!r}")
+                if norm in named:
+                    raise InvalidConfigError(
+                        f"{named[norm]} and {name} name one file: {path!r}")
+                named[norm] = name
         return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-_SECTIONS = {
-    "generator": GeneratorConfig,
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "eval": EvalConfig,
-    "io": IoConfig,
-}
 
 
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
@@ -140,15 +132,17 @@ def _build_section(cls, data: dict, where: str):
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise InvalidConfigError("config document must be an object")
-    unknown = set(doc) - set(_SECTIONS) - {"seed"}
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise InvalidConfigError(f"unknown top-level key(s): {sorted(unknown)}")
     kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = doc.get(name, {})
+    for f in fields(RunConfig):
+        if f.name == "seed":
+            continue
+        section = doc.get(f.name, {})
         if not isinstance(section, dict):
-            raise InvalidConfigError(f"section {name!r} must be an object")
-        kwargs[name] = _build_section(cls, section, name)
+            raise InvalidConfigError(f"section {f.name!r} must be an object")
+        kwargs[f.name] = _build_section(f.default_factory, section, f.name)
     seed = doc.get("seed", 0)
     if not _fits(seed, "int"):
         raise InvalidConfigError("seed must be an integer")

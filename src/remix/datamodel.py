@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -153,20 +153,10 @@ class GeneratorConfig:
     domain_shift: float = 1.5  # scales target style strength
 
     def validate(self) -> None:
-        counts = (
-            self.dim,
-            self.n_identities,
-            self.n_cameras,
-            self.samples_per_id_per_cam,
-            self.n_single_identities,
-            self.n_videos,
-            self.frames_per_identity,
-            self.n_target_identities,
-            self.n_target_cameras,
-            self.target_samples_per_id_per_cam,
-        )
-        if any(int(c) <= 0 for c in counts):
-            raise InvalidConfigError("generator counts must be positive")
+        for f in fields(self):  # counts from 1, scales from 0
+            low = 1 if f.type == "int" else 0
+            if getattr(self, f.name) < low:
+                raise InvalidConfigError(f"generator.{f.name} must be >= {low}")
         if self.samples_per_id_per_cam * self.n_cameras < 2:
             raise InvalidConfigError("each identity needs >= 2 samples")
         # a target query needs a gallery item of its identity on another
@@ -174,13 +164,8 @@ class GeneratorConfig:
         if min(self.n_target_cameras, self.target_samples_per_id_per_cam) < 2:
             raise InvalidConfigError("the target needs >= 2 cameras and >= 2 "
                                      "samples per identity per camera")
-        if min(self.sigma_cam, self.sigma_video, self.sigma_shift,
-               self.sigma_frame, self.domain_shift) < 0:
-            raise InvalidConfigError("noise scales must be >= 0")
-        if self.style_pool < 1:
-            raise InvalidConfigError("style_pool must be >= 1")
-        if not 1 <= self.multi_subspace_dim <= self.dim:
-            raise InvalidConfigError("multi_subspace_dim must be in [1, dim]")
+        if self.multi_subspace_dim > self.dim:
+            raise InvalidConfigError("multi_subspace_dim must be <= dim")
         # videos take ceil(n / v) identities each, in order; the last one
         # must still get one
         n, v = self.n_single_identities, self.n_videos

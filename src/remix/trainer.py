@@ -27,6 +27,7 @@ from .datamodel import (
     draw_epoch,
 )
 from .errors import (
+    DimensionMismatchError,
     InsufficientLabelsError,
     InvalidConfigError,
     NonFiniteTrainingError,
@@ -76,7 +77,7 @@ def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
 
 
 def _require_corpus(t: TrainConfig, corpus) -> None:
-    if t.uses_corpus and corpus is None:
+    if t.use_single_cam and corpus is None:
         raise InvalidConfigError("the config uses the single-camera corpus, "
                                  "but no corpus was given")
 
@@ -93,7 +94,7 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     # rebuild the centroid bank over both
     groups, pool = multi, None
     embs, _ = enc.forward_batch(state.momentum, multi.features)
-    if t.uses_corpus:
+    if t.use_single_cam:
         # by default a cap of one epoch's single-camera slots, and at least
         # a batch's labels; a smaller corpus is labelled whole, once
         budget = t.pseudo_label_budget or (
@@ -107,7 +108,7 @@ def run_epoch(state: TrainState, multi: LabelGroups,
 
     lr = enc.effective_lr(LR, WARMUP_EPOCHS, state.epoch)
     sizes = (t.n_p_multi, t.n_k_multi,
-             t.n_p_single if t.uses_corpus else 0, t.n_k_single)
+             t.n_p_single if t.use_single_cam else 0, t.n_k_single)
     draws = draw_epoch(groups, sizes, t.iters_per_epoch, state.sampler)
     sums = dict.fromkeys(["total", *TERMS], 0.0)
     for it in range(t.iters_per_epoch):
@@ -157,7 +158,9 @@ def train(
 ) -> TrainState:
     """Run cfg.train.epochs epochs; write metrics lines and checkpoints.
     A config that uses the corpus needs one: InvalidConfigError if None.
-    An empty multi-camera set raises InsufficientLabelsError."""
+    An empty multi-camera set raises InsufficientLabelsError, a corpus of
+    another feature width DimensionMismatchError, before any file is
+    written."""
     t = cfg.train
     _require_corpus(t, corpus)
     if not multi.samples:
@@ -168,8 +171,15 @@ def train(
     if not np.any((np.diff(rows.labels()) == 0) & (np.diff(rows.cameras) != 0)):
         log.warning("no identity spans two cameras, camera centroid loss "
                     "is inert")
-    frames = corpus.grouped() if t.uses_corpus else None
-    state = init_state(cfg, rows.features.shape[1])
+    frames = corpus.grouped() if t.use_single_cam else None
+    width = rows.features.shape[1]
+    # a corpus of no frames has no width: epoch 1 finds its budget unreachable
+    if frames is not None and frames.samples \
+            and frames.features.shape[1] != width:
+        raise DimensionMismatchError(
+            f"the single-camera corpus has {frames.features.shape[1]}-wide "
+            f"features, the multi-camera set {width}-wide")
+    state = init_state(cfg, width)
     cfg_echo = cfg.to_dict()
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
 

@@ -224,6 +224,43 @@ def test_path_with_no_file_name_is_a_config_error(tmp_path, capsys, command,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,key,other", [
+    ("generate", "io.target_path", "multicam.jsonl"),
+    ("train", "io.metrics_path", "checkpoint.json"),
+    ("eval", "eval.report_path", "checkpoint.json"),
+])
+def test_two_keys_naming_one_file_is_a_config_error(workdir, capsys, command,
+                                                    key, other):
+    # rejected before anything is written: the target is no training set,
+    # and neither metrics nor a report overwrite the checkpoint
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["train", "--config", cfg, "--out", str(out)])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", str(out),
+                "--set", f"{key}={other}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_corpus_of_another_width_is_a_runtime_error(workdir, capsys):
+    # a 12-wide corpus beside the 8-wide multi-camera set
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["generate", "--config", cfg, "--out", str(out / "wide"),
+         "--set", "generator.dim=12"])
+    (out / "wide" / "singlecam.jsonl").replace(out / "singlecam.jsonl")
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "corpus" in err and "12" in err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "multicam.jsonl", "run.json", "singlecam.jsonl", "target.jsonl",
+        "wide"]
+
+
 def test_bad_config_json(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{broken")

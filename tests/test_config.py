@@ -1,13 +1,17 @@
+import itertools
 import json
+from dataclasses import fields
 
 import pytest
 
 from remix.config import (
     RunConfig,
+    TrainConfig,
     apply_overrides,
     config_from_dict,
     load_config,
 )
+from remix.datamodel import GeneratorConfig
 from remix.errors import InvalidConfigError
 
 
@@ -149,6 +153,22 @@ def test_path_with_no_file_name_is_rejected(section, key, value):
         apply_overrides(RunConfig().validate(), [f"{section}.{key}={value}"])
 
 
+@pytest.mark.parametrize("a,b", itertools.combinations(PATH_KEYS, 2),
+                         ids=lambda k: ".".join(k))
+def test_two_path_keys_naming_one_file_are_rejected(a, b):
+    # one file would be both, say, a training set and the target
+    doc = {"eval": {}, "io": {}}
+    doc[a[0]][a[1]] = "runs/same.json"
+    doc[b[0]][b[1]] = "runs/./x/../same.json"
+    with pytest.raises(InvalidConfigError, match="name one file") as exc:
+        config_from_dict(doc)
+    assert ".".join(a) in str(exc.value) and ".".join(b) in str(exc.value)
+    default = getattr(getattr(RunConfig(), b[0]), b[1])
+    with pytest.raises(InvalidConfigError, match="name one file") as exc:
+        apply_overrides(RunConfig().validate(), [f"{a[0]}.{a[1]}=./{default}"])
+    assert ".".join(a) in str(exc.value) and ".".join(b) in str(exc.value)
+
+
 def test_floats_take_integers_and_budget_takes_null():
     cfg = config_from_dict({"train": {"pseudo_label_budget": None},
                             "generator": {"sigma_cam": 0, "domain_shift": 1}})
@@ -167,16 +187,51 @@ def test_document_and_sections_are_objects(doc):
         config_from_dict(doc)
 
 
-@pytest.mark.parametrize("train,uses", [
+@pytest.mark.parametrize("train,on", [
     ({}, True),
     ({"use_single_cam": False}, False),
-    ({"n_p_single": 0}, False),
+    ({"use_single_cam": False, "n_p_single": 0, "n_k_single": 0}, False),
 ])
-def test_uses_corpus(train, uses):
+def test_use_single_cam_is_the_corpus_switch(train, on):
     cfg = config_from_dict({"train": train})
-    assert cfg.train.uses_corpus is uses
-    # derived, not a key: the config echo and --help do not list it
-    assert "uses_corpus" not in cfg.to_dict()["train"]
+    assert cfg.train.use_single_cam is on
+    # the key alone says it: no derived property restates it
+    assert not hasattr(cfg.train, "uses_corpus")
+
+
+@pytest.mark.parametrize("key", ["n_p_single", "n_k_single"])
+def test_switch_on_needs_single_camera_slots(key):
+    # n_p_single=0 is no second way to say "labels only"
+    with pytest.raises(InvalidConfigError, match="use_single_cam needs"):
+        config_from_dict({"train": {key: 0}})
+    with pytest.raises(InvalidConfigError, match="use_single_cam needs"):
+        apply_overrides(RunConfig().validate(), [f"train.{key}=0"])
+
+
+@pytest.mark.parametrize("f", fields(GeneratorConfig), ids=lambda f: f.name)
+def test_generator_ranges_come_from_the_fields(f):
+    # every count is at least 1, every scale at least 0
+    assert f.type in ("int", "float")
+    value = 0 if f.type == "int" else -0.1
+    with pytest.raises(InvalidConfigError, match=f"generator.{f.name} must"):
+        config_from_dict({"generator": {f.name: value}})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)
+                                  if f.type == "int"])
+def test_train_counts_are_at_least_zero(name):
+    with pytest.raises(InvalidConfigError, match=f"train.{name} must be >= 0"):
+        config_from_dict({"train": {name: -1}})
+
+
+def test_sections_are_the_fields_of_run_config():
+    doc = RunConfig().validate().to_dict()
+    assert list(doc) == [f.name for f in fields(RunConfig)]
+    for name in doc:
+        config_from_dict({name: doc[name]})
+    for name in ("sections", "Train", "seeds"):
+        with pytest.raises(InvalidConfigError, match="unknown top-level"):
+            config_from_dict({name: {}})
 
 
 def test_unsampled_source_may_have_zero_k():

@@ -16,6 +16,7 @@ from remix.datamodel import (
 from remix.encoder import load_checkpoint
 from remix.errors import (
     BudgetUnreachableError,
+    DimensionMismatchError,
     InsufficientLabelsError,
     InvalidConfigError,
     NonFiniteTrainingError,
@@ -270,6 +271,19 @@ def test_empty_corpus_is_an_unreachable_budget(tmp_path):
     with pytest.raises(BudgetUnreachableError):
         trainer.train(multi, SingleCamCorpus([]), cfg, checkpoint_path=ckpt)
     assert (tmp_path / "ckpt.json.partial").exists()
+
+
+def test_corpus_of_another_width_stops_before_any_file(tmp_path):
+    cfg = tiny_cfg()
+    multi, _, _ = data_for(cfg)
+    wide = deepcopy(cfg.generator)
+    wide.dim = 12
+    _, corpus, _ = synth_generate(wide, 0)
+    with pytest.raises(DimensionMismatchError,
+                       match="corpus has 12-wide.*multi-camera set 8-wide"):
+        trainer.train(multi, corpus, cfg, checkpoint_path=tmp_path / "c.json",
+                      metrics_path=tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["loss", "gradient"])
