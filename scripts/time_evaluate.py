@@ -9,10 +9,10 @@ Usage:
 The target is the default generator's with N target identities and K
 samples per identity and camera: over its C cameras that is N * C queries,
 N * C * (K - 1) gallery items and (C - 1) * (K - 1) positives per query.
-The encoder is `init_params(dim, [64], 16)` drawn from
-`substream(S, "init")`. After one warm-up call, R calls are timed one by
-one, and one JSON object is printed: the sizes and the q1, median and q3
-of the times in seconds. The checkout is whichever `remix` is on the
+The encoder is the one training starts from: `init_params(dim,
+trainer.HIDDEN, trainer.EMBED_DIM)` drawn from `substream(S, "init")`.
+After one warm-up call, R calls are timed one by one, and one JSON object
+is printed: the sizes and the q1, median and q3 of the times in seconds. The checkout is whichever `remix` is on the
 path, so two checkouts are compared by running this once per checkout,
 alternating between them.
 """
@@ -21,7 +21,7 @@ import json
 import statistics
 import time
 
-from remix import encoder
+from remix import encoder, trainer
 from remix.datamodel import GeneratorConfig, synth_generate
 from remix.evalkit import evaluate
 from remix.numcore import substream
@@ -39,7 +39,7 @@ def main() -> None:
     cfg = GeneratorConfig(n_target_identities=args.identities,
                           target_samples_per_id_per_cam=args.per_cam)
     target = synth_generate(cfg, args.seed)[2]
-    params = encoder.init_params(cfg.dim, [64], 16,
+    params = encoder.init_params(cfg.dim, trainer.HIDDEN, trainer.EMBED_DIM,
                                  substream(args.seed, "init"))
     report = evaluate(params, target)
     times = []

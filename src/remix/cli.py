@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import datamodel, encoder, evalkit, trainer
 from .config import RunConfig, apply_overrides, load_config
-from .errors import InvalidConfigError, RemixError
+from .errors import DimensionMismatchError, InvalidConfigError, RemixError
 from .gradcheck import TOLERANCE, max_relative_errors
 
 
@@ -83,9 +83,15 @@ def cmd_eval(args) -> int:
     ckpt = (args.checkpoint if args.checkpoint is not None
             else str(_resolve(out, cfg.io.checkpoint_path)))
     _, _, _, momentum, _ = encoder.load_checkpoint(ckpt)
-    target = datamodel.load_multicam(_resolve(out, cfg.io.target_path))
+    target_path = _resolve(out, cfg.io.target_path)
+    target = datamodel.load_multicam(target_path)
+    if target.samples and len(target.samples[0].features) != momentum.dim_in:
+        raise DimensionMismatchError(
+            f"the target {target_path} has "
+            f"{len(target.samples[0].features)}-wide features, the encoder "
+            f"of {ckpt} takes {momentum.dim_in}-wide ones")
     report = evalkit.evaluate(momentum, target)
-    report_path = _resolve(out, cfg.eval.report_path)
+    report_path = _resolve(out, cfg.io.report_path)
     evalkit.write_report(report_path, report)
     print(f"mAP={report['mAP']:.4f} rank1={report['rank1']:.4f} "
           f"-> {report_path}")
@@ -120,9 +126,7 @@ def _config_reference() -> str:
             continue
         cls = section_field.default_factory
         for f in dataclasses.fields(cls):
-            default = (f.default if f.default is not dataclasses.MISSING
-                       else f.default_factory())
-            lines.append(f"  {section_field.name}.{f.name} = {default}")
+            lines.append(f"  {section_field.name}.{f.name} = {f.default}")
     return "\n".join(lines)
 
 

@@ -1,6 +1,6 @@
-"""Run configuration: one JSON document with generator / model / train /
-eval / io sections plus a root seed. Parsing is strict: unknown keys are
-rejected so typos surface immediately.
+"""Run configuration: one JSON document with generator / train / io
+sections plus a root seed. Parsing is strict: unknown keys are rejected so
+typos surface immediately.
 """
 from __future__ import annotations
 
@@ -13,16 +13,6 @@ from pathlib import Path
 
 from .datamodel import GeneratorConfig
 from .errors import InvalidConfigError
-
-
-@dataclass
-class ModelConfig:
-    embed_dim: int = 16
-    hidden: list[int] = field(default_factory=lambda: [64])
-
-    def validate(self):
-        if self.embed_dim <= 0 or any(h <= 0 for h in self.hidden):
-            raise InvalidConfigError("model dimensions must be positive")
 
 
 @dataclass
@@ -55,48 +45,64 @@ class TrainConfig:
 
 
 @dataclass
-class EvalConfig:
-    report_path: str = "report.json"
-
-
-@dataclass
 class IoConfig:
     multicam_path: str = "multicam.jsonl"
     corpus_path: str = "singlecam.jsonl"
     target_path: str = "target.jsonl"
     checkpoint_path: str = "checkpoint.json"
     metrics_path: str = "metrics.jsonl"
+    report_path: str = "report.json"
 
 
 @dataclass
 class RunConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     io: IoConfig = field(default_factory=IoConfig)
     seed: int = 0
 
     def validate(self) -> "RunConfig":
         self.generator.validate()
-        self.model.validate()
         self.train.validate()
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
         named = {}  # normalised path -> the key that names it
-        for where in ("eval", "io"):  # each names a file to read or write
-            for key, path in dataclasses.asdict(getattr(self, where)).items():
-                name, norm = f"{where}.{key}", os.path.normpath(path)
-                if not Path(path).name:
-                    raise InvalidConfigError(f"{name} names no file: {path!r}")
-                if norm in named:
-                    raise InvalidConfigError(
-                        f"{named[norm]} and {name} name one file: {path!r}")
-                named[norm] = name
+        for key, path in dataclasses.asdict(self.io).items():
+            name, norm = f"io.{key}", os.path.normpath(path)
+            if not Path(path).name:
+                raise InvalidConfigError(f"{name} names no file: {path!r}")
+            if norm in named:
+                raise InvalidConfigError(
+                    f"{named[norm]} and {name} name one file: {path!r}")
+            named[norm] = name
+        # nor may a path be a checkpoint that training derives from
+        # io.checkpoint_path, or the .tmp that atomic_write renames onto one
+        ckpt = Path(os.path.normpath(self.io.checkpoint_path))
+        epochs, partial = checkpoint_files(ckpt, self.train)
+        written = [ckpt, *epochs.values(), partial]
+        derived = {*written[1:],
+                   *(p.with_name(p.name + ".tmp") for p in written)}
+        for norm, name in named.items():
+            if Path(norm) in derived:
+                raise InvalidConfigError(f"{name} names {norm!r}, a file "
+                                         "training writes beside "
+                                         "io.checkpoint_path")
         return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def checkpoint_files(path, train: TrainConfig
+                     ) -> tuple[dict[int, Path], Path]:
+    """The checkpoints a run writes besides its final one at path: after
+    each epoch N below train.epochs that train.checkpoint_every divides,
+    `<stem>.epoch<N><suffix>`, by N; and, when the run fails,
+    `<name>.partial`."""
+    path, every = Path(path), train.checkpoint_every
+    epochs = range(every, train.epochs, every) if every > 0 else ()
+    return ({n: path.with_name(f"{path.stem}.epoch{n}{path.suffix}")
+             for n in epochs}, path.with_suffix(path.suffix + ".partial"))
 
 
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
@@ -104,12 +110,9 @@ _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
 
 
 def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field annotation such as 'int | None'
-    or 'list[int]'. A boolean fits only 'bool': it is no number. A float
-    must be finite: json.loads reads NaN and Infinity."""
-    if annotation.startswith("list["):
-        return isinstance(value, list) \
-            and all(_fits(v, annotation[5:-1]) for v in value)
+    """Whether a JSON value fits a field annotation such as 'int | None'.
+    A boolean fits only 'bool': it is no number. A float must be finite:
+    json.loads reads NaN and Infinity."""
     if isinstance(value, float) and not math.isfinite(value):
         return False
     return any(isinstance(value, _JSON_TYPES[t])

@@ -29,6 +29,8 @@ _BLOCK = 32
 # Thresholds compared per pass: the block's boolean comparison then holds
 # as many bytes as one (32 x gallery) float64 array.
 _PER_PASS = 8
+# Permutations averaged by the shuffled-label baseline.
+_SHUFFLES = 5
 
 
 def _count_below(key, thr, compare, out):
@@ -198,23 +200,17 @@ def evaluate(params: EncoderParams, target: MultiCamDataset) -> dict:
     }
 
 
-def shuffled_label_baseline(
-    params: EncoderParams,
-    target: MultiCamDataset,
-    rng: np.random.Generator,
-    n_shuffles: int = 5,
-) -> float:
+def shuffled_label_baseline(params: EncoderParams, target: MultiCamDataset,
+                            rng: np.random.Generator) -> float:
     """Chance-level mAP: permute gallery identities and re-score.
 
-    Averaged over a few permutations; permutations that strand a query
-    without a valid positive are redrawn. n_shuffles < 1: ValueError.
+    Averaged over _SHUFFLES permutations; permutations that strand a query
+    without a valid positive are redrawn.
     """
-    if n_shuffles < 1:
-        raise ValueError(f"n_shuffles must be >= 1, got {n_shuffles}")
     query, (g_embs, g_ids, g_cams) = _query_gallery(params, target)
     maps = []
     attempts = 0
-    while len(maps) < n_shuffles and attempts < 20 * n_shuffles:
+    while len(maps) < _SHUFFLES and attempts < 20 * _SHUFFLES:
         attempts += 1
         try:
             maps.append(mean_ap(*query, g_embs, rng.permutation(g_ids),

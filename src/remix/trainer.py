@@ -16,7 +16,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import evalkit
-from .config import RunConfig, TrainConfig
+from .config import RunConfig, TrainConfig, checkpoint_files
 from .datamodel import (
     CorpusFrames,
     LabelGroups,
@@ -49,6 +49,8 @@ SIGMA_AUG = 0.05
 P_DROP = 0.1
 DBSCAN_EPS = 0.8
 DBSCAN_MIN_PTS = 4
+HIDDEN = (64,)  # the encoder's hidden layer widths
+EMBED_DIM = 16  # and its embedding width
 
 
 @dataclass
@@ -67,8 +69,8 @@ class TrainState:
 
 
 def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
-    params = enc.init_params(feature_dim, list(cfg.model.hidden),
-                             cfg.model.embed_dim, substream(cfg.seed, "init"))
+    params = enc.init_params(feature_dim, HIDDEN, EMBED_DIM,
+                             substream(cfg.seed, "init"))
     return TrainState(params, params.copy(),
                       enc.OptimizerState.for_params(params),
                       sampler=substream(cfg.seed, "sampler"),
@@ -145,10 +147,6 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     return state
 
 
-def _checkpoint_path(base: Path, epoch: int) -> Path:
-    return base.with_name(f"{base.stem}.epoch{epoch}{base.suffix}")
-
-
 def train(
     multi: MultiCamDataset,
     corpus: SingleCamCorpus | None,
@@ -182,6 +180,8 @@ def train(
     state = init_state(cfg, width)
     cfg_echo = cfg.to_dict()
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
+    epoch_ckpts, partial = (checkpoint_files(ckpt, t) if ckpt is not None
+                            else ({}, None))
 
     def save(path: Path) -> None:
         enc.save_checkpoint(path, cfg_echo, state.epoch, state.params,
@@ -194,13 +194,11 @@ def train(
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(state.metrics[-1]) + "\n")
                 metrics_fh.flush()
-            if ckpt is not None and t.checkpoint_every > 0 \
-                    and state.epoch % t.checkpoint_every == 0 \
-                    and state.epoch < t.epochs:
-                save(_checkpoint_path(ckpt, state.epoch))
+            if state.epoch in epoch_ckpts:
+                save(epoch_ckpts[state.epoch])
     except Exception:
         if ckpt is not None:
-            save(ckpt.with_suffix(ckpt.suffix + ".partial"))
+            save(partial)
         raise
     finally:
         if metrics_fh is not None:

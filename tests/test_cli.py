@@ -22,7 +22,6 @@ TINY = {
         "n_target_cameras": 3, "target_samples_per_id_per_cam": 2,
         "multi_subspace_dim": 4,
     },
-    "model": {"embed_dim": 8, "hidden": [16]},
     "train": {"n_p_multi": 4, "n_k_multi": 2, "n_p_single": 4,
               "n_k_single": 2, "iters_per_epoch": 8, "epochs": 2},
 }
@@ -58,6 +57,10 @@ def test_generate_train_eval_pipeline(workdir, capsys):
     assert report["protocol"] == "cross-domain"
     assert set(report) >= {"rank1", "rank5", "rank10", "mAP",
                            "n_query", "n_gallery"}
+
+    assert run(["eval", "--config", cfg, "--out", str(out),
+                "--set", "io.report_path=r.json"]) == 0
+    assert (out / "r.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_eval_explicit_checkpoint(workdir):
@@ -138,6 +141,10 @@ def test_exit_codes():
     assert run([]) == 1  # missing subcommand
     assert run(["train", "--set", "train.nope=1"]) == 1  # bad config key
     assert run(["train", "--set", "train.gamma=0.5"]) == 1  # a loss constant
+    # the encoder's widths are trainer constants, the report path an io key
+    assert run(["train", "--set", "model.embed_dim=8"]) == 1
+    assert run(["train", "--set", "model.hidden=[16]"]) == 1
+    assert run(["eval", "--set", "eval.report_path=r.json"]) == 1
     assert run(["train", "--set", "train.n_p_multi=0",
                 "--set", "train.n_p_single=0"]) == 1  # empty batch
     assert run(["train", "--config", "/does/not/exist.json"]) == 2
@@ -212,7 +219,7 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key", ["eval.report_path", "io.multicam_path",
+@pytest.mark.parametrize("key", ["io.report_path", "io.multicam_path",
                                  "io.corpus_path", "io.target_path",
                                  "io.checkpoint_path", "io.metrics_path"])
 @pytest.mark.parametrize("command", ["generate", "train", "eval"])
@@ -227,12 +234,16 @@ def test_path_with_no_file_name_is_a_config_error(tmp_path, capsys, command,
 @pytest.mark.parametrize("command,key,other", [
     ("generate", "io.target_path", "multicam.jsonl"),
     ("train", "io.metrics_path", "checkpoint.json"),
-    ("eval", "eval.report_path", "checkpoint.json"),
+    ("eval", "io.report_path", "checkpoint.json"),
+    # files that training derives from the checkpoint path
+    ("train", "io.metrics_path", "checkpoint.json.partial"),
+    ("train", "io.metrics_path", "checkpoint.json.tmp"),
+    ("eval", "io.report_path", "checkpoint.json.tmp"),
 ])
 def test_two_keys_naming_one_file_is_a_config_error(workdir, capsys, command,
                                                     key, other):
     # rejected before anything is written: the target is no training set,
-    # and neither metrics nor a report overwrite the checkpoint
+    # and neither metrics nor a report overwrite a checkpoint
     out, cfg = workdir
     run(["generate", "--config", cfg, "--out", str(out)])
     run(["train", "--config", cfg, "--out", str(out)])
@@ -261,6 +272,24 @@ def test_corpus_of_another_width_is_a_runtime_error(workdir, capsys):
         "wide"]
 
 
+def test_target_of_another_width_is_a_runtime_error(workdir, capsys):
+    # a 12-wide target for the encoder trained on 8-wide features
+    out, cfg = workdir
+    run(["generate", "--config", cfg, "--out", str(out)])
+    run(["train", "--config", cfg, "--out", str(out)])
+    run(["generate", "--config", cfg, "--out", str(out / "wide"),
+         "--set", "generator.dim=12"])
+    target = out / "wide" / "target.jsonl"
+    capsys.readouterr()
+    assert run(["eval", "--config", cfg, "--out", str(out),
+                "--set", f"io.target_path={target}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for part in (str(target), str(out / "checkpoint.json"), "12-", "8-"):
+        assert part in err
+    assert not (out / "report.json").exists()
+
+
 def test_bad_config_json(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{broken")
@@ -275,6 +304,7 @@ def test_help_documents_every_config_key(capsys):
     assert run(["--help"]) == 0
     text = capsys.readouterr().out
     assert "seed" in text
+    assert "model." not in text and "eval." not in text
     for section in dataclasses.fields(RunConfig):
         if section.name == "seed":
             continue

@@ -53,7 +53,6 @@ def test_seed_type():
     ("train", "n_k_single", 0),
     ("train", "n_k_multi+n_k_single", 0),
     ("train", "n_p_multi+n_p_single", 0),
-    ("model", "embed_dim", 0),
     ("train", "iters_per_epoch", 0),
     ("train", "epochs", -1),
     ("train", "n_p_single", -1),
@@ -110,6 +109,25 @@ def test_removed_key_is_rejected(tmp_path, key):
         apply_overrides(RunConfig().validate(), [f"train.{key}={value}"])
 
 
+# sections that used to exist, with a value each accepted: the encoder's
+# widths are constants of remix.trainer, the report path is io.report_path
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "embed_dim", 16), ("model", "hidden", [64]),
+    ("eval", "report_path", "report.json")])
+def test_removed_section_is_rejected(tmp_path, section, key, value):
+    with pytest.raises(InvalidConfigError,
+                       match=f"unknown top-level key.*'{section}'"):
+        config_from_dict({section: {key: value}})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(InvalidConfigError,
+                       match=f"unknown top-level key.*'{section}'"):
+        load_config(path)
+    with pytest.raises(InvalidConfigError, match="unknown override"):
+        apply_overrides(RunConfig().validate(),
+                        [f"{section}.{key}={json.dumps(value)}"])
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("train", "use_single_cam", "False"),
     ("train", "use_single_cam", 0),
@@ -122,11 +140,8 @@ def test_removed_key_is_rejected(tmp_path, key):
     ("train", "pseudo_label_budget", "none"),
     ("generator", "dim", 8.5),
     ("generator", "sigma_cam", None),
-    ("model", "hidden", 64),
-    ("model", "hidden", [64.0]),
-    ("model", "hidden", [True]),
     ("io", "metrics_path", 3),
-    ("eval", "report_path", None),
+    ("io", "report_path", None),
     # json.loads reads these, and no float field takes them
     ("generator", "sigma_frame", float("nan")),
     ("generator", "sigma_shift", float("inf")),
@@ -138,7 +153,7 @@ def test_wrong_types(section, key, value):
 
 
 # every key whose value is the path of a file a command writes or reads
-PATH_KEYS = [("eval", "report_path"), ("io", "multicam_path"),
+PATH_KEYS = [("io", "report_path"), ("io", "multicam_path"),
              ("io", "corpus_path"), ("io", "target_path"),
              ("io", "checkpoint_path"), ("io", "metrics_path")]
 
@@ -157,7 +172,7 @@ def test_path_with_no_file_name_is_rejected(section, key, value):
                          ids=lambda k: ".".join(k))
 def test_two_path_keys_naming_one_file_are_rejected(a, b):
     # one file would be both, say, a training set and the target
-    doc = {"eval": {}, "io": {}}
+    doc = {"io": {}}
     doc[a[0]][a[1]] = "runs/same.json"
     doc[b[0]][b[1]] = "runs/./x/../same.json"
     with pytest.raises(InvalidConfigError, match="name one file") as exc:
@@ -167,6 +182,42 @@ def test_two_path_keys_naming_one_file_are_rejected(a, b):
     with pytest.raises(InvalidConfigError, match="name one file") as exc:
         apply_overrides(RunConfig().validate(), [f"{a[0]}.{a[1]}=./{default}"])
     assert ".".join(a) in str(exc.value) and ".".join(b) in str(exc.value)
+
+
+# overrides, the last naming a file that training writes beside the
+# default checkpoint.json (every 5 epochs below 20, by default)
+@pytest.mark.parametrize("items,derived", [
+    (["train.epochs=6", "io.metrics_path=checkpoint.epoch5.json"],
+     "checkpoint.epoch5.json"),
+    (["io.metrics_path=checkpoint.json.partial"], "checkpoint.json.partial"),
+    (["io.metrics_path=checkpoint.json.tmp"], "checkpoint.json.tmp"),
+    (["io.report_path=runs/../checkpoint.epoch10.json"],
+     "checkpoint.epoch10.json"),
+    (["io.report_path=checkpoint.json.partial.tmp"],
+     "checkpoint.json.partial.tmp"),
+    (["io.report_path=checkpoint.epoch15.json.tmp"],
+     "checkpoint.epoch15.json.tmp"),
+    (["io.multicam_path=checkpoint.epoch5.json"], "checkpoint.epoch5.json"),
+    (["train.checkpoint_every=2", "io.target_path=./checkpoint.epoch18.json"],
+     "checkpoint.epoch18.json"),
+    (["io.checkpoint_path=runs/ck", "io.corpus_path=runs/ck.epoch5"],
+     "runs/ck.epoch5"),
+])
+def test_path_at_a_derived_checkpoint_is_rejected(items, derived):
+    key = items[-1].split("=")[0]
+    with pytest.raises(InvalidConfigError, match="training writes") as exc:
+        apply_overrides(RunConfig().validate(), items)
+    assert key in str(exc.value) and repr(derived) in str(exc.value)
+
+
+@pytest.mark.parametrize("items", [
+    ["io.metrics_path=checkpoint.epoch20.json"],  # the final one is not
+    ["io.metrics_path=checkpoint.epoch3.json"],
+    ["train.checkpoint_every=0", "io.metrics_path=checkpoint.epoch5.json"],
+    ["io.report_path=report.json.tmp"],
+])
+def test_path_beside_the_checkpoint_that_training_skips_is_accepted(items):
+    apply_overrides(RunConfig().validate(), items)
 
 
 def test_floats_take_integers_and_budget_takes_null():
@@ -181,7 +232,7 @@ def test_negative_seed():
         config_from_dict({"seed": -1})
 
 
-@pytest.mark.parametrize("doc", [[], {"train": []}, {"model": "big"}])
+@pytest.mark.parametrize("doc", [[], {"train": []}, {"io": "big"}])
 def test_document_and_sections_are_objects(doc):
     with pytest.raises(InvalidConfigError, match="object"):
         config_from_dict(doc)
@@ -258,12 +309,10 @@ class TestOverrides:
     def test_typed_values(self):
         cfg = apply_overrides(RunConfig().validate(),
                               ["generator.sigma_video=0.01", "train.epochs=3",
-                               "train.use_single_cam=false",
-                               "model.hidden=[32, 32]"])
+                               "train.use_single_cam=false"])
         assert cfg.generator.sigma_video == 0.01
         assert cfg.train.epochs == 3
         assert cfg.train.use_single_cam is False
-        assert cfg.model.hidden == [32, 32]
 
     @pytest.mark.parametrize("item", ["train.use_single_cam=False",
                                       'train.epochs="3"',

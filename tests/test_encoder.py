@@ -5,6 +5,7 @@ import pytest
 
 from oracles import reference_adam_step, reference_ema_update
 from remix import encoder as enc
+from remix import trainer
 from remix.config import RunConfig
 from remix.errors import (
     DimensionMismatchError,
@@ -375,7 +376,7 @@ class TestCheckpoint:
             cfg.generator.frames_per_identity = 16
             cfg.train.epochs = 10
             cfg.train.checkpoint_every = 1
-        dims = (cfg.generator.dim, *cfg.model.hidden, cfg.model.embed_dim)
+        dims = (cfg.generator.dim, *trainer.HIDDEN, trainer.EMBED_DIM)
         p, m = make_params(0, dims), make_params(1, dims)
         opt = enc.OptimizerState.for_params(p)
         for i in range(3):

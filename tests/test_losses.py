@@ -569,8 +569,7 @@ class TestTermCalls:
                 evaluated.append(_name)
                 return _term(view, bank)
             monkeypatch.setitem(TERMS, name, (weight, counted))
-        errors = max_relative_errors(seed=0, n_batches=1, feat_dim=3,
-                                     emb_dim=2, batch=4, hidden=2)
+        errors = max_relative_errors(seed=0, n_batches=1)
         assert list(errors) == list(TERMS)
         assert calls == [LOSS_OF[name] for name in evaluated]
         # term by term in TERMS order, each evaluated as often

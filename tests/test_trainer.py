@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from remix import trainer
-from remix.config import RunConfig, config_from_dict
+from remix.config import RunConfig, checkpoint_files, config_from_dict
 from remix.datamodel import (
     GeneratorConfig,
     MultiCamDataset,
@@ -32,8 +32,6 @@ def tiny_cfg(**train_kw):
         n_single_identities=12, n_videos=4, frames_per_identity=4,
         n_target_identities=6, n_target_cameras=3,
         target_samples_per_id_per_cam=2, multi_subspace_dim=4)
-    cfg.model.embed_dim = 8
-    cfg.model.hidden = [16]
     cfg.train.n_p_multi = 4
     cfg.train.n_k_multi = 2
     cfg.train.n_p_single = 4
@@ -248,6 +246,9 @@ def test_metrics_file_and_checkpoints(tmp_path):
     assert ckpt.exists()
     assert (tmp_path / "ckpt.epoch2.json").exists()
     assert not (tmp_path / "ckpt.epoch4.json").exists()  # final covers it
+    # the files the config's same-file rule reserves are those written
+    epochs, _ = checkpoint_files(ckpt, cfg.train)
+    assert set(tmp_path.iterdir()) == {ckpt, metrics, *epochs.values()}
 
 
 def test_partial_checkpoint_on_failure(monkeypatch, tmp_path):
