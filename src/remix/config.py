@@ -75,18 +75,21 @@ class RunConfig:
                 raise InvalidConfigError(
                     f"{named[norm]} and {name} name one file: {path!r}")
             named[norm] = name
-        # nor may a path be a checkpoint that training derives from
-        # io.checkpoint_path, or the .tmp that atomic_write renames onto one
+        # nor may a path be the .tmp that atomic_write renames onto another,
+        # or a checkpoint that training derives from io.checkpoint_path (or
+        # its .tmp)
+        derived = {Path(norm + ".tmp"): f"the .tmp written beside {name}"
+                   for norm, name in named.items()}
         ckpt = Path(os.path.normpath(self.io.checkpoint_path))
         epochs, partial = checkpoint_files(ckpt, self.train)
         written = [ckpt, *epochs.values(), partial]
-        derived = {*written[1:],
-                   *(p.with_name(p.name + ".tmp") for p in written)}
+        derived |= dict.fromkeys(
+            [*written[1:], *(p.with_name(p.name + ".tmp") for p in written)],
+            "a file training writes beside io.checkpoint_path")
         for norm, name in named.items():
             if Path(norm) in derived:
-                raise InvalidConfigError(f"{name} names {norm!r}, a file "
-                                         "training writes beside "
-                                         "io.checkpoint_path")
+                raise InvalidConfigError(
+                    f"{name} names {norm!r}, {derived[Path(norm)]}")
         return self
 
     def to_dict(self) -> dict:

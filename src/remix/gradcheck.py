@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoder as enc
-from .losses import TERMS, BatchView, build_centroids
+from .losses import TERMS, LossLayout, build_centroids
 from .numcore import finite_diff_grad, normalize_rows, substream
 
 # a term passes when its max relative error is at most this
@@ -25,7 +25,8 @@ FD_STEP = 1e-5
 
 def _random_case(rng):
     """Mixed batch: the first half multi-camera (labels 0 and 1, random
-    cameras), the rest single-camera (labels 2 and 3)."""
+    cameras), the rest single-camera (labels 2 and 3), with its layout, a
+    one-batch epoch's."""
     half = BATCH // 2
     x = rng.standard_normal((BATCH, FEAT_DIM))
     labels = np.concatenate([np.arange(half) * 2 // half,
@@ -33,7 +34,7 @@ def _random_case(rng):
     cameras = np.where(np.arange(BATCH) < half, rng.integers(3, size=BATCH), -1)
     m = normalize_rows(rng.standard_normal((BATCH, EMB_DIM)))
     bank = build_centroids(m, labels, cameras)
-    return x, (labels, cameras), m, bank
+    return x, LossLayout(labels[None], cameras[None]), m, bank
 
 
 def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
@@ -44,16 +45,16 @@ def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
     worst = {name: 0.0 for name in TERMS}
     for _ in range(n_batches):
         params = enc.init_params(FEAT_DIM, [HIDDEN], EMB_DIM, rng)
-        x, rows, m, bank = _random_case(rng)
+        x, layout, m, bank = _random_case(rng)
         for name, (_, term) in TERMS.items():
 
             def scalar(flat):
                 f, _ = enc.forward_batch(params.like(flat), x)
-                loss, _ = term(BatchView(f, m, *rows), bank)
+                loss, _ = term(layout.view(0, f, m), bank)
                 return loss
 
             f, cache = enc.forward_batch(params, x)
-            _, d_f = term(BatchView(f, m, *rows), bank)
+            _, d_f = term(layout.view(0, f, m), bank)
             analytic = enc.backward_batch(params, cache, d_f).flat
             fd = finite_diff_grad(scalar, params.flat, FD_STEP)
             scale = max(float(np.max(np.abs(fd))), 1e-12)

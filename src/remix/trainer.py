@@ -32,7 +32,7 @@ from .errors import (
     InvalidConfigError,
     NonFiniteTrainingError,
 )
-from .losses import TERMS, BatchView, build_centroids, total_loss
+from .losses import TERMS, LossLayout, build_centroids, total_loss
 from .numcore import substream
 from .pseudolabel import pseudo_label_epoch
 
@@ -112,13 +112,14 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     sizes = (t.n_p_multi, t.n_k_multi,
              t.n_p_single if t.use_single_cam else 0, t.n_k_single)
     draws = draw_epoch(groups, sizes, t.iters_per_epoch, state.sampler)
+    layout = LossLayout(draws.labels, draws.cameras)
     sums = dict.fromkeys(["total", *TERMS], 0.0)
     for it in range(t.iters_per_epoch):
         features = compose_batch(draws, it)
         augmented = augment(features, state.augment, SIGMA_AUG, P_DROP)
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, features)
-        view = BatchView(f, m, draws.labels[it], draws.cameras[it])
+        view = layout.view(it, f, m)
         loss, d_f, parts = total_loss(view, bank)
         grads = enc.backward_batch(state.params, cache, d_f)
         if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):

@@ -210,6 +210,22 @@ def test_path_at_a_derived_checkpoint_is_rejected(items, derived):
     assert key in str(exc.value) and repr(derived) in str(exc.value)
 
 
+# an io path at the .tmp that an atomic write of another renames from:
+# writing that one would rename the first's file onto it
+@pytest.mark.parametrize("doc,owner", [
+    ({"metrics_path": "report.json.tmp"}, "io.report_path"),
+    ({"metrics_path": "multicam.jsonl.tmp"}, "io.multicam_path"),
+    ({"target_path": "runs/ck.json", "corpus_path": "runs/x/../ck.json.tmp"},
+     "io.target_path"),
+    ({"report_path": "checkpoint.json.tmp"}, "io.checkpoint_path"),
+])
+def test_path_at_another_paths_tmp_is_rejected(doc, owner):
+    key = f"io.{list(doc)[-1]}"
+    with pytest.raises(InvalidConfigError) as exc:
+        config_from_dict({"io": doc})
+    assert key in str(exc.value) and owner in str(exc.value)
+
+
 @pytest.mark.parametrize("items", [
     ["io.metrics_path=checkpoint.epoch20.json"],  # the final one is not
     ["io.metrics_path=checkpoint.epoch3.json"],

@@ -19,7 +19,8 @@ from remix.errors import (
     EmptyLabelError,
     UnresolvedLabelError,
 )
-from remix import losses
+from remix import gradcheck, losses
+from remix.datamodel import LabelGroups, draw_epoch
 from remix.gradcheck import max_relative_errors
 from remix.losses import (
     GAMMA,
@@ -29,7 +30,9 @@ from remix.losses import (
     TAU_INS,
     TERMS,
     BatchView,
+    LossLayout,
     _contrastive,
+    _positives,
     augmentation_loss,
     build_centroids,
     camera_centroids_loss,
@@ -105,6 +108,209 @@ class TestBatchView:
     def test_counts(self):
         v = random_view(n_multi=4, n_single=2)
         assert v.size == 6
+
+
+def identity_rows(cams_of):
+    """LabelGroups of multi-camera identities, identity y with 3 rows on
+    each camera of cams_of[y]; no features."""
+    cams = [np.repeat(c, 3) for c in cams_of]
+    sizes = [len(c) for c in cams]
+    return LabelGroups(np.zeros((sum(sizes), 1)),
+                       np.concatenate(([0], np.cumsum(sizes))),
+                       np.concatenate(cams))
+
+
+def pseudo_rows(n_labels, rows_per_label):
+    n = n_labels * rows_per_label
+    return LabelGroups(np.zeros((n, 1)), np.arange(0, n + 1, rows_per_label),
+                       np.full(n, -1))
+
+
+def absent_pair_cams(rng):
+    """12 identities on 2 or 3 of 4 cameras: camera pairs are missing."""
+    return [np.sort(rng.choice(4, int(rng.integers(2, 4)), replace=False))
+            for _ in range(12)]
+
+
+# (groups, sizes, iters): the default joint and labeled-only batches, a
+# refresh epoch's large pseudo pool, and identities with cameras missing
+EPOCH_SHAPES = {
+    "joint": (lambda rng: identity_rows([range(4)] * 60).then(
+        pseudo_rows(30, 8)), (8, 4, 8, 4), 50),
+    "labeled_only": (lambda rng: identity_rows([range(4)] * 60),
+                     (8, 4, 0, 4), 50),
+    "refresh": (lambda rng: identity_rows([range(4)] * 60).then(
+        pseudo_rows(480, 16)), (8, 4, 8, 4), 5),
+    "absent_pairs": (lambda rng: identity_rows(absent_pair_cams(rng)).then(
+        pseudo_rows(10, 3)), (4, 4, 4, 2), 20),
+}
+
+
+def drawn_epoch(shape, seed):
+    """An epoch's draws at the shape, and a bank over all its rows."""
+    rng = substream(seed, "gradcheck")
+    make, sizes, iters = EPOCH_SHAPES[shape]
+    groups = make(rng)
+    draws = draw_epoch(groups, sizes, iters, rng)
+    embs = normalize_rows(rng.standard_normal((len(groups.cameras), 6)))
+    return draws, build_centroids(embs, groups.labels(), groups.cameras)
+
+
+def batch_masks(labels, cameras, bank):
+    """Per term, (positive mask, negative mask, proxies) of one batch, built
+    from its labels and cameras alone; the camera term's negatives are the
+    other labels' pairs, its pool positives and negatives."""
+    multi = cameras >= 0
+    same = labels[:, None] == labels[None, :]
+    batch_labels = np.unique(labels)
+    ids = batch_labels[batch_labels < len(bank.camera_present)]
+    which, proxy_cams = np.nonzero(bank.camera_present[ids])
+    proxy_labels = ids[which]
+    same_id = multi[:, None] & (labels[:, None] == proxy_labels[None, :])
+    cen_pos = labels[:, None] == batch_labels[None, :]
+    return {
+        "ins": (same, ~same & (multi[:, None] == multi[None, :]), None),
+        "aug": (np.eye(len(labels), dtype=bool), ~same, None),
+        "cen": (cen_pos, ~cen_pos, bank.label_centroids[batch_labels]),
+        "cc": (same_id & (cameras[:, None] != proxy_cams[None, :]),
+               multi[:, None] & ~same_id,
+               bank.camera_centroids[proxy_labels, proxy_cams]),
+    }
+
+
+def assert_positives_of(pos, mask):
+    k = np.flatnonzero(mask)
+    n_pos = mask.sum(axis=1)
+    assert pos.k.tolist() == k.tolist()
+    assert pos.i.tolist() == (k // mask.shape[1]).tolist()
+    assert pos.w.tolist() == (1.0 / n_pos[k // mask.shape[1]]).tolist()
+    assert pos.n_anchors == max(np.count_nonzero(n_pos), 1)
+
+
+# each term's temperatures per row, and its call at them
+TERM_CALLS = {
+    "ins": (lambda multi: np.where(multi, *TAU_INS),
+            lambda v, bank: instance_loss(v, *TAU_INS)),
+    "aug": (lambda multi: np.full(len(multi), TAU_AUG),
+            lambda v, bank: augmentation_loss(v, TAU_AUG)),
+    "cen": (lambda multi: np.where(multi, *TAU_CEN),
+            lambda v, bank: centroids_loss(v, bank, *TAU_CEN)),
+    "cc": (lambda multi: np.full(len(multi), TAU_CC),
+           lambda v, bank: camera_centroids_loss(v, bank, TAU_CC)),
+}
+
+
+class TestLossLayout:
+    """An epoch's layout, built once from its draws, against each batch's
+    masks built from that batch's labels and cameras alone."""
+
+    @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
+    def test_each_batch_matches_its_own_masks(self, shape):
+        for seed in range(2):
+            draws, bank = drawn_epoch(shape, seed)
+            layout = LossLayout(draws.labels, draws.cameras)
+            pairs = layout.camera_pairs(bank.camera_present)
+            for it, (labels, cameras) in enumerate(zip(draws.labels,
+                                                       draws.cameras)):
+                want = batch_masks(labels, cameras, bank)
+                assert layout.batch_labels[it].tolist() \
+                    == np.unique(labels).tolist()
+                for name in ("ins", "aug"):
+                    pos, neg = getattr(layout, name)
+                    assert_positives_of(pos, want[name][0])
+                    assert np.array_equal(neg, want[name][1])
+                pos, neg = layout.cen[it]
+                assert_positives_of(pos, want["cen"][0])
+                assert np.array_equal(neg, want["cen"][1])
+                rows, pool, pos = pairs[it]
+                cc_pos, cc_neg, proxies = want["cc"]
+                assert_positives_of(pos, cc_pos)
+                assert np.array_equal(pool, cc_pos | cc_neg)
+                assert np.array_equal(bank.camera_centroids.reshape(
+                    -1, bank.camera_centroids.shape[-1])[rows], proxies)
+            # with cameras missing, batches differ in their proxy count
+            widths = {len(rows) for rows, _, _ in pairs}
+            assert (len(widths) > 1) == (shape == "absent_pairs")
+
+    @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
+    def test_terms_match_the_loops(self, shape):
+        # the first, a middle and the last batch of the epoch, each term
+        # against the kernel's contract, pair by pair
+        draws, bank = drawn_epoch(shape, 2)
+        layout = LossLayout(draws.labels, draws.cameras)
+        rng = substream(3, "gradcheck")
+        iters, b = draws.labels.shape
+        u = np.finfo(np.float64).eps / 2
+        for it in (0, iters // 2, iters - 1):
+            f = normalize_rows(rng.standard_normal((b, 6)))
+            m = normalize_rows(rng.standard_normal((b, 6)))
+            view = layout.view(it, f, m)
+            masks = batch_masks(draws.labels[it], draws.cameras[it], bank)
+            for name, (taus, call) in TERM_CALLS.items():
+                pos, neg, proxies = masks[name]
+                tau = taus(draws.cameras[it] >= 0)
+                want, want_grads = reference_contrastive(
+                    f, m if proxies is None else proxies, pos, neg, tau,
+                    name == "cc")
+                loss, grads = call(view, bank)
+                assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
+                bound = 32 * u / tau * np.maximum(
+                    1.0, np.max(np.abs(want_grads), axis=1))
+                assert np.all(np.max(np.abs(grads - want_grads), axis=1)
+                              <= bound)
+
+    def test_absent_pairs_keep_the_camera_proxies_compact(self):
+        # identity 0 lacks camera 1, identity 1 has only cameras 1 and 3:
+        # the batch's proxies are the 5 pairs there are, by identity, then
+        # camera, and none of the missing ones
+        groups = identity_rows([[0, 2, 3], [1, 3]])
+        embs = normalize_rows(substream(4, "gradcheck").standard_normal(
+            (len(groups.cameras), 5)))
+        bank = build_centroids(embs, groups.labels(), groups.cameras)
+        labels, cameras = np.array([1, 1, 0, 0]), np.array([3, 1, 2, 0])
+        layout = LossLayout(labels[None], cameras[None])
+        rows, pool, pos = layout.camera_pairs(bank.camera_present)[0]
+        assert rows.tolist() == [0 * 4 + 0, 0 * 4 + 2, 0 * 4 + 3,
+                                 1 * 4 + 1, 1 * 4 + 3]
+        assert pool.tolist() == [[1, 1, 1, 1, 0], [1, 1, 1, 0, 1],
+                                 [1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]
+        # (row, column): each row's own identity's other cameras
+        assert pos.k.tolist() == [0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0,
+                                  2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
+        view = BatchView(embs[:4], embs[4:8], labels, cameras)
+        assert_matches_loops(view, bank)
+
+    def test_camera_pairs_are_built_once_per_table(self):
+        draws, bank = drawn_epoch("joint", 5)
+        layout = LossLayout(draws.labels, draws.cameras)
+        pairs = layout.camera_pairs(bank.camera_present)
+        assert layout.camera_pairs(bank.camera_present) is pairs
+        assert layout.camera_pairs(bank.camera_present.copy()) is not pairs
+
+    def test_gradcheck_builds_one_layout_per_case(self, monkeypatch):
+        built = []
+
+        class Counted(LossLayout):
+            def __init__(self, labels, cameras):
+                built.append(labels.shape)
+                super().__init__(labels, cameras)
+
+        monkeypatch.setattr(gradcheck, "LossLayout", Counted)
+        max_relative_errors(seed=0, n_batches=2)
+        assert built == [(1, gradcheck.BATCH)] * 2
+
+    @pytest.mark.parametrize("labels, cameras, error", [
+        (np.zeros((0, 4)), np.zeros((0, 4)), DimensionMismatchError),
+        ([0, 0], [0, 1], DimensionMismatchError),  # one batch, not an epoch
+        ([[0, 0], [1, 1]], [[0, 1], [0, -1]], DimensionMismatchError),
+        ([[0, 0], [1, 2]], [[0, 1], [0, 1]], DimensionMismatchError),
+        ([[0, 1], [2, 2]], [[0, 1], [0, 1]], DimensionMismatchError),
+    ], ids=["no_batch", "one_dim", "sources_differ", "pattern_splits",
+            "pattern_joins"])
+    def test_bad_epochs_rejected(self, labels, cameras, error):
+        # TestBatchView's cases are one-batch epochs of the same checks
+        with pytest.raises(error):
+            LossLayout(labels, cameras)
 
 
 class TestBuildCentroids:
@@ -319,7 +525,7 @@ class TestKernelAgainstLoops:
         proxies = normalize_rows(rng.standard_normal((p, 16)))
         labels = np.arange(b) // 4
         pos = labels[:, None] == labels[None, :]
-        args = (f, proxies, pos, ~pos, np.full(b, 0.1))
+        args = (f, proxies, _positives(pos), ~pos, np.full(b, 0.1))
         _contrastive(*args)
         tracemalloc.start()
         try:
@@ -361,7 +567,7 @@ class TestKernelAgainstLoops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise"):
-                loss, grads = _contrastive(f, proxies, pos,
+                loss, grads = _contrastive(f, proxies, _positives(pos),
                                            pos | neg if shared else neg, tau)
         want, want_grads = reference_contrastive(f, proxies, pos, neg, tau,
                                                  shared)

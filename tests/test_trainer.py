@@ -202,6 +202,62 @@ def test_one_gather_and_one_augment_per_iteration(monkeypatch):
     assert calls == {"compose_batch": 21, "augment": 21}
 
 
+def test_one_loss_layout_per_epoch(monkeypatch):
+    cfg = tiny_cfg(epochs=3, iters_per_epoch=7)
+    multi, corpus, _ = data_for(cfg)
+    built = []
+
+    class Counted(trainer.LossLayout):
+        def __init__(self, labels, cameras):
+            built.append(labels.shape)
+            super().__init__(labels, cameras)
+
+    monkeypatch.setattr(trainer, "LossLayout", Counted)
+    trainer.train(multi, corpus, cfg)
+    assert built == [(7, 16)] * 3
+
+
+def _break_both_sources(draws):
+    # batch 3's first single-camera row takes a multi-camera label
+    draws.labels[3, 8] = draws.labels[3, 0]
+
+
+def _break_source_order(draws):
+    # batch 2 starts with a single-camera row
+    draws.cameras[2, 0] = -1
+
+
+def _break_shared_pattern(draws):
+    # batch 4's first row takes the label of its second block
+    draws.labels[4, 0] = draws.labels[4, 2]
+
+
+def _break_both_sources_first_batch(draws):
+    draws.labels[0, 8] = draws.labels[0, 0]
+
+
+@pytest.mark.parametrize("edit", [
+    _break_both_sources, _break_source_order, _break_shared_pattern,
+    _break_both_sources_first_batch])
+def test_edited_draws_stop_before_the_first_iteration(monkeypatch, edit):
+    cfg = tiny_cfg(iters_per_epoch=6)
+    multi, corpus, _ = data_for(cfg)
+    state = trainer.init_state(cfg, cfg.generator.dim)
+
+    def edited(*args):
+        draws = real_draw(*args)
+        edit(draws)
+        return draws
+
+    real_draw, gathered = trainer.draw_epoch, []
+    monkeypatch.setattr(trainer, "draw_epoch", edited)
+    monkeypatch.setattr(trainer, "compose_batch",
+                        lambda draws, it: gathered.append(it))
+    with pytest.raises(DimensionMismatchError):
+        trainer.run_epoch(state, multi.grouped(), corpus.grouped(), cfg)
+    assert gathered == []
+
+
 def test_momentum_not_touched_by_backprop(monkeypatch):
     # with lambda = 1 the momentum encoder must stay frozen at init even
     # though the gradient encoder moves
