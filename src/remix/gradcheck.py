@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoder as enc
-from .losses import TERMS, LossLayout, build_centroids
+from .losses import TERMS, LossLayout, build_centroids, term_loss
 from .numcore import finite_diff_grad, normalize_rows, substream
 
 # a term passes when its max relative error is at most this
@@ -50,11 +50,12 @@ def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
 
             def scalar(flat):
                 f, _ = enc.forward_batch(params.like(flat), x)
-                loss, _ = term(layout.view(0, f, m), bank)
-                return loss
+                view = layout.view(0, f, m)
+                return term_loss(view, term(view, bank))[0]
 
             f, cache = enc.forward_batch(params, x)
-            _, d_f = term(layout.view(0, f, m), bank)
+            view = layout.view(0, f, m)
+            _, d_f = term_loss(view, term(view, bank))
             analytic = enc.backward_batch(params, cache, d_f).flat
             fd = finite_diff_grad(scalar, params.flat, FD_STEP)
             scale = max(float(np.max(np.abs(fd))), 1e-12)

@@ -1,13 +1,11 @@
 """The four loss terms and the combined objective.
 
-Each loss returns (scalar, dL/df) where f holds the encoder embeddings of
-the augmented batch inputs. Momentum embeddings and centroids are treated
-as gradient constants; no gradient ever flows through them.
-
-All four terms are one computation (`_contrastive`): each anchor i scores
-every positive proxy j by -log softmax of f_i . p_j / tau_i over a pool,
-averages that over its positives, and the loss averages over the anchors
-that have at least one positive. Per term (anchor label y, camera c):
+Each anchor i scores every positive proxy j by -log softmax of
+f_i . p_j / tau_i over a pool, averages that over its positives, and a
+term's loss averages over the anchors that have at least one positive. f
+holds the encoder embeddings of the augmented batch inputs; momentum
+embeddings and centroids are gradient constants, no gradient ever flows
+through them. Per term (anchor label y, camera c):
 
 - L_ins: momentum embeddings; positives share y, self included;
   negatives differ in label and come from the anchor's own source; pool
@@ -23,12 +21,21 @@ that have at least one positive. Per term (anchor label y, camera c):
 A label is an integer row of the centroid bank. Multi-camera identities
 and single-camera pseudo labels take disjoint ranges of rows.
 
-What a term reads besides the embeddings and the bank, its pool mask, its
-positives (`Positives`) and its proxies' rows of the bank, depends on the
-batch's labels and cameras alone. The sampler fixes those for a whole
-epoch at its start, so `LossLayout` derives them, and runs the batch
-checks, once per epoch for every batch; an iteration then only gathers
-the proxies and runs the kernel. `BatchView(f, m, labels, cameras)` is a
+The objective is one pass of that computation (`_contrastive`) over one
+(B, W) matrix of logits: each term is a block of columns, one per proxy,
+and the four sit side by side, L_ins | L_aug | L_cen | L_cc (ORDER). A
+term's function returns its block (`Block`: its proxies and each
+anchor's temperature), and `one_pass` runs the blocks it is given; a
+term alone is the same pass over its one block (`term_loss`).
+
+What a pass reads besides the embeddings and the bank, the blocks'
+negatives and positives side by side (`Columns`) and the rows of the
+bank the L_cen and L_cc proxies take, depends on the batch's labels and
+cameras and the bank's table of camera centroids alone. The sampler
+fixes the first two for a whole epoch at its start and the bank is built
+once per epoch, so `LossLayout` runs the batch checks and derives them
+once per epoch, for every batch at once; an iteration then only gathers
+the proxies and runs the pass. `BatchView(f, m, labels, cameras)` is a
 batch on its own, the one batch of a one-batch epoch.
 
 The temperatures of the terms (multi-camera, single-camera anchors where a
@@ -56,50 +63,145 @@ TAU_CEN = (0.5, 0.6)
 TAU_CC = 0.07
 GAMMA = 0.5
 
+# the terms' blocks in the order they sit side by side
+ORDER = ("ins", "aug", "cen", "cc")
+# the camera table of a layout no bank has been given yet: no L_cc proxy
+_NO_PAIRS = np.zeros((0, 0), dtype=bool)
+_LOWEST = np.finfo(np.float64).min
 
-class Positives(NamedTuple):
-    """The positives of a (B, P) mask as the kernel reads them: their flat
-    indices k into the mask, in row-major order, their rows i, the weight
-    w = 1 / (positives of the row) of each, and how many rows have one (at
-    least 1, the loss's divisor)."""
+
+class Block(NamedTuple):
+    """A term's columns of a pass: its name in ORDER, its (P, E) proxies
+    and the (B,) temperature of each anchor."""
+    name: str
+    proxies: np.ndarray
+    tau: np.ndarray
+
+
+class Columns(NamedTuple):
+    """One batch's blocks side by side as the kernel reads them.
+
+    neg is the (B, W) mask of each block's negatives in parts side by
+    side: each run of blocks whose masks are the same in every batch is
+    one part, shared by the batches, and each run of the others is one.
+    The non-empty blocks start at columns `starts`, are `widths` wide and
+    are `blocks` (their indices in the blocks asked for). A pool is one
+    row of one non-empty block, pool i * len(blocks) + block. The
+    positives are their flat indices k into the matrix, their pools, and
+    whether each is among its pool's negatives; w is 1 / (positives in
+    the pool) per pool, and n_anchors the rows with a positive per block
+    (at least 1, the block's divisor)."""
+    neg: tuple
+    starts: np.ndarray
+    widths: np.ndarray
+    blocks: tuple
     k: np.ndarray
-    i: np.ndarray
+    pool: np.ndarray
+    in_neg: np.ndarray
     w: np.ndarray
-    n_anchors: int
+    n_anchors: np.ndarray
 
 
-def _epoch_positives(pos: np.ndarray, widths) -> list[Positives]:
-    """The Positives of each batch t of the (n, B, W) masks `pos`, whose
-    first widths[t] columns are its (B, widths[t]) mask and the rest
-    False: one flatnonzero over all of them, split at the batches."""
-    n, b, _ = pos.shape
-    t, i, q = np.unravel_index(np.flatnonzero(pos), pos.shape)
-    k = i * np.asarray(widths)[t] + q
-    n_pos = np.bincount(t * b + i, minlength=n * b)
-    w = 1.0 / n_pos[t * b + i]
-    n_anchors = np.count_nonzero(n_pos.reshape(n, b), axis=1)
-    bounds = np.searchsorted(t, np.arange(n + 1)).tolist()
-    return [Positives(k[lo:hi], i[lo:hi], w[lo:hi], max(n_t, 1))
-            for lo, hi, n_t in zip(bounds, bounds[1:], n_anchors.tolist())]
+def _epoch_columns(pos: list, neg: list, widths) -> list[Columns]:
+    """The Columns of each batch t of an epoch: block b's positive and
+    negative masks are pos[b] and neg[b], both (B, P) if the same in every
+    batch, else both (n, B, P), and widths the (n, blocks) widths. Only the
+    last block's width may vary across batches; its columns past
+    widths[t] are False in both masks. A batch's positives are its
+    blocks' in turn, each block's in row-major order."""
+    widths = np.asarray(widths, dtype=np.int64)
+    n, n_blocks = widths.shape
+    b = pos[0].shape[-2]
+    runs = []  # the negatives: runs of blocks alike in every batch or not
+    for x in neg:
+        if runs and runs[-1][-1].ndim == x.ndim:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    *head, tail = [np.concatenate(run, axis=-1) for run in runs]
+    starts = np.cumsum(widths[0]) - widths[0]  # the same in every batch
+    total, full = widths.sum(axis=1), widths > 0
+    n_full = np.count_nonzero(full, axis=1)
+    slot = np.cumsum(full, axis=1) - 1  # a block's index among the non-empty
+    # each block's positives: (row, column) pairs of a mask alike in every
+    # batch, else flat indices into the (n, B, P) mask
+    n_pos = np.zeros((n, b, n_blocks), dtype=np.int32)
+    found = []
+    for blk, mask in enumerate(pos):
+        if mask.ndim == 2:
+            found.append(np.nonzero(mask))
+            n_pos[:, :, blk] = np.count_nonzero(mask, axis=1)
+        else:
+            found.append(np.flatnonzero(mask))
+            n_pos[:, :, blk] = np.bincount(found[-1] // mask.shape[2],
+                                           minlength=n * b).reshape(n, b)
+    # batch t's positives in row t, each block's in turn from column off
+    counts = n_pos.sum(axis=1)
+    off = np.cumsum(counts, axis=1) - counts
+    per = counts.sum(axis=1)
+    k = np.empty((n, per.max(initial=0)), dtype=np.int32)
+    pools, in_neg = np.empty_like(k), np.empty(k.shape, dtype=bool)
+    for blk, (hits, mask, rest) in enumerate(zip(found, pos, neg)):
+        if mask.ndim == 2:
+            (i, q), t = hits, np.arange(n)[:, None]
+            is_neg = np.broadcast_to(rest[i, q], (n, len(i)))
+        else:
+            is_neg = rest.reshape(-1)[hits]
+            t, q = np.divmod(hits, mask.shape[2])
+            t, i = np.divmod(t, b)
+        c, o = counts[:, blk], off[:, blk]
+        if np.ptp(c) == 0 and np.ptp(o) == 0:  # the same columns of each row
+            at, shape = (slice(None), slice(o[0], o[0] + c[0])), (n, c[0])
+        else:
+            shape = is_neg.shape
+            rank = np.arange(is_neg.size).reshape(shape)
+            at = t, o[t] + rank - (np.cumsum(c) - c)[t]
+        for out, found_b in ((k, i * total[t] + (starts[blk] + q)),
+                             (pools, i * n_full[t] + slot[t, blk]),
+                             (in_neg, is_neg)):
+            out[at] = found_b.reshape(shape)
+    n_anchors = np.maximum(np.count_nonzero(n_pos, axis=1), 1)
+    with np.errstate(divide="ignore"):  # a pool without positives: unread
+        w = 1.0 / n_pos
+    tail_at = sum(x.shape[-1] for x in head)
+    cols = []
+    for it, on in enumerate(full.tolist()):
+        blocks = tuple(j for j, x in enumerate(on) if x)
+        sel = slice(None) if all(on) else list(blocks)
+        parts = [x if x.ndim == 2 else x[it] for x in (*head, tail)]
+        parts[-1] = parts[-1][:, :total[it] - tail_at]
+        cols.append(Columns(tuple(parts), starts[sel], widths[it, sel],
+                            blocks, k[it, :per[it]], pools[it, :per[it]],
+                            in_neg[it, :per[it]], w[it][:, sel].reshape(-1),
+                            n_anchors[it, sel]))
+    return cols
 
 
-def _positives(mask: np.ndarray) -> Positives:
-    """The Positives of one (B, P) mask."""
-    return _epoch_positives(mask[None], mask.shape[1:])[0]
+def _subset(cols: Columns, keep: list) -> Columns:
+    """The Columns of the blocks `keep` of `cols` (indices into the blocks
+    it was asked for, ascending) alone."""
+    span = dict(zip(cols.blocks, zip(cols.starts.tolist(),
+                                     cols.widths.tolist())))
+    cuts = [slice(s, s + w) for s, w in (span.get(j, (0, 0)) for j in keep)]
+    neg = np.concatenate(cols.neg, axis=1)
+    pos = np.zeros(neg.shape, dtype=bool)
+    pos.ravel()[cols.k] = True
+    return _epoch_columns([pos[:, c] for c in cuts], [neg[:, c] for c in cuts],
+                          [[c.stop - c.start for c in cuts]])[0]
 
 
 class LossLayout:
-    """What the four terms read of an epoch's batches that the labels and
-    cameras alone decide, derived once from their (iters, B) arrays: the
-    checks, each term's negatives (pool) mask and Positives, and the rows
-    of the centroid bank its proxies take.
+    """What a pass reads of an epoch's batches that the labels and cameras
+    (and the bank's camera table) alone decide, derived once from their
+    (iters, B) arrays: the checks, each batch's Columns of the four blocks
+    and the rows of the bank the L_cc proxies take.
 
     A row is multi-camera iff its camera is >= 0 (a single-camera row has
     -1). In every batch those rows come first and no label is in both
     sources, and every batch groups its rows by label and source as the
-    first does, as the PK sampler lays them out, so L_ins and L_aug share
-    one pair of masks. Else DimensionMismatchError, as for a camera below
-    -1; a negative label raises UnresolvedLabelError.
+    first does, as the PK sampler lays them out, so L_ins and L_aug have
+    the same columns in every batch. Else DimensionMismatchError, as for a
+    camera below -1; a negative label raises UnresolvedLabelError.
     """
 
     def __init__(self, labels, cameras):
@@ -131,27 +233,20 @@ class LossLayout:
             raise DimensionMismatchError("every batch must group its rows by "
                                          "label and source as the first does")
         self.labels, self.cameras, self.multi = labels, cameras, multi[0]
-        # (Positives, negatives) of a term, for every batch or per batch
-        same = code[:, None] == code[None, :]
-        same_source = self.multi[:, None] == self.multi[None, :]
-        self.ins = _positives(same), ~same & same_source
-        self.aug = _positives(np.eye(len(code), dtype=bool)), ~same
-        pos = labels[:, :, None] == self.batch_labels[:, None, :]
-        self.cen = list(zip(_epoch_positives(pos, [len(first)] * len(pos)),
-                            ~pos))
-        self._cc = None  # (the bank's camera_present, its camera_pairs)
+        self._same = code[:, None] == code[None, :]  # L_ins's positives
+        self._cols = None  # (camera table, Columns per batch, L_cc rows)
+        self._parts = {}  # (batch, blocks) -> Columns of part of ORDER
 
-    def camera_pairs(self, present: np.ndarray
-                     ) -> list[tuple[np.ndarray, np.ndarray, Positives]]:
-        """Per batch, L_cc's proxies against the (I, C) table `present` of
-        a bank's camera centroids: their flat rows in the (I * C, E)
-        centroids, the present pairs of the batch's labels by label, then
-        camera; the pool mask, every pair but its own for a multi row,
-        none for a single one; and the positives, a multi row's label's
-        pairs but its own. Built for all batches on the first call with a
-        table, and kept."""
-        if self._cc is not None and self._cc[0] is present:
-            return self._cc[1]
+    def camera_pairs(self, present: np.ndarray) -> list[np.ndarray]:
+        """Per batch, the L_cc proxies' flat rows in the (I * C, E) camera
+        centroids of a bank whose (I, C) table of present centroids is
+        `present`: the present pairs of the batch's labels, by label, then
+        camera. The first call with a table builds every batch's Columns,
+        L_cc's block holding, for a multi row, every pair but its own as
+        the pool and its label's other pairs as the positives, and none
+        for a single one; they are kept for that table."""
+        if self._cols is not None and self._cols[0] is present:
+            return self._cols[2]
         n_ids, n_cams = present.shape
         iters, b = self.labels.shape
         ids = self.batch_labels
@@ -168,17 +263,39 @@ class LossLayout:
         # the multi rows come first
         n_m = int(np.count_nonzero(self.multi))
         same = self.labels[:, :n_m, None] == pair[0][:, None, :]
-        own = same & (self.cameras[:, :n_m, None] == pair[1][:, None, :])
-        pos = np.zeros((iters, b, pair.shape[2]), dtype=bool)
-        pos[:, :n_m] = same & ~own
-        pool = np.zeros_like(pos)
-        pool[:, :n_m] = ~own
+        other_cam = self.cameras[:, :n_m, None] != pair[1][:, None, :]
+        cc_pos = np.zeros((iters, b, pair.shape[2]), dtype=bool)
+        cc_pos[:, :n_m] = same & other_cam
+        cc_pool = np.zeros_like(cc_pos)
+        cc_pool[:, :n_m] = (other_cam | ~same) & (pair[0] >= 0)[:, None, :]
+        del same, other_cam  # not held through the build
+        cen_pos = self.labels[:, :, None] == ids[:, None, :]
+        same_source = self.multi[:, None] == self.multi[None, :]
+        cols = _epoch_columns(
+            [self._same, np.eye(b, dtype=bool), cen_pos, cc_pos],
+            [~self._same & same_source, ~self._same, ~cen_pos, cc_pool],
+            np.stack(np.broadcast_arrays(b, b, ids.shape[1], widths), axis=1))
         rows = pair[0] * n_cams + pair[1]
-        self._cc = present, [
-            (rows[it, :q], np.ascontiguousarray(pool[it, :, :q]), positives)
-            for it, (q, positives) in enumerate(
-                zip(widths.tolist(), _epoch_positives(pos, widths)))]
-        return self._cc[1]
+        self._parts = {}
+        self._cols = present, cols, [
+            rows[it, :q] for it, q in enumerate(widths.tolist())]
+        return self._cols[2]
+
+    def columns(self, it: int, names: tuple = ORDER) -> Columns:
+        """Batch `it`'s Columns of the blocks `names`, a part of ORDER in
+        its order: the four built for the last camera table (none before
+        the first), or those of a part of them, kept once derived."""
+        if self._cols is None:
+            self.camera_pairs(_NO_PAIRS)
+        cols = self._cols[1][it]
+        if names == ORDER:
+            return cols
+        if (it, names) not in self._parts:
+            keep = [ORDER.index(name) for name in names]
+            if keep != sorted(set(keep)):
+                raise ValueError(f"blocks {names} are not in the order {ORDER}")
+            self._parts[it, names] = _subset(cols, keep)
+        return self._parts[it, names]
 
     def view(self, it: int, f: np.ndarray, m: np.ndarray) -> "BatchView":
         """Batch `it` with its embeddings, no check repeated."""
@@ -273,98 +390,138 @@ def build_centroids(
 def _contrastive(
     f: np.ndarray,
     proxies: np.ndarray,
-    pos: Positives,
-    neg: np.ndarray,
     tau: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Masked multi-positive log-softmax of each anchor against `proxies`.
+    cols: Columns,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked multi-positive log-softmax of each anchor against the
+    non-empty blocks of `cols`, side by side, in one pass.
 
-    `pos` is the Positives of a (B, P) mask, `neg` a (B, P) mask and `tau`
-    the (B,) temperature. Row
-    i scores positive j against {j} plus the negatives, which is the
-    negatives alone when j is one of them; its loss is the mean of -log
-    softmax over its positives. The result is averaged over the rows with
-    at least one positive, and is exactly zero when there are none or when
-    no pool holds more than its own positive.
+    `proxies` are those blocks' (W, E) proxies side by side, `tau` the
+    (B, blocks) temperature of each anchor in each and `scale` the weight
+    of each. Row i scores positive j of a block against {j} plus its
+    negatives in the block, which is the negatives alone when j is one of
+    them; its loss is the mean of -log softmax over its positives there.
+    A block's loss averages over its rows with a positive, and is exactly
+    zero when there are none or when no pool holds more than its own
+    positive. Returns each block's loss and the gradient of their sum,
+    weighted by `scale`, with respect to f.
     """
+    b, nb = tau.shape
+    starts, widths, in_neg = cols.starts, cols.widths, cols.in_neg
+    neg = np.concatenate(cols.neg, axis=1)
+    # kept as int32, gathered by as intp: numpy casts other indices per use
+    k, pool = cols.k.astype(np.intp), cols.pool.astype(np.intp)
     z = f @ proxies.T
-    z /= tau[:, None]
-    top = np.where(neg, z, -np.inf).max(axis=1, initial=-np.inf)
-    shift = np.where(np.isfinite(top), top, 0.0)  # no -inf - -inf on empty rows
-    # z - shift <= 0 on the negatives; the clip keeps exp finite (and off
-    # numpy's slow path for -inf) on the entries the mask then zeroes
-    e = z - shift[:, None]  # one buffer: exp, then dL/dz
+    z /= np.repeat(tau, widths, axis=1)
+    # each pool's max, the lowest float for an empty one, so that z - shift
+    # stays finite there too
+    shift = np.maximum.reduceat(np.where(neg, z, _LOWEST), starts, axis=1)
+    z_p = z.ravel()[k]
+    # the positives at the top of their pool, which holds them: their share
+    # of it, 1 - softmax, is the rest of the pool's mass, summed without
+    # their own term, over the whole (1 - softmax itself loses it)
+    tops = np.flatnonzero(in_neg & (z_p == shift.ravel()[pool]))
+    e = z  # one buffer: the logits, then exp, then dL/dz
+    e -= np.repeat(shift, widths, axis=1)
+    # e <= 0 on the negatives; the clip keeps exp finite on the entries the
+    # mask then zeroes
     np.exp(np.minimum(e, 0.0, out=e), out=e)
     e *= neg
-    s = e.sum(axis=1)
+    if tops.size:
+        e.ravel()[k[tops]] = 0.0  # ravel is a view of e
+    s = np.add.reduceat(e, starts, axis=1).ravel()
+    if tops.size:  # each top's pool without it, then the pools whole
+        p = pool[tops]
+        n_top = np.bincount(p, minlength=s.size)
+        rest = s[p] + (n_top[p] - 1)
+        s += n_top
     with np.errstate(divide="ignore"):
-        lse_neg = shift + np.log(s)  # -inf where a row has no negative
-    # only the positives carry weight: work on their own vectors (at flat
-    # indices k, rows i), and sum those
-    k, i, w, n_anchors = pos
-    z_p, lr, in_neg = z.ravel()[k], lse_neg[i], neg.ravel()[k]
+        lse_neg = shift.ravel() + np.log(s)  # -inf where a pool is empty
+    # only the positives carry weight: work on their own vectors, and sum
+    # those by pool and block
+    w, lr = cols.w[pool], lse_neg[pool]
     lse = np.where(in_neg, lr, np.logaddexp(z_p, lr))  # per (i, j) pool
-    loss = float(np.sum(w * (lse - z_p))) / n_anchors
-    # dL/dz: each pool's softmax weighted by w, less w at its positive. A
-    # positive outside the negatives gets -w times the negatives' share
-    # of its pool, not w * (softmax - 1), which cancels when the positive
-    # dominates; inside them, the share is 1
+    losses = (np.bincount(pool % nb, w * (lse - z_p), minlength=nb)
+              / cols.n_anchors)
+    # dL/dz: each pool's softmax weighted by w, less w at its positive: a
+    # positive outside the negatives gets -w times the negatives' share of
+    # its pool, a top one -w times the rest's (its share is w)
     share = w * np.exp(lr - lse)
-    c = np.bincount(i, share, minlength=len(f))
-    e *= (c / np.where(s > 0.0, s, 1.0))[:, None]
-    e.ravel()[k] -= share  # ravel is a view of e
-    e /= (tau * n_anchors)[:, None]
-    return loss, e @ proxies
+    c = np.bincount(pool, share, minlength=s.size)
+    g = ((scale / cols.n_anchors) / tau).ravel()
+    # a pool holds no mass (s = 0) or at least its top's, 1
+    e *= np.repeat((c / np.maximum(s, 1.0) * g).reshape(b, nb), widths,
+                   axis=1)
+    own = -share
+    if tops.size:
+        own[tops] = ((c[p] - w[tops]) - w[tops] * rest) / s[p]
+    e.ravel()[k] += own * g[pool]
+    return losses, e @ proxies
 
 
-def instance_loss(
-    view: BatchView,
-    tau_m: float,
-    tau_s: float,
-) -> tuple[float, np.ndarray]:
-    """Anchor-to-positive-instances loss, averaged over positives and anchors.
-
-    Positives of anchor i are all j with the same label, the self-pair
-    included. Negatives are same-source batch members with a different
-    label.
-    """
-    pos, neg = view.layout.ins
-    tau = np.where(view.multi, tau_m, tau_s)
-    return _contrastive(view.f, view.m, pos, neg, tau)
+def instance_loss(view: BatchView, tau_m: float, tau_s: float) -> Block:
+    """L_ins's block: the momentum embeddings. Positives of anchor i are
+    all j with the same label, the self-pair included; negatives are
+    same-source batch members with a different label."""
+    return Block("ins", view.m, np.where(view.multi, tau_m, tau_s))
 
 
-def augmentation_loss(view: BatchView, tau_aug: float) -> tuple[float, np.ndarray]:
-    """Pulls each augmented embedding to its own momentum original; negatives
-    are all different-label batch members from either source."""
-    pos, neg = view.layout.aug
-    return _contrastive(view.f, view.m, pos, neg, np.full(view.size, tau_aug))
+def augmentation_loss(view: BatchView, tau_aug: float) -> Block:
+    """L_aug's block: pulls each augmented embedding to its own momentum
+    original; negatives are all different-label batch members from either
+    source."""
+    return Block("aug", view.m, np.full(view.size, tau_aug))
 
 
-def centroids_loss(
-    view: BatchView, bank: CentroidBank, tau_m: float, tau_s: float
-) -> tuple[float, np.ndarray]:
-    """Pulls each anchor to its label centroid against the centroids of all
-    distinct labels present in the batch."""
+def centroids_loss(view: BatchView, bank: CentroidBank, tau_m: float,
+                   tau_s: float) -> Block:
+    """L_cen's block: pulls each anchor to its label centroid against the
+    centroids of all distinct labels present in the batch."""
     labels = view.batch_labels
     if len(labels) and labels[-1] >= len(bank.label_centroids):
         raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
-    pos, neg = view.layout.cen[view.it]
-    tau = np.where(view.multi, tau_m, tau_s)
-    return _contrastive(view.f, bank.label_centroids[labels], pos, neg, tau)
+    return Block("cen", bank.label_centroids[labels],
+                 np.where(view.multi, tau_m, tau_s))
 
 
-def camera_centroids_loss(
-    view: BatchView, bank: CentroidBank, tau_cc: float
-) -> tuple[float, np.ndarray]:
-    """Pulls multi-camera anchors toward same-label centroids from *other*
-    cameras; negatives are camera centroids of the other multi labels in the
-    batch. Each positive is scored against all of them, the other positives
-    included: those are negatives of the kernel too. Anchors with no
-    cross-camera proxy contribute zero."""
-    rows, pool, pos = view.layout.camera_pairs(bank.camera_present)[view.it]
+def camera_centroids_loss(view: BatchView, bank: CentroidBank,
+                          tau_cc: float) -> Block:
+    """L_cc's block: pulls multi-camera anchors toward same-label centroids
+    from *other* cameras; negatives are camera centroids of the other
+    multi labels in the batch. Each positive is scored against all of
+    them, the other positives included: those are negatives of the kernel
+    too. Anchors with no cross-camera proxy contribute zero."""
+    rows = view.layout.camera_pairs(bank.camera_present)[view.it]
     cents = bank.camera_centroids
-    proxies = cents.reshape(-1, cents.shape[-1])[rows]
-    return _contrastive(view.f, proxies, pos, pool, np.full(view.size, tau_cc))
+    return Block("cc", cents.reshape(-1, cents.shape[-1])[rows],
+                 np.full(view.size, tau_cc))
+
+
+def one_pass(view: BatchView, blocks: list, weights=None
+             ) -> tuple[dict[str, float], np.ndarray]:
+    """One `_contrastive` pass over `blocks` (in ORDER's order) of batch
+    `view`: each block's loss by name, and the gradient of their sum
+    weighted by `weights` (1 each by default)."""
+    names = tuple(block.name for block in blocks)
+    cols = view.layout.columns(view.it, names)
+    parts = dict.fromkeys(names, 0.0)
+    if not cols.blocks:
+        return parts, np.zeros_like(view.f)
+    on = list(cols.blocks)
+    scale = np.ones(len(on)) if weights is None else np.asarray(weights)[on]
+    tau = np.concatenate([blocks[j].tau for j in on]).reshape(len(on), -1)
+    losses, grads = _contrastive(
+        view.f, np.concatenate([block.proxies for block in blocks]), tau.T,
+        cols, scale)
+    parts.update(zip([names[j] for j in on], losses.tolist()))
+    return parts, grads
+
+
+def term_loss(view: BatchView, block: Block) -> tuple[float, np.ndarray]:
+    """A term alone: the pass over its one block, (loss, dL/df)."""
+    parts, grads = one_pass(view, [block])
+    return parts[block.name], grads
 
 
 # The objective, summed in order: name -> (weight, the term at its taus).
@@ -380,10 +537,12 @@ TERMS = {
 def total_loss(
     view: BatchView, bank: CentroidBank
 ) -> tuple[float, np.ndarray, dict[str, float]]:
-    """The weighted sum of TERMS, its gradient and each term's loss by name."""
-    loss, grads, parts = 0.0, 0.0, {}
-    for name, (weight, term) in TERMS.items():
-        parts[name], g = term(view, bank)
+    """The weighted sum of TERMS, its gradient and each term's loss by
+    name: every term's block, then one pass over them all."""
+    blocks = [term(view, bank) for _, term in TERMS.values()]
+    parts, grads = one_pass(view, blocks,
+                            [weight for weight, _ in TERMS.values()])
+    loss = 0.0
+    for name, (weight, _) in TERMS.items():
         loss = loss + weight * parts[name]
-        grads = grads + weight * g
     return loss, grads, parts

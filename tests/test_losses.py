@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from remix.errors import (
     EmptyLabelError,
     UnresolvedLabelError,
 )
+import remix
 from remix import gradcheck, losses
 from remix.datamodel import LabelGroups, draw_epoch
 from remix.gradcheck import max_relative_errors
@@ -28,16 +34,19 @@ from remix.losses import (
     TAU_CC,
     TAU_CEN,
     TAU_INS,
+    ORDER,
     TERMS,
     BatchView,
     LossLayout,
     _contrastive,
-    _positives,
+    _epoch_columns,
     augmentation_loss,
     build_centroids,
     camera_centroids_loss,
     centroids_loss,
     instance_loss,
+    one_pass,
+    term_loss,
     total_loss,
 )
 from remix.numcore import finite_diff_grad, normalize_rows, substream
@@ -178,25 +187,54 @@ def batch_masks(labels, cameras, bank):
     }
 
 
-def assert_positives_of(pos, mask):
-    k = np.flatnonzero(mask)
-    n_pos = mask.sum(axis=1)
-    assert pos.k.tolist() == k.tolist()
-    assert pos.i.tolist() == (k // mask.shape[1]).tolist()
-    assert pos.w.tolist() == (1.0 / n_pos[k // mask.shape[1]]).tolist()
-    assert pos.n_anchors == max(np.count_nonzero(n_pos), 1)
+def assert_columns_of(cols, masks):
+    """cols holds the (positive, negative) masks of its blocks side by side:
+    the negatives, each non-empty block's place, and its positives in turn,
+    each block's in row-major order, with their pools, weights and anchor
+    counts."""
+    neg = np.hstack([n for _, n in masks])
+    widths = [p.shape[1] for p, _ in masks]
+    on = [j for j, w in enumerate(widths) if w]
+    starts = np.cumsum(widths) - widths
+    assert np.array_equal(np.hstack(cols.neg), neg)
+    assert cols.blocks == tuple(on)
+    assert cols.starts.tolist() == starts[on].tolist()
+    assert cols.widths.tolist() == [widths[j] for j in on]
+    k, pool, in_neg, w, anchors = [], [], [], [], []
+    for slot, j in enumerate(on):
+        pos = masks[j][0]
+        i, q = np.nonzero(pos)
+        n_pos = pos.sum(axis=1)
+        k += (i * neg.shape[1] + starts[j] + q).tolist()
+        pool += (i * len(on) + slot).tolist()
+        in_neg += masks[j][1][i, q].tolist()
+        w += (1.0 / n_pos[i]).tolist()
+        anchors.append(max(np.count_nonzero(n_pos), 1))
+    assert cols.k.tolist() == k
+    assert cols.pool.tolist() == pool
+    assert cols.in_neg.tolist() == in_neg
+    assert cols.w[cols.pool].tolist() == w
+    assert cols.n_anchors.tolist() == anchors
+
+
+def masks_of(want, names=ORDER):
+    """(positive, pool negatives) masks of the named terms of batch_masks:
+    L_cc's pool is its positives and negatives."""
+    return [(want[n][0], want[n][0] | want[n][1] if n == "cc" else want[n][1])
+            for n in names]
 
 
 # each term's temperatures per row, and its call at them
 TERM_CALLS = {
     "ins": (lambda multi: np.where(multi, *TAU_INS),
-            lambda v, bank: instance_loss(v, *TAU_INS)),
+            lambda v, bank: term_loss(v, instance_loss(v, *TAU_INS))),
     "aug": (lambda multi: np.full(len(multi), TAU_AUG),
-            lambda v, bank: augmentation_loss(v, TAU_AUG)),
+            lambda v, bank: term_loss(v, augmentation_loss(v, TAU_AUG))),
     "cen": (lambda multi: np.where(multi, *TAU_CEN),
-            lambda v, bank: centroids_loss(v, bank, *TAU_CEN)),
+            lambda v, bank: term_loss(v, centroids_loss(v, bank, *TAU_CEN))),
     "cc": (lambda multi: np.full(len(multi), TAU_CC),
-           lambda v, bank: camera_centroids_loss(v, bank, TAU_CC)),
+           lambda v, bank: term_loss(v, camera_centroids_loss(v, bank,
+                                                              TAU_CC))),
 }
 
 
@@ -215,21 +253,16 @@ class TestLossLayout:
                 want = batch_masks(labels, cameras, bank)
                 assert layout.batch_labels[it].tolist() \
                     == np.unique(labels).tolist()
-                for name in ("ins", "aug"):
-                    pos, neg = getattr(layout, name)
-                    assert_positives_of(pos, want[name][0])
-                    assert np.array_equal(neg, want[name][1])
-                pos, neg = layout.cen[it]
-                assert_positives_of(pos, want["cen"][0])
-                assert np.array_equal(neg, want["cen"][1])
-                rows, pool, pos = pairs[it]
-                cc_pos, cc_neg, proxies = want["cc"]
-                assert_positives_of(pos, cc_pos)
-                assert np.array_equal(pool, cc_pos | cc_neg)
+                # the four side by side, and each term's alone
+                assert_columns_of(layout.columns(it), masks_of(want))
+                for name in ORDER:
+                    assert_columns_of(layout.columns(it, (name,)),
+                                      masks_of(want, [name]))
                 assert np.array_equal(bank.camera_centroids.reshape(
-                    -1, bank.camera_centroids.shape[-1])[rows], proxies)
+                    -1, bank.camera_centroids.shape[-1])[pairs[it]],
+                    want["cc"][2])
             # with cameras missing, batches differ in their proxy count
-            widths = {len(rows) for rows, _, _ in pairs}
+            widths = {len(rows) for rows in pairs}
             assert (len(widths) > 1) == (shape == "absent_pairs")
 
     @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
@@ -269,14 +302,15 @@ class TestLossLayout:
         bank = build_centroids(embs, groups.labels(), groups.cameras)
         labels, cameras = np.array([1, 1, 0, 0]), np.array([3, 1, 2, 0])
         layout = LossLayout(labels[None], cameras[None])
-        rows, pool, pos = layout.camera_pairs(bank.camera_present)[0]
+        rows = layout.camera_pairs(bank.camera_present)[0]
         assert rows.tolist() == [0 * 4 + 0, 0 * 4 + 2, 0 * 4 + 3,
                                  1 * 4 + 1, 1 * 4 + 3]
-        assert pool.tolist() == [[1, 1, 1, 1, 0], [1, 1, 1, 0, 1],
-                                 [1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]
+        cols = layout.columns(0, ("cc",))
+        assert np.hstack(cols.neg).tolist() == [
+            [1, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]
         # (row, column): each row's own identity's other cameras
-        assert pos.k.tolist() == [0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0,
-                                  2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
+        assert cols.k.tolist() == [0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0,
+                                   2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
         view = BatchView(embs[:4], embs[4:8], labels, cameras)
         assert_matches_loops(view, bank)
 
@@ -298,6 +332,26 @@ class TestLossLayout:
         monkeypatch.setattr(gradcheck, "LossLayout", Counted)
         max_relative_errors(seed=0, n_batches=2)
         assert built == [(1, gradcheck.BATCH)] * 2
+
+    def test_layout_memory_at_the_joint_shape(self):
+        # a joint epoch, 50 batches of 64 with its camera pairs built:
+        # the four blocks' negatives side by side, (50, 64, 176) bools, and
+        # 24,000 positives; not (iters, B, W) positive masks or a second
+        # copy of a term's layout beside them
+        draws, bank = drawn_epoch("joint", 0)
+        tracemalloc.start()
+        try:
+            layout = LossLayout(draws.labels, draws.cameras)
+            layout.camera_pairs(bank.camera_present)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.labels.shape == (50, 64)
+        # the masks of L_ins and L_aug are one part, shared by the batches
+        ins_aug, rest = layout.columns(0).neg
+        assert ins_aug is layout.columns(1).neg[0]
+        assert (ins_aug.shape, rest.shape) == ((64, 128), (64, 48))
+        assert retained <= 2**20 and peak <= 2 * 2**20
 
     @pytest.mark.parametrize("labels, cameras, error", [
         (np.zeros((0, 4)), np.zeros((0, 4)), DimensionMismatchError),
@@ -419,13 +473,14 @@ def oracle_pairs(view, bank, tau_scale=1.0):
     """(kernel, loop) results for every loss variant at scaled taus."""
     t = {k: v * tau_scale for k, v in TAUS.items()}
     return [
-        (instance_loss(view, t["tau_ins_m"], t["tau_ins_s"]),
+        (term_loss(view, instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
          reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
-        (augmentation_loss(view, t["tau_aug"]),
+        (term_loss(view, augmentation_loss(view, t["tau_aug"])),
          reference_augmentation_loss(view, t["tau_aug"])),
-        (centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"]),
+        (term_loss(view, centroids_loss(view, bank, t["tau_cen_m"],
+                                        t["tau_cen_s"])),
          reference_centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"])),
-        (camera_centroids_loss(view, bank, t["tau_cc"]),
+        (term_loss(view, camera_centroids_loss(view, bank, t["tau_cc"])),
          reference_camera_centroids_loss(view, bank, t["tau_cc"])),
     ]
 
@@ -474,6 +529,13 @@ def batch_shaped_view(seed, n_pseudo, dim=16):
             build_centroids(embs, bank_labels, bank_cams))
 
 
+def one_block(f, proxies, pos, neg, tau):
+    """The kernel's pass over one block of (B, P) masks, (loss, grads)."""
+    cols = _epoch_columns([pos], [neg], [[pos.shape[1]]])[0]
+    losses, grads = _contrastive(f, proxies, tau[:, None], cols, np.ones(1))
+    return float(losses[0]), grads
+
+
 @st.composite
 def kernel_cases(draw):
     """(pos, neg, tau, shared, seed): b x p masks, b temperatures, the pool
@@ -515,17 +577,25 @@ class TestKernelAgainstLoops:
             assert_matches_loops(view, bank)
 
     def test_peak_stays_below_three_matrices(self):
-        # beside its inputs, one call at (256, 256) holds two float
-        # matrices at a time: the logits and either the masked logits of
-        # the negatives' max or the one buffer that takes exp and then the
-        # gradient
+        # beside its inputs, a pass over four blocks at B = 256 holds two
+        # (B, W) float matrices at a time: the one buffer that takes the
+        # logits, exp and then the gradient, and either the masked logits
+        # of the negatives' max or a block-wise expansion of the
+        # temperatures, the shifts or the pools' coefficients
         rng = substream(0, "gradcheck")
-        b = p = 256
-        f = normalize_rows(rng.standard_normal((b, 16)))
-        proxies = normalize_rows(rng.standard_normal((p, 16)))
+        b = 256
         labels = np.arange(b) // 4
-        pos = labels[:, None] == labels[None, :]
-        args = (f, proxies, _positives(pos), ~pos, np.full(b, 0.1))
+        same = labels[:, None] == labels[None, :]
+        cen = labels[:, None] == np.arange(b // 4)[None, :]
+        cams = np.arange(b) % 4
+        cc_pos = same & (cams[:, None] != cams[None, :])
+        cols = _epoch_columns([same, np.eye(b, dtype=bool), cen, cc_pos],
+                              [~same, ~same, ~cen, ~np.eye(b, dtype=bool)],
+                              [[b, b, b // 4, b]])[0]
+        w = np.hstack(cols.neg).shape[1]
+        f = normalize_rows(rng.standard_normal((b, 16)))
+        proxies = normalize_rows(rng.standard_normal((w, 16)))
+        args = (f, proxies, np.full((b, 4), 0.1), cols, np.ones(4))
         _contrastive(*args)
         tracemalloc.start()
         try:
@@ -533,7 +603,7 @@ class TestKernelAgainstLoops:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * b * p * 8
+        assert peak < 3 * b * w * 8
 
     def test_large_magnitudes(self):
         # tau = 1e-4 puts logits near 1e4: the max shift keeps every loss
@@ -567,8 +637,8 @@ class TestKernelAgainstLoops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise"):
-                loss, grads = _contrastive(f, proxies, _positives(pos),
-                                           pos | neg if shared else neg, tau)
+                loss, grads = one_block(f, proxies, pos,
+                                        pos | neg if shared else neg, tau)
         want, want_grads = reference_contrastive(f, proxies, pos, neg, tau,
                                                  shared)
         assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
@@ -580,6 +650,25 @@ class TestKernelAgainstLoops:
                                                       axis=1))
         assert np.all(np.max(np.abs(grads - want_grads), axis=1) <= bound)
 
+    def test_top_positive_in_its_pool(self):
+        # One anchor whose positive is the top of a pool that holds it and
+        # one negative, at tau 1e-3 (the seed gives the positive the higher
+        # logit): its 1 - softmax is the negative's share alone. Taken as
+        # w - w * softmax it cancelled, 1.0e-13 off the 50-digit gradient
+        # (1.5e-10 relative); the loops take it as the rest's share too
+        pos, pool = np.array([[True, False]]), np.array([[True, True]])
+        tau = np.array([1e-3])
+        rng = np.random.default_rng(2715)
+        f = normalize_rows(rng.standard_normal((1, 4)))
+        proxies = normalize_rows(rng.standard_normal((2, 4)))
+        assert f @ proxies[0] > f @ proxies[1]
+        loss, grads = one_block(f, proxies, pos, pool, tau)
+        want, want_grads = reference_contrastive(f, proxies, pos, ~pos, tau,
+                                                 True)
+        assert loss == pytest.approx(want, rel=1e-15, abs=1e-300)
+        ulp = np.spacing(np.max(np.abs(want_grads)))
+        assert np.max(np.abs(grads - want_grads)) <= 4 * ulp
+
     def test_pool_rules(self):
         # one anchor label, two positives of equal similarity, no negatives:
         # instance scores each positive against itself alone (loss 0), the
@@ -588,9 +677,9 @@ class TestKernelAgainstLoops:
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         view = BatchView(f, m, [0, 0], np.array([0, 0]))
         bank = build_centroids(m, [0, 0], np.array([1, 2]))
-        assert instance_loss(view, 0.1, 0.2)[0] == 0.0
-        assert camera_centroids_loss(view, bank, 0.07)[0] == \
-            pytest.approx(np.log(2.0), abs=1e-15)
+        assert term_loss(view, instance_loss(view, 0.1, 0.2))[0] == 0.0
+        assert term_loss(view, camera_centroids_loss(view, bank, 0.07))[0] \
+            == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 class TestInstanceLossOracle:
@@ -615,7 +704,7 @@ class TestInstanceLossOracle:
                 pool = [sims[i, j] / tau] + [sims[i, k] / tau for k in neg]
                 per_anchor -= (sims[i, j] / tau - lse(pool)) / len(pos)
             expect += per_anchor / 3
-        loss, _ = instance_loss(view, tau, 0.2)
+        loss, _ = term_loss(view, instance_loss(view, tau, 0.2))
         assert loss == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -624,12 +713,12 @@ class TestInstanceLossOracle:
         # the anchor-weighted mean of its two single-source sub-batches,
         # and each sub-batch's gradient rows scale by its share of anchors
         view = random_view(seed, n_multi=6, n_single=4)
-        loss, grads = instance_loss(view, 0.1, 0.2)
+        loss, grads = term_loss(view, instance_loss(view, 0.1, 0.2))
         parts = []
         for rows in (view.multi, ~view.multi):
             sub = BatchView(view.f[rows], view.m[rows], view.labels[rows],
                             view.cameras[rows])
-            sub_loss, sub_grads = instance_loss(sub, 0.1, 0.2)
+            sub_loss, sub_grads = term_loss(sub, instance_loss(sub, 0.1, 0.2))
             share = sub.size / view.size
             assert np.max(np.abs(grads[rows] - share * sub_grads)) <= 1e-12
             parts.append(share * sub_loss)
@@ -641,7 +730,7 @@ class TestDegenerateZeros:
         rng = substream(3, "init")
         f = normalize_rows(rng.standard_normal((3, 4)))
         view = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
-        loss, grads = instance_loss(view, 0.1, 0.2)
+        loss, grads = term_loss(view, instance_loss(view, 0.1, 0.2))
         assert loss == 0.0
         assert np.allclose(grads, 0.0)
 
@@ -649,7 +738,7 @@ class TestDegenerateZeros:
         rng = substream(4, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
         view = BatchView(f, f, [0] * 2, np.array([0, 1]))
-        loss, grads = augmentation_loss(view, 0.1)
+        loss, grads = term_loss(view, augmentation_loss(view, 0.1))
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_centroids_single_label(self):
@@ -657,7 +746,7 @@ class TestDegenerateZeros:
         f = normalize_rows(rng.standard_normal((2, 4)))
         view = BatchView(f, f, [0] * 2, np.array([0, 1]))
         bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = centroids_loss(view, bank, 0.5, 0.6)
+        loss, grads = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_camera_centroids_single_camera(self):
@@ -665,22 +754,22 @@ class TestDegenerateZeros:
         f = normalize_rows(rng.standard_normal((4, 4)))
         view = BatchView(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
         bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = camera_centroids_loss(view, bank, 0.07)
+        loss, grads = term_loss(view, camera_centroids_loss(view, bank, 0.07))
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
 
 class TestGradients:
     """dL/df against central differences, loss by loss."""
 
-    def check(self, fn):
+    def check(self, block):
         view = random_view(7)
         bank = bank_for(view)
-        _, grads = fn(view, bank)
+        _, grads = term_loss(view, block(view, bank))
 
         def scalar(flat):
             v2 = BatchView(flat.reshape(view.f.shape), view.m, view.labels,
                            view.cameras)
-            return fn(v2, bank)[0]
+            return term_loss(v2, block(v2, bank))[0]
 
         fd = finite_diff_grad(scalar, view.f.reshape(-1)).reshape(view.f.shape)
         assert np.allclose(grads, fd, atol=1e-7)
@@ -710,10 +799,10 @@ class TestCentroidsLoss:
         view = random_view(9)
         bank = bank_for(view)
         # a centroid for a label absent from the batch must not matter
-        loss_a, _ = centroids_loss(view, bank, 0.5, 0.6)
+        loss_a, _ = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
         bank.label_centroids = np.vstack([bank.label_centroids,
                                           np.ones(5) / np.sqrt(5)])
-        loss_b, _ = centroids_loss(view, bank, 0.5, 0.6)
+        loss_b, _ = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
         assert loss_a == loss_b
 
 
@@ -726,10 +815,11 @@ class TestTotalLoss:
                   + GAMMA * parts["cc"])
         assert abs(loss - expect) <= 1e-12
 
-        g = (instance_loss(view, *TAU_INS)[1]
-             + augmentation_loss(view, TAU_AUG)[1]
-             + centroids_loss(view, bank, *TAU_CEN)[1]
-             + GAMMA * camera_centroids_loss(view, bank, TAU_CC)[1])
+        g = (term_loss(view, instance_loss(view, *TAU_INS))[1]
+             + term_loss(view, augmentation_loss(view, TAU_AUG))[1]
+             + term_loss(view, centroids_loss(view, bank, *TAU_CEN))[1]
+             + GAMMA * term_loss(view, camera_centroids_loss(view, bank,
+                                                             TAU_CC))[1])
         assert np.max(np.abs(grads - g)) <= 1e-12
 
     def test_constants_keep_the_config_defaults_they_replaced(self):
@@ -739,6 +829,59 @@ class TestTotalLoss:
     def test_terms_are_the_objective_in_order(self):
         assert [(name, weight) for name, (weight, _) in TERMS.items()] \
             == [("ins", 1.0), ("aug", 1.0), ("cen", 1.0), ("cc", GAMMA)]
+
+
+class TestOnePass:
+    """total_loss runs the kernel once, over the four blocks side by side,
+    and that pass is the weighted sum of each term's pass alone."""
+
+    def test_total_loss_runs_one_kernel_pass(self, monkeypatch):
+        passes = []
+
+        def counted(*args, _real=losses._contrastive):
+            passes.append(args[3].blocks)
+            return _real(*args)
+
+        monkeypatch.setattr(losses, "_contrastive", counted)
+        view = random_view(12)
+        bank = bank_for(view)
+        for n in (1, 2):
+            total_loss(view, bank)
+            assert passes == [(0, 1, 2, 3)] * n
+
+    @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
+    def test_pass_is_the_weighted_sum_of_the_terms_alone(self, shape):
+        draws, bank = drawn_epoch(shape, 4)
+        layout = LossLayout(draws.labels, draws.cameras)
+        rng = substream(5, "gradcheck")
+        iters, b = draws.labels.shape
+        u = np.finfo(np.float64).eps / 2
+        for it in range(iters):
+            f = normalize_rows(rng.standard_normal((b, 6)))
+            m = normalize_rows(rng.standard_normal((b, 6)))
+            view = layout.view(it, f, m)
+            loss, grads, parts = total_loss(view, bank)
+            want_loss, want_grads = 0.0, np.zeros_like(f)
+            for name, (weight, term) in TERMS.items():
+                part, g = term_loss(view, term(view, bank))
+                assert abs(parts[name] - part) <= 1e-15 * abs(part)
+                want_loss += weight * part
+                want_grads += weight * g
+            assert abs(loss - want_loss) <= 1e-15 * abs(want_loss)
+            # the smallest temperature, L_cc's, bounds every term's error
+            bound = 32 * u / TAU_CC * np.maximum(
+                1.0, np.max(np.abs(want_grads), axis=1))
+            assert np.all(np.max(np.abs(grads - want_grads), axis=1) <= bound)
+
+    def test_blocks_follow_the_order(self):
+        view = random_view(13)
+        bank = bank_for(view)
+        parts, _ = one_pass(view, [instance_loss(view, *TAU_INS),
+                                   centroids_loss(view, bank, *TAU_CEN)])
+        assert list(parts) == ["ins", "cen"]
+        with pytest.raises(ValueError, match="order"):
+            one_pass(view, [centroids_loss(view, bank, *TAU_CEN),
+                            instance_loss(view, *TAU_INS)])
 
 
 # the loss each term of TERMS calls
@@ -782,3 +925,17 @@ class TestTermCalls:
         n = len(evaluated) // len(TERMS)
         assert n > 1 and evaluated == [name for name in TERMS
                                        for _ in range(n)]
+
+
+def test_time_loss_script():
+    # the timing script of the pass: one epoch at each setting, one repeat
+    script = Path(__file__).resolve().parents[1] / "scripts" / "time_loss.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(remix.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script), "--reps", "1"],
+                         env=env, capture_output=True, text=True, check=True)
+    doc = json.loads(out.stdout)
+    assert (doc["seed"], doc["reps"]) == (0, 1)
+    for setting, batch in (("joint", 64), ("labeled_only", 32)):
+        assert (doc[setting]["batch"], doc[setting]["iters"]) == (batch, 50)
+        assert doc[setting]["total_loss_us"] > 0
+        assert doc[setting]["layout_ms"] > 0
