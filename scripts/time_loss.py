@@ -12,10 +12,13 @@ the default generator's data at seed S, and every `total_loss` call is
 recorded with its batch and bank, and the epoch's labels and cameras
 with them. Then, R times over, every recorded `total_loss` call is
 repeated and timed, and so is the layout build: `LossLayout` on the
-epoch's labels and cameras and its `camera_pairs` for the bank. One JSON
-object is printed: per setting, the batch size, the iterations, the
-microseconds per `total_loss` call and the milliseconds per layout
-build, each the minimum over the R repeats of its mean over the epoch.
+epoch's labels and cameras and its `camera_pairs` for the bank. One
+more layout build, before the timed ones, runs under `tracemalloc` for
+the bytes it keeps and the most it holds at once. One JSON object is
+printed: per setting, the batch size, the iterations, the microseconds
+per `total_loss` call and the milliseconds per layout build, each the
+minimum over the R repeats of its mean over the epoch, and the layout's
+retained and peak bytes.
 The checkout is whichever `remix` is on the path, so two checkouts are
 compared by running this once per checkout, alternating between them.
 """
@@ -23,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import time
+import tracemalloc
 
 from remix import losses, trainer
 from remix.config import RunConfig
@@ -56,6 +60,18 @@ def first_epoch(seed: int, overrides: dict):
     return calls, draws[0]
 
 
+def layout_bytes(labels, cameras, bank) -> tuple[int, int]:
+    """The bytes a layout build keeps and the most it holds at once; the
+    layout is dropped on return, before anything is timed."""
+    tracemalloc.start()
+    try:
+        layout = losses.LossLayout(labels, cameras)
+        layout.camera_pairs(bank.camera_present)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=15)
@@ -67,6 +83,7 @@ def main() -> None:
     for name, overrides in SETTINGS.items():
         calls, (labels, cameras) = first_epoch(args.seed, overrides)
         bank = calls[0][1]
+        retained, peak = layout_bytes(labels, cameras, bank)
         loss_us, layout_ms = [], []
         for _ in range(args.reps):
             start = time.perf_counter()
@@ -78,7 +95,9 @@ def main() -> None:
             layout_ms.append((time.perf_counter() - start) * 1e3)
         report[name] = {"batch": int(labels.shape[1]), "iters": len(calls),
                         "total_loss_us": min(loss_us),
-                        "layout_ms": min(layout_ms)}
+                        "layout_ms": min(layout_ms),
+                        "layout_retained_bytes": retained,
+                        "layout_peak_bytes": peak}
     print(json.dumps({"seed": args.seed, "reps": args.reps, **report}))
 
 

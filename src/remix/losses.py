@@ -23,10 +23,11 @@ and single-camera pseudo labels take disjoint ranges of rows.
 
 The objective is one pass of that computation (`_contrastive`) over one
 (B, W) matrix of logits: each term is a block of columns, one per proxy,
-and the four sit side by side, L_ins | L_aug | L_cen | L_cc (ORDER). A
-term's function returns its block (`Block`: its proxies and each
-anchor's temperature), and `one_pass` runs the blocks it is given; a
-term alone is the same pass over its one block (`term_loss`).
+and the four sit side by side, L_ins | L_aug | L_cen | L_cc, in TERMS
+order. A term's function returns its block (`Block`: its proxies and
+each anchor's temperature), and `total_loss` runs the pass over all
+four; a term alone (`term_loss`) is the pass over its block's slice of
+the columns.
 
 What a pass reads besides the embeddings and the bank, the blocks'
 negatives and positives side by side (`Columns`) and the rows of the
@@ -34,7 +35,8 @@ bank the L_cen and L_cc proxies take, depends on the batch's labels and
 cameras and the bank's table of camera centroids alone. The sampler
 fixes the first two for a whole epoch at its start and the bank is built
 once per epoch, so `LossLayout` runs the batch checks and derives them
-once per epoch, for every batch at once; an iteration then only gathers
+once per epoch, for every batch at once, in one (B, W) layout that L_cc
+pads to the epoch's most camera pairs; an iteration then only gathers
 the proxies and runs the pass. `BatchView(f, m, labels, cameras)` is a
 batch on its own, the one batch of a one-batch epoch.
 
@@ -63,15 +65,13 @@ TAU_CEN = (0.5, 0.6)
 TAU_CC = 0.07
 GAMMA = 0.5
 
-# the terms' blocks in the order they sit side by side
-ORDER = ("ins", "aug", "cen", "cc")
 # the camera table of a layout no bank has been given yet: no L_cc proxy
 _NO_PAIRS = np.zeros((0, 0), dtype=bool)
 _LOWEST = np.finfo(np.float64).min
 
 
 class Block(NamedTuple):
-    """A term's columns of a pass: its name in ORDER, its (P, E) proxies
+    """A term's columns of a pass: its name in TERMS, its (P, E) proxies
     and the (B,) temperature of each anchor."""
     name: str
     proxies: np.ndarray
@@ -81,17 +81,15 @@ class Block(NamedTuple):
 class Columns(NamedTuple):
     """One batch's blocks side by side as the kernel reads them.
 
-    neg is the (B, W) mask of each block's negatives in parts side by
-    side: each run of blocks whose masks are the same in every batch is
-    one part, shared by the batches, and each run of the others is one.
-    The non-empty blocks start at columns `starts`, are `widths` wide and
-    are `blocks` (their indices in the blocks asked for). A pool is one
-    row of one non-empty block, pool i * len(blocks) + block. The
-    positives are their flat indices k into the matrix, their pools, and
-    whether each is among its pool's negatives; w is 1 / (positives in
-    the pool) per pool, and n_anchors the rows with a positive per block
-    (at least 1, the block's divisor)."""
-    neg: tuple
+    neg is the (B, W) mask of each block's negatives. The blocks with
+    columns start at `starts`, are `widths` wide and are `blocks` (their
+    indices in the blocks asked for). A pool is one row of one of them,
+    pool i * len(blocks) + block. The positives, in row-major order, are
+    their flat indices k into the matrix, their pools, and whether each is
+    among its pool's negatives; w is 1 / (positives in the pool) per pool,
+    and n_anchors the rows with a positive per block (at least 1, the
+    block's divisor)."""
+    neg: np.ndarray
     starts: np.ndarray
     widths: np.ndarray
     blocks: tuple
@@ -102,106 +100,65 @@ class Columns(NamedTuple):
     n_anchors: np.ndarray
 
 
-def _epoch_columns(pos: list, neg: list, widths) -> list[Columns]:
-    """The Columns of each batch t of an epoch: block b's positive and
-    negative masks are pos[b] and neg[b], both (B, P) if the same in every
-    batch, else both (n, B, P), and widths the (n, blocks) widths. Only the
-    last block's width may vary across batches; its columns past
-    widths[t] are False in both masks. A batch's positives are its
-    blocks' in turn, each block's in row-major order."""
-    widths = np.asarray(widths, dtype=np.int64)
-    n, n_blocks = widths.shape
-    b = pos[0].shape[-2]
-    runs = []  # the negatives: runs of blocks alike in every batch or not
-    for x in neg:
-        if runs and runs[-1][-1].ndim == x.ndim:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    *head, tail = [np.concatenate(run, axis=-1) for run in runs]
-    starts = np.cumsum(widths[0]) - widths[0]  # the same in every batch
-    total, full = widths.sum(axis=1), widths > 0
-    n_full = np.count_nonzero(full, axis=1)
-    slot = np.cumsum(full, axis=1) - 1  # a block's index among the non-empty
-    # each block's positives: (row, column) pairs of a mask alike in every
-    # batch, else flat indices into the (n, B, P) mask
-    n_pos = np.zeros((n, b, n_blocks), dtype=np.int32)
-    found = []
-    for blk, mask in enumerate(pos):
-        if mask.ndim == 2:
-            found.append(np.nonzero(mask))
-            n_pos[:, :, blk] = np.count_nonzero(mask, axis=1)
-        else:
-            found.append(np.flatnonzero(mask))
-            n_pos[:, :, blk] = np.bincount(found[-1] // mask.shape[2],
-                                           minlength=n * b).reshape(n, b)
-    # batch t's positives in row t, each block's in turn from column off
-    counts = n_pos.sum(axis=1)
-    off = np.cumsum(counts, axis=1) - counts
-    per = counts.sum(axis=1)
-    k = np.empty((n, per.max(initial=0)), dtype=np.int32)
-    pools, in_neg = np.empty_like(k), np.empty(k.shape, dtype=bool)
-    for blk, (hits, mask, rest) in enumerate(zip(found, pos, neg)):
-        if mask.ndim == 2:
-            (i, q), t = hits, np.arange(n)[:, None]
-            is_neg = np.broadcast_to(rest[i, q], (n, len(i)))
-        else:
-            is_neg = rest.reshape(-1)[hits]
-            t, q = np.divmod(hits, mask.shape[2])
-            t, i = np.divmod(t, b)
-        c, o = counts[:, blk], off[:, blk]
-        if np.ptp(c) == 0 and np.ptp(o) == 0:  # the same columns of each row
-            at, shape = (slice(None), slice(o[0], o[0] + c[0])), (n, c[0])
-        else:
-            shape = is_neg.shape
-            rank = np.arange(is_neg.size).reshape(shape)
-            at = t, o[t] + rank - (np.cumsum(c) - c)[t]
-        for out, found_b in ((k, i * total[t] + (starts[blk] + q)),
-                             (pools, i * n_full[t] + slot[t, blk]),
-                             (in_neg, is_neg)):
-            out[at] = found_b.reshape(shape)
-    n_anchors = np.maximum(np.count_nonzero(n_pos, axis=1), 1)
+def _epoch_columns(pos: np.ndarray, neg: np.ndarray, widths) -> list[Columns]:
+    """The Columns of each batch t of an epoch from the (iters, B, W) mask
+    of its negatives, neg[t], its blocks side by side, `widths` wide, and
+    the flat indices `pos` of its positives in that array, ascending; a
+    block of width 0 is left out."""
+    iters, b, width = neg.shape
+    blocks = tuple(j for j, w in enumerate(widths) if w)
+    widths = np.asarray(widths)[list(blocks)]
+    nb = len(blocks)
+    # the positives in row-major order: their int32 batch, index into the
+    # batch's matrix and pool
+    in_neg = neg.reshape(-1)[pos]
+    flat = pos.astype(np.int32)
+    t = flat // (b * width)
+    k = flat - t * (b * width)
+    pool_at = np.arange(b, dtype=np.int32)[:, None] * nb + np.repeat(
+        np.arange(nb, dtype=np.int32), widths)  # (B, W): each entry's pool
+    pool = pool_at.reshape(-1)[k.astype(np.intp)]
+    n_pos = np.bincount(t * (b * nb) + pool,
+                        minlength=iters * b * nb).reshape(iters, b * nb)
+    n_anchors = np.maximum(np.count_nonzero(n_pos.reshape(iters, b, nb),
+                                            axis=1), 1)
     with np.errstate(divide="ignore"):  # a pool without positives: unread
         w = 1.0 / n_pos
-    tail_at = sum(x.shape[-1] for x in head)
-    cols = []
-    for it, on in enumerate(full.tolist()):
-        blocks = tuple(j for j, x in enumerate(on) if x)
-        sel = slice(None) if all(on) else list(blocks)
-        parts = [x if x.ndim == 2 else x[it] for x in (*head, tail)]
-        parts[-1] = parts[-1][:, :total[it] - tail_at]
-        cols.append(Columns(tuple(parts), starts[sel], widths[it, sel],
-                            blocks, k[it, :per[it]], pools[it, :per[it]],
-                            in_neg[it, :per[it]], w[it][:, sel].reshape(-1),
-                            n_anchors[it, sel]))
-    return cols
+    ends = np.cumsum(n_pos.sum(axis=1)).tolist()
+    starts = np.cumsum(widths) - widths
+    return [Columns(neg[it], starts, widths, blocks, k[s:e], pool[s:e],
+                    in_neg[s:e], w[it], n_anchors[it])
+            for it, (s, e) in enumerate(zip([0] + ends, ends))]
 
 
-def _subset(cols: Columns, keep: list) -> Columns:
-    """The Columns of the blocks `keep` of `cols` (indices into the blocks
-    it was asked for, ascending) alone."""
-    span = dict(zip(cols.blocks, zip(cols.starts.tolist(),
-                                     cols.widths.tolist())))
-    cuts = [slice(s, s + w) for s, w in (span.get(j, (0, 0)) for j in keep)]
-    neg = np.concatenate(cols.neg, axis=1)
-    pos = np.zeros(neg.shape, dtype=bool)
-    pos.ravel()[cols.k] = True
-    return _epoch_columns([pos[:, c] for c in cuts], [neg[:, c] for c in cuts],
-                          [[c.stop - c.start for c in cuts]])[0]
+def _alone(cols: Columns, j: int) -> Columns:
+    """Block j (an index into TERMS) of the four-block `cols` alone: a
+    slice of its columns, with its positives and pools."""
+    if j not in cols.blocks:  # no column this epoch
+        return cols._replace(blocks=())
+    slot, nb = cols.blocks.index(j), len(cols.blocks)
+    start, width = int(cols.starts[slot]), int(cols.widths[slot])
+    mine = cols.pool % nb == slot
+    i, c = np.divmod(cols.k[mine], cols.neg.shape[1])
+    return Columns(cols.neg[:, start:start + width], np.zeros(1, int),
+                   cols.widths[slot:slot + 1], (0,), i * width + (c - start),
+                   i, cols.in_neg[mine], cols.w[slot::nb],
+                   cols.n_anchors[slot:slot + 1])
 
 
 class LossLayout:
     """What a pass reads of an epoch's batches that the labels and cameras
     (and the bank's camera table) alone decide, derived once from their
-    (iters, B) arrays: the checks, each batch's Columns of the four blocks
-    and the rows of the bank the L_cc proxies take.
+    (iters, B) arrays: the checks, each batch's Columns of the four blocks,
+    one (B, W) layout for the epoch, and the rows of the bank the L_cc
+    proxies take. A block with no column in the epoch is left out of it.
 
     A row is multi-camera iff its camera is >= 0 (a single-camera row has
     -1). In every batch those rows come first and no label is in both
     sources, and every batch groups its rows by label and source as the
-    first does, as the PK sampler lays them out, so L_ins and L_aug have
-    the same columns in every batch. Else DimensionMismatchError, as for a
-    camera below -1; a negative label raises UnresolvedLabelError.
+    first does, as the PK sampler lays them out. Else
+    DimensionMismatchError, as for a camera below -1; a negative label
+    raises UnresolvedLabelError.
     """
 
     def __init__(self, labels, cameras):
@@ -235,16 +192,18 @@ class LossLayout:
         self.labels, self.cameras, self.multi = labels, cameras, multi[0]
         self._same = code[:, None] == code[None, :]  # L_ins's positives
         self._cols = None  # (camera table, Columns per batch, L_cc rows)
-        self._parts = {}  # (batch, blocks) -> Columns of part of ORDER
+        self._alone = {}  # (batch, name) -> Columns of a block alone
 
-    def camera_pairs(self, present: np.ndarray) -> list[np.ndarray]:
-        """Per batch, the L_cc proxies' flat rows in the (I * C, E) camera
-        centroids of a bank whose (I, C) table of present centroids is
-        `present`: the present pairs of the batch's labels, by label, then
-        camera. The first call with a table builds every batch's Columns,
-        L_cc's block holding, for a multi row, every pair but its own as
-        the pool and its label's other pairs as the positives, and none
-        for a single one; they are kept for that table."""
+    def camera_pairs(self, present: np.ndarray) -> np.ndarray:
+        """The L_cc proxies' flat rows in the (I * C, E) camera centroids
+        of a bank whose (I, C) table of present centroids is `present`, an
+        (iters, Q) array: batch t's present pairs of its labels, by label,
+        then camera, padded to the epoch's most, Q, with row 0. The first
+        call with a table builds every batch's Columns, one (B, W) layout
+        for the epoch, L_cc's block holding, for a multi row, every pair but
+        its own as the pool and its label's other pairs as the positives,
+        and none for a single row or a padding column; they are kept for
+        that table."""
         if self._cols is not None and self._cols[0] is present:
             return self._cols[2]
         n_ids, n_cams = present.shape
@@ -253,49 +212,48 @@ class LossLayout:
         known = ids < n_ids
         has = np.zeros(ids.shape + (n_cams,), dtype=bool)  # (iters, P, C)
         has[known] = present[ids[known]]
-        # batch t's pairs in the first widths[t] columns of (iters, Q)
-        # labels and cameras, the rest label -1, which no row has
+        # batch t's pairs in its first columns of (iters, Q) labels and
+        # cameras, the rest label -1, which no row has
         t, p, cam = np.nonzero(has)
-        widths = np.count_nonzero(has.reshape(iters, -1), axis=1)
-        col = np.arange(len(t)) - (np.cumsum(widths) - widths)[t]
-        pair = np.full((2, iters, widths.max(initial=0)), -1)
+        counts = np.count_nonzero(has.reshape(iters, -1), axis=1)
+        col = np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
+        pair = np.full((2, iters, counts.max(initial=0)), -1)
         pair[:, t, col] = ids[t, p], cam
-        # the multi rows come first
-        n_m = int(np.count_nonzero(self.multi))
+        n_l, n_m = ids.shape[1], int(np.count_nonzero(self.multi))
+        cen, cc = slice(2 * b, 2 * b + n_l), slice(2 * b + n_l, None)
         same = self.labels[:, :n_m, None] == pair[0][:, None, :]
         other_cam = self.cameras[:, :n_m, None] != pair[1][:, None, :]
-        cc_pos = np.zeros((iters, b, pair.shape[2]), dtype=bool)
-        cc_pos[:, :n_m] = same & other_cam
-        cc_pool = np.zeros_like(cc_pos)
-        cc_pool[:, :n_m] = (other_cam | ~same) & (pair[0] >= 0)[:, None, :]
-        del same, other_cam  # not held through the build
-        cen_pos = self.labels[:, :, None] == ids[:, None, :]
+        # one (iters, B, W) mask: the positives, then, in place, the
+        # negatives; the multi rows come first
+        mask = np.empty((iters, b, 2 * b + n_l + pair.shape[2]), dtype=bool)
+        mask[:, :, :2 * b] = np.hstack([self._same, np.eye(b, dtype=bool)])
+        np.equal(self.labels[:, :, None], ids[:, None, :], out=mask[:, :, cen])
+        mask[:, n_m:, cc] = False
+        np.logical_and(same, other_cam, out=mask[:, :n_m, cc])
+        pos = np.flatnonzero(mask)
         same_source = self.multi[:, None] == self.multi[None, :]
-        cols = _epoch_columns(
-            [self._same, np.eye(b, dtype=bool), cen_pos, cc_pos],
-            [~self._same & same_source, ~self._same, ~cen_pos, cc_pool],
-            np.stack(np.broadcast_arrays(b, b, ids.shape[1], widths), axis=1))
-        rows = pair[0] * n_cams + pair[1]
-        self._parts = {}
-        self._cols = present, cols, [
-            rows[it, :q] for it, q in enumerate(widths.tolist())]
+        mask[:, :, :2 * b] = np.hstack([~self._same & same_source, ~self._same])
+        np.logical_not(mask[:, :, cen], out=mask[:, :, cen])
+        mask[:, :n_m, cc] = (other_cam | ~same) & (pair[0] >= 0)[:, None, :]
+        del same, other_cam  # not held through the build
+        widths = [b, b, n_l, pair.shape[2]]
+        self._alone = {}
+        self._cols = present, _epoch_columns(pos, mask, widths), np.where(
+            pair[0] >= 0, pair[0] * n_cams + pair[1], 0)
         return self._cols[2]
 
-    def columns(self, it: int, names: tuple = ORDER) -> Columns:
-        """Batch `it`'s Columns of the blocks `names`, a part of ORDER in
-        its order: the four built for the last camera table (none before
-        the first), or those of a part of them, kept once derived."""
+    def columns(self, it: int, name: str | None = None) -> Columns:
+        """Batch `it`'s Columns of the four blocks, built for the last
+        camera table (none before the first), or of block `name` alone, a
+        slice of them kept once taken."""
         if self._cols is None:
             self.camera_pairs(_NO_PAIRS)
-        cols = self._cols[1][it]
-        if names == ORDER:
-            return cols
-        if (it, names) not in self._parts:
-            keep = [ORDER.index(name) for name in names]
-            if keep != sorted(set(keep)):
-                raise ValueError(f"blocks {names} are not in the order {ORDER}")
-            self._parts[it, names] = _subset(cols, keep)
-        return self._parts[it, names]
+        if name is None:
+            return self._cols[1][it]
+        if (it, name) not in self._alone:
+            self._alone[it, name] = _alone(self._cols[1][it],
+                                           list(TERMS).index(name))
+        return self._alone[it, name]
 
     def view(self, it: int, f: np.ndarray, m: np.ndarray) -> "BatchView":
         """Batch `it` with its embeddings, no check repeated."""
@@ -395,7 +353,7 @@ def _contrastive(
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masked multi-positive log-softmax of each anchor against the
-    non-empty blocks of `cols`, side by side, in one pass.
+    blocks of `cols`, side by side, in one pass.
 
     `proxies` are those blocks' (W, E) proxies side by side, `tau` the
     (B, blocks) temperature of each anchor in each and `scale` the weight
@@ -408,8 +366,7 @@ def _contrastive(
     weighted by `scale`, with respect to f.
     """
     b, nb = tau.shape
-    starts, widths, in_neg = cols.starts, cols.widths, cols.in_neg
-    neg = np.concatenate(cols.neg, axis=1)
+    neg, starts, widths, in_neg = cols.neg, cols.starts, cols.widths, cols.in_neg
     # kept as int32, gathered by as intp: numpy casts other indices per use
     k, pool = cols.k.astype(np.intp), cols.pool.astype(np.intp)
     z = f @ proxies.T
@@ -498,29 +455,28 @@ def camera_centroids_loss(view: BatchView, bank: CentroidBank,
                  np.full(view.size, tau_cc))
 
 
-def one_pass(view: BatchView, blocks: list, weights=None
+def one_pass(view: BatchView, blocks: list, cols: Columns, weights: list
              ) -> tuple[dict[str, float], np.ndarray]:
-    """One `_contrastive` pass over `blocks` (in ORDER's order) of batch
-    `view`: each block's loss by name, and the gradient of their sum
-    weighted by `weights` (1 each by default)."""
-    names = tuple(block.name for block in blocks)
-    cols = view.layout.columns(view.it, names)
-    parts = dict.fromkeys(names, 0.0)
+    """One `_contrastive` pass of batch `view` over `blocks`, whose columns
+    `cols` are: each block's loss by name, and the gradient of their sum
+    weighted by `weights`, one per block."""
+    parts = {block.name: 0.0 for block in blocks}
     if not cols.blocks:
         return parts, np.zeros_like(view.f)
     on = list(cols.blocks)
-    scale = np.ones(len(on)) if weights is None else np.asarray(weights)[on]
     tau = np.concatenate([blocks[j].tau for j in on]).reshape(len(on), -1)
     losses, grads = _contrastive(
         view.f, np.concatenate([block.proxies for block in blocks]), tau.T,
-        cols, scale)
-    parts.update(zip([names[j] for j in on], losses.tolist()))
+        cols, np.asarray(weights)[on])
+    parts.update(zip([blocks[j].name for j in on], losses.tolist()))
     return parts, grads
 
 
 def term_loss(view: BatchView, block: Block) -> tuple[float, np.ndarray]:
-    """A term alone: the pass over its one block, (loss, dL/df)."""
-    parts, grads = one_pass(view, [block])
+    """A term alone: the pass over its block's slice of the columns,
+    (loss, dL/df)."""
+    parts, grads = one_pass(view, [block],
+                            view.layout.columns(view.it, block.name), [1.0])
     return parts[block.name], grads
 
 
@@ -540,7 +496,7 @@ def total_loss(
     """The weighted sum of TERMS, its gradient and each term's loss by
     name: every term's block, then one pass over them all."""
     blocks = [term(view, bank) for _, term in TERMS.values()]
-    parts, grads = one_pass(view, blocks,
+    parts, grads = one_pass(view, blocks, view.layout.columns(view.it),
                             [weight for weight, _ in TERMS.values()])
     loss = 0.0
     for name, (weight, _) in TERMS.items():

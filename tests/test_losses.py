@@ -34,7 +34,6 @@ from remix.losses import (
     TAU_CC,
     TAU_CEN,
     TAU_INS,
-    ORDER,
     TERMS,
     BatchView,
     LossLayout,
@@ -45,7 +44,6 @@ from remix.losses import (
     camera_centroids_loss,
     centroids_loss,
     instance_loss,
-    one_pass,
     term_loss,
     total_loss,
 )
@@ -142,7 +140,8 @@ def absent_pair_cams(rng):
 
 
 # (groups, sizes, iters): the default joint and labeled-only batches, a
-# refresh epoch's large pseudo pool, and identities with cameras missing
+# refresh epoch's large pseudo pool, identities with cameras missing, and
+# pseudo labels alone, no L_cc column in the epoch
 EPOCH_SHAPES = {
     "joint": (lambda rng: identity_rows([range(4)] * 60).then(
         pseudo_rows(30, 8)), (8, 4, 8, 4), 50),
@@ -152,6 +151,8 @@ EPOCH_SHAPES = {
         pseudo_rows(480, 16)), (8, 4, 8, 4), 5),
     "absent_pairs": (lambda rng: identity_rows(absent_pair_cams(rng)).then(
         pseudo_rows(10, 3)), (4, 4, 4, 2), 20),
+    "corpus_only": (lambda rng: identity_rows([range(4)] * 60).then(
+        pseudo_rows(30, 8)), (0, 4, 8, 4), 50),
 }
 
 
@@ -189,39 +190,43 @@ def batch_masks(labels, cameras, bank):
 
 def assert_columns_of(cols, masks):
     """cols holds the (positive, negative) masks of its blocks side by side:
-    the negatives, each non-empty block's place, and its positives in turn,
-    each block's in row-major order, with their pools, weights and anchor
-    counts."""
-    neg = np.hstack([n for _, n in masks])
+    the negatives, each block's place, and the positives in row-major
+    order, with their pools, weights and anchor counts. A block alone with
+    no column has no pass to run."""
     widths = [p.shape[1] for p, _ in masks]
     on = [j for j, w in enumerate(widths) if w]
-    starts = np.cumsum(widths) - widths
-    assert np.array_equal(np.hstack(cols.neg), neg)
+    if not on:
+        assert cols.blocks == ()
+        return
+    pos, neg = (np.hstack([x[side] for x in masks]) for side in (0, 1))
+    starts = (np.cumsum(widths) - widths)[on]
+    assert np.array_equal(cols.neg, neg)
     assert cols.blocks == tuple(on)
-    assert cols.starts.tolist() == starts[on].tolist()
+    assert cols.starts.tolist() == starts.tolist()
     assert cols.widths.tolist() == [widths[j] for j in on]
-    k, pool, in_neg, w, anchors = [], [], [], [], []
-    for slot, j in enumerate(on):
-        pos = masks[j][0]
-        i, q = np.nonzero(pos)
-        n_pos = pos.sum(axis=1)
-        k += (i * neg.shape[1] + starts[j] + q).tolist()
-        pool += (i * len(on) + slot).tolist()
-        in_neg += masks[j][1][i, q].tolist()
-        w += (1.0 / n_pos[i]).tolist()
-        anchors.append(max(np.count_nonzero(n_pos), 1))
-    assert cols.k.tolist() == k
-    assert cols.pool.tolist() == pool
-    assert cols.in_neg.tolist() == in_neg
-    assert cols.w[cols.pool].tolist() == w
-    assert cols.n_anchors.tolist() == anchors
+    i, q = np.nonzero(pos)
+    slot = np.searchsorted(starts, q, side="right") - 1
+    n_pos = np.stack([masks[j][0].sum(axis=1) for j in on], axis=1)
+    assert cols.k.tolist() == (i * neg.shape[1] + q).tolist()
+    assert cols.pool.tolist() == (i * len(on) + slot).tolist()
+    assert cols.in_neg.tolist() == neg[i, q].tolist()
+    assert cols.w[cols.pool].tolist() == (1.0 / n_pos[i, slot]).tolist()
+    assert cols.n_anchors.tolist() \
+        == np.maximum(np.count_nonzero(n_pos, axis=0), 1).tolist()
 
 
-def masks_of(want, names=ORDER):
+def masks_of(want, q, names=tuple(TERMS)):
     """(positive, pool negatives) masks of the named terms of batch_masks:
-    L_cc's pool is its positives and negatives."""
-    return [(want[n][0], want[n][0] | want[n][1] if n == "cc" else want[n][1])
-            for n in names]
+    L_cc's pool is its positives and negatives, and both its masks are
+    padded with False to q columns, the epoch's most camera pairs."""
+    masks = []
+    for name in names:
+        pos, neg = want[name][:2]
+        if name == "cc":
+            pos, neg = (np.pad(x, ((0, 0), (0, q - x.shape[1])))
+                        for x in (pos, pos | neg))
+        masks.append((pos, neg))
+    return masks
 
 
 # each term's temperatures per row, and its call at them
@@ -248,22 +253,32 @@ class TestLossLayout:
             draws, bank = drawn_epoch(shape, seed)
             layout = LossLayout(draws.labels, draws.cameras)
             pairs = layout.camera_pairs(bank.camera_present)
-            for it, (labels, cameras) in enumerate(zip(draws.labels,
-                                                       draws.cameras)):
-                want = batch_masks(labels, cameras, bank)
+            wants = [batch_masks(labels, cameras, bank)
+                     for labels, cameras in zip(draws.labels, draws.cameras)]
+            counts = [len(want["cc"][2]) for want in wants]
+            q = max(counts)
+            for it, want in enumerate(wants):
                 assert layout.batch_labels[it].tolist() \
-                    == np.unique(labels).tolist()
+                    == np.unique(draws.labels[it]).tolist()
                 # the four side by side, and each term's alone
-                assert_columns_of(layout.columns(it), masks_of(want))
-                for name in ORDER:
-                    assert_columns_of(layout.columns(it, (name,)),
-                                      masks_of(want, [name]))
+                cols = layout.columns(it)
+                assert_columns_of(cols, masks_of(want, q))
+                for name in TERMS:
+                    assert_columns_of(layout.columns(it, name),
+                                      masks_of(want, q, [name]))
                 assert np.array_equal(bank.camera_centroids.reshape(
-                    -1, bank.camera_centroids.shape[-1])[pairs[it]],
-                    want["cc"][2])
-            # with cameras missing, batches differ in their proxy count
-            widths = {len(rows) for rows in pairs}
-            assert (len(widths) > 1) == (shape == "absent_pairs")
+                    -1, bank.camera_centroids.shape[-1])[pairs[it]][
+                        :counts[it]], want["cc"][2])
+                # L_cc's padding: in no pool, no positive there
+                pad = cols.neg.shape[1] - (q - counts[it])
+                assert not cols.neg[:, pad:].any()
+                assert np.all(cols.k % cols.neg.shape[1] < pad)
+            # with cameras missing, batches differ in their proxy count but
+            # not in their columns
+            assert (len(set(counts)) > 1) == (shape == "absent_pairs")
+            assert len({tuple(layout.columns(it).widths)
+                        for it in range(len(wants))}) == 1
+            assert pairs.shape == (len(wants), q)
 
     @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
     def test_terms_match_the_loops(self, shape):
@@ -305,8 +320,8 @@ class TestLossLayout:
         rows = layout.camera_pairs(bank.camera_present)[0]
         assert rows.tolist() == [0 * 4 + 0, 0 * 4 + 2, 0 * 4 + 3,
                                  1 * 4 + 1, 1 * 4 + 3]
-        cols = layout.columns(0, ("cc",))
-        assert np.hstack(cols.neg).tolist() == [
+        cols = layout.columns(0, "cc")
+        assert cols.neg.tolist() == [
             [1, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]
         # (row, column): each row's own identity's other cameras
         assert cols.k.tolist() == [0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0,
@@ -336,8 +351,7 @@ class TestLossLayout:
     def test_layout_memory_at_the_joint_shape(self):
         # a joint epoch, 50 batches of 64 with its camera pairs built:
         # the four blocks' negatives side by side, (50, 64, 176) bools, and
-        # 24,000 positives; not (iters, B, W) positive masks or a second
-        # copy of a term's layout beside them
+        # 24,000 positives; not the (iters, B, W) positive mask beside them
         draws, bank = drawn_epoch("joint", 0)
         tracemalloc.start()
         try:
@@ -347,10 +361,7 @@ class TestLossLayout:
         finally:
             tracemalloc.stop()
         assert draws.labels.shape == (50, 64)
-        # the masks of L_ins and L_aug are one part, shared by the batches
-        ins_aug, rest = layout.columns(0).neg
-        assert ins_aug is layout.columns(1).neg[0]
-        assert (ins_aug.shape, rest.shape) == ((64, 128), (64, 48))
+        assert layout.columns(0).neg.shape == (64, 176)
         assert retained <= 2**20 and peak <= 2 * 2**20
 
     @pytest.mark.parametrize("labels, cameras, error", [
@@ -531,7 +542,7 @@ def batch_shaped_view(seed, n_pseudo, dim=16):
 
 def one_block(f, proxies, pos, neg, tau):
     """The kernel's pass over one block of (B, P) masks, (loss, grads)."""
-    cols = _epoch_columns([pos], [neg], [[pos.shape[1]]])[0]
+    cols = _epoch_columns(np.flatnonzero(pos), neg[None], [pos.shape[1]])[0]
     losses, grads = _contrastive(f, proxies, tau[:, None], cols, np.ones(1))
     return float(losses[0]), grads
 
@@ -589,10 +600,11 @@ class TestKernelAgainstLoops:
         cen = labels[:, None] == np.arange(b // 4)[None, :]
         cams = np.arange(b) % 4
         cc_pos = same & (cams[:, None] != cams[None, :])
-        cols = _epoch_columns([same, np.eye(b, dtype=bool), cen, cc_pos],
-                              [~same, ~same, ~cen, ~np.eye(b, dtype=bool)],
-                              [[b, b, b // 4, b]])[0]
-        w = np.hstack(cols.neg).shape[1]
+        pos = np.hstack([same, np.eye(b, dtype=bool), cen, cc_pos])
+        neg = np.hstack([~same, ~same, ~cen, ~np.eye(b, dtype=bool)])
+        cols = _epoch_columns(np.flatnonzero(pos), neg[None],
+                              [b, b, b // 4, b])[0]
+        w = cols.neg.shape[1]
         f = normalize_rows(rng.standard_normal((b, 16)))
         proxies = normalize_rows(rng.standard_normal((w, 16)))
         args = (f, proxies, np.full((b, 4), 0.1), cols, np.ones(4))
@@ -873,16 +885,6 @@ class TestOnePass:
                 1.0, np.max(np.abs(want_grads), axis=1))
             assert np.all(np.max(np.abs(grads - want_grads), axis=1) <= bound)
 
-    def test_blocks_follow_the_order(self):
-        view = random_view(13)
-        bank = bank_for(view)
-        parts, _ = one_pass(view, [instance_loss(view, *TAU_INS),
-                                   centroids_loss(view, bank, *TAU_CEN)])
-        assert list(parts) == ["ins", "cen"]
-        with pytest.raises(ValueError, match="order"):
-            one_pass(view, [centroids_loss(view, bank, *TAU_CEN),
-                            instance_loss(view, *TAU_INS)])
-
 
 # the loss each term of TERMS calls
 LOSS_OF = {"ins": "instance_loss", "aug": "augmentation_loss",
@@ -939,3 +941,5 @@ def test_time_loss_script():
         assert (doc[setting]["batch"], doc[setting]["iters"]) == (batch, 50)
         assert doc[setting]["total_loss_us"] > 0
         assert doc[setting]["layout_ms"] > 0
+        assert 0 < doc[setting]["layout_retained_bytes"] \
+            <= doc[setting]["layout_peak_bytes"]
