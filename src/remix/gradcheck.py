@@ -4,14 +4,16 @@ with the encoder.
 Used both by the CLI `gradcheck` command and by the acceptance suite. The
 probe builds random mixed batches, computes analytic parameter gradients
 through each term and the encoder, and compares against central
-differences on the flattened parameter vector.
+differences on the flattened parameter vector. One probe per parameter
+gives all four terms' differences; a term's analytic gradient is the
+pass at its one-hot weights.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import encoder as enc
-from .losses import TERMS, LossLayout, build_centroids, term_loss
+from .losses import TERMS, LossLayout, build_centroids, total_loss
 from .numcore import finite_diff_grad, normalize_rows, substream
 
 # a term passes when its max relative error is at most this
@@ -46,19 +48,18 @@ def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
     for _ in range(n_batches):
         params = enc.init_params(FEAT_DIM, [HIDDEN], EMB_DIM, rng)
         x, layout, m, bank = _random_case(rng)
-        for name, (_, term) in TERMS.items():
 
-            def scalar(flat):
-                f, _ = enc.forward_batch(params.like(flat), x)
-                view = layout.view(0, f, m)
-                return term_loss(view, term(view, bank))[0]
+        def parts(flat):
+            f, _ = enc.forward_batch(params.like(flat), x)
+            return list(total_loss(layout.view(0, f, m), bank)[2].values())
 
-            f, cache = enc.forward_batch(params, x)
-            view = layout.view(0, f, m)
-            _, d_f = term_loss(view, term(view, bank))
+        fd = finite_diff_grad(parts, params.flat, FD_STEP)
+        f, cache = enc.forward_batch(params, x)
+        view = layout.view(0, f, m)
+        for j, name in enumerate(TERMS):
+            _, d_f, _ = total_loss(view, bank, np.eye(len(TERMS))[j])
             analytic = enc.backward_batch(params, cache, d_f).flat
-            fd = finite_diff_grad(scalar, params.flat, FD_STEP)
-            scale = max(float(np.max(np.abs(fd))), 1e-12)
-            err = float(np.max(np.abs(analytic - fd))) / scale
+            scale = max(float(np.max(np.abs(fd[:, j]))), 1e-12)
+            err = float(np.max(np.abs(analytic - fd[:, j]))) / scale
             worst[name] = max(worst[name], err)
     return worst

@@ -26,8 +26,8 @@ The objective is one pass of that computation (`_contrastive`) over one
 and the four sit side by side, L_ins | L_aug | L_cen | L_cc, in TERMS
 order. A term's function returns its block (`Block`: its proxies and
 each anchor's temperature), and `total_loss` runs the pass over all
-four; a term alone (`term_loss`) is the pass over its block's slice of
-the columns.
+four at one weight per term. A term alone is the same pass at weight 1
+on that term and 0 on the others.
 
 What a pass reads besides the embeddings and the bank, the blocks'
 negatives and positives side by side (`Columns`) and the rows of the
@@ -43,7 +43,8 @@ batch on its own, the one batch of a one-batch epoch.
 The temperatures of the terms (multi-camera, single-camera anchors where a
 term has two) and the weight GAMMA of L_cc are the module constants below.
 TERMS is the objective, L = L_ins + L_aug + L_cen + GAMMA * L_cc, as
-name -> (weight, the term's call at its temperatures), summed in order.
+name -> (weight, the term's call at its temperatures), summed in order;
+`total_loss` takes other weights, one per term in TERMS order.
 """
 from __future__ import annotations
 
@@ -71,9 +72,8 @@ _LOWEST = np.finfo(np.float64).min
 
 
 class Block(NamedTuple):
-    """A term's columns of a pass: its name in TERMS, its (P, E) proxies
-    and the (B,) temperature of each anchor."""
-    name: str
+    """A term's columns of a pass: its (P, E) proxies and the (B,)
+    temperature of each anchor."""
     proxies: np.ndarray
     tau: np.ndarray
 
@@ -83,7 +83,7 @@ class Columns(NamedTuple):
 
     neg is the (B, W) mask of each block's negatives. The blocks with
     columns start at `starts`, are `widths` wide and are `blocks` (their
-    indices in the blocks asked for). A pool is one row of one of them,
+    indices in TERMS). A pool is one row of one of them,
     pool i * len(blocks) + block. The positives, in row-major order, are
     their flat indices k into the matrix, their pools, and whether each is
     among its pool's negatives; w is 1 / (positives in the pool) per pool,
@@ -120,8 +120,10 @@ def _epoch_columns(pos: np.ndarray, neg: np.ndarray, widths) -> list[Columns]:
     pool = pool_at.reshape(-1)[k.astype(np.intp)]
     n_pos = np.bincount(t * (b * nb) + pool,
                         minlength=iters * b * nb).reshape(iters, b * nb)
-    n_anchors = np.maximum(np.count_nonzero(n_pos.reshape(iters, b, nb),
-                                            axis=1), 1)
+    # counted along the last axis of a contiguous copy: numpy's reduction
+    # over the middle axis runs an inner loop of nb elements
+    n_anchors = np.maximum(np.count_nonzero(
+        n_pos.reshape(iters, b, nb).transpose(0, 2, 1).copy(), axis=2), 1)
     with np.errstate(divide="ignore"):  # a pool without positives: unread
         w = 1.0 / n_pos
     ends = np.cumsum(n_pos.sum(axis=1)).tolist()
@@ -129,21 +131,6 @@ def _epoch_columns(pos: np.ndarray, neg: np.ndarray, widths) -> list[Columns]:
     return [Columns(neg[it], starts, widths, blocks, k[s:e], pool[s:e],
                     in_neg[s:e], w[it], n_anchors[it])
             for it, (s, e) in enumerate(zip([0] + ends, ends))]
-
-
-def _alone(cols: Columns, j: int) -> Columns:
-    """Block j (an index into TERMS) of the four-block `cols` alone: a
-    slice of its columns, with its positives and pools."""
-    if j not in cols.blocks:  # no column this epoch
-        return cols._replace(blocks=())
-    slot, nb = cols.blocks.index(j), len(cols.blocks)
-    start, width = int(cols.starts[slot]), int(cols.widths[slot])
-    mine = cols.pool % nb == slot
-    i, c = np.divmod(cols.k[mine], cols.neg.shape[1])
-    return Columns(cols.neg[:, start:start + width], np.zeros(1, int),
-                   cols.widths[slot:slot + 1], (0,), i * width + (c - start),
-                   i, cols.in_neg[mine], cols.w[slot::nb],
-                   cols.n_anchors[slot:slot + 1])
 
 
 class LossLayout:
@@ -192,7 +179,6 @@ class LossLayout:
         self.labels, self.cameras, self.multi = labels, cameras, multi[0]
         self._same = code[:, None] == code[None, :]  # L_ins's positives
         self._cols = None  # (camera table, Columns per batch, L_cc rows)
-        self._alone = {}  # (batch, name) -> Columns of a block alone
 
     def camera_pairs(self, present: np.ndarray) -> np.ndarray:
         """The L_cc proxies' flat rows in the (I * C, E) camera centroids
@@ -237,23 +223,16 @@ class LossLayout:
         mask[:, :n_m, cc] = (other_cam | ~same) & (pair[0] >= 0)[:, None, :]
         del same, other_cam  # not held through the build
         widths = [b, b, n_l, pair.shape[2]]
-        self._alone = {}
         self._cols = present, _epoch_columns(pos, mask, widths), np.where(
             pair[0] >= 0, pair[0] * n_cams + pair[1], 0)
         return self._cols[2]
 
-    def columns(self, it: int, name: str | None = None) -> Columns:
+    def columns(self, it: int) -> Columns:
         """Batch `it`'s Columns of the four blocks, built for the last
-        camera table (none before the first), or of block `name` alone, a
-        slice of them kept once taken."""
+        camera table (none before the first)."""
         if self._cols is None:
             self.camera_pairs(_NO_PAIRS)
-        if name is None:
-            return self._cols[1][it]
-        if (it, name) not in self._alone:
-            self._alone[it, name] = _alone(self._cols[1][it],
-                                           list(TERMS).index(name))
-        return self._alone[it, name]
+        return self._cols[1][it]
 
     def view(self, it: int, f: np.ndarray, m: np.ndarray) -> "BatchView":
         """Batch `it` with its embeddings, no check repeated."""
@@ -421,14 +400,14 @@ def instance_loss(view: BatchView, tau_m: float, tau_s: float) -> Block:
     """L_ins's block: the momentum embeddings. Positives of anchor i are
     all j with the same label, the self-pair included; negatives are
     same-source batch members with a different label."""
-    return Block("ins", view.m, np.where(view.multi, tau_m, tau_s))
+    return Block(view.m, np.where(view.multi, tau_m, tau_s))
 
 
 def augmentation_loss(view: BatchView, tau_aug: float) -> Block:
     """L_aug's block: pulls each augmented embedding to its own momentum
     original; negatives are all different-label batch members from either
     source."""
-    return Block("aug", view.m, np.full(view.size, tau_aug))
+    return Block(view.m, np.full(view.size, tau_aug))
 
 
 def centroids_loss(view: BatchView, bank: CentroidBank, tau_m: float,
@@ -438,7 +417,7 @@ def centroids_loss(view: BatchView, bank: CentroidBank, tau_m: float,
     labels = view.batch_labels
     if len(labels) and labels[-1] >= len(bank.label_centroids):
         raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
-    return Block("cen", bank.label_centroids[labels],
+    return Block(bank.label_centroids[labels],
                  np.where(view.multi, tau_m, tau_s))
 
 
@@ -451,33 +430,8 @@ def camera_centroids_loss(view: BatchView, bank: CentroidBank,
     too. Anchors with no cross-camera proxy contribute zero."""
     rows = view.layout.camera_pairs(bank.camera_present)[view.it]
     cents = bank.camera_centroids
-    return Block("cc", cents.reshape(-1, cents.shape[-1])[rows],
+    return Block(cents.reshape(-1, cents.shape[-1])[rows],
                  np.full(view.size, tau_cc))
-
-
-def one_pass(view: BatchView, blocks: list, cols: Columns, weights: list
-             ) -> tuple[dict[str, float], np.ndarray]:
-    """One `_contrastive` pass of batch `view` over `blocks`, whose columns
-    `cols` are: each block's loss by name, and the gradient of their sum
-    weighted by `weights`, one per block."""
-    parts = {block.name: 0.0 for block in blocks}
-    if not cols.blocks:
-        return parts, np.zeros_like(view.f)
-    on = list(cols.blocks)
-    tau = np.concatenate([blocks[j].tau for j in on]).reshape(len(on), -1)
-    losses, grads = _contrastive(
-        view.f, np.concatenate([block.proxies for block in blocks]), tau.T,
-        cols, np.asarray(weights)[on])
-    parts.update(zip([blocks[j].name for j in on], losses.tolist()))
-    return parts, grads
-
-
-def term_loss(view: BatchView, block: Block) -> tuple[float, np.ndarray]:
-    """A term alone: the pass over its block's slice of the columns,
-    (loss, dL/df)."""
-    parts, grads = one_pass(view, [block],
-                            view.layout.columns(view.it, block.name), [1.0])
-    return parts[block.name], grads
 
 
 # The objective, summed in order: name -> (weight, the term at its taus).
@@ -491,14 +445,28 @@ TERMS = {
 
 
 def total_loss(
-    view: BatchView, bank: CentroidBank
+    view: BatchView, bank: CentroidBank, weights=None
 ) -> tuple[float, np.ndarray, dict[str, float]]:
-    """The weighted sum of TERMS, its gradient and each term's loss by
-    name: every term's block, then one pass over them all."""
+    """The sum of TERMS at `weights`, one per term in TERMS order (TERMS'
+    own by default), its gradient and each term's loss by name: every
+    term's block, then one pass over them all. The losses do not depend on
+    the weights; a term alone is the pass at its one-hot weights."""
+    if weights is None:
+        weights = [weight for weight, _ in TERMS.values()]
+    if len(weights) != len(TERMS):
+        raise DimensionMismatchError(f"{len(weights)} weights for "
+                                     f"{len(TERMS)} terms")
     blocks = [term(view, bank) for _, term in TERMS.values()]
-    parts, grads = one_pass(view, blocks, view.layout.columns(view.it),
-                            [weight for weight, _ in TERMS.values()])
-    loss = 0.0
-    for name, (weight, _) in TERMS.items():
-        loss = loss + weight * parts[name]
+    cols = view.layout.columns(view.it)
+    parts = dict.fromkeys(TERMS, 0.0)
+    if not cols.blocks:  # an empty batch
+        return 0.0, np.zeros_like(view.f), parts
+    on = list(cols.blocks)
+    tau = np.concatenate([blocks[j].tau for j in on]).reshape(len(on), -1)
+    losses, grads = _contrastive(
+        view.f, np.concatenate([block.proxies for block in blocks]), tau.T,
+        cols, np.asarray(weights, dtype=np.float64)[on])
+    names = list(TERMS)
+    parts.update(zip([names[j] for j in on], losses.tolist()))
+    loss = sum(weight * parts[name] for name, weight in zip(TERMS, weights))
     return loss, grads, parts

@@ -65,21 +65,22 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def finite_diff_grad(
-    fn: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
+    fn: Callable[[np.ndarray], float | np.ndarray], x: np.ndarray,
+    h: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one probe per axis."""
+    """Central-difference gradient of a function, one probe per axis; for
+    an array-valued fn, the gradient of each value, x's axes first."""
     if h <= 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
     xf = x.reshape(-1)
+    rows = []
     for k in range(xf.size):
         step = np.zeros_like(xf)
         step[k] = h
-        hi = fn((xf + step).reshape(x.shape))
-        lo = fn((xf - step).reshape(x.shape))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        hi = np.asarray(fn((xf + step).reshape(x.shape)), dtype=np.float64)
+        lo = np.asarray(fn((xf - step).reshape(x.shape)), dtype=np.float64)
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise NonFiniteEvaluationError(f"non-finite evaluation at axis {k}")
-        flat[k] = (hi - lo) / (2.0 * h)
-    return grad
+        rows.append((hi - lo) / (2.0 * h))
+    return np.reshape(rows, x.shape + (np.shape(rows[0]) if rows else ()))

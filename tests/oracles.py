@@ -6,10 +6,17 @@ import numpy as np
 
 from remix.encoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from remix.errors import NoValidPositiveError
-from remix.losses import CentroidBank
+from remix.losses import TERMS, CentroidBank, total_loss
 from remix.numcore import normalize_rows
 
 NOISE = -1
+
+
+def term_alone(view, bank, name):
+    """Term `name` of TERMS alone, (loss, dL/df): the package's one pass at
+    the term's one-hot weights."""
+    _, grads, parts = total_loss(view, bank, [float(n == name) for n in TERMS])
+    return parts[name], grads
 
 
 def reference_dbscan(points, eps, min_pts):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import oracle_ap, reference_dbscan
+from oracles import oracle_ap, reference_dbscan, term_alone
 from remix import encoder as enc
 from remix.cli import main as cli_main
 from remix.config import RunConfig, apply_overrides
@@ -22,16 +22,7 @@ from remix.datamodel import (MULTI, LabelGroups, compose_batch, draw_epoch,
 from remix.evalkit import _rank_queries, mean_ap
 from remix.errors import NoValidPositiveError
 from remix.gradcheck import max_relative_errors
-from remix.losses import (
-    BatchView,
-    augmentation_loss,
-    build_centroids,
-    camera_centroids_loss,
-    centroids_loss,
-    instance_loss,
-    term_loss,
-    total_loss,
-)
+from remix.losses import BatchView, build_centroids, total_loss
 from remix.numcore import normalize_rows, substream
 from remix.pseudolabel import dbscan
 
@@ -64,16 +55,13 @@ def test_criterion_2_degenerate_zeros(capsys):
 
     # single label: instance loss sees no negatives
     v_one = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
-    zeros = [term_loss(v_one, instance_loss(v_one, 0.1, 0.2))[0],
-             term_loss(v_one, augmentation_loss(v_one, 0.1))[0]]
     bank = build_centroids(f, v_one.labels, v_one.cameras)
-    zeros.append(term_loss(v_one, centroids_loss(v_one, bank, 0.5, 0.6))[0])
+    zeros = [term_alone(v_one, bank, name)[0] for name in ("ins", "aug", "cen")]
 
     # two labels but one camera each: no cross-camera proxies
     v_cam = BatchView(f, f, [0, 0, 1], np.zeros(3, dtype=int))
     bank_cam = build_centroids(f, v_cam.labels, v_cam.cameras)
-    zeros.append(term_loss(v_cam, camera_centroids_loss(v_cam, bank_cam,
-                                                         0.07))[0])
+    zeros.append(term_alone(v_cam, bank_cam, "cc")[0])
 
     p_m = enc.init_params(6, [8], 4, substream(0, "init"))
     p_e = enc.init_params(6, [8], 4, substream(1, "init"))
@@ -294,10 +282,9 @@ def test_criterion_9_loss_weight_contract(capsys):
 
     loss, grads, parts = total_loss(view, bank)
     expect = parts["ins"] + parts["aug"] + parts["cen"] + 0.5 * parts["cc"]
-    g = (term_loss(view, instance_loss(view, 0.1, 0.2))[1]
-         + term_loss(view, augmentation_loss(view, 0.1))[1]
-         + term_loss(view, centroids_loss(view, bank, 0.5, 0.6))[1]
-         + 0.5 * term_loss(view, camera_centroids_loss(view, bank, 0.07))[1])
+    g = (term_alone(view, bank, "ins")[1] + term_alone(view, bank, "aug")[1]
+         + term_alone(view, bank, "cen")[1]
+         + 0.5 * term_alone(view, bank, "cc")[1])
     loss_err = abs(loss - expect)
     grad_err = float(np.max(np.abs(grads - g)))
     ok = loss_err <= 1e-12 and grad_err <= 1e-12

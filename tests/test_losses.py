@@ -18,6 +18,7 @@ from oracles import (
     reference_centroids_loss,
     reference_contrastive,
     reference_instance_loss,
+    term_alone,
 )
 from remix.errors import (
     DimensionMismatchError,
@@ -25,6 +26,7 @@ from remix.errors import (
     UnresolvedLabelError,
 )
 import remix
+from remix import encoder as enc
 from remix import gradcheck, losses
 from remix.datamodel import LabelGroups, draw_epoch
 from remix.gradcheck import max_relative_errors
@@ -39,18 +41,11 @@ from remix.losses import (
     LossLayout,
     _contrastive,
     _epoch_columns,
-    augmentation_loss,
     build_centroids,
-    camera_centroids_loss,
     centroids_loss,
-    instance_loss,
-    term_loss,
     total_loss,
 )
 from remix.numcore import finite_diff_grad, normalize_rows, substream
-
-TAUS = dict(tau_ins_m=TAU_INS[0], tau_ins_s=TAU_INS[1], tau_aug=TAU_AUG,
-            tau_cen_m=TAU_CEN[0], tau_cen_s=TAU_CEN[1], tau_cc=TAU_CC)
 
 
 def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3):
@@ -191,13 +186,9 @@ def batch_masks(labels, cameras, bank):
 def assert_columns_of(cols, masks):
     """cols holds the (positive, negative) masks of its blocks side by side:
     the negatives, each block's place, and the positives in row-major
-    order, with their pools, weights and anchor counts. A block alone with
-    no column has no pass to run."""
+    order, with their pools, weights and anchor counts."""
     widths = [p.shape[1] for p, _ in masks]
     on = [j for j, w in enumerate(widths) if w]
-    if not on:
-        assert cols.blocks == ()
-        return
     pos, neg = (np.hstack([x[side] for x in masks]) for side in (0, 1))
     starts = (np.cumsum(widths) - widths)[on]
     assert np.array_equal(cols.neg, neg)
@@ -215,12 +206,13 @@ def assert_columns_of(cols, masks):
         == np.maximum(np.count_nonzero(n_pos, axis=0), 1).tolist()
 
 
-def masks_of(want, q, names=tuple(TERMS)):
-    """(positive, pool negatives) masks of the named terms of batch_masks:
-    L_cc's pool is its positives and negatives, and both its masks are
-    padded with False to q columns, the epoch's most camera pairs."""
+def masks_of(want, q):
+    """(positive, pool negatives) masks of the terms of batch_masks, in
+    TERMS order: L_cc's pool is its positives and negatives, and both its
+    masks are padded with False to q columns, the epoch's most camera
+    pairs."""
     masks = []
-    for name in names:
+    for name in TERMS:
         pos, neg = want[name][:2]
         if name == "cc":
             pos, neg = (np.pad(x, ((0, 0), (0, q - x.shape[1])))
@@ -229,17 +221,12 @@ def masks_of(want, q, names=tuple(TERMS)):
     return masks
 
 
-# each term's temperatures per row, and its call at them
-TERM_CALLS = {
-    "ins": (lambda multi: np.where(multi, *TAU_INS),
-            lambda v, bank: term_loss(v, instance_loss(v, *TAU_INS))),
-    "aug": (lambda multi: np.full(len(multi), TAU_AUG),
-            lambda v, bank: term_loss(v, augmentation_loss(v, TAU_AUG))),
-    "cen": (lambda multi: np.where(multi, *TAU_CEN),
-            lambda v, bank: term_loss(v, centroids_loss(v, bank, *TAU_CEN))),
-    "cc": (lambda multi: np.full(len(multi), TAU_CC),
-           lambda v, bank: term_loss(v, camera_centroids_loss(v, bank,
-                                                              TAU_CC))),
+# each term's temperature per row
+TERM_TAUS = {
+    "ins": lambda multi: np.where(multi, *TAU_INS),
+    "aug": lambda multi: np.full(len(multi), TAU_AUG),
+    "cen": lambda multi: np.where(multi, *TAU_CEN),
+    "cc": lambda multi: np.full(len(multi), TAU_CC),
 }
 
 
@@ -260,12 +247,8 @@ class TestLossLayout:
             for it, want in enumerate(wants):
                 assert layout.batch_labels[it].tolist() \
                     == np.unique(draws.labels[it]).tolist()
-                # the four side by side, and each term's alone
                 cols = layout.columns(it)
                 assert_columns_of(cols, masks_of(want, q))
-                for name in TERMS:
-                    assert_columns_of(layout.columns(it, name),
-                                      masks_of(want, q, [name]))
                 assert np.array_equal(bank.camera_centroids.reshape(
                     -1, bank.camera_centroids.shape[-1])[pairs[it]][
                         :counts[it]], want["cc"][2])
@@ -294,13 +277,13 @@ class TestLossLayout:
             m = normalize_rows(rng.standard_normal((b, 6)))
             view = layout.view(it, f, m)
             masks = batch_masks(draws.labels[it], draws.cameras[it], bank)
-            for name, (taus, call) in TERM_CALLS.items():
+            for name, taus in TERM_TAUS.items():
                 pos, neg, proxies = masks[name]
                 tau = taus(draws.cameras[it] >= 0)
                 want, want_grads = reference_contrastive(
                     f, m if proxies is None else proxies, pos, neg, tau,
                     name == "cc")
-                loss, grads = call(view, bank)
+                loss, grads = term_alone(view, bank, name)
                 assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
                 bound = 32 * u / tau * np.maximum(
                     1.0, np.max(np.abs(want_grads), axis=1))
@@ -320,12 +303,16 @@ class TestLossLayout:
         rows = layout.camera_pairs(bank.camera_present)[0]
         assert rows.tolist() == [0 * 4 + 0, 0 * 4 + 2, 0 * 4 + 3,
                                  1 * 4 + 1, 1 * 4 + 3]
-        cols = layout.columns(0, "cc")
-        assert cols.neg.tolist() == [
+        # L_cc's block, the last of the four, from its start
+        cols = layout.columns(0)
+        assert cols.blocks == (0, 1, 2, 3)
+        start = int(cols.starts[3])
+        assert cols.neg[:, start:].tolist() == [
             [1, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]
         # (row, column): each row's own identity's other cameras
-        assert cols.k.tolist() == [0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0,
-                                   2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
+        i, c = np.divmod(cols.k[cols.pool % 4 == 3], cols.neg.shape[1])
+        assert (i * 5 + c - start).tolist() == [
+            0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0, 2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
         view = BatchView(embs[:4], embs[4:8], labels, cameras)
         assert_matches_loops(view, bank)
 
@@ -480,20 +467,19 @@ class TestBuildCentroidsAgainstOracle:
                              reference_build_centroids(embs, labels, cameras))
 
 
-def oracle_pairs(view, bank, tau_scale=1.0):
-    """(kernel, loop) results for every loss variant at scaled taus."""
-    t = {k: v * tau_scale for k, v in TAUS.items()}
-    return [
-        (term_loss(view, instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
-         reference_instance_loss(view, t["tau_ins_m"], t["tau_ins_s"])),
-        (term_loss(view, augmentation_loss(view, t["tau_aug"])),
-         reference_augmentation_loss(view, t["tau_aug"])),
-        (term_loss(view, centroids_loss(view, bank, t["tau_cen_m"],
-                                        t["tau_cen_s"])),
-         reference_centroids_loss(view, bank, t["tau_cen_m"], t["tau_cen_s"])),
-        (term_loss(view, camera_centroids_loss(view, bank, t["tau_cc"])),
-         reference_camera_centroids_loss(view, bank, t["tau_cc"])),
-    ]
+def reference_terms(view, bank):
+    """Each term's (loss, dL/df) by the loops, in TERMS order, at the
+    module's temperatures as they are when called."""
+    return [reference_instance_loss(view, *losses.TAU_INS),
+            reference_augmentation_loss(view, losses.TAU_AUG),
+            reference_centroids_loss(view, bank, *losses.TAU_CEN),
+            reference_camera_centroids_loss(view, bank, losses.TAU_CC)]
+
+
+def oracle_pairs(view, bank):
+    """(kernel, loop) results for every term."""
+    return list(zip([term_alone(view, bank, name) for name in TERMS],
+                    reference_terms(view, bank)))
 
 
 def assert_matches_loops(view, bank):
@@ -617,13 +603,17 @@ class TestKernelAgainstLoops:
             tracemalloc.stop()
         assert peak < 3 * b * w * 8
 
-    def test_large_magnitudes(self):
+    def test_large_magnitudes(self, monkeypatch):
         # tau = 1e-4 puts logits near 1e4: the max shift keeps every loss
-        # and gradient finite and equal to the loops
+        # and gradient finite and equal to the loops. TERMS reads the
+        # temperatures when it runs, so the patched ones take effect
+        for name in ("TAU_INS", "TAU_AUG", "TAU_CEN", "TAU_CC"):
+            monkeypatch.setattr(losses, name, np.multiply(
+                getattr(losses, name), 1e-4 / TAU_CC))
         view = random_view(13)
         bank = bank_for(view)
         with np.errstate(invalid="raise", over="raise"):
-            pairs = oracle_pairs(view, bank, tau_scale=1e-4 / TAUS["tau_cc"])
+            pairs = oracle_pairs(view, bank)
         for (loss, grads), (want, want_grads) in pairs:
             assert np.isfinite(loss) and np.all(np.isfinite(grads))
             assert loss == pytest.approx(want, rel=1e-12)
@@ -689,8 +679,8 @@ class TestKernelAgainstLoops:
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         view = BatchView(f, m, [0, 0], np.array([0, 0]))
         bank = build_centroids(m, [0, 0], np.array([1, 2]))
-        assert term_loss(view, instance_loss(view, 0.1, 0.2))[0] == 0.0
-        assert term_loss(view, camera_centroids_loss(view, bank, 0.07))[0] \
+        assert term_alone(view, bank, "ins")[0] == 0.0
+        assert term_alone(view, bank, "cc")[0] \
             == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -702,7 +692,7 @@ class TestInstanceLossOracle:
                                      [0.1, 1.0, 0.0],
                                      [0.0, 0.3, 1.0]]))
         view = BatchView(f, m, [0, 0, 1], np.array([0, 1, 0]))
-        tau = 0.1
+        tau = TAU_INS[0]  # every anchor is multi-camera
         sims = f @ m.T
 
         def lse(z):
@@ -716,7 +706,8 @@ class TestInstanceLossOracle:
                 pool = [sims[i, j] / tau] + [sims[i, k] / tau for k in neg]
                 per_anchor -= (sims[i, j] / tau - lse(pool)) / len(pos)
             expect += per_anchor / 3
-        loss, _ = term_loss(view, instance_loss(view, tau, 0.2))
+        bank = build_centroids(m, view.labels, view.cameras)
+        loss, _ = term_alone(view, bank, "ins")
         assert loss == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -725,12 +716,13 @@ class TestInstanceLossOracle:
         # the anchor-weighted mean of its two single-source sub-batches,
         # and each sub-batch's gradient rows scale by its share of anchors
         view = random_view(seed, n_multi=6, n_single=4)
-        loss, grads = term_loss(view, instance_loss(view, 0.1, 0.2))
+        bank = bank_for(view)  # holds the sub-batches' labels too
+        loss, grads = term_alone(view, bank, "ins")
         parts = []
         for rows in (view.multi, ~view.multi):
             sub = BatchView(view.f[rows], view.m[rows], view.labels[rows],
                             view.cameras[rows])
-            sub_loss, sub_grads = term_loss(sub, instance_loss(sub, 0.1, 0.2))
+            sub_loss, sub_grads = term_alone(sub, bank, "ins")
             share = sub.size / view.size
             assert np.max(np.abs(grads[rows] - share * sub_grads)) <= 1e-12
             parts.append(share * sub_loss)
@@ -742,7 +734,8 @@ class TestDegenerateZeros:
         rng = substream(3, "init")
         f = normalize_rows(rng.standard_normal((3, 4)))
         view = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
-        loss, grads = term_loss(view, instance_loss(view, 0.1, 0.2))
+        bank = build_centroids(f, view.labels, view.cameras)
+        loss, grads = term_alone(view, bank, "ins")
         assert loss == 0.0
         assert np.allclose(grads, 0.0)
 
@@ -750,7 +743,8 @@ class TestDegenerateZeros:
         rng = substream(4, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
         view = BatchView(f, f, [0] * 2, np.array([0, 1]))
-        loss, grads = term_loss(view, augmentation_loss(view, 0.1))
+        bank = build_centroids(f, view.labels, view.cameras)
+        loss, grads = term_alone(view, bank, "aug")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_centroids_single_label(self):
@@ -758,7 +752,7 @@ class TestDegenerateZeros:
         f = normalize_rows(rng.standard_normal((2, 4)))
         view = BatchView(f, f, [0] * 2, np.array([0, 1]))
         bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
+        loss, grads = term_alone(view, bank, "cen")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_camera_centroids_single_camera(self):
@@ -766,37 +760,37 @@ class TestDegenerateZeros:
         f = normalize_rows(rng.standard_normal((4, 4)))
         view = BatchView(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
         bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_loss(view, camera_centroids_loss(view, bank, 0.07))
+        loss, grads = term_alone(view, bank, "cc")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
 
 class TestGradients:
     """dL/df against central differences, loss by loss."""
 
-    def check(self, block):
+    def check(self, name):
         view = random_view(7)
         bank = bank_for(view)
-        _, grads = term_loss(view, block(view, bank))
+        _, grads = term_alone(view, bank, name)
 
         def scalar(flat):
             v2 = BatchView(flat.reshape(view.f.shape), view.m, view.labels,
                            view.cameras)
-            return term_loss(v2, block(v2, bank))[0]
+            return term_alone(v2, bank, name)[0]
 
         fd = finite_diff_grad(scalar, view.f.reshape(-1)).reshape(view.f.shape)
         assert np.allclose(grads, fd, atol=1e-7)
 
     def test_instance(self):
-        self.check(lambda v, b: instance_loss(v, 0.1, 0.2))
+        self.check("ins")
 
     def test_augmentation(self):
-        self.check(lambda v, b: augmentation_loss(v, 0.1))
+        self.check("aug")
 
     def test_centroids(self):
-        self.check(lambda v, b: centroids_loss(v, b, 0.5, 0.6))
+        self.check("cen")
 
     def test_camera_centroids(self):
-        self.check(lambda v, b: camera_centroids_loss(v, b, 0.07))
+        self.check("cc")
 
 
 class TestCentroidsLoss:
@@ -811,10 +805,10 @@ class TestCentroidsLoss:
         view = random_view(9)
         bank = bank_for(view)
         # a centroid for a label absent from the batch must not matter
-        loss_a, _ = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
+        loss_a, _ = term_alone(view, bank, "cen")
         bank.label_centroids = np.vstack([bank.label_centroids,
                                           np.ones(5) / np.sqrt(5)])
-        loss_b, _ = term_loss(view, centroids_loss(view, bank, 0.5, 0.6))
+        loss_b, _ = term_alone(view, bank, "cen")
         assert loss_a == loss_b
 
 
@@ -827,11 +821,10 @@ class TestTotalLoss:
                   + GAMMA * parts["cc"])
         assert abs(loss - expect) <= 1e-12
 
-        g = (term_loss(view, instance_loss(view, *TAU_INS))[1]
-             + term_loss(view, augmentation_loss(view, TAU_AUG))[1]
-             + term_loss(view, centroids_loss(view, bank, *TAU_CEN))[1]
-             + GAMMA * term_loss(view, camera_centroids_loss(view, bank,
-                                                             TAU_CC))[1])
+        g = (term_alone(view, bank, "ins")[1]
+             + term_alone(view, bank, "aug")[1]
+             + term_alone(view, bank, "cen")[1]
+             + GAMMA * term_alone(view, bank, "cc")[1])
         assert np.max(np.abs(grads - g)) <= 1e-12
 
     def test_constants_keep_the_config_defaults_they_replaced(self):
@@ -842,10 +835,17 @@ class TestTotalLoss:
         assert [(name, weight) for name, (weight, _) in TERMS.items()] \
             == [("ins", 1.0), ("aug", 1.0), ("cen", 1.0), ("cc", GAMMA)]
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_weights_are_one_per_term(self, n):
+        view = random_view(11)
+        with pytest.raises(DimensionMismatchError, match=f"{n} weights"):
+            total_loss(view, bank_for(view), np.ones(n))
+
 
 class TestOnePass:
     """total_loss runs the kernel once, over the four blocks side by side,
-    and that pass is the weighted sum of each term's pass alone."""
+    and that pass is the weighted sum of the terms alone, each by the
+    loops, at any non-negative weights."""
 
     def test_total_loss_runs_one_kernel_pass(self, monkeypatch):
         passes = []
@@ -863,27 +863,36 @@ class TestOnePass:
 
     @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
     def test_pass_is_the_weighted_sum_of_the_terms_alone(self, shape):
+        # the first, a middle and the last batch of the epoch, at TERMS'
+        # weights, each one-hot vector and a random non-negative one
         draws, bank = drawn_epoch(shape, 4)
         layout = LossLayout(draws.labels, draws.cameras)
         rng = substream(5, "gradcheck")
         iters, b = draws.labels.shape
         u = np.finfo(np.float64).eps / 2
-        for it in range(iters):
+        arms = [[weight for weight, _ in TERMS.values()],
+                *np.eye(len(TERMS)), rng.uniform(0.0, 2.0, len(TERMS))]
+        for it in (0, iters // 2, iters - 1):
             f = normalize_rows(rng.standard_normal((b, 6)))
             m = normalize_rows(rng.standard_normal((b, 6)))
             view = layout.view(it, f, m)
-            loss, grads, parts = total_loss(view, bank)
-            want_loss, want_grads = 0.0, np.zeros_like(f)
-            for name, (weight, term) in TERMS.items():
-                part, g = term_loss(view, term(view, bank))
-                assert abs(parts[name] - part) <= 1e-15 * abs(part)
-                want_loss += weight * part
-                want_grads += weight * g
-            assert abs(loss - want_loss) <= 1e-15 * abs(want_loss)
-            # the smallest temperature, L_cc's, bounds every term's error
-            bound = 32 * u / TAU_CC * np.maximum(
-                1.0, np.max(np.abs(want_grads), axis=1))
-            assert np.all(np.max(np.abs(grads - want_grads), axis=1) <= bound)
+            wants = reference_terms(view, bank)
+            for want, name in zip(wants, TERMS):
+                part = total_loss(view, bank)[2][name]
+                assert abs(part - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+            # each term's bound of test_terms_match_the_loops, weighted
+            bounds = [32 * u / TERM_TAUS[name](view.multi) * np.maximum(
+                1.0, np.max(np.abs(g), axis=1)) for name, (_, g)
+                in zip(TERMS, wants)]
+            for weights in arms:
+                loss, grads, parts = total_loss(view, bank, weights)
+                assert parts == total_loss(view, bank)[2]
+                want_loss = sum(w * want for w, (want, _) in zip(weights, wants))
+                assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+                want_grads = sum(w * g for w, (_, g) in zip(weights, wants))
+                bound = sum(w * x for w, x in zip(weights, bounds))
+                assert np.all(np.max(np.abs(grads - want_grads), axis=1)
+                              <= bound)
 
 
 # the loss each term of TERMS calls
@@ -914,19 +923,24 @@ class TestTermCalls:
 
     def test_gradcheck_calls_one_loss_per_term_evaluation(self, calls,
                                                           monkeypatch):
-        evaluated = []
-        for name, (weight, term) in list(TERMS.items()):
-            def counted(view, bank, _term=term, _name=name):
-                evaluated.append(_name)
-                return _term(view, bank)
-            monkeypatch.setitem(TERMS, name, (weight, counted))
-        errors = max_relative_errors(seed=0, n_batches=1)
+        # per batch, one pass at each of two central differences per
+        # parameter and one at each term's one-hot weights; every pass runs
+        # the four losses in TERMS order
+        passes = []
+
+        def counted(*args, _real=gradcheck.total_loss):
+            passes.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(gradcheck, "total_loss", counted)
+        n_batches = 2
+        errors = max_relative_errors(seed=0, n_batches=n_batches)
         assert list(errors) == list(TERMS)
-        assert calls == [LOSS_OF[name] for name in evaluated]
-        # term by term in TERMS order, each evaluated as often
-        n = len(evaluated) // len(TERMS)
-        assert n > 1 and evaluated == [name for name in TERMS
-                                       for _ in range(n)]
+        n_params = enc.init_params(gradcheck.FEAT_DIM, [gradcheck.HIDDEN],
+                                   gradcheck.EMB_DIM,
+                                   substream(0, "init")).flat.size
+        assert len(passes) == n_batches * (2 * n_params + len(TERMS))
+        assert calls == [LOSS_OF[name] for name in TERMS] * len(passes)
 
 
 def test_time_loss_script():

@@ -74,8 +74,13 @@ def test_finite_diff_quadratic(seed):
     a = rng.standard_normal((4, 4))
     a = a + a.T
     x = rng.standard_normal(4)
+    b = rng.standard_normal(4)
     grad = finite_diff_grad(lambda v: 0.5 * float(v @ a @ v), x)
     assert np.allclose(grad, a @ x, atol=1e-6)
+    # an array-valued function: the gradient of each value, x's axes first
+    grads = finite_diff_grad(lambda v: np.array([0.5 * v @ a @ v, b @ v]), x)
+    assert grads.shape == (4, 2)
+    assert np.allclose(grads, np.column_stack([a @ x, b]), atol=1e-6)
 
 
 def test_finite_diff_bad_step():
@@ -84,8 +89,10 @@ def test_finite_diff_bad_step():
 
 
 def test_finite_diff_nonfinite():
-    with pytest.raises(NonFiniteEvaluationError):
-        finite_diff_grad(lambda v: float("nan"), np.zeros(2))
+    # a scalar, and one entry of an array-valued function
+    for value in (float("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(NonFiniteEvaluationError):
+            finite_diff_grad(lambda v: value, np.zeros(2))
 
 
 def _write(kind, path, broken):
