@@ -9,11 +9,10 @@ Usage:
 For each of the benchmark's joint (the default config) and labeled_only
 (`use_single_cam = false`) settings, `trainer.train` runs one epoch on
 the default generator's data at seed S, and every `total_loss` call is
-recorded with its batch and bank, and the epoch's labels and cameras
-with them. Then, R times over, every recorded `total_loss` call is
-repeated and timed, and so is the layout build: `LossLayout` on the
-epoch's labels and cameras and its `camera_pairs` for the bank. One
-more layout build, before the timed ones, runs under `tracemalloc` for
+recorded with its batch, and the epoch's labels, cameras and bank with
+them. Then, R times over, every recorded `total_loss` call is repeated
+and timed, and so is the layout build: `LossLayout` on the epoch's
+labels, cameras and bank. One more layout build, before the timed ones, runs under `tracemalloc` for
 the bytes it keeps and the most it holds at once. One JSON object is
 printed: per setting, the batch size, the iterations, the microseconds
 per `total_loss` call and the milliseconds per layout build, each the
@@ -36,21 +35,21 @@ SETTINGS = {"joint": {}, "labeled_only": {"use_single_cam": False}}
 
 
 def first_epoch(seed: int, overrides: dict):
-    """The (view, bank) of every total_loss call of one epoch at the
-    setting, and the epoch's (labels, cameras)."""
+    """The view of every total_loss call of one epoch at the setting, and
+    the epoch's (labels, cameras, bank)."""
     cfg = RunConfig(seed=seed)
     cfg.train = dataclasses.replace(cfg.train, epochs=1, **overrides)
     multi, corpus, _ = synth_generate(cfg.generator, seed)
     calls, draws = [], []
     real_loss, real_layout = trainer.total_loss, trainer.LossLayout
 
-    def recorded_loss(view, bank):
-        calls.append((view, bank))
-        return real_loss(view, bank)
+    def recorded_loss(view):
+        calls.append(view)
+        return real_loss(view)
 
-    def recorded_layout(labels, cameras):
-        draws.append((labels, cameras))
-        return real_layout(labels, cameras)
+    def recorded_layout(labels, cameras, bank):
+        draws.append((labels, cameras, bank))
+        return real_layout(labels, cameras, bank)
 
     trainer.total_loss, trainer.LossLayout = recorded_loss, recorded_layout
     try:
@@ -65,8 +64,7 @@ def layout_bytes(labels, cameras, bank) -> tuple[int, int]:
     layout is dropped on return, before anything is timed."""
     tracemalloc.start()
     try:
-        layout = losses.LossLayout(labels, cameras)
-        layout.camera_pairs(bank.camera_present)
+        layout = losses.LossLayout(labels, cameras, bank)
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -81,17 +79,16 @@ def main() -> None:
         ap.error(f"--reps must be >= 1, got {args.reps}")
     report = {}
     for name, overrides in SETTINGS.items():
-        calls, (labels, cameras) = first_epoch(args.seed, overrides)
-        bank = calls[0][1]
+        calls, (labels, cameras, bank) = first_epoch(args.seed, overrides)
         retained, peak = layout_bytes(labels, cameras, bank)
         loss_us, layout_ms = [], []
         for _ in range(args.reps):
             start = time.perf_counter()
-            for view, bank in calls:
-                losses.total_loss(view, bank)
+            for view in calls:
+                losses.total_loss(view)
             loss_us.append((time.perf_counter() - start) / len(calls) * 1e6)
             start = time.perf_counter()
-            losses.LossLayout(labels, cameras).camera_pairs(bank.camera_present)
+            losses.LossLayout(labels, cameras, bank)
             layout_ms.append((time.perf_counter() - start) * 1e3)
         report[name] = {"batch": int(labels.shape[1]), "iters": len(calls),
                         "total_loss_us": min(loss_us),

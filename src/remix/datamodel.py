@@ -169,8 +169,14 @@ class GeneratorConfig:
         # videos take ceil(n / v) identities each, in order; the last one
         # must still get one
         n, v = self.n_single_identities, self.n_videos
-        if -(-n // v) * (v - 1) >= n:
+        per_video = -(-n // v)
+        if per_video * (v - 1) >= n:
             raise InvalidConfigError("need at least one identity per video")
+        # and are made orthogonal in R^dim, which holds at most dim of them
+        if per_video > self.dim:
+            raise InvalidConfigError(
+                f"generator.n_single_identities / generator.n_videos, rounded "
+                f"up ({per_video}), must be <= generator.dim ({self.dim})")
 
 
 def _style_basis(rng: np.random.Generator, dim: int, n: int):

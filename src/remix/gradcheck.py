@@ -28,7 +28,7 @@ FD_STEP = 1e-5
 def _random_case(rng):
     """Mixed batch: the first half multi-camera (labels 0 and 1, random
     cameras), the rest single-camera (labels 2 and 3), with its layout, a
-    one-batch epoch's."""
+    one-batch epoch's over a bank of m."""
     half = BATCH // 2
     x = rng.standard_normal((BATCH, FEAT_DIM))
     labels = np.concatenate([np.arange(half) * 2 // half,
@@ -36,7 +36,7 @@ def _random_case(rng):
     cameras = np.where(np.arange(BATCH) < half, rng.integers(3, size=BATCH), -1)
     m = normalize_rows(rng.standard_normal((BATCH, EMB_DIM)))
     bank = build_centroids(m, labels, cameras)
-    return x, LossLayout(labels[None], cameras[None]), m, bank
+    return x, LossLayout(labels[None], cameras[None], bank), m
 
 
 def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
@@ -47,17 +47,17 @@ def max_relative_errors(seed: int = 0, n_batches: int = 20) -> dict[str, float]:
     worst = {name: 0.0 for name in TERMS}
     for _ in range(n_batches):
         params = enc.init_params(FEAT_DIM, [HIDDEN], EMB_DIM, rng)
-        x, layout, m, bank = _random_case(rng)
+        x, layout, m = _random_case(rng)
 
         def parts(flat):
             f, _ = enc.forward_batch(params.like(flat), x)
-            return list(total_loss(layout.view(0, f, m), bank)[2].values())
+            return list(total_loss(layout.view(0, f, m))[2].values())
 
         fd = finite_diff_grad(parts, params.flat, FD_STEP)
         f, cache = enc.forward_batch(params, x)
         view = layout.view(0, f, m)
         for j, name in enumerate(TERMS):
-            _, d_f, _ = total_loss(view, bank, np.eye(len(TERMS))[j])
+            _, d_f, _ = total_loss(view, np.eye(len(TERMS))[j])
             analytic = enc.backward_batch(params, cache, d_f).flat
             scale = max(float(np.max(np.abs(fd[:, j]))), 1e-12)
             err = float(np.max(np.abs(analytic - fd[:, j]))) / scale

@@ -24,27 +24,26 @@ and single-camera pseudo labels take disjoint ranges of rows.
 The objective is one pass of that computation (`_contrastive`) over one
 (B, W) matrix of logits: each term is a block of columns, one per proxy,
 and the four sit side by side, L_ins | L_aug | L_cen | L_cc, in TERMS
-order. A term's function returns its block (`Block`: its proxies and
-each anchor's temperature), and `total_loss` runs the pass over all
-four at one weight per term. A term alone is the same pass at weight 1
-on that term and 0 on the others.
+order. A term's function returns its block's proxies, and `total_loss`
+runs the pass over all four at one weight per term. A term alone is the
+same pass at weight 1 on that term and 0 on the others.
 
-What a pass reads besides the embeddings and the bank, the blocks'
-negatives and positives side by side (`Columns`) and the rows of the
-bank the L_cen and L_cc proxies take, depends on the batch's labels and
-cameras and the bank's table of camera centroids alone. The sampler
-fixes the first two for a whole epoch at its start and the bank is built
-once per epoch, so `LossLayout` runs the batch checks and derives them
-once per epoch, for every batch at once, in one (B, W) layout that L_cc
-pads to the epoch's most camera pairs; an iteration then only gathers
-the proxies and runs the pass. `BatchView(f, m, labels, cameras)` is a
+Everything a pass reads besides the embeddings, the blocks' negatives and
+positives side by side (`Columns`), the rows of the bank the L_cen and
+L_cc proxies take and each anchor's temperature in each block, depends
+on the batch's labels and cameras and the epoch's centroid bank alone.
+The sampler fixes the first two for a whole epoch at its start, after the
+bank is built, so `LossLayout` runs the checks and derives all of it once
+per epoch, for every batch at once, in one (B, W) layout that L_cc pads
+to the epoch's most camera pairs; an iteration then only gathers the
+proxies and runs the pass. `BatchView(f, m, labels, cameras, bank)` is a
 batch on its own, the one batch of a one-batch epoch.
 
 The temperatures of the terms (multi-camera, single-camera anchors where a
-term has two) and the weight GAMMA of L_cc are the module constants below.
-TERMS is the objective, L = L_ins + L_aug + L_cen + GAMMA * L_cc, as
-name -> (weight, the term's call at its temperatures), summed in order;
-`total_loss` takes other weights, one per term in TERMS order.
+term has two), read when a layout is built, and the weight GAMMA of L_cc
+are the module constants below. TERMS is the objective, L = L_ins + L_aug
++ L_cen + GAMMA * L_cc, as name -> (weight, the term's call), summed in
+order; `total_loss` takes other weights, one per term in TERMS order.
 """
 from __future__ import annotations
 
@@ -66,16 +65,7 @@ TAU_CEN = (0.5, 0.6)
 TAU_CC = 0.07
 GAMMA = 0.5
 
-# the camera table of a layout no bank has been given yet: no L_cc proxy
-_NO_PAIRS = np.zeros((0, 0), dtype=bool)
 _LOWEST = np.finfo(np.float64).min
-
-
-class Block(NamedTuple):
-    """A term's columns of a pass: its (P, E) proxies and the (B,)
-    temperature of each anchor."""
-    proxies: np.ndarray
-    tau: np.ndarray
 
 
 class Columns(NamedTuple):
@@ -134,21 +124,28 @@ def _epoch_columns(pos: np.ndarray, neg: np.ndarray, widths) -> list[Columns]:
 
 
 class LossLayout:
-    """What a pass reads of an epoch's batches that the labels and cameras
-    (and the bank's camera table) alone decide, derived once from their
-    (iters, B) arrays: the checks, each batch's Columns of the four blocks,
-    one (B, W) layout for the epoch, and the rows of the bank the L_cc
-    proxies take. A block with no column in the epoch is left out of it.
+    """What a pass reads of an epoch's batches besides their embeddings,
+    derived once from their (iters, B) labels and cameras and the epoch's
+    CentroidBank: the checks; `columns`, each batch's Columns of the four
+    blocks in one (B, W) layout for the epoch, L_cc's block holding, for a
+    multi row, every pair but its own as the pool and its label's other
+    pairs as the positives, and none for a single row or a padding column;
+    `cc_rows`, the L_cc proxies' flat rows in the bank's (I * C, E) camera
+    centroids, an (iters, Q) array: batch t's present pairs of its labels,
+    by label, then camera, padded to the epoch's most, Q, with row 0; and
+    `tau`, the (B, blocks) temperature of each row in each block, read from
+    the module's constants. A block with no column in the epoch is left
+    out of it.
 
     A row is multi-camera iff its camera is >= 0 (a single-camera row has
     -1). In every batch those rows come first and no label is in both
     sources, and every batch groups its rows by label and source as the
     first does, as the PK sampler lays them out. Else
-    DimensionMismatchError, as for a camera below -1; a negative label
-    raises UnresolvedLabelError.
+    DimensionMismatchError, as for a camera below -1; a negative label, or
+    one the bank has no centroid for, raises UnresolvedLabelError.
     """
 
-    def __init__(self, labels, cameras):
+    def __init__(self, labels, cameras, bank: CentroidBank):
         labels = np.asarray(labels, dtype=np.int64)
         cameras = np.asarray(cameras, dtype=np.int64)
         if labels.ndim != 2 or not len(labels) or cameras.shape != labels.shape:
@@ -171,33 +168,20 @@ class LossLayout:
             raise DimensionMismatchError("a label cannot be both multi-camera "
                                          "and single-camera")
         # each batch's labels at those rows, ascending
-        self.batch_labels = np.sort(labels[:, first], axis=1)
+        ids = self.batch_labels = np.sort(labels[:, first], axis=1)
         if (np.any(multi != multi[0]) or np.any(labels != labels[:, first[code]])
-                or np.any(self.batch_labels[:, 1:] == self.batch_labels[:, :-1])):
+                or np.any(ids[:, 1:] == ids[:, :-1])):
             raise DimensionMismatchError("every batch must group its rows by "
                                          "label and source as the first does")
+        if ids.max(initial=-1) >= len(bank.label_centroids):
+            raise UnresolvedLabelError(f"no centroid for label {ids.max()}")
         self.labels, self.cameras, self.multi = labels, cameras, multi[0]
-        self._same = code[:, None] == code[None, :]  # L_ins's positives
-        self._cols = None  # (camera table, Columns per batch, L_cc rows)
-
-    def camera_pairs(self, present: np.ndarray) -> np.ndarray:
-        """The L_cc proxies' flat rows in the (I * C, E) camera centroids
-        of a bank whose (I, C) table of present centroids is `present`, an
-        (iters, Q) array: batch t's present pairs of its labels, by label,
-        then camera, padded to the epoch's most, Q, with row 0. The first
-        call with a table builds every batch's Columns, one (B, W) layout
-        for the epoch, L_cc's block holding, for a multi row, every pair but
-        its own as the pool and its label's other pairs as the positives,
-        and none for a single row or a padding column; they are kept for
-        that table."""
-        if self._cols is not None and self._cols[0] is present:
-            return self._cols[2]
-        n_ids, n_cams = present.shape
-        iters, b = self.labels.shape
-        ids = self.batch_labels
+        self.bank = bank
+        n_ids, n_cams = bank.camera_present.shape
+        iters, b = labels.shape
         known = ids < n_ids
         has = np.zeros(ids.shape + (n_cams,), dtype=bool)  # (iters, P, C)
-        has[known] = present[ids[known]]
+        has[known] = bank.camera_present[ids[known]]
         # batch t's pairs in its first columns of (iters, Q) labels and
         # cameras, the rest label -1, which no row has
         t, p, cam = np.nonzero(has)
@@ -207,32 +191,29 @@ class LossLayout:
         pair[:, t, col] = ids[t, p], cam
         n_l, n_m = ids.shape[1], int(np.count_nonzero(self.multi))
         cen, cc = slice(2 * b, 2 * b + n_l), slice(2 * b + n_l, None)
-        same = self.labels[:, :n_m, None] == pair[0][:, None, :]
-        other_cam = self.cameras[:, :n_m, None] != pair[1][:, None, :]
+        same = labels[:, :n_m, None] == pair[0][:, None, :]
+        other_cam = cameras[:, :n_m, None] != pair[1][:, None, :]
         # one (iters, B, W) mask: the positives, then, in place, the
         # negatives; the multi rows come first
+        same_label = code[:, None] == code[None, :]  # L_ins's positives
         mask = np.empty((iters, b, 2 * b + n_l + pair.shape[2]), dtype=bool)
-        mask[:, :, :2 * b] = np.hstack([self._same, np.eye(b, dtype=bool)])
-        np.equal(self.labels[:, :, None], ids[:, None, :], out=mask[:, :, cen])
+        mask[:, :, :2 * b] = np.hstack([same_label, np.eye(b, dtype=bool)])
+        np.equal(labels[:, :, None], ids[:, None, :], out=mask[:, :, cen])
         mask[:, n_m:, cc] = False
         np.logical_and(same, other_cam, out=mask[:, :n_m, cc])
         pos = np.flatnonzero(mask)
         same_source = self.multi[:, None] == self.multi[None, :]
-        mask[:, :, :2 * b] = np.hstack([~self._same & same_source, ~self._same])
+        mask[:, :, :2 * b] = np.hstack([~same_label & same_source, ~same_label])
         np.logical_not(mask[:, :, cen], out=mask[:, :, cen])
         mask[:, :n_m, cc] = (other_cam | ~same) & (pair[0] >= 0)[:, None, :]
         del same, other_cam  # not held through the build
-        widths = [b, b, n_l, pair.shape[2]]
-        self._cols = present, _epoch_columns(pos, mask, widths), np.where(
-            pair[0] >= 0, pair[0] * n_cams + pair[1], 0)
-        return self._cols[2]
-
-    def columns(self, it: int) -> Columns:
-        """Batch `it`'s Columns of the four blocks, built for the last
-        camera table (none before the first)."""
-        if self._cols is None:
-            self.camera_pairs(_NO_PAIRS)
-        return self._cols[1][it]
+        self.columns = _epoch_columns(pos, mask, [b, b, n_l, pair.shape[2]])
+        self.cc_rows = np.where(pair[0] >= 0, pair[0] * n_cams + pair[1], 0)
+        # a multi-camera row takes the first of a term's two temperatures
+        tau = np.where(self.multi[:, None],
+                       [TAU_INS[0], TAU_AUG, TAU_CEN[0], TAU_CC],
+                       [TAU_INS[1], TAU_AUG, TAU_CEN[1], TAU_CC])
+        self.tau = tau[:, list(self.columns[0].blocks)]
 
     def view(self, it: int, f: np.ndarray, m: np.ndarray) -> "BatchView":
         """Batch `it` with its embeddings, no check repeated."""
@@ -244,14 +225,14 @@ class LossLayout:
 class BatchView:
     """One batch as the losses see it: f, the (B, E) encoder embeddings of
     its augmented inputs, m, the momentum embeddings of its originals, and
-    batch `it` of an epoch's LossLayout. labels (a bank row each), cameras,
-    multi and batch_labels (the distinct labels, ascending) are the
-    layout's."""
+    batch `it` of an epoch's LossLayout, which holds the bank. labels (a
+    bank row each), cameras, multi and batch_labels (the distinct labels,
+    ascending) are the layout's."""
 
-    def __init__(self, f, m, labels, cameras):
+    def __init__(self, f, m, labels, cameras, bank: CentroidBank):
         """A batch on its own: the one batch of a one-batch epoch."""
         self._bind(LossLayout(np.asarray(labels)[None],
-                              np.asarray(cameras)[None]), 0, f, m)
+                              np.asarray(cameras)[None], bank), 0, f, m)
 
     def _bind(self, layout: LossLayout, it: int, f, m) -> None:
         self.f = np.asarray(f, dtype=np.float64)
@@ -396,76 +377,67 @@ def _contrastive(
     return losses, e @ proxies
 
 
-def instance_loss(view: BatchView, tau_m: float, tau_s: float) -> Block:
-    """L_ins's block: the momentum embeddings. Positives of anchor i are
+def instance_loss(view: BatchView) -> np.ndarray:
+    """L_ins's proxies: the momentum embeddings. Positives of anchor i are
     all j with the same label, the self-pair included; negatives are
     same-source batch members with a different label."""
-    return Block(view.m, np.where(view.multi, tau_m, tau_s))
+    return view.m
 
 
-def augmentation_loss(view: BatchView, tau_aug: float) -> Block:
-    """L_aug's block: pulls each augmented embedding to its own momentum
+def augmentation_loss(view: BatchView) -> np.ndarray:
+    """L_aug's proxies: pulls each augmented embedding to its own momentum
     original; negatives are all different-label batch members from either
     source."""
-    return Block(view.m, np.full(view.size, tau_aug))
+    return view.m
 
 
-def centroids_loss(view: BatchView, bank: CentroidBank, tau_m: float,
-                   tau_s: float) -> Block:
-    """L_cen's block: pulls each anchor to its label centroid against the
+def centroids_loss(view: BatchView) -> np.ndarray:
+    """L_cen's proxies: pulls each anchor to its label centroid against the
     centroids of all distinct labels present in the batch."""
-    labels = view.batch_labels
-    if len(labels) and labels[-1] >= len(bank.label_centroids):
-        raise UnresolvedLabelError(f"no centroid for label {labels[-1]}")
-    return Block(bank.label_centroids[labels],
-                 np.where(view.multi, tau_m, tau_s))
+    return view.layout.bank.label_centroids[view.batch_labels]
 
 
-def camera_centroids_loss(view: BatchView, bank: CentroidBank,
-                          tau_cc: float) -> Block:
-    """L_cc's block: pulls multi-camera anchors toward same-label centroids
-    from *other* cameras; negatives are camera centroids of the other
-    multi labels in the batch. Each positive is scored against all of
-    them, the other positives included: those are negatives of the kernel
-    too. Anchors with no cross-camera proxy contribute zero."""
-    rows = view.layout.camera_pairs(bank.camera_present)[view.it]
-    cents = bank.camera_centroids
-    return Block(cents.reshape(-1, cents.shape[-1])[rows],
-                 np.full(view.size, tau_cc))
+def camera_centroids_loss(view: BatchView) -> np.ndarray:
+    """L_cc's proxies: pulls multi-camera anchors toward same-label
+    centroids from *other* cameras; negatives are camera centroids of the
+    other multi labels in the batch. Each positive is scored against all
+    of them, the other positives included: those are negatives of the
+    kernel too. Anchors with no cross-camera proxy contribute zero."""
+    cents = view.layout.bank.camera_centroids
+    return cents.reshape(-1, cents.shape[-1])[view.layout.cc_rows[view.it]]
 
 
-# The objective, summed in order: name -> (weight, the term at its taus).
+# The objective, summed in order: name -> (weight, the term's proxies).
 # Each call looks its loss up in the module globals, so patches take effect.
 TERMS = {
-    "ins": (1.0, lambda view, bank: instance_loss(view, *TAU_INS)),
-    "aug": (1.0, lambda view, bank: augmentation_loss(view, TAU_AUG)),
-    "cen": (1.0, lambda view, bank: centroids_loss(view, bank, *TAU_CEN)),
-    "cc": (GAMMA, lambda view, bank: camera_centroids_loss(view, bank, TAU_CC)),
+    "ins": (1.0, lambda view: instance_loss(view)),
+    "aug": (1.0, lambda view: augmentation_loss(view)),
+    "cen": (1.0, lambda view: centroids_loss(view)),
+    "cc": (GAMMA, lambda view: camera_centroids_loss(view)),
 }
 
 
 def total_loss(
-    view: BatchView, bank: CentroidBank, weights=None
+    view: BatchView, weights=None
 ) -> tuple[float, np.ndarray, dict[str, float]]:
     """The sum of TERMS at `weights`, one per term in TERMS order (TERMS'
     own by default), its gradient and each term's loss by name: every
-    term's block, then one pass over them all. The losses do not depend on
-    the weights; a term alone is the pass at its one-hot weights."""
+    term's proxies, then one pass over them all at the layout's columns
+    and temperatures. The losses do not depend on the weights; a term
+    alone is the pass at its one-hot weights."""
     if weights is None:
         weights = [weight for weight, _ in TERMS.values()]
     if len(weights) != len(TERMS):
         raise DimensionMismatchError(f"{len(weights)} weights for "
                                      f"{len(TERMS)} terms")
-    blocks = [term(view, bank) for _, term in TERMS.values()]
-    cols = view.layout.columns(view.it)
+    proxies = np.concatenate([term(view) for _, term in TERMS.values()])
+    cols = view.layout.columns[view.it]
     parts = dict.fromkeys(TERMS, 0.0)
     if not cols.blocks:  # an empty batch
         return 0.0, np.zeros_like(view.f), parts
     on = list(cols.blocks)
-    tau = np.concatenate([blocks[j].tau for j in on]).reshape(len(on), -1)
-    losses, grads = _contrastive(
-        view.f, np.concatenate([block.proxies for block in blocks]), tau.T,
-        cols, np.asarray(weights, dtype=np.float64)[on])
+    losses, grads = _contrastive(view.f, proxies, view.layout.tau, cols,
+                                 np.asarray(weights, dtype=np.float64)[on])
     names = list(TERMS)
     parts.update(zip([names[j] for j in on], losses.tolist()))
     loss = sum(weight * parts[name] for name, weight in zip(TERMS, weights))

@@ -112,7 +112,7 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     sizes = (t.n_p_multi, t.n_k_multi,
              t.n_p_single if t.use_single_cam else 0, t.n_k_single)
     draws = draw_epoch(groups, sizes, t.iters_per_epoch, state.sampler)
-    layout = LossLayout(draws.labels, draws.cameras)
+    layout = LossLayout(draws.labels, draws.cameras, bank)
     sums = dict.fromkeys(["total", *TERMS], 0.0)
     for it in range(t.iters_per_epoch):
         features = compose_batch(draws, it)
@@ -120,7 +120,7 @@ def run_epoch(state: TrainState, multi: LabelGroups,
         f, cache = enc.forward_batch(state.params, augmented)
         m, _ = enc.forward_batch(state.momentum, features)
         view = layout.view(it, f, m)
-        loss, d_f, parts = total_loss(view, bank)
+        loss, d_f, parts = total_loss(view)
         grads = enc.backward_batch(state.params, cache, d_f)
         if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
             raise NonFiniteTrainingError(

@@ -12,10 +12,10 @@ from remix.numcore import normalize_rows
 NOISE = -1
 
 
-def term_alone(view, bank, name):
+def term_alone(view, name):
     """Term `name` of TERMS alone, (loss, dL/df): the package's one pass at
     the term's one-hot weights."""
-    _, grads, parts = total_loss(view, bank, [float(n == name) for n in TERMS])
+    _, grads, parts = total_loss(view, [float(n == name) for n in TERMS])
     return parts[name], grads
 
 

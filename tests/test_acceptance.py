@@ -54,14 +54,14 @@ def test_criterion_2_degenerate_zeros(capsys):
     f = normalize_rows(rng.standard_normal((3, 4)))
 
     # single label: instance loss sees no negatives
-    v_one = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
-    bank = build_centroids(f, v_one.labels, v_one.cameras)
-    zeros = [term_alone(v_one, bank, name)[0] for name in ("ins", "aug", "cen")]
+    bank = build_centroids(f, [0] * 3, np.array([0, 1, 2]))
+    v_one = BatchView(f, f, [0] * 3, np.array([0, 1, 2]), bank)
+    zeros = [term_alone(v_one, name)[0] for name in ("ins", "aug", "cen")]
 
     # two labels but one camera each: no cross-camera proxies
-    v_cam = BatchView(f, f, [0, 0, 1], np.zeros(3, dtype=int))
-    bank_cam = build_centroids(f, v_cam.labels, v_cam.cameras)
-    zeros.append(term_alone(v_cam, bank_cam, "cc")[0])
+    bank_cam = build_centroids(f, [0, 0, 1], np.zeros(3, dtype=int))
+    v_cam = BatchView(f, f, [0, 0, 1], np.zeros(3, dtype=int), bank_cam)
+    zeros.append(term_alone(v_cam, "cc")[0])
 
     p_m = enc.init_params(6, [8], 4, substream(0, "init"))
     p_e = enc.init_params(6, [8], 4, substream(1, "init"))
@@ -277,14 +277,12 @@ def test_criterion_9_loss_weight_contract(capsys):
     m = normalize_rows(rng.standard_normal((12, 6)))
     labels = [i % 3 for i in range(6)] + [3 + i % 3 for i in range(6)]
     cams = np.array([int(rng.integers(3)) for _ in range(6)] + [-1] * 6)
-    view = BatchView(f, m, labels, cams)
-    bank = build_centroids(m, labels, cams)
+    view = BatchView(f, m, labels, cams, build_centroids(m, labels, cams))
 
-    loss, grads, parts = total_loss(view, bank)
+    loss, grads, parts = total_loss(view)
     expect = parts["ins"] + parts["aug"] + parts["cen"] + 0.5 * parts["cc"]
-    g = (term_alone(view, bank, "ins")[1] + term_alone(view, bank, "aug")[1]
-         + term_alone(view, bank, "cen")[1]
-         + 0.5 * term_alone(view, bank, "cc")[1])
+    g = (term_alone(view, "ins")[1] + term_alone(view, "aug")[1]
+         + term_alone(view, "cen")[1] + 0.5 * term_alone(view, "cc")[1])
     loss_err = abs(loss - expect)
     grad_err = float(np.max(np.abs(grads - g)))
     ok = loss_err <= 1e-12 and grad_err <= 1e-12

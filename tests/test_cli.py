@@ -204,6 +204,16 @@ def test_out_that_is_a_file_is_a_runtime_error(tmp_path, capsys, command):
     assert out.read_text() == "not a directory\n"
 
 
+def test_more_identities_per_video_than_dim_is_a_config_error(tmp_path,
+                                                             capsys):
+    # 12 identities per video cannot be orthogonal in R^8
+    assert run(["generate", "--out", str(tmp_path),
+                "--set", "generator.dim=8",
+                "--set", "generator.n_videos=10"]) == 1
+    err = capsys.readouterr().err
+    assert "generator.dim" in err and "generator.n_videos" in err
+
+
 def test_wrong_type_is_a_config_error(capsys):
     assert run(["train", "--set", "train.use_single_cam=False"]) == 1
     assert "config error: train.use_single_cam must be bool" \

@@ -179,6 +179,24 @@ class TestSynthGenerate:
         with pytest.raises(InvalidConfigError, match="video"):
             small_cfg(n_single_identities=n, n_videos=v).validate()
 
+    @pytest.mark.parametrize("dim, n, v", [(8, 120, 10), (4, 10, 2),
+                                           (12, 26, 2)])
+    def test_validate_rejects_more_identities_per_video_than_dim(self, dim,
+                                                                 n, v):
+        # a video's ceil(n / v) prototypes are orthogonalised in R^dim: the
+        # (dim + 1)-th collapses to rounding noise
+        with pytest.raises(InvalidConfigError, match="generator.dim"):
+            small_cfg(dim=dim, multi_subspace_dim=4, n_single_identities=n,
+                      n_videos=v).validate()
+
+    @pytest.mark.parametrize("dim, n, v", [(4, 8, 2), (12, 24, 2)])
+    def test_as_many_identities_per_video_as_dim_generate(self, dim, n, v):
+        cfg = small_cfg(dim=dim, multi_subspace_dim=4, n_single_identities=n,
+                        n_videos=v)
+        _, corpus, _ = synth_generate(cfg, 0)
+        assert [len({s.hidden_identity for s in frames})
+                for _, frames in corpus.videos] == [dim] * v
+
     @pytest.mark.parametrize("n, v", [(10, 4), (8, 4), (4, 4), (7, 4)])
     def test_every_video_of_a_valid_split_has_an_identity(self, n, v):
         cfg = small_cfg(n_single_identities=n, n_videos=v)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -42,13 +43,21 @@ from remix.losses import (
     _contrastive,
     _epoch_columns,
     build_centroids,
-    centroids_loss,
     total_loss,
 )
 from remix.numcore import finite_diff_grad, normalize_rows, substream
 
 
-def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3):
+def bank_for(labels, cameras, dim, seed=10):
+    """A bank over the batch's labels and cameras, of random unit rows."""
+    rng = substream(seed, "gradcheck")
+    m = normalize_rows(rng.standard_normal((len(labels), dim)))
+    return build_centroids(m, labels, cameras)
+
+
+def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3,
+                bank=bank_for):
+    """A mixed batch over the bank `bank(labels, cameras, dim)`."""
     rng = substream(seed, "gradcheck")
     b = n_multi + n_single
     f = normalize_rows(rng.standard_normal((b, dim)))
@@ -59,53 +68,51 @@ def random_view(seed=0, n_multi=6, n_single=6, dim=5, n_labels=2, n_cams=3):
     labels += [offset + i % n_labels for i in range(n_single)]
     cameras = np.array([int(rng.integers(n_cams)) for _ in range(n_multi)]
                        + [-1] * n_single)
-    return BatchView(f, m, labels, cameras)
+    return BatchView(f, m, labels, cameras, bank(labels, cameras, dim))
 
 
-def bank_for(view, seed=10):
-    rng = substream(seed, "gradcheck")
-    m = normalize_rows(rng.standard_normal(view.m.shape))
-    return build_centroids(m, view.labels, view.cameras)
+# a centroid for each of the labels 0-9
+TEN = build_centroids(np.eye(10), np.arange(10), np.zeros(10, dtype=int))
 
 
 class TestBatchView:
     def test_single_before_multi_rejected(self):
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
-            BatchView(f, f, [1, 0], np.array([-1, 0]))
+            BatchView(f, f, [1, 0], np.array([-1, 0]), TEN)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            BatchView(np.eye(2), np.eye(3), [0, 0], np.zeros(2))
+            BatchView(np.eye(2), np.eye(3), [0, 0], np.zeros(2), TEN)
 
     def test_label_in_both_sources_rejected(self):
         f = np.eye(2)
         with pytest.raises(DimensionMismatchError):
-            BatchView(f, f, [0, 0], np.array([0, -1]))
+            BatchView(f, f, [0, 0], np.array([0, -1]), TEN)
 
     def test_negative_label_rejected(self):
         # a label of -1 would index the last column of the per-source
         # table, and its anchor would fall out of the batch's labels
         f = np.eye(3)
         with pytest.raises(UnresolvedLabelError, match="-1"):
-            BatchView(f, f, [0, 0, -1], [0, 1, 2])
+            BatchView(f, f, [0, 0, -1], [0, 1, 2], TEN)
 
     def test_camera_below_minus_one_rejected(self):
         f = np.eye(3)
         with pytest.raises(DimensionMismatchError, match="-2"):
-            BatchView(f, f, [0, 0, 1], [0, 1, -2])
+            BatchView(f, f, [0, 0, 1], [0, 1, -2], TEN)
 
     def test_codes_number_distinct_labels(self):
         f = np.eye(4)
-        v = BatchView(f, f, [5, 2, 5, 9], [0, 1, 2, -1])
+        v = BatchView(f, f, [5, 2, 5, 9], [0, 1, 2, -1], TEN)
         assert v.batch_labels.tolist() == [2, 5, 9]
 
     def test_source_is_read_from_the_camera(self):
         f = np.eye(4)
-        v = BatchView(f, f, [0, 0, 1, 2], [2, 0, -1, -1])
+        v = BatchView(f, f, [0, 0, 1, 2], [2, 0, -1, -1], TEN)
         assert v.multi.tolist() == [True, True, False, False]
         with pytest.raises(TypeError):  # the source is not an argument
-            BatchView(f, f, [0, 0, 1, 2], v.multi, [2, 0, -1, -1])
+            BatchView(f, f, [0, 0, 1, 2], v.multi, [2, 0, -1, -1], TEN)
 
     def test_counts(self):
         v = random_view(n_multi=4, n_single=2)
@@ -238,8 +245,8 @@ class TestLossLayout:
     def test_each_batch_matches_its_own_masks(self, shape):
         for seed in range(2):
             draws, bank = drawn_epoch(shape, seed)
-            layout = LossLayout(draws.labels, draws.cameras)
-            pairs = layout.camera_pairs(bank.camera_present)
+            layout = LossLayout(draws.labels, draws.cameras, bank)
+            pairs = layout.cc_rows
             wants = [batch_masks(labels, cameras, bank)
                      for labels, cameras in zip(draws.labels, draws.cameras)]
             counts = [len(want["cc"][2]) for want in wants]
@@ -247,7 +254,7 @@ class TestLossLayout:
             for it, want in enumerate(wants):
                 assert layout.batch_labels[it].tolist() \
                     == np.unique(draws.labels[it]).tolist()
-                cols = layout.columns(it)
+                cols = layout.columns[it]
                 assert_columns_of(cols, masks_of(want, q))
                 assert np.array_equal(bank.camera_centroids.reshape(
                     -1, bank.camera_centroids.shape[-1])[pairs[it]][
@@ -259,16 +266,20 @@ class TestLossLayout:
             # with cameras missing, batches differ in their proxy count but
             # not in their columns
             assert (len(set(counts)) > 1) == (shape == "absent_pairs")
-            assert len({tuple(layout.columns(it).widths)
-                        for it in range(len(wants))}) == 1
+            assert len({tuple(cols.widths) for cols in layout.columns}) == 1
             assert pairs.shape == (len(wants), q)
+            # each row's temperature in each block the epoch has
+            names = list(TERMS)
+            assert np.array_equal(layout.tau, np.stack(
+                [TERM_TAUS[names[j]](draws.cameras[0] >= 0)
+                 for j in layout.columns[0].blocks], axis=1))
 
     @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
     def test_terms_match_the_loops(self, shape):
         # the first, a middle and the last batch of the epoch, each term
         # against the kernel's contract, pair by pair
         draws, bank = drawn_epoch(shape, 2)
-        layout = LossLayout(draws.labels, draws.cameras)
+        layout = LossLayout(draws.labels, draws.cameras, bank)
         rng = substream(3, "gradcheck")
         iters, b = draws.labels.shape
         u = np.finfo(np.float64).eps / 2
@@ -283,7 +294,7 @@ class TestLossLayout:
                 want, want_grads = reference_contrastive(
                     f, m if proxies is None else proxies, pos, neg, tau,
                     name == "cc")
-                loss, grads = term_alone(view, bank, name)
+                loss, grads = term_alone(view, name)
                 assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
                 bound = 32 * u / tau * np.maximum(
                     1.0, np.max(np.abs(want_grads), axis=1))
@@ -299,12 +310,12 @@ class TestLossLayout:
             (len(groups.cameras), 5)))
         bank = build_centroids(embs, groups.labels(), groups.cameras)
         labels, cameras = np.array([1, 1, 0, 0]), np.array([3, 1, 2, 0])
-        layout = LossLayout(labels[None], cameras[None])
-        rows = layout.camera_pairs(bank.camera_present)[0]
+        layout = LossLayout(labels[None], cameras[None], bank)
+        rows = layout.cc_rows[0]
         assert rows.tolist() == [0 * 4 + 0, 0 * 4 + 2, 0 * 4 + 3,
                                  1 * 4 + 1, 1 * 4 + 3]
         # L_cc's block, the last of the four, from its start
-        cols = layout.columns(0)
+        cols = layout.columns[0]
         assert cols.blocks == (0, 1, 2, 3)
         start = int(cols.starts[3])
         assert cols.neg[:, start:].tolist() == [
@@ -313,42 +324,35 @@ class TestLossLayout:
         i, c = np.divmod(cols.k[cols.pool % 4 == 3], cols.neg.shape[1])
         assert (i * 5 + c - start).tolist() == [
             0 * 5 + 3, 1 * 5 + 4, 2 * 5 + 0, 2 * 5 + 2, 3 * 5 + 1, 3 * 5 + 2]
-        view = BatchView(embs[:4], embs[4:8], labels, cameras)
-        assert_matches_loops(view, bank)
-
-    def test_camera_pairs_are_built_once_per_table(self):
-        draws, bank = drawn_epoch("joint", 5)
-        layout = LossLayout(draws.labels, draws.cameras)
-        pairs = layout.camera_pairs(bank.camera_present)
-        assert layout.camera_pairs(bank.camera_present) is pairs
-        assert layout.camera_pairs(bank.camera_present.copy()) is not pairs
+        assert_matches_loops(BatchView(embs[:4], embs[4:8], labels, cameras,
+                                       bank))
 
     def test_gradcheck_builds_one_layout_per_case(self, monkeypatch):
         built = []
 
         class Counted(LossLayout):
-            def __init__(self, labels, cameras):
-                built.append(labels.shape)
-                super().__init__(labels, cameras)
+            def __init__(self, labels, cameras, bank):
+                built.append((labels.shape, len(bank.label_centroids)))
+                super().__init__(labels, cameras, bank)
 
         monkeypatch.setattr(gradcheck, "LossLayout", Counted)
         max_relative_errors(seed=0, n_batches=2)
-        assert built == [(1, gradcheck.BATCH)] * 2
+        # the case's four labels, each with its centroid
+        assert built == [((1, gradcheck.BATCH), 4)] * 2
 
     def test_layout_memory_at_the_joint_shape(self):
-        # a joint epoch, 50 batches of 64 with its camera pairs built:
+        # a joint epoch, 50 batches of 64, camera pairs included:
         # the four blocks' negatives side by side, (50, 64, 176) bools, and
         # 24,000 positives; not the (iters, B, W) positive mask beside them
         draws, bank = drawn_epoch("joint", 0)
         tracemalloc.start()
         try:
-            layout = LossLayout(draws.labels, draws.cameras)
-            layout.camera_pairs(bank.camera_present)
+            layout = LossLayout(draws.labels, draws.cameras, bank)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert draws.labels.shape == (50, 64)
-        assert layout.columns(0).neg.shape == (64, 176)
+        assert layout.columns[0].neg.shape == (64, 176)
         assert retained <= 2**20 and peak <= 2 * 2**20
 
     @pytest.mark.parametrize("labels, cameras, error", [
@@ -362,7 +366,7 @@ class TestLossLayout:
     def test_bad_epochs_rejected(self, labels, cameras, error):
         # TestBatchView's cases are one-batch epochs of the same checks
         with pytest.raises(error):
-            LossLayout(labels, cameras)
+            LossLayout(labels, cameras, TEN)
 
 
 class TestBuildCentroids:
@@ -467,43 +471,44 @@ class TestBuildCentroidsAgainstOracle:
                              reference_build_centroids(embs, labels, cameras))
 
 
-def reference_terms(view, bank):
-    """Each term's (loss, dL/df) by the loops, in TERMS order, at the
-    module's temperatures as they are when called."""
+def reference_terms(view):
+    """Each term's (loss, dL/df) by the loops over the view's bank, in
+    TERMS order, at the module's temperatures as they are when called."""
+    bank = view.layout.bank
     return [reference_instance_loss(view, *losses.TAU_INS),
             reference_augmentation_loss(view, losses.TAU_AUG),
             reference_centroids_loss(view, bank, *losses.TAU_CEN),
             reference_camera_centroids_loss(view, bank, losses.TAU_CC)]
 
 
-def oracle_pairs(view, bank):
+def oracle_pairs(view):
     """(kernel, loop) results for every term."""
-    return list(zip([term_alone(view, bank, name) for name in TERMS],
-                    reference_terms(view, bank)))
+    return list(zip([term_alone(view, name) for name in TERMS],
+                    reference_terms(view)))
 
 
-def assert_matches_loops(view, bank):
+def assert_matches_loops(view):
     """Each loss and gradient within 1e-12 of the loops, at the module's
     temperatures, with no overflow or invalid value on the way."""
     with np.errstate(invalid="raise", over="raise"):
-        pairs = oracle_pairs(view, bank)
+        pairs = oracle_pairs(view)
     for (loss, grads), (want, want_grads) in pairs:
         assert abs(loss - want) <= 1e-12
         assert np.max(np.abs(grads - want_grads)) <= 1e-12
 
 
-def bank_with_absent_label(view, seed=10):
+def bank_with_absent_label(labels, cameras, dim, seed=10):
     """Bank over the batch's labels plus a multi label the batch lacks."""
     rng = substream(seed, "gradcheck")
-    absent = int(view.labels.max()) + 1
-    labels = np.concatenate([view.labels, [absent] * 3])
-    cams = np.concatenate([view.cameras, [0, 1, 2]])
-    m = normalize_rows(rng.standard_normal((len(labels), view.m.shape[1])))
+    absent = int(max(labels)) + 1
+    labels = np.concatenate([labels, [absent] * 3])
+    cams = np.concatenate([cameras, [0, 1, 2]])
+    m = normalize_rows(rng.standard_normal((len(labels), dim)))
     return build_centroids(m, labels, cams)
 
 
 def batch_shaped_view(seed, n_pseudo, dim=16):
-    """A batch at the trainer's default shape, with its bank: 8 of 20
+    """A batch at the trainer's default shape over its bank: 8 of 20
     identities x 4 rows, one per camera of 4, then n_pseudo of 30 pseudo
     labels x 4 rows. The bank holds every identity (8 rows on random
     cameras, so some camera centroids are missing) and, when the batch has
@@ -522,8 +527,8 @@ def batch_shaped_view(seed, n_pseudo, dim=16):
     bank_cams = np.concatenate([rng.integers(4, size=160),
                                 np.full(4 * n_bank_pseudo, -1)])
     embs = normalize_rows(rng.standard_normal((len(bank_labels), dim)))
-    return (BatchView(f, m, labels, cameras),
-            build_centroids(embs, bank_labels, bank_cams))
+    return BatchView(f, m, labels, cameras,
+                     build_centroids(embs, bank_labels, bank_cams))
 
 
 def one_block(f, proxies, pos, neg, tau):
@@ -560,18 +565,20 @@ class TestKernelAgainstLoops:
             "one_label"])
     def test_loss_and_gradient(self, shape):
         for seed in range(10):
-            view = random_view(seed, **shape)
-            assert_matches_loops(view, bank_with_absent_label(view, seed + 100))
+            view = random_view(seed, bank=lambda *batch: bank_with_absent_label(
+                *batch, seed + 100), **shape)
+            assert_matches_loops(view)
 
     @pytest.mark.parametrize("n_pseudo", [8, 0], ids=["joint", "labeled_only"])
     def test_batch_shape(self, n_pseudo):
         # 64 rows (32 with labels only) against banks of 50 (20) labels: the
         # shapes the trainer runs, beside the 12-row views above
         for seed in range(5):
-            view, bank = batch_shaped_view(seed, n_pseudo)
+            view = batch_shaped_view(seed, n_pseudo)
             assert view.size == 32 + 4 * n_pseudo
-            assert len(bank.label_centroids) > len(view.batch_labels)
-            assert_matches_loops(view, bank)
+            assert len(view.layout.bank.label_centroids) \
+                > len(view.batch_labels)
+            assert_matches_loops(view)
 
     def test_peak_stays_below_three_matrices(self):
         # beside its inputs, a pass over four blocks at B = 256 holds two
@@ -605,15 +612,15 @@ class TestKernelAgainstLoops:
 
     def test_large_magnitudes(self, monkeypatch):
         # tau = 1e-4 puts logits near 1e4: the max shift keeps every loss
-        # and gradient finite and equal to the loops. TERMS reads the
-        # temperatures when it runs, so the patched ones take effect
+        # and gradient finite and equal to the loops. A layout reads the
+        # temperatures when it is built, so the patched ones take effect
         for name in ("TAU_INS", "TAU_AUG", "TAU_CEN", "TAU_CC"):
             monkeypatch.setattr(losses, name, np.multiply(
                 getattr(losses, name), 1e-4 / TAU_CC))
         view = random_view(13)
-        bank = bank_for(view)
+        assert view.layout.tau.min() == pytest.approx(1e-4, rel=1e-15)
         with np.errstate(invalid="raise", over="raise"):
-            pairs = oracle_pairs(view, bank)
+            pairs = oracle_pairs(view)
         for (loss, grads), (want, want_grads) in pairs:
             assert np.isfinite(loss) and np.all(np.isfinite(grads))
             assert loss == pytest.approx(want, rel=1e-12)
@@ -677,10 +684,10 @@ class TestKernelAgainstLoops:
         # camera term against both positives (loss ln 2)
         f = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        view = BatchView(f, m, [0, 0], np.array([0, 0]))
         bank = build_centroids(m, [0, 0], np.array([1, 2]))
-        assert term_alone(view, bank, "ins")[0] == 0.0
-        assert term_alone(view, bank, "cc")[0] \
+        view = BatchView(f, m, [0, 0], np.array([0, 0]), bank)
+        assert term_alone(view, "ins")[0] == 0.0
+        assert term_alone(view, "cc")[0] \
             == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -691,7 +698,8 @@ class TestInstanceLossOracle:
         m = normalize_rows(np.array([[1.0, 0.2, 0.0],
                                      [0.1, 1.0, 0.0],
                                      [0.0, 0.3, 1.0]]))
-        view = BatchView(f, m, [0, 0, 1], np.array([0, 1, 0]))
+        view = BatchView(f, m, [0, 0, 1], np.array([0, 1, 0]),
+                         build_centroids(m, [0, 0, 1], np.array([0, 1, 0])))
         tau = TAU_INS[0]  # every anchor is multi-camera
         sims = f @ m.T
 
@@ -706,8 +714,7 @@ class TestInstanceLossOracle:
                 pool = [sims[i, j] / tau] + [sims[i, k] / tau for k in neg]
                 per_anchor -= (sims[i, j] / tau - lse(pool)) / len(pos)
             expect += per_anchor / 3
-        bank = build_centroids(m, view.labels, view.cameras)
-        loss, _ = term_alone(view, bank, "ins")
+        loss, _ = term_alone(view, "ins")
         assert loss == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -716,13 +723,13 @@ class TestInstanceLossOracle:
         # the anchor-weighted mean of its two single-source sub-batches,
         # and each sub-batch's gradient rows scale by its share of anchors
         view = random_view(seed, n_multi=6, n_single=4)
-        bank = bank_for(view)  # holds the sub-batches' labels too
-        loss, grads = term_alone(view, bank, "ins")
+        bank = view.layout.bank  # holds the sub-batches' labels too
+        loss, grads = term_alone(view, "ins")
         parts = []
         for rows in (view.multi, ~view.multi):
             sub = BatchView(view.f[rows], view.m[rows], view.labels[rows],
-                            view.cameras[rows])
-            sub_loss, sub_grads = term_alone(sub, bank, "ins")
+                            view.cameras[rows], bank)
+            sub_loss, sub_grads = term_alone(sub, "ins")
             share = sub.size / view.size
             assert np.max(np.abs(grads[rows] - share * sub_grads)) <= 1e-12
             parts.append(share * sub_loss)
@@ -733,34 +740,34 @@ class TestDegenerateZeros:
     def test_instance_single_label_no_negatives(self):
         rng = substream(3, "init")
         f = normalize_rows(rng.standard_normal((3, 4)))
-        view = BatchView(f, f, [0] * 3, np.array([0, 1, 2]))
-        bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_alone(view, bank, "ins")
+        view = BatchView(f, f, [0] * 3, np.array([0, 1, 2]),
+                         build_centroids(f, [0] * 3, np.array([0, 1, 2])))
+        loss, grads = term_alone(view, "ins")
         assert loss == 0.0
         assert np.allclose(grads, 0.0)
 
     def test_augmentation_no_negatives(self):
         rng = substream(4, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = BatchView(f, f, [0] * 2, np.array([0, 1]))
-        bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_alone(view, bank, "aug")
+        view = BatchView(f, f, [0] * 2, np.array([0, 1]),
+                         build_centroids(f, [0] * 2, np.array([0, 1])))
+        loss, grads = term_alone(view, "aug")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_centroids_single_label(self):
         rng = substream(5, "init")
         f = normalize_rows(rng.standard_normal((2, 4)))
-        view = BatchView(f, f, [0] * 2, np.array([0, 1]))
-        bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_alone(view, bank, "cen")
+        view = BatchView(f, f, [0] * 2, np.array([0, 1]),
+                         build_centroids(f, [0] * 2, np.array([0, 1])))
+        loss, grads = term_alone(view, "cen")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
     def test_camera_centroids_single_camera(self):
         rng = substream(6, "init")
         f = normalize_rows(rng.standard_normal((4, 4)))
-        view = BatchView(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int))
-        bank = build_centroids(f, view.labels, view.cameras)
-        loss, grads = term_alone(view, bank, "cc")
+        view = BatchView(f, f, [0, 0, 1, 1], np.zeros(4, dtype=int),
+                         build_centroids(f, [0, 0, 1, 1], np.zeros(4, dtype=int)))
+        loss, grads = term_alone(view, "cc")
         assert loss == 0.0 and np.allclose(grads, 0.0)
 
 
@@ -769,13 +776,12 @@ class TestGradients:
 
     def check(self, name):
         view = random_view(7)
-        bank = bank_for(view)
-        _, grads = term_alone(view, bank, name)
+        _, grads = term_alone(view, name)
 
         def scalar(flat):
             v2 = BatchView(flat.reshape(view.f.shape), view.m, view.labels,
-                           view.cameras)
-            return term_alone(v2, bank, name)[0]
+                           view.cameras, view.layout.bank)
+            return term_alone(v2, name)[0]
 
         fd = finite_diff_grad(scalar, view.f.reshape(-1)).reshape(view.f.shape)
         assert np.allclose(grads, fd, atol=1e-7)
@@ -795,36 +801,42 @@ class TestGradients:
 
 class TestCentroidsLoss:
     def test_unresolved_label(self):
+        # the batch's labels are 0-3: the layout, built once per epoch,
+        # names the one the bank lacks
         view = random_view(8)
-        bank = bank_for(view)
-        bank.label_centroids = bank.label_centroids[:-1]  # drop the last label
-        with pytest.raises(UnresolvedLabelError):
-            centroids_loss(view, bank, 0.5, 0.6)
+        bank = dataclasses.replace(
+            view.layout.bank,
+            label_centroids=view.layout.bank.label_centroids[:-1])
+        with pytest.raises(UnresolvedLabelError,
+                           match="no centroid for label 3"):
+            LossLayout(view.layout.labels, view.layout.cameras, bank)
+        # in an epoch, a label only a later batch draws
+        with pytest.raises(UnresolvedLabelError,
+                           match="no centroid for label 3"):
+            LossLayout([[0, 0], [3, 3]], [[0, 1], [0, 1]], bank)
 
     def test_pool_is_batch_labels_only(self):
         view = random_view(9)
-        bank = bank_for(view)
+        bank = view.layout.bank
         # a centroid for a label absent from the batch must not matter
-        loss_a, _ = term_alone(view, bank, "cen")
-        bank.label_centroids = np.vstack([bank.label_centroids,
-                                          np.ones(5) / np.sqrt(5)])
-        loss_b, _ = term_alone(view, bank, "cen")
+        loss_a, _ = term_alone(view, "cen")
+        wide = dataclasses.replace(bank, label_centroids=np.vstack(
+            [bank.label_centroids, np.ones(5) / np.sqrt(5)]))
+        layout = LossLayout(view.layout.labels, view.layout.cameras, wide)
+        loss_b, _ = term_alone(layout.view(0, view.f, view.m), "cen")
         assert loss_a == loss_b
 
 
 class TestTotalLoss:
     def test_linearity(self):
         view = random_view(11)
-        bank = bank_for(view)
-        loss, grads, parts = total_loss(view, bank)
+        loss, grads, parts = total_loss(view)
         expect = (parts["ins"] + parts["aug"] + parts["cen"]
                   + GAMMA * parts["cc"])
         assert abs(loss - expect) <= 1e-12
 
-        g = (term_alone(view, bank, "ins")[1]
-             + term_alone(view, bank, "aug")[1]
-             + term_alone(view, bank, "cen")[1]
-             + GAMMA * term_alone(view, bank, "cc")[1])
+        g = (term_alone(view, "ins")[1] + term_alone(view, "aug")[1]
+             + term_alone(view, "cen")[1] + GAMMA * term_alone(view, "cc")[1])
         assert np.max(np.abs(grads - g)) <= 1e-12
 
     def test_constants_keep_the_config_defaults_they_replaced(self):
@@ -839,7 +851,7 @@ class TestTotalLoss:
     def test_weights_are_one_per_term(self, n):
         view = random_view(11)
         with pytest.raises(DimensionMismatchError, match=f"{n} weights"):
-            total_loss(view, bank_for(view), np.ones(n))
+            total_loss(view, np.ones(n))
 
 
 class TestOnePass:
@@ -856,9 +868,8 @@ class TestOnePass:
 
         monkeypatch.setattr(losses, "_contrastive", counted)
         view = random_view(12)
-        bank = bank_for(view)
         for n in (1, 2):
-            total_loss(view, bank)
+            total_loss(view)
             assert passes == [(0, 1, 2, 3)] * n
 
     @pytest.mark.parametrize("shape", list(EPOCH_SHAPES))
@@ -866,7 +877,7 @@ class TestOnePass:
         # the first, a middle and the last batch of the epoch, at TERMS'
         # weights, each one-hot vector and a random non-negative one
         draws, bank = drawn_epoch(shape, 4)
-        layout = LossLayout(draws.labels, draws.cameras)
+        layout = LossLayout(draws.labels, draws.cameras, bank)
         rng = substream(5, "gradcheck")
         iters, b = draws.labels.shape
         u = np.finfo(np.float64).eps / 2
@@ -876,17 +887,17 @@ class TestOnePass:
             f = normalize_rows(rng.standard_normal((b, 6)))
             m = normalize_rows(rng.standard_normal((b, 6)))
             view = layout.view(it, f, m)
-            wants = reference_terms(view, bank)
+            wants = reference_terms(view)
             for want, name in zip(wants, TERMS):
-                part = total_loss(view, bank)[2][name]
+                part = total_loss(view)[2][name]
                 assert abs(part - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
             # each term's bound of test_terms_match_the_loops, weighted
             bounds = [32 * u / TERM_TAUS[name](view.multi) * np.maximum(
                 1.0, np.max(np.abs(g), axis=1)) for name, (_, g)
                 in zip(TERMS, wants)]
             for weights in arms:
-                loss, grads, parts = total_loss(view, bank, weights)
-                assert parts == total_loss(view, bank)[2]
+                loss, grads, parts = total_loss(view, weights)
+                assert parts == total_loss(view)[2]
                 want_loss = sum(w * want for w, (want, _) in zip(weights, wants))
                 assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
                 want_grads = sum(w * g for w, (_, g) in zip(weights, wants))
@@ -916,9 +927,8 @@ class TestTermCalls:
 
     def test_total_loss_calls_each_loss_once_in_terms_order(self, calls):
         view = random_view(12)
-        bank = bank_for(view)
         for n in (1, 2):
-            total_loss(view, bank)
+            total_loss(view)
             assert calls == [LOSS_OF[name] for name in TERMS] * n
 
     def test_gradcheck_calls_one_loss_per_term_evaluation(self, calls,

@@ -208,13 +208,23 @@ def test_one_loss_layout_per_epoch(monkeypatch):
     built = []
 
     class Counted(trainer.LossLayout):
-        def __init__(self, labels, cameras):
-            built.append(labels.shape)
-            super().__init__(labels, cameras)
+        def __init__(self, labels, cameras, bank):
+            built.append((labels.shape, bank))
+            super().__init__(labels, cameras, bank)
+
+    real_loss, banks = trainer.total_loss, []
+
+    def loss_spy(view, *args):
+        banks.append(view.layout.bank)
+        return real_loss(view, *args)
 
     monkeypatch.setattr(trainer, "LossLayout", Counted)
+    monkeypatch.setattr(trainer, "total_loss", loss_spy)
     trainer.train(multi, corpus, cfg)
-    assert built == [(7, 16)] * 3
+    assert [shape for shape, _ in built] == [(7, 16)] * 3
+    # every iteration of an epoch reads its layout's bank, one per epoch
+    assert [id(bank) for bank in banks] \
+        == [id(bank) for _, bank in built for _ in range(7)]
 
 
 def _break_both_sources(draws):
@@ -386,9 +396,9 @@ def test_single_camera_centroids_enter_bank(monkeypatch):
         pools.append(real_pool(*args))
         return pools[-1]
 
-    def loss_spy(view, bank, *args):
-        banks.append(bank)
-        return real_loss(view, bank, *args)
+    def loss_spy(view, *args):
+        banks.append(view.layout.bank)
+        return real_loss(view, *args)
 
     monkeypatch.setattr(trainer, "pseudo_label_epoch", pool_spy)
     monkeypatch.setattr(trainer, "total_loss", loss_spy)
