@@ -19,7 +19,9 @@ per `total_loss` call and the milliseconds per layout build, each the
 minimum over the R repeats of its mean over the epoch, and the layout's
 retained and peak bytes.
 The checkout is whichever `remix` is on the path, so two checkouts are
-compared by running this once per checkout, alternating between them.
+compared by running this once per checkout, alternating between them;
+`scripts/ab_train.py` compares whole training runs of two checkouts in
+one process.
 """
 import argparse
 import dataclasses

@@ -4,8 +4,12 @@ optimizer with linear warm-up, and the EMA momentum copy.
 Hidden layers use tanh (smooth, so finite-difference gradient checks are
 clean everywhere); the final layer is linear followed by unit
 normalization, whose Jacobian is handled exactly in backward_batch().
-Parameters, gradients and Adam moments are each one flat float64 vector
-in EncoderParams' layout, and a checkpoint stores each as one flat list.
+Parameters, gradients and Adam moments are flat float64 vectors in
+EncoderParams' layout, and a checkpoint stores each as one flat list.
+Training holds the encoder and its momentum copy as the two rows of one
+(2, P) stack, so one forward_batch call embeds a batch by both; each row
+is also an EncoderParams of its own. adam_step and ema_update write the
+parameters and the moments in place.
 """
 from __future__ import annotations
 
@@ -49,7 +53,11 @@ def _layout(dims: tuple[int, ...]):
 class EncoderParams:
     """All parameters as one contiguous float64 vector. weights[l], of shape
     (dims[l], dims[l + 1]), and biases[l] are views into it, in arrays()
-    order: writing either writes flat, and the reverse."""
+    order: writing either writes flat, and the reverse.
+
+    A (k, P) flat is a stack of k encoders: weights[l] is then (k, dims[l],
+    dims[l + 1]) and biases[l] (k, 1, dims[l + 1]), so that both broadcast
+    over a (k, B, ·) batch, and rows[i] is encoder i, backed by flat[i]."""
     flat: np.ndarray
     dims: tuple[int, ...]  # layer widths: dim_in, *hidden, dim_out
 
@@ -57,14 +65,18 @@ class EncoderParams:
         self.dims = tuple(self.dims)
         self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
         size, layers = _layout(self.dims)
-        if len(self.dims) < 2 or self.flat.shape != (size,):
+        if len(self.dims) < 2 or self.flat.ndim not in (1, 2) \
+                or self.flat.shape[-1] != size:
             raise ShapeMismatchError(
                 f"{self.flat.shape} parameters for layer widths {self.dims}")
+        lead = self.flat.shape[:-1]
         weights, biases = [], []
         for w, shape, b in layers:
-            weights.append(self.flat[w].reshape(shape))
-            biases.append(self.flat[b])
+            weights.append(self.flat[..., w].reshape(*lead, *shape))
+            biases.append(self.flat[:, None, b] if lead else self.flat[b])
         self.weights, self.biases = tuple(weights), tuple(biases)
+        self.rows = tuple(EncoderParams(row, self.dims)
+                          for row in self.flat) if lead else ()
 
     @classmethod
     def zeros(cls, dims) -> "EncoderParams":
@@ -110,40 +122,62 @@ class ForwardCache:
 
 
 def forward_batch(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Encode a (B, D) batch to unit-norm (B, E) embeddings."""
+    """Encode a (B, D) batch to unit-norm (B, E) embeddings. A (k, P) stack
+    of encoders encodes a (k, B, D) batch to (k, B, E), batch i by encoder
+    i, each bit for bit as a pass of that encoder alone would."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params.dim_in:
+    if x.shape[-1] != params.dim_in:
         raise DimensionMismatchError(
-            f"input dim {x.shape[1]} != encoder dim {params.dim_in}")
+            f"input dim {x.shape[-1]} != encoder dim {params.dim_in}")
+    if x.shape[:-2] != params.flat.shape[:-1]:
+        raise ShapeMismatchError(
+            f"a {x.shape} batch for a stack of {params.flat.shape[:-1]} "
+            f"encoders")
     acts = [x]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        acts.append(np.tanh(acts[-1] @ w + b))
-    a = acts[-1] @ params.weights[-1] + params.biases[-1]
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms <= NORM_FLOOR):
+        a = acts[-1] @ w
+        a += b
+        acts.append(np.tanh(a, out=a))
+    a = acts[-1] @ params.weights[-1]
+    a += params.biases[-1]
+    norms = np.sqrt((a * a).sum(axis=-1))  # np.linalg.norm(a, axis=-1)
+    if (norms <= NORM_FLOOR).any():
         raise ZeroVectorError("encoder produced a (near-)zero pre-normalization output")
-    u = a / norms[:, None]
+    u = a / norms[..., None]
     return u, ForwardCache(params, acts, norms, u)
 
 
 def backward_batch(params: EncoderParams, cache: ForwardCache,
                    d_u: np.ndarray) -> EncoderParams:
     """Exact parameter gradients, shaped like params; d_u is
-    dL/dEmbedding, shape (B, E)."""
+    dL/dEmbedding, shape (B, E). The cache is of a pass of params, or of a
+    stack that holds params as a row: then that row's part is read."""
+    if params.rows:
+        raise ShapeMismatchError("gradients are for one encoder, not a stack")
+    u, norms, acts = cache.u, cache.norms, cache.activations
     if cache.params is not params:
-        raise StaleCacheError("cache does not belong to these parameters")
+        rows = [i for i, row in enumerate(cache.params.rows) if row is params]
+        if not rows:
+            raise StaleCacheError("cache does not belong to these parameters")
+        i = rows[0]
+        u, norms, acts = u[i], norms[i], [a[i] for a in acts]
     d_u = np.atleast_2d(np.asarray(d_u, dtype=np.float64))
-    if d_u.shape != cache.u.shape:
-        raise ShapeMismatchError(f"{d_u.shape} vs {cache.u.shape}")
+    if d_u.shape != u.shape:
+        raise ShapeMismatchError(f"{d_u.shape} vs {u.shape}")
     # normalization layer: dv = (du - (du.u) u) / ||v||
-    proj = np.sum(d_u * cache.u, axis=1, keepdims=True)
-    g = (d_u - proj * cache.u) / cache.norms[:, None]
+    g = (d_u * u).sum(axis=1, keepdims=True) * u
+    np.subtract(d_u, g, out=g)
+    g /= norms[:, None]
     grads = params.like(np.empty_like(params.flat))
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(cache.activations[l].T, g, out=grads.weights[l])
+        np.matmul(acts[l].T, g, out=grads.weights[l])
         g.sum(axis=0, out=grads.biases[l])
         if l > 0:
-            g = (g @ params.weights[l].T) * (1.0 - cache.activations[l] ** 2)
+            # tanh' = 1 - tanh ** 2
+            slope = np.square(acts[l])
+            np.subtract(1.0, slope, out=slope)
+            g = g @ params.weights[l].T
+            g *= slope
     return grads
 
 
@@ -174,28 +208,49 @@ def adam_step(
     grads: EncoderParams,
     lr: float,
     weight_decay: float,
-) -> tuple[EncoderParams, OptimizerState]:
-    """Bias-corrected Adam with decoupled weight decay."""
+) -> None:
+    """One step of bias-corrected Adam with decoupled weight decay, in
+    place: params.flat, opt.m, opt.v and opt.step. Each value is the one
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p = p - lr * (m / (1 - b1 ** t) / (sqrt(v / (1 - b2 ** t)) + eps)
+                      + weight_decay * p)
+
+    gives, operation for operation. Its two work vectors are allocated per
+    step: a state holds only what the next step reads."""
     if grads.dims != params.dims:
         raise ShapeMismatchError("gradient shapes do not match parameters")
     t = opt.step + 1
-    p, g = params.flat, grads.flat
-    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_p = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
-    return params.like(new_p), OptimizerState(m, v, t)
+    p, g, m, v = params.flat, grads.flat, opt.m, opt.v
+    a, b = np.empty((2, p.size))
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    a += np.multiply(p, weight_decay, out=b)
+    a *= lr
+    p -= a
+    opt.step = t
 
 
 def ema_update(theta_m: EncoderParams, theta_e: EncoderParams,
-               lam: float) -> EncoderParams:
-    """theta_m <- lam * theta_m + (1 - lam) * theta_e, elementwise."""
+               lam: float) -> None:
+    """theta_m <- lam * theta_m + (1 - lam) * theta_e, elementwise, in
+    place."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("momentum coefficient must be in [0, 1]")
     if theta_m.dims != theta_e.dims:
         raise ShapeMismatchError("encoder shapes differ")
-    return theta_m.like(lam * theta_m.flat + (1.0 - lam) * theta_e.flat)
+    pulled = (1.0 - lam) * theta_e.flat
+    theta_m.flat *= lam
+    theta_m.flat += pulled
 
 
 # --- checkpoint file --------------------------------------------------------

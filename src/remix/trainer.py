@@ -55,11 +55,11 @@ EMBED_DIM = 16  # and its embedding width
 
 @dataclass
 class TrainState:
-    """Everything a run carries from one epoch to the next: the encoder,
+    """Everything a run carries from one epoch to the next: the encoder and
     its momentum copy, the optimizer, the epoch, the metrics records and
     the named random streams. No data: run_epoch is given the datasets."""
-    params: enc.EncoderParams
-    momentum: enc.EncoderParams
+    # a (2, P) stack: row 0 the encoder, row 1 its momentum copy
+    encoders: enc.EncoderParams
     opt: enc.OptimizerState
     sampler: np.random.Generator  # the epoch's batch draws
     augment: np.random.Generator  # the training views' noise and drops
@@ -67,11 +67,21 @@ class TrainState:
     epoch: int = 0
     metrics: list[dict] = field(default_factory=list)
 
+    @property
+    def params(self) -> enc.EncoderParams:
+        """The encoder, a view of row 0 of encoders."""
+        return self.encoders.rows[0]
+
+    @property
+    def momentum(self) -> enc.EncoderParams:
+        """The momentum copy, a view of row 1 of encoders."""
+        return self.encoders.rows[1]
+
 
 def init_state(cfg: RunConfig, feature_dim: int) -> TrainState:
     params = enc.init_params(feature_dim, HIDDEN, EMBED_DIM,
                              substream(cfg.seed, "init"))
-    return TrainState(params, params.copy(),
+    return TrainState(params.like(np.stack((params.flat, params.flat))),
                       enc.OptimizerState.for_params(params),
                       sampler=substream(cfg.seed, "sampler"),
                       augment=substream(cfg.seed, "augment"),
@@ -114,22 +124,23 @@ def run_epoch(state: TrainState, multi: LabelGroups,
     draws = draw_epoch(groups, sizes, t.iters_per_epoch, state.sampler)
     layout = LossLayout(draws.labels, draws.cameras, bank)
     sums = dict.fromkeys(["total", *TERMS], 0.0)
+    params, momentum = state.params, state.momentum
     for it in range(t.iters_per_epoch):
         features = compose_batch(draws, it)
         augmented = augment(features, state.augment, SIGMA_AUG, P_DROP)
-        f, cache = enc.forward_batch(state.params, augmented)
-        m, _ = enc.forward_batch(state.momentum, features)
+        # one pass of both encoders: the encoder embeds the augmented
+        # views, its momentum copy the originals
+        (f, m), cache = enc.forward_batch(state.encoders,
+                                          np.array((augmented, features)))
         view = layout.view(it, f, m)
         loss, d_f, parts = total_loss(view)
-        grads = enc.backward_batch(state.params, cache, d_f)
+        grads = enc.backward_batch(params, cache, d_f)
         if not (np.isfinite(loss) and np.isfinite(grads.flat).all()):
             raise NonFiniteTrainingError(
                 f"non-finite loss or gradient at epoch {state.epoch}, "
                 f"iteration {it}")
-        state.params, state.opt = enc.adam_step(state.opt, state.params,
-                                                grads, lr, WEIGHT_DECAY)
-        state.momentum = enc.ema_update(state.momentum, state.params,
-                                        EMA_MOMENTUM)
+        enc.adam_step(state.opt, params, grads, lr, WEIGHT_DECAY)
+        enc.ema_update(momentum, params, EMA_MOMENTUM)
         sums["total"] += loss
         for k in parts:
             sums[k] += parts[k]

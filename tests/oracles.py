@@ -174,6 +174,23 @@ def reference_ema_update(momentum, params, lam):
     return [lam * m + (1.0 - lam) * e for m, e in zip(momentum, params)]
 
 
+def functional_adam_step(p, g, m, v, step, lr, weight_decay):
+    """The flat Adam step as a copy-returning function, formula for
+    formula: returns the new p, m and v vectors, the inputs untouched."""
+    t = step + 1
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_p = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
+    return new_p, m, v
+
+
+def functional_ema_update(momentum, params, lam):
+    """The flat EMA as a copy-returning function: a new vector."""
+    return lam * momentum + (1.0 - lam) * params
+
+
 # --- the four ReMix losses as per-anchor loops ------------------------------
 
 

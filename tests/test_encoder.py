@@ -1,9 +1,15 @@
 import json
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
-from oracles import reference_adam_step, reference_ema_update
+from oracles import (
+    functional_adam_step,
+    functional_ema_update,
+    reference_adam_step,
+    reference_ema_update,
+)
 from remix import encoder as enc
 from remix import trainer
 from remix.config import RunConfig
@@ -162,6 +168,97 @@ def test_backward_view_writes_equal_products(batch):
         g = (g @ p.weights[l].T) * (1.0 - a ** 2)
 
 
+def make_stack(dims, seeds=(0, 1)):
+    """A stack of encoders of these widths, one per seed, and the rows."""
+    rows = [make_params(seed, dims) for seed in seeds]
+    return rows[0].like(np.stack([r.flat for r in rows])), rows
+
+
+class TestStack:
+    def test_rows_and_layers_are_views_of_flat(self):
+        stack, _ = make_stack((5, 7, 3))
+        assert stack.flat.shape == (2, 66) and len(stack.rows) == 2
+        assert [w.shape for w in stack.weights] == [(2, 5, 7), (2, 7, 3)]
+        assert [b.shape for b in stack.biases] == [(2, 1, 7), (2, 1, 3)]
+        stack.flat[:] = np.arange(132).reshape(2, 66)
+        for i, row in enumerate(stack.rows):
+            assert row.flat.shape == (66,)
+            assert np.array_equal(row.flat, np.arange(66) + 66 * i)
+            assert all(np.shares_memory(a, stack.flat) for a in row.arrays())
+            assert all(np.array_equal(w[i], rw)
+                       for w, rw in zip(stack.weights, row.weights))
+            assert all(np.array_equal(b[i, 0], rb)
+                       for b, rb in zip(stack.biases, row.biases))
+        assert stack.rows[0].rows == ()
+
+    def test_deep_copy_keeps_rows_as_views(self):
+        stack, _ = make_stack((5, 7, 3))
+        dup = deepcopy(stack)
+        dup.rows[1].flat[:] = 7.0
+        assert np.all(dup.flat[1] == 7.0) and np.all(dup.weights[0][1] == 7.0)
+        assert not np.any(stack.flat == 7.0)
+
+    @pytest.mark.parametrize("shape", [(3, 67), (2, 65), (2, 2, 66)])
+    def test_stack_shape_must_match_dims(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            enc.EncoderParams(np.zeros(shape), (5, 7, 3))
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 32, 64, 256])
+    @pytest.mark.parametrize("dims", [(32, 64, 16), (16, 8, 8)])
+    def test_stacked_pass_equals_each_row_alone(self, dims, batch):
+        # B = 1 multiplies as vector-matrix products; each row of one pass
+        # over the stack must still be its encoder's own pass, bit for bit
+        stack, rows = make_stack(dims)
+        x = substream(batch, "gradcheck").standard_normal((2, batch, dims[0]))
+        u, cache = enc.forward_batch(stack, x)
+        assert u.shape == (2, batch, dims[-1])
+        for i, row in enumerate(rows):
+            u_i, alone = enc.forward_batch(row, x[i])
+            assert u[i].tobytes() == u_i.tobytes()
+            assert cache.norms[i].tobytes() == alone.norms.tobytes()
+            for a, b in zip(cache.activations, alone.activations):
+                assert a[i].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 32, 64])
+    @pytest.mark.parametrize("dims", [(32, 64, 16), (16, 8, 8)])
+    def test_backward_reads_its_row_of_the_stacked_cache(self, dims, batch):
+        stack, rows = make_stack(dims)
+        rng = substream(batch, "gradcheck")
+        x = rng.standard_normal((2, batch, dims[0]))
+        d_u = rng.standard_normal((batch, dims[-1]))
+        _, cache = enc.forward_batch(stack, x)
+        for i, row in enumerate(rows):
+            _, alone = enc.forward_batch(row, x[i])
+            want = enc.backward_batch(row, alone, d_u).flat
+            got = enc.backward_batch(stack.rows[i], cache, d_u)
+            assert got.flat.shape == want.shape
+            assert got.flat.tobytes() == want.tobytes()
+
+    def test_backward_rejects_another_stacks_row(self):
+        stack, rows = make_stack((6, 8, 4))
+        _, cache = enc.forward_batch(stack, np.ones((2, 3, 6)))
+        with pytest.raises(StaleCacheError):
+            enc.backward_batch(rows[0], cache, np.zeros((3, 4)))
+        with pytest.raises(StaleCacheError):
+            enc.backward_batch(stack.copy().rows[0], cache, np.zeros((3, 4)))
+
+    def test_backward_takes_one_encoder_not_the_stack(self):
+        stack, _ = make_stack((6, 8, 4))
+        _, cache = enc.forward_batch(stack, np.ones((2, 3, 6)))
+        with pytest.raises(ShapeMismatchError):
+            enc.backward_batch(stack, cache, np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("shape", [(3, 6), (1, 3, 6), (3, 3, 6)])
+    def test_stacked_pass_needs_one_batch_per_row(self, shape):
+        stack, _ = make_stack((6, 8, 4))
+        with pytest.raises(ShapeMismatchError):
+            enc.forward_batch(stack, np.ones(shape))
+
+    def test_single_pass_refuses_a_stacked_batch(self):
+        with pytest.raises(ShapeMismatchError):
+            enc.forward_batch(make_params(), np.ones((2, 3, 6)))
+
+
 def ones_grads(p, value=1.0):
     return p.like(np.full_like(p.flat, value))
 
@@ -179,22 +276,35 @@ class TestOptimizer:
     def test_decoupled_weight_decay(self):
         # with zero gradients the only update is the decay term
         p = make_params()
+        before = p.copy()
         opt = enc.OptimizerState.for_params(p)
-        p2, opt2 = enc.adam_step(opt, p, ones_grads(p, 0.0), lr=0.1,
-                                 weight_decay=0.01)
-        for w_old, w_new in zip(p.weights, p2.weights):
+        enc.adam_step(opt, p, ones_grads(p, 0.0), lr=0.1, weight_decay=0.01)
+        for w_old, w_new in zip(before.weights, p.weights):
             assert np.allclose(w_new, w_old * (1.0 - 0.1 * 0.01))
-        assert opt2.step == 1
+        assert opt.step == 1
 
-    def test_step_is_functional(self):
-        p = make_params()
-        snapshot = [w.copy() for w in p.weights]
+    def test_steps_in_place_equal_the_functional_formulas(self):
+        # 50 steps at the warm-up's learning rates, with weight decay: the
+        # in-place step writes the vectors it was given, bit for bit what
+        # the copy-returning formulas give
+        p = make_params(dims=(32, 64, 16))
         opt = enc.OptimizerState.for_params(p)
-        enc.adam_step(opt, p, ones_grads(p), lr=0.002, weight_decay=0.0005)
-        assert all(np.array_equal(w, s) for w, s in zip(p.weights, snapshot))
-        assert opt.step == 0
-        assert opt.m.shape == opt.v.shape == p.flat.shape
-        assert not opt.m.any() and not opt.v.any()
+        vectors, views = (p.flat, opt.m, opt.v), p.arrays()
+        ref_p, ref_m, ref_v = p.flat.copy(), opt.m.copy(), opt.v.copy()
+        rng = substream(5, "gradcheck")
+        for i in range(50):
+            lr = enc.effective_lr(0.002, 10, i * 11 // 50)  # epochs 0-10
+            g = p.like(rng.standard_normal(p.flat.size))
+            ref_p, ref_m, ref_v = functional_adam_step(
+                ref_p, g.flat, ref_m, ref_v, i, lr, 0.0005)
+            assert enc.adam_step(opt, p, g, lr, 0.0005) is None
+            assert opt.step == i + 1
+            assert all(a is b for a, b in zip((p.flat, opt.m, opt.v),
+                                              vectors))
+            for new, ref in zip(vectors, (ref_p, ref_m, ref_v)):
+                assert new.tobytes() == ref.tobytes()
+        assert lr == 0.002
+        assert all(np.shares_memory(a, p.flat) for a in views)
 
     def test_gradient_shape_check(self):
         p = make_params()
@@ -219,7 +329,7 @@ class TestOptimizer:
             g = grads_for(p, i)
             ref_p, ref_m, ref_v = reference_adam_step(
                 ref_p, g.arrays(), ref_m, ref_v, i, 0.002, 0.0005)
-            p, opt = enc.adam_step(opt, p, g, lr=0.002, weight_decay=0.0005)
+            enc.adam_step(opt, p, g, lr=0.002, weight_decay=0.0005)
             assert opt.step == i + 1
             for new, ref in ((p.arrays(), ref_p),
                              (p.like(opt.m).arrays(), ref_m),
@@ -230,31 +340,43 @@ class TestOptimizer:
     def test_first_step_magnitude(self):
         # bias correction makes the first step approach lr * sign(g)
         p = make_params()
+        before = p.copy()
         opt = enc.OptimizerState.for_params(p)
-        p2, _ = enc.adam_step(opt, p, ones_grads(p, 2.0), lr=0.01,
-                              weight_decay=0.0)
-        delta = p.weights[0] - p2.weights[0]
+        enc.adam_step(opt, p, ones_grads(p, 2.0), lr=0.01, weight_decay=0.0)
+        delta = before.weights[0] - p.weights[0]
         assert np.allclose(delta, 0.01, atol=1e-6)
 
 
 class TestEma:
     def test_lambda_zero_bit_exact(self):
         mom, par = make_params(0), make_params(1)
-        out = enc.ema_update(mom, par, 0.0)
+        enc.ema_update(mom, par, 0.0)
         assert all(np.array_equal(a, b)
-                   for a, b in zip(out.arrays(), par.arrays()))
+                   for a, b in zip(mom.arrays(), par.arrays()))
 
     def test_lambda_one_keeps_momentum(self):
         mom, par = make_params(0), make_params(1)
-        out = enc.ema_update(mom, par, 1.0)
+        before = mom.copy()
+        enc.ema_update(mom, par, 1.0)
         assert all(np.array_equal(a, b)
-                   for a, b in zip(out.arrays(), mom.arrays()))
+                   for a, b in zip(mom.arrays(), before.arrays()))
 
     def test_interpolation(self):
         mom, par = make_params(0), make_params(1)
-        out = enc.ema_update(mom, par, 0.25)
         expect = 0.25 * mom.weights[0] + 0.75 * par.weights[0]
-        assert np.allclose(out.weights[0], expect)
+        enc.ema_update(mom, par, 0.25)
+        assert np.allclose(mom.weights[0], expect)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.99, 1.0])
+    def test_in_place_equals_the_functional_formula(self, lam):
+        # the momentum's own vector is written, the encoder's is not
+        mom, par = make_params(0, (32, 64, 16)), make_params(1, (32, 64, 16))
+        flat, par_before = mom.flat, par.flat.copy()
+        for _ in range(3):
+            expect = functional_ema_update(mom.flat, par.flat, lam)
+            assert enc.ema_update(mom, par, lam) is None
+            assert mom.flat is flat and mom.flat.tobytes() == expect.tobytes()
+            assert par.flat.tobytes() == par_before.tobytes()
 
     def test_matches_per_array_reference(self):
         mom, par = make_params(0), make_params(1)
@@ -262,7 +384,7 @@ class TestEma:
         for i, lam in enumerate((0.99, 0.9, 0.5, 0.99)):
             par = par.like(par.flat + grads_for(par, i).flat)
             ref = reference_ema_update(ref, par.arrays(), lam)
-            mom = enc.ema_update(mom, par, lam)
+            enc.ema_update(mom, par, lam)
             assert all(a.shape == b.shape and np.array_equal(a, b)
                        for a, b in zip(mom.arrays(), ref, strict=True))
 
@@ -287,8 +409,7 @@ def stepped(k):
     p = make_params()
     opt = enc.OptimizerState.for_params(p)
     for i in range(k):
-        p, opt = enc.adam_step(opt, p, grads_for(p, i), lr=0.002,
-                               weight_decay=0.0005)
+        enc.adam_step(opt, p, grads_for(p, i), lr=0.002, weight_decay=0.0005)
     return p, opt
 
 
@@ -360,8 +481,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         enc.save_checkpoint(path, {}, 0, p, p, opt)
         _, _, p, _, opt = enc.load_checkpoint(path)
-        p, opt = enc.adam_step(opt, p, grads_for(p, k), lr=0.002,
-                               weight_decay=0.0005)
+        enc.adam_step(opt, p, grads_for(p, k), lr=0.002, weight_decay=0.0005)
         p_straight, opt_straight = stepped(k + 1)
         assert opt.step == opt_straight.step == k + 1
         assert all(np.array_equal(a, b) for a, b in
@@ -380,8 +500,8 @@ class TestCheckpoint:
         p, m = make_params(0, dims), make_params(1, dims)
         opt = enc.OptimizerState.for_params(p)
         for i in range(3):
-            p, opt = enc.adam_step(opt, p, grads_for(p, i), lr=0.002,
-                                   weight_decay=0.0005)
+            enc.adam_step(opt, p, grads_for(p, i), lr=0.002,
+                          weight_decay=0.0005)
         path = tmp_path / "ckpt.json"
         enc.save_checkpoint(path, cfg.to_dict(), 7, p, m, opt)
         doc = {"format": "remix-ckpt", "version": 3,

@@ -157,16 +157,34 @@ def test_state_carries_the_whole_run():
                 == getattr(straight, name).bit_generator.state
 
 
+def state_vectors(state):
+    """The encoder, momentum and Adam moment vectors of a state."""
+    return (state.params.flat, state.momentum.flat, state.opt.m, state.opt.v)
+
+
 def test_deep_copied_state_keeps_its_parameter_views():
-    # writing a copy's flat vector writes its weights and biases, and
-    # leaves the original alone
-    state = trainer.init_state(tiny_cfg(), 8)
+    # an epoch run on a copy steps the copy's vectors in place and leaves
+    # every vector of the original unchanged; writing a copy's flat vector
+    # writes its weights and biases, and leaves the original alone
+    cfg = tiny_cfg()
+    multi, corpus, _ = data_for(cfg)
+    state = trainer.init_state(cfg, 8)
+    before = [v.copy() for v in state_vectors(state)]
     copy = deepcopy(state)
+    trainer.run_epoch(copy, multi.grouped(), corpus.grouped(), cfg)
+    assert copy.opt.step == cfg.train.iters_per_epoch and state.opt.step == 0
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(state_vectors(state), before))
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(state_vectors(copy), before))
+    assert copy.params is copy.encoders.rows[0]
+    assert copy.momentum is copy.encoders.rows[1]
     for orig, dup in ((state.params, copy.params),
                       (state.momentum, copy.momentum)):
         dup.flat[:] = 99.0
         assert all(np.all(a == 99.0) for a in dup.arrays())
         assert not np.any(orig.flat == 99.0)
+    assert np.all(copy.encoders.flat == 99.0)
 
 
 @pytest.mark.parametrize("budget", [None, 20])
@@ -360,13 +378,19 @@ def test_non_finite_iteration_stops_before_the_step(monkeypatch, tmp_path,
     # partial checkpoint holds the last finite state
     cfg = tiny_cfg()
     multi, corpus, _ = data_for(cfg)
-    real = trainer.total_loss
-    calls = []
+    real, real_init = trainer.total_loss, trainer.init_state
+    calls, states, last_finite = [], [], []
+
+    def init_spy(*args):
+        states.append(real_init(*args))
+        return states[-1]
 
     def poisoned(*args):
         loss, d_f, parts = real(*args)
         calls.append(None)
         if len(calls) == cfg.train.iters_per_epoch + 3:
+            # the state as the last finite step left it
+            last_finite.extend(v.copy() for v in state_vectors(states[0]))
             if bad == "loss":
                 loss = float("nan")
             else:
@@ -375,14 +399,23 @@ def test_non_finite_iteration_stops_before_the_step(monkeypatch, tmp_path,
         return loss, d_f, parts
 
     monkeypatch.setattr(trainer, "total_loss", poisoned)
+    monkeypatch.setattr(trainer, "init_state", init_spy)
     ckpt = tmp_path / "ckpt.json"
     with pytest.raises(NonFiniteTrainingError,
                        match="epoch 1, iteration 2"):
         trainer.train(multi, corpus, cfg, checkpoint_path=ckpt)
-    _, epoch, params, _, opt = load_checkpoint(
+    _, epoch, params, momentum, opt = load_checkpoint(
         tmp_path / "ckpt.json.partial")
     assert epoch == 1 and opt.step == cfg.train.iters_per_epoch + 2
     assert all(np.all(np.isfinite(a)) for a in params.arrays())
+    # nothing of the stopped step is written: all four vectors are the
+    # last finite step's, bit for bit, in the file and in the state
+    saved = (params.flat, momentum.flat, opt.m, opt.v)
+    assert len(last_finite) == 4
+    for file_vec, state_vec, want in zip(saved, state_vectors(states[0]),
+                                         last_finite):
+        assert file_vec.tobytes() == want.tobytes()
+        assert state_vec.tobytes() == want.tobytes()
 
 
 def test_single_camera_centroids_enter_bank(monkeypatch):
