@@ -49,7 +49,7 @@ def _layout(dims: tuple[int, ...]):
     return i, tuple(layers)
 
 
-@dataclass
+@dataclass(eq=False)
 class EncoderParams:
     """All parameters as one contiguous float64 vector. weights[l], of shape
     (dims[l], dims[l + 1]), and biases[l] are views into it, in arrays()
@@ -156,10 +156,10 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         raise ShapeMismatchError("gradients are for one encoder, not a stack")
     u, norms, acts = cache.u, cache.norms, cache.activations
     if cache.params is not params:
-        rows = [i for i, row in enumerate(cache.params.rows) if row is params]
-        if not rows:
-            raise StaleCacheError("cache does not belong to these parameters")
-        i = rows[0]
+        try:
+            i = cache.params.rows.index(params)  # equality is identity
+        except ValueError:
+            raise StaleCacheError("cache does not belong to these parameters") from None
         u, norms, acts = u[i], norms[i], [a[i] for a in acts]
     d_u = np.atleast_2d(np.asarray(d_u, dtype=np.float64))
     if d_u.shape != u.shape:
@@ -181,7 +181,7 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     return grads
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """Adam moments laid out like EncoderParams.flat, and the step count.
     The hyperparameters are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS here, and

@@ -110,6 +110,22 @@ def test_backward_rejects_stale_cache():
         enc.backward_batch(p.copy(), cache, np.zeros((2, 4)))
 
 
+def test_equality_is_identity():
+    # numpy fields cannot compare field by field to one bool: an encoder,
+    # like its optimizer state, equals itself alone
+    p = make_params()
+    q = p.copy()
+    assert p == p and p != q and not p == q
+    assert [q, p].index(p) == 1 and p in [q, p] and p not in [q]
+    opt = enc.OptimizerState.for_params(p)
+    assert opt == opt and opt != enc.OptimizerState.for_params(p)
+    stack = p.like(np.stack((p.flat, p.flat)))
+    assert stack.rows.index(stack.rows[1]) == 1
+    _, cache = enc.forward_batch(stack, np.ones((2, 3, 6)))
+    with pytest.raises(StaleCacheError):
+        enc.backward_batch(stack.rows[1].copy(), cache, np.zeros((3, 4)))
+
+
 def test_backward_shape_check():
     p = make_params()
     _, cache = enc.forward_batch(p, np.ones((2, 6)))

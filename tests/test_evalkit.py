@@ -1,16 +1,12 @@
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import remix
 from remix import encoder as enc
 from remix import evalkit
 from remix.datamodel import (
@@ -555,17 +551,3 @@ class TestProtocol:
             write_report(path, {"mAP": 0.7, "extra": object()})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["report.json"]
-
-
-def test_time_evaluate_script():
-    # the timing script that sizes the ranking, on a small target: 6
-    # identities over 4 cameras with 4 samples per identity and camera
-    script = Path(__file__).resolve().parents[1] / "scripts" / "time_evaluate.py"
-    env = dict(os.environ, PYTHONPATH=str(Path(remix.__file__).parents[1]))
-    out = subprocess.run([sys.executable, str(script), "--identities", "6",
-                          "--per-cam", "4", "--reps", "3"], env=env,
-                         capture_output=True, text=True, check=True)
-    doc = json.loads(out.stdout)
-    assert (doc["n_query"], doc["n_gallery"], doc["positives_per_query"],
-            doc["reps"]) == (24, 72, 9, 3)
-    assert 0 < doc["q1_s"] <= doc["median_s"] <= doc["q3_s"]

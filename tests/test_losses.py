@@ -1,11 +1,6 @@
 import dataclasses
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +21,6 @@ from remix.errors import (
     EmptyLabelError,
     UnresolvedLabelError,
 )
-import remix
 from remix import encoder as enc
 from remix import gradcheck, losses
 from remix.datamodel import LabelGroups, draw_epoch
@@ -951,19 +945,3 @@ class TestTermCalls:
                                    substream(0, "init")).flat.size
         assert len(passes) == n_batches * (2 * n_params + len(TERMS))
         assert calls == [LOSS_OF[name] for name in TERMS] * len(passes)
-
-
-def test_time_loss_script():
-    # the timing script of the pass: one epoch at each setting, one repeat
-    script = Path(__file__).resolve().parents[1] / "scripts" / "time_loss.py"
-    env = dict(os.environ, PYTHONPATH=str(Path(remix.__file__).parents[1]))
-    out = subprocess.run([sys.executable, str(script), "--reps", "1"],
-                         env=env, capture_output=True, text=True, check=True)
-    doc = json.loads(out.stdout)
-    assert (doc["seed"], doc["reps"]) == (0, 1)
-    for setting, batch in (("joint", 64), ("labeled_only", 32)):
-        assert (doc[setting]["batch"], doc[setting]["iters"]) == (batch, 50)
-        assert doc[setting]["total_loss_us"] > 0
-        assert doc[setting]["layout_ms"] > 0
-        assert 0 < doc[setting]["layout_retained_bytes"] \
-            <= doc[setting]["layout_peak_bytes"]
