@@ -1,5 +1,7 @@
-"""scripts/ab.py: this checkout against itself, against a copy with one
-loss constant changed, and arguments it refuses."""
+"""scripts/ab.py: this checkout against a copy with one constant changed,
+and arguments it refuses. The script's runs of this checkout against itself
+are checked in test_ab_train.py (bit-equality), test_losses.py (the loss
+pass's figures) and test_evalkit.py (evaluate's figures)."""
 import json
 import shutil
 import subprocess
@@ -20,32 +22,10 @@ def run_ab(*args):
         capture_output=True, text=True, timeout=300)
 
 
-def report(change_dir) -> dict:
-    out = run_ab(ROOT, change_dir, "--reps", "1")
+def report(change_dir, *args) -> dict:
+    out = run_ab(ROOT, change_dir, "--reps", 1, *args)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
-
-
-def test_one_checkout_against_itself_is_equal_bit_for_bit():
-    doc = report(ROOT)
-    assert (doc["seed"], doc["reps"], doc["per_cam"]) == (0, 1, 3)
-    for setting, batch in (("joint", 64), ("labeled_only", 32)):
-        r = doc[setting]
-        assert (r["batch"], r["calls"]) == (batch, 50)
-        for side in ("parent", "change"):
-            assert 0 < r["layout_retained_bytes"][side] \
-                <= r["layout_peak_bytes"][side]
-    e = doc["evaluate"]
-    assert (e["n_query"], e["n_gallery"], e["positives_per_query"]) \
-        == (1600, 3200, 6)
-    for setting, keys in MEASURES.items():
-        for key in keys:
-            m = doc[setting][key]
-            assert m["same"] is True, (setting, key)
-            for side in ("parent", "change"):
-                t = m[side]
-                assert 0 < t["min"] <= t["q1"] <= t["median"] <= t["q3"]
-            assert m["median_change"] > -1.0
 
 
 @pytest.mark.parametrize("module, old, new, changed", [

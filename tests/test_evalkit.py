@@ -38,6 +38,7 @@ from remix.pseudolabel import PseudoLabeledPool
 
 
 from oracles import reference_purity, reference_rankings
+from test_ab import ROOT, report as ab_report
 
 
 def angles(*degs):
@@ -551,3 +552,15 @@ class TestProtocol:
             write_report(path, {"mAP": 0.7, "extra": object()})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_time_evaluate_script():
+    # evaluate as scripts/ab.py sizes and times it: 400 identities over 4
+    # cameras with 4 samples per identity and camera, three repeats
+    doc = ab_report(ROOT, "--per-cam", 4, "--reps", 3)
+    e = doc["evaluate"]
+    assert (e["n_query"], e["n_gallery"], e["positives_per_query"],
+            doc["reps"]) == (1600, 4800, 9, 3)
+    for side in ("parent", "change"):
+        t = e["evaluate_s"][side]
+        assert 0 < t["min"] <= t["q1"] <= t["median"] <= t["q3"]

@@ -40,6 +40,7 @@ from remix.losses import (
     total_loss,
 )
 from remix.numcore import finite_diff_grad, normalize_rows, substream
+from test_ab import ROOT, report as ab_report
 
 
 def bank_for(labels, cameras, dim, seed=10):
@@ -945,3 +946,17 @@ class TestTermCalls:
                                    substream(0, "init")).flat.size
         assert len(passes) == n_batches * (2 * n_params + len(TERMS))
         assert calls == [LOSS_OF[name] for name in TERMS] * len(passes)
+
+
+def test_time_loss_script():
+    # the loss pass as scripts/ab.py times it: one repeat at each setting
+    doc = ab_report(ROOT)
+    assert (doc["seed"], doc["reps"]) == (0, 1)
+    for setting, batch in (("joint", 64), ("labeled_only", 32)):
+        r = doc[setting]
+        assert (r["batch"], r["calls"]) == (batch, 50)
+        for side in ("parent", "change"):
+            assert r["total_loss_us"][side]["median"] > 0
+            assert r["layout_ms"][side]["median"] > 0
+            assert 0 < r["layout_retained_bytes"][side] \
+                <= r["layout_peak_bytes"][side]
